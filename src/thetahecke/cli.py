@@ -15,7 +15,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .bipartition import bipartitions, decompose, expected_decomposition, theta_lift, vs_to_json
+from .bipartition import (
+    bipartitions,
+    check_partition,
+    decompose,
+    expected_decomposition,
+    theta_lift,
+    vs_to_json,
+)
 from .dualpair import (
     CASES,
     TowerConfig,
@@ -27,7 +34,7 @@ from .dualpair import (
 )
 from .heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from .laurent import as_half, format_half
-from .thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
+from .thetamod import GroupRelationError, GroupRepAtOne, ThetaModule, grade_dim_formula
 from .weylbc import CosetSpec, distinguished_reps, length
 
 MAX_VERIFY_DIM = 5000
@@ -40,7 +47,7 @@ def _parse_partition(text: str):
         raise ValueError(f"partition must be a JSON array, got {text!r}")
     if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
         raise ValueError(f"partition must be a JSON array of integers, got {text!r}")
-    return tuple(obj)
+    return check_partition(obj)
 
 
 def _emit(args, obj, text_renderer):
@@ -63,16 +70,6 @@ def _verify_columns_slice(task):
     l, lp, mu, lo, hi = task
     rep = ThetaModule(l, lp, as_half(mu)).verify_relations(columns=range(lo, hi))
     return rep["relations"]
-
-
-def _verify_point(task):
-    l, lp, mu, u0 = task
-    rep = ThetaModule(l, lp, as_half(mu)).evaluate_at(u0).verify_relations()
-    return {
-        "point": u0,
-        "ok": rep["ok"],
-        "failed": [r["name"] for r in rep["relations"] if not r["ok"]],
-    }
 
 
 def _merge_slice_reports(parts):
@@ -101,43 +98,24 @@ def cmd_module_verify(args) -> int:
     t0 = time.perf_counter()
     module = ThetaModule(l, lp, mu)
     jobs = min(_jobs(args), 8)
-    if dim <= 300:
-        if jobs > 1 and dim >= 64:
-            cuts = [dim * i // jobs for i in range(jobs + 1)]
-            tasks = [(l, lp, args.mu, cuts[i], cuts[i + 1]) for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_verify_columns_slice, tasks))
-            relations = _merge_slice_reports(parts)
-            report = {
-                "ok": all(r["ok"] for r in relations),
-                "dimension": module.dim,
-                "grades": module.grade_dims(),
-                "relations": relations,
-            }
-        else:
-            report = module.verify_relations()
-        report["mode"] = "symbolic"
-    else:
-        plan = module.point_plan()
-        points = plan["points"]
-        if jobs > 1:
-            tasks = [(l, lp, args.mu, u0) for u0 in points]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_verify_point, tasks))
-        else:
-            reports = [_verify_point((l, lp, args.mu, u0)) for u0 in points]
+    if jobs > 1 and dim >= 64:
+        cuts = [dim * i // jobs for i in range(jobs + 1)]
+        tasks = [(l, lp, args.mu, cuts[i], cuts[i + 1]) for i in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_verify_columns_slice, tasks))
+        relations = _merge_slice_reports(parts)
         report = {
-            "ok": all(r["ok"] for r in reports),
-            "mode": "points",
+            "ok": all(r["ok"] for r in relations),
             "dimension": module.dim,
             "grades": module.grade_dims(),
-            "span": plan["span"],
-            "points": points,
-            "reports": reports,
+            "relations": relations,
         }
+    else:
+        report = module.verify_relations()
+    report["mode"] = "symbolic"
     elapsed = time.perf_counter() - t0
 
-    for rel in report.get("relations", []):
+    for rel in report["relations"]:
         took = rel.pop("elapsed", None)
         line = f"{rel['name']}: {'PASS' if rel['ok'] else 'FAIL'}"
         if took is not None:
@@ -147,11 +125,7 @@ def cmd_module_verify(args) -> int:
 
     def render(rep):
         lines = [f"dimension {rep['dimension']}  grades {rep['grades']}  mode {rep['mode']}"]
-        if rep["mode"] == "symbolic":
-            lines += [f"  {r['name']:<28} {'PASS' if r['ok'] else 'FAIL'}" for r in rep["relations"]]
-        else:
-            lines.append(f"  span {rep['span']}, {len(rep['points'])} points")
-            lines += [f"  u0={r['point']:<4} {'PASS' if r['ok'] else 'FAIL'}" for r in rep["reports"]]
+        lines += [f"  {r['name']:<28} {'PASS' if r['ok'] else 'FAIL'}" for r in rep["relations"]]
         lines.append("all relations hold" if rep["ok"] else "FAILURES found")
         return "\n".join(lines)
 
@@ -272,7 +246,11 @@ def cmd_conservation_scan(args) -> int:
 def cmd_specialize_decompose(args) -> int:
     module = ThetaModule(args.l, args.lprime, as_half(args.mu))
     rep = GroupRepAtOne(module)
-    rep.check_group_relations()
+    try:
+        rep.check_group_relations()
+    except GroupRelationError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     mults = decompose(rep.character(), args.l, args.lprime)
     expected = expected_decomposition(args.l, args.lprime)
     matches = mults == expected
@@ -306,6 +284,8 @@ def cmd_coset(args) -> int:
     if (args.l is None) == (args.lprime is None):
         raise ValueError("give exactly one of --l (plain block) or --lprime (mixed block)")
     kind, n = ("sym_block", args.l) if args.l is not None else ("mixed_block", args.lprime)
+    if args.k is not None and args.k > n:
+        raise ValueError(f"--k must be at most {n}, got {args.k}")
     ks = [args.k] if args.k is not None else list(range(n + 1))
     tables = []
     for k in ks:
@@ -338,6 +318,8 @@ def _parse_hecke_word(text: str, params: HeckeParams) -> HeckeElem:
         if token == "e":
             continue
         if token == "t":
+            if params.rank < 1:
+                raise ValueError("the rank-0 algebra has no flip generator t")
             g = params.rank
         elif token.startswith("s") and token[1:].isdigit():
             g = int(token[1:])
@@ -383,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
 
     p = sub.add_parser("module-verify", help="check every defining relation of the bimodule")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--lprime", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--case", choices=sorted(CASES))
+    p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
     add_common(p)
     p.set_defaults(func=cmd_module_verify)
 
@@ -466,10 +448,18 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# integer flags that name a rank (or a grade, for coset --k)
+_RANK_FLAGS = ("l", "lprime", "lmax", "k")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_merge_dash_values(argv))
     try:
+        for name in _RANK_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{name} must be non-negative, got {value}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from .weylbc import (
     SignedPerm,
     gen_perm,
     identity,
-    inv,
     length,
     mul,
     num_flips,
@@ -44,11 +43,6 @@ class HeckeParams:
     @classmethod
     def signed(cls, l: int, mu) -> "HeckeParams":
         return cls(l, int(as_half(mu) * 2))
-
-    @classmethod
-    def signed_partner(cls, l: int, mu) -> "HeckeParams":
-        """Same shape with flip exponent -1-mu (the pairing partner)."""
-        return cls(l, int(as_half(-1 - as_half(mu)) * 2))
 
     @classmethod
     def unsigned(cls, l: int) -> "HeckeParams":
@@ -245,14 +239,5 @@ def he_specialize_nu1(a: HeckeElem) -> dict[SignedPerm, int]:
     for w, c in a.terms.items():
         v = c.specialize_nu1()
         if v:
-            out[w] = v
-    return out
-
-
-def he_specialize_prime_power(a: HeckeElem, q: int) -> dict[SignedPerm, object]:
-    out = {}
-    for w, c in a.terms.items():
-        v = c.specialize_prime_power(q)
-        if not (v == 0):
             out[w] = v
     return out

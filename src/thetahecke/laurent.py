@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 HalfInt = Fraction  # values with denominator 1 or 2
 
@@ -324,27 +324,3 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 rem.pop(k, None)
     shift = sa[0] - sb[0]
     return LaurentPoly({e + shift: c for e, c in quot.items()})
-
-
-def content_normalize(vals: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Divide a vector of ring elements by its integer content and lowest
-    common monomial, fixing the sign so the lowest-order leading coefficient
-    of the first nonzero entry is positive.  Canonical up to nothing."""
-    nonzero = [p for p in vals if not p.is_zero()]
-    if not nonzero:
-        return list(vals)
-    g = 0
-    emin = min(min(p.support()) for p in nonzero)
-    for p in nonzero:
-        for c in p.terms.values():
-            g = math.gcd(g, c)
-    lead = nonzero[0].terms[min(nonzero[0].support())]
-    if lead < 0:
-        g = -g
-    return [LaurentPoly({e - emin: c // g for e, c in p.terms.items()}) for p in vals]
-
-
-def iter_terms(p: LaurentPoly) -> Iterator[tuple[int, int]]:
-    """(exponent numerator, coefficient) pairs in increasing exponent order."""
-    for e in p.support():
-        yield e, p.terms[e]

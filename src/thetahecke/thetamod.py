@@ -28,30 +28,32 @@ fixes the last position and commutes with the flip, or d1 factors through the
 cross-block cycle and the flip conjugates to position l-k at the cost of an
 inverted Hecke element.
 
-Everything is exact.  The coefficient ring is pluggable: symbolic Laurent
-polynomials by default, or exact evaluation at a chosen point for large-rank
-identity testing and for specialization cross-checks.
+Everything is exact: coefficients are Laurent polynomials in nu**(1/2), and
+the relation suite is checked symbolically, column by column.  Any
+specialization (nu = 1, nu = q) is the image of this generic module under a
+ring homomorphism, so the symbolic check proves the specialized relations too.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
-from functools import lru_cache
 
 from .heckealg import HeckeParams, he_inv_basis
-from .laurent import HalfInt, LaurentPoly, QuadExtValue, as_half
+from .laurent import HalfInt, LaurentPoly, as_half
 from .weylbc import (
     CosetSpec,
     SignedPerm,
     all_unsigned_perms,
+    conjugacy_classes,
     cross_block_cycle,
     deodhar_transfer,
+    distinguished_reps,
     double_coset_split,
     flip_at,
     gen_perm,
     identity,
+    inv,
     length,
     mul,
     reduced_word,
@@ -61,133 +63,23 @@ from .weylbc import (
 BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 
-# -- coefficient rings -------------------------------------------------------
-
-
-class LaurentRing:
-    """Symbolic coefficients: the Laurent ring itself."""
-
-    name = "symbolic"
-
-    def zero(self):
-        return LaurentPoly.zero()
-
-    def one(self):
-        return LaurentPoly.one()
-
-    def monomial(self, c: int, e) -> LaurentPoly:
-        return LaurentPoly.nu_power(as_half(e), c)
-
-    def from_laurent(self, p: LaurentPoly) -> LaurentPoly:
-        return p
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-
-class FractionPointRing:
-    """Exact evaluation at a rational value of the square root of nu.
-
-    Identities of bounded degree vanish identically once they vanish at
-    enough such points, which is the large-rank verification strategy.
-    """
-
-    def __init__(self, u0):
-        self.u0 = Fraction(u0)
-        assert self.u0 != 0
-        self.name = f"point(nu^(1/2)={self.u0})"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def monomial(self, c: int, e) -> Fraction:
-        return c * self.u0 ** int(2 * as_half(e))
-
-    def from_laurent(self, p: LaurentPoly) -> Fraction:
-        return sum((c * self.u0**e for e, c in p.terms.items()), Fraction(0))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-
-class PrimePowerRing:
-    """Exact evaluation at nu = q for an integer q >= 2 (surd arithmetic when
-    q is not a perfect square)."""
-
-    def __init__(self, q: int):
-        assert q >= 2
-        self.q = q
-        r = math.isqrt(q)
-        self.root: Fraction | None = Fraction(r) if r * r == q else None
-        self.name = f"point(nu={q})"
-
-    def zero(self):
-        return Fraction(0) if self.root is not None else QuadExtValue(Fraction(0), Fraction(0), self.q)
-
-    def one(self):
-        return self.from_laurent(LaurentPoly.one())
-
-    def monomial(self, c: int, e):
-        return self.from_laurent(LaurentPoly.nu_power(as_half(e), c))
-
-    def from_laurent(self, p: LaurentPoly):
-        return p.specialize_prime_power(self.q) if self.root is None else sum(
-            (c * self.root**e for e, c in p.terms.items()), Fraction(0)
-        )
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.root is not None else a.is_zero()
-
-
 # -- sparse vectors keyed by basis position ----------------------------------
 
+_ONE = LaurentPoly.one()
+_NU = LaurentPoly.nu_power(1)
+_NU_MINUS_ONE = _NU - _ONE
 
-def _axpy(ring, out: dict, col, c) -> None:
-    for p, a in col:
-        s = ring.add(out.get(p, ring.zero()), ring.mul(c, a))
-        if ring.is_zero(s):
-            out.pop(p, None)
-        else:
+
+def _add_scaled(out: dict, pairs, c: LaurentPoly) -> None:
+    """out += c * v, for v given by its (position, coefficient) pairs."""
+    for p, a in pairs:
+        t = c * a
+        old = out.get(p)
+        s = t if old is None else old + t
+        if s:
             out[p] = s
-
-
-def _add_scaled(ring, out: dict, vec: dict, c) -> None:
-    for p, a in vec.items():
-        s = ring.add(out.get(p, ring.zero()), ring.mul(c, a))
-        if ring.is_zero(s):
-            out.pop(p, None)
         else:
-            out[p] = s
+            out.pop(p, None)
 
 
 def grade_dim_formula(l: int, lp: int, k: int) -> int:
@@ -203,19 +95,19 @@ def grade_dim_formula(l: int, lp: int, k: int) -> int:
 class ThetaModule:
     """The graded bimodule for ranks (l, l') at parameter mu."""
 
-    def __init__(self, l: int, lp: int, mu, ring=None):
-        assert l >= 0 and lp >= 0
+    def __init__(self, l: int, lp: int, mu):
+        if l < 0 or lp < 0:
+            raise ValueError(f"ranks must be non-negative, got l={l}, l'={lp}")
         self.l = l
         self.lp = lp
         self.mu: HalfInt = as_half(mu)
-        self.ring = ring if ring is not None else LaurentRing()
         self.kmax = min(l, lp)
 
         self.basis: list[BasisIndex] = []
         self.grade_range: dict[int, tuple[int, int]] = {}
         for k in range(self.kmax + 1):
-            d1s = list(distinguished_cache("sym_block", l, k))
-            d2s = list(distinguished_cache("mixed_block", lp, k))
+            d1s = distinguished_reps(CosetSpec("sym_block", l, k))
+            d2s = distinguished_reps(CosetSpec("mixed_block", lp, k))
             slots = sorted(all_unsigned_perms(k), key=lambda w: (length(w), w))
             start = len(self.basis)
             for d1 in d1s:
@@ -240,7 +132,7 @@ class ThetaModule:
         return self.pos[(k, identity(self.l), identity(self.lp), identity(k))]
 
     def basis_vec(self, p: int) -> dict:
-        return {p: self.ring.one()}
+        return {p: _ONE}
 
     def gen_keys(self) -> list[tuple]:
         keys: list[tuple] = [("S", i) for i in range(1, self.l)]
@@ -268,10 +160,15 @@ class ThetaModule:
             table[p] = col
         return col
 
+    def materialize_columns(self) -> None:
+        for key in self.gen_keys():
+            for p in range(self.dim):
+                self.column(key, p)
+
     def apply_gen(self, key: tuple, vec: dict) -> dict:
         out: dict = {}
         for p, c in vec.items():
-            _axpy(self.ring, out, self.column(key, p), c)
+            _add_scaled(out, self.column(key, p), c)
         return out
 
     def apply_word(self, word: list[int], vec: dict) -> dict:
@@ -290,57 +187,52 @@ class ThetaModule:
     # -- the three grade-preserving generator actions --
 
     def _col_swap(self, i: int, p: int):
-        R = self.ring
         k, d1, d2, x = self.basis[p]
         res = deodhar_transfer(d1, i, CosetSpec("sym_block", self.l, k))
-        nu = R.monomial(1, 1)
         if res[0] == "coset":
             np_ = self.pos[(k, res[1], d2, x)]
             if res[2] > 0:
-                return ((np_, R.one()),)
-            return ((np_, nu), (p, R.add(nu, R.neg(R.one()))))
+                return ((np_, _ONE),)
+            return ((np_, _NU), (p, _NU_MINUS_ONE))
         h = res[1]
         if h < self.l - k:
-            return ((p, nu),)
+            return ((p, _NU),)
         m = h - (self.l - k)
         y = mul(x, gen_perm(m, k))
         yp = self.pos[(k, d1, d2, y)]
         if length(y) > length(x):
-            return ((yp, R.one()),)
-        return ((yp, nu), (p, R.add(nu, R.neg(R.one()))))
+            return ((yp, _ONE),)
+        return ((yp, _NU), (p, _NU_MINUS_ONE))
 
     def _col_prime_swap(self, i: int, p: int):
-        R = self.ring
         k, d1, d2, x = self.basis[p]
         res = deodhar_transfer(d2, i, CosetSpec("mixed_block", self.lp, k))
-        nu = R.monomial(1, 1)
         if res[0] == "coset":
             np_ = self.pos[(k, d1, res[1], x)]
             if res[2] > 0:
-                return ((np_, R.one()),)
-            return ((np_, nu), (p, R.add(nu, R.neg(R.one()))))
+                return ((np_, _ONE),)
+            return ((np_, _NU), (p, _NU_MINUS_ONE))
         h = res[1]
         assert h != self.lp, "a swap cannot transfer to the flip"
         if h > k:
-            return ((p, nu),)
+            return ((p, _NU),)
         y = mul(gen_perm(h, k), x)
         yp = self.pos[(k, d1, d2, y)]
         if length(y) > length(x):
-            return ((yp, R.one()),)
-        return ((yp, nu), (p, R.add(nu, R.neg(R.one()))))
+            return ((yp, _ONE),)
+        return ((yp, _NU), (p, _NU_MINUS_ONE))
 
     def _col_prime_flip(self, p: int):
-        R = self.ring
         k, d1, d2, x = self.basis[p]
         res = deodhar_transfer(d2, self.lp, CosetSpec("mixed_block", self.lp, k))
         if res[0] == "coset":
             np_ = self.pos[(k, d1, res[1], x)]
             if res[2] > 0:
-                return ((np_, R.one()),)
-            par = R.monomial(1, -1 - self.mu)
-            return ((np_, par), (p, R.add(par, R.neg(R.one()))))
+                return ((np_, _ONE),)
+            par = LaurentPoly.nu_power(-1 - self.mu)
+            return ((np_, par), (p, par - _ONE))
         assert res[1] == self.lp, "a flip transfer lands on the flip"
-        return ((p, R.neg(R.one())),)
+        return ((p, -_ONE),)
 
     # -- seeded flip action --
 
@@ -361,23 +253,23 @@ class ThetaModule:
             vec = self.seed_flip_inner(0)  # the inner flip at position l-0 is the flip itself
             self._seeds[key] = vec
             return vec
-        R = self.ring
         l, lp, mu = self.l, self.lp, self.mu
+        nu = LaurentPoly.nu_power
         out: dict = {}
-        _add_scaled(R, out, self._term(k, identity(l), flip_at(k, lp), identity(k)), R.monomial(-1, k - lp + mu))
+        top = self._term(k, identity(l), flip_at(k, lp), identity(k))
+        _add_scaled(out, top.items(), nu(k - lp + mu, -1))
         # bracket, entering with weight nu^(k-l'+1) - nu^(k-l')
-        w_plus = R.monomial(1, k - lp + 1)
-        w_minus = R.monomial(-1, k - lp)
+        bracket = nu(k - lp + 1) + nu(k - lp, -1)
+        c = bracket * nu(mu)
         for i in range(k + 1, lp + 1):
             t = self._term(k, identity(l), mul(flip_at(i, lp), swap_range(k, i, lp)), identity(k))
-            c = R.mul(R.add(w_plus, w_minus), R.monomial(1, mu))
-            _add_scaled(R, out, t, c)
+            _add_scaled(out, t.items(), c)
+        c_low = bracket * nu(-1, -1)
         low = self._term(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
-        c_low = R.mul(R.add(w_plus, w_minus), R.monomial(-1, -1))
-        _add_scaled(R, out, low, c_low)
+        _add_scaled(out, low.items(), c_low)
         for i in range(k, lp + 1):
             t = self._term(k, identity(l), swap_range(k, i, lp), identity(k))
-            _add_scaled(R, out, t, c_low)
+            _add_scaled(out, t.items(), c_low)
         self._seeds[key] = out
         return out
 
@@ -391,23 +283,23 @@ class ThetaModule:
         if key in self._seeds:
             return self._seeds[key]
         assert 0 <= k < self.l
-        R = self.ring
         l, lp, mu = self.l, self.lp, self.mu
-        out: dict = {self.unit_pos(k): R.monomial(-1, 2 * k - lp)}
-        scale = R.monomial(-1, k - lp)
+        nu = LaurentPoly.nu_power
+        out: dict = {self.unit_pos(k): nu(2 * k - lp, -1)}
+        scale = nu(k - lp, -1)
         if k < lp:
             slot_up = swap_range(1, k + 1, k + 1)
+            flipped_scale = scale * nu(mu + 1, -1)
             for i in range(k + 1, lp + 1):
                 plain = self._term(k + 1, identity(l), swap_range(k + 1, i, lp), slot_up)
-                _add_scaled(R, out, plain, scale)
+                _add_scaled(out, plain.items(), scale)
                 flipped = self._term(
                     k + 1, identity(l), mul(flip_at(i, lp), swap_range(k + 1, i, lp)), slot_up
                 )
-                _add_scaled(R, out, flipped, R.mul(scale, R.monomial(-1, mu + 1)))
+                _add_scaled(out, flipped.items(), flipped_scale)
         for i in range(1, k + 1):
             t = self._term(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
-            c = R.mul(scale, R.add(R.monomial(1, k - i + 1), R.monomial(-1, k - i)))
-            _add_scaled(R, out, t, c)
+            _add_scaled(out, t.items(), scale * (nu(k - i + 1) + nu(k - i, -1)))
         self._seeds[key] = out
         return out
 
@@ -417,7 +309,7 @@ class ThetaModule:
         if got is None:
             params = HeckeParams.unsigned(self.l)
             w2 = cross_block_cycle(self.l, k)
-            elem = he_inv_basis(params, tuple(_inv(w2)))
+            elem = he_inv_basis(params, tuple(inv(w2)))
             got = [(w, c) for w, c in elem.terms.items()]
             got.sort(key=lambda t: (length(t[0]), t[0]))
             self._w2_inverses[k] = got
@@ -425,7 +317,6 @@ class ThetaModule:
 
     def _col_flip(self, p: int):
         assert self.l >= 1
-        R = self.ring
         k, d1, d2, x = self.basis[p]
         branch = double_coset_split(d1, k)
         if branch[0] == "fix":
@@ -437,23 +328,13 @@ class ThetaModule:
             vec: dict = {}
             for u, c in self._w2_inverse(k):
                 moved = self.apply_word(reduced_word(u), dict(inner))
-                _add_scaled(R, vec, moved, R.from_laurent(c))
+                _add_scaled(vec, moved.items(), c)
             vec = self.apply_word(reduced_word(y), vec)
         vec = self.apply_prime_word(reduced_word(x), vec)
         vec = self.apply_prime_word(reduced_word(d2), vec)
         return tuple(sorted(vec.items()))
 
     # -- relation suite --
-
-    def _scaled(self, vec: dict, c) -> dict:
-        out: dict = {}
-        _add_scaled(self.ring, out, vec, c)
-        return out
-
-    def _vsum(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        _add_scaled(self.ring, out, b, self.ring.one())
-        return out
 
     def relation_suite(self) -> list[dict]:
         """Every defining relation of the bimodule presentation, as data.
@@ -536,11 +417,12 @@ class ThetaModule:
         """Evaluate one suite entry on a vector, returning (lhs, rhs)."""
         if chk["kind"] == "equal":
             return self._run_word(chk["lhs"], vec), self._run_word(chk["rhs"], vec)
-        R = self.ring
-        par = R.monomial(1, chk["par"])
+        par = LaurentPoly.nu_power(chk["par"])
         w = self.apply_gen(chk["gen"], vec)
         lhs = self.apply_gen(chk["gen"], w)
-        rhs = self._vsum(self._scaled(w, R.add(par, R.neg(R.one()))), self._scaled(vec, par))
+        rhs: dict = {}
+        _add_scaled(rhs, w.items(), par - _ONE)
+        _add_scaled(rhs, vec.items(), par)
         return lhs, rhs
 
     def verify_relations(self, columns: range | None = None) -> dict:
@@ -561,7 +443,7 @@ class ThetaModule:
                 lhs, rhs = self.relation_sides(chk, v)
                 if lhs != rhs:
                     diff: dict = dict(lhs)
-                    _add_scaled(self.ring, diff, rhs, self.ring.neg(self.ring.one()))
+                    _add_scaled(diff, rhs.items(), -_ONE)
                     bad = min(diff)
                     failure = {
                         "column": self._index_obj(p),
@@ -580,112 +462,6 @@ class ThetaModule:
             )
         return {"ok": all_ok, "dimension": self.dim, "grades": self.grade_dims(), "relations": report}
 
-    # -- verification by evaluation at points --
-
-    def materialize_columns(self) -> None:
-        for key in self.gen_keys():
-            for p in range(self.dim):
-                self.column(key, p)
-
-    def _exponent_interval(self, key: tuple) -> tuple[int, int]:
-        # measured (min, max) exponent numerator over the generator matrix
-        lo = hi = 0
-        found = False
-        for col in self._cols[key].values():
-            for _, a in col:
-                for e in a.terms:
-                    if not found:
-                        lo = hi = e
-                        found = True
-                    elif e < lo:
-                        lo = e
-                    elif e > hi:
-                        hi = e
-        return lo, hi
-
-    def point_plan(self) -> dict:
-        """Degree budget for deciding the relation suite by evaluation.
-
-        Entry exponents of each assembled generator matrix are measured;
-        interval arithmetic over each identity's factor words then bounds
-        the exponent span of every matrix entry of lhs - rhs.  A Laurent
-        identity of span D vanishing at D+1 distinct integer points >= 2
-        vanishes identically, so that many points decide the suite.
-        """
-        assert isinstance(self.ring, LaurentRing)
-        self.materialize_columns()
-        iv = {key: self._exponent_interval(key) for key in self.gen_keys()}
-
-        def word_iv(keys):
-            lo = hi = 0
-            for key in keys:
-                lo += iv[key][0]
-                hi += iv[key][1]
-            return lo, hi
-
-        span = 0
-        for chk in self.relation_suite():
-            if chk["kind"] == "equal":
-                l1, h1 = word_iv(chk["lhs"])
-                l2, h2 = word_iv(chk["rhs"])
-                lo, hi = min(l1, l2), max(h1, h2)
-            else:
-                glo, ghi = iv[chk["gen"]]
-                pe = int(2 * chk["par"])
-                lo = min(2 * glo, glo + min(pe, 0), min(pe, 0))
-                hi = max(2 * ghi, ghi + max(pe, 0), max(pe, 0))
-            span = max(span, hi - lo)
-        return {"span": span, "points": list(range(2, span + 3))}
-
-    def evaluate_at(self, u0: int) -> "ThetaModule":
-        """This module over exact rationals at nu**(1/2) = u0, generator
-        columns evaluated from the symbolic ones rather than re-derived."""
-        assert isinstance(self.ring, LaurentRing)
-        self.materialize_columns()
-        pt = ThetaModule(self.l, self.lp, self.mu, ring=FractionPointRing(u0))
-        for key, table in self._cols.items():
-            dst = pt._cols.setdefault(key, {})
-            for p, col in table.items():
-                ev = ((r, pt.ring.from_laurent(a)) for r, a in col)
-                dst[p] = tuple((r, v) for r, v in ev if v)
-        return pt
-
-    def verify_relations_points(self, points: list[int] | None = None) -> dict:
-        """Decide the relation suite by exact evaluation at integer points."""
-        plan = self.point_plan()
-        pts = list(points) if points is not None else plan["points"]
-        per_point = []
-        ok = True
-        for u0 in pts:
-            rep = self.evaluate_at(u0).verify_relations()
-            ok = ok and rep["ok"]
-            per_point.append(
-                {
-                    "point": u0,
-                    "ok": rep["ok"],
-                    "failed": [r["name"] for r in rep["relations"] if not r["ok"]],
-                }
-            )
-        return {
-            "ok": ok,
-            "mode": "points",
-            "dimension": self.dim,
-            "grades": self.grade_dims(),
-            "span": plan["span"],
-            "points": pts,
-            "reports": per_point,
-        }
-
-    def verify_relations_auto(self, symbolic_limit: int = 300) -> dict:
-        """Column-by-column symbolic verification while the total dimension
-        stays at or below symbolic_limit; past that, exact evaluation at
-        enough integer points to decide every identity."""
-        if self.dim <= symbolic_limit:
-            out = self.verify_relations()
-            out["mode"] = "symbolic"
-            return out
-        return self.verify_relations_points()
-
     # -- serialization --
 
     def _index_obj(self, p: int) -> dict:
@@ -693,7 +469,6 @@ class ThetaModule:
         return {"k": k, "d1": list(d1), "d2": list(d2), "x": list(x)}
 
     def vec_to_json(self, vec: dict) -> list[dict]:
-        assert isinstance(self.ring, LaurentRing)
         return [
             {"index": self._index_obj(p), "coeff": vec[p].to_json_obj()}
             for p in sorted(vec)
@@ -708,21 +483,12 @@ class ThetaModule:
             out[self.pos[idx]] = LaurentPoly.from_json_obj(item["coeff"])
         return out
 
-    def operator_matrix(self, key: tuple) -> list[list]:
-        """Columns of a generator in basis order, each a sparse [row, coeff] list."""
-        out = []
-        for p in range(self.dim):
-            col = self.column(key, p)
-            out.append([[r, c.to_json_obj()] for r, c in sorted(col)])
-        return out
-
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
         """Integer matrices of every generator at nu = 1 (numpy, int64)."""
         import numpy as np
 
-        assert isinstance(self.ring, LaurentRing)
         mats = {}
         for key in self.gen_keys():
             m = np.zeros((self.dim, self.dim), dtype=np.int64)
@@ -733,20 +499,11 @@ class ThetaModule:
         return mats
 
 
-def _inv(w: SignedPerm) -> SignedPerm:
-    from .weylbc import inv as winv
-
-    return winv(w)
-
-
-@lru_cache(maxsize=None)
-def distinguished_cache(kind: str, n: int, k: int):
-    from .weylbc import distinguished_reps
-
-    return distinguished_reps(CosetSpec(kind, n, k))
-
-
 # -- nu = 1 representation of the product of signed groups -------------------
+
+
+class GroupRelationError(Exception):
+    """A generator matrix at nu = 1 breaks a defining relation of the group pair."""
 
 
 class GroupRepAtOne:
@@ -769,24 +526,31 @@ class GroupRepAtOne:
         self._cache_right: dict[SignedPerm, object] = {}
 
     def check_group_relations(self) -> None:
-        """Generators square to the identity and satisfy the braid relations."""
+        """Generators square to the identity and satisfy the braid relations.
+
+        Raises GroupRelationError naming the first relation that fails.
+        """
         import numpy as np
 
-        for gens, rank in ((self._gen_left, self.l), (self._gen_right, self.lp)):
+        def need(lhs, rhs, name: str) -> None:
+            if not np.array_equal(lhs, rhs):
+                raise GroupRelationError(f"group relation {name} fails at nu = 1")
+
+        for side, gens, rank in (("left", self._gen_left, self.l), ("right", self._gen_right, self.lp)):
             for g, m in gens.items():
-                assert np.array_equal(m @ m, self._eye), f"generator {g} not an involution"
+                need(m @ m, self._eye, f"involution_{side}_{g}")
             for i in range(1, rank):
                 for j in range(i + 1, rank + 1):
                     a, b = gens[i], gens[j]
-                    if j == rank and i == rank - 1 and rank >= 2:
-                        assert np.array_equal(a @ b @ a @ b, b @ a @ b @ a)
-                    elif j == i + 1 and j < rank:
-                        assert np.array_equal(a @ b @ a, b @ a @ b)
-                    elif j > i + 1 or j == rank:
-                        assert np.array_equal(a @ b, b @ a)
-        for a in self._gen_left.values():
-            for b in self._gen_right.values():
-                assert np.array_equal(a @ b, b @ a), "sides fail to commute at nu = 1"
+                    if j == rank and i == rank - 1:
+                        need(a @ b @ a @ b, b @ a @ b @ a, f"braid_{side}_{i}_{j}")
+                    elif j == i + 1:
+                        need(a @ b @ a, b @ a @ b, f"braid_{side}_{i}_{j}")
+                    else:
+                        need(a @ b, b @ a, f"comm_{side}_{i}_{j}")
+        for i, a in self._gen_left.items():
+            for j, b in self._gen_right.items():
+                need(a @ b, b @ a, f"cross_{i}_{j}")
 
     def _rep(self, w: SignedPerm, gens, cache):
         got = cache.get(w)
@@ -809,8 +573,6 @@ class GroupRepAtOne:
         Keyed by ((pos_type, neg_type), (pos_type, neg_type)).
         """
         import numpy as np
-
-        from .weylbc import conjugacy_classes
 
         out = {}
         for cl in conjugacy_classes(self.l):

@@ -434,25 +434,6 @@ def conjugacy_classes(l: int) -> list[dict]:
     return out
 
 
-def sym_conjugacy_classes(l: int) -> list[dict]:
-    """Classes of the unsigned symmetric group by cycle type."""
-    out = []
-    fact = 1
-    for i in range(1, l + 1):
-        fact *= i
-    for lam in partitions(l):
-        z = 1
-        for j in set(lam):
-            m = lam.count(j)
-            f = 1
-            for i in range(1, m + 1):
-                f *= i
-            z *= j**m * f
-        out.append({"type": lam, "rep": class_rep(lam, (), l), "size": fact // z})
-    out.sort(key=lambda c: c["type"])
-    return out
-
-
 def block_split(w: SignedPerm, a: int) -> tuple[SignedPerm, SignedPerm] | None:
     """Split a block-preserving element of rank a+b into its two factors;
     None when the blocks mix."""

@@ -14,6 +14,7 @@ import pytest
 from thetahecke.cli import main
 from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from thetahecke.laurent import LaurentPoly
+from thetahecke.thetamod import ThetaModule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +102,18 @@ def test_module_verify_parallel_symbolic(capsys):
     assert obj["ok"] and obj["mode"] == "symbolic" and len(obj["relations"]) == 21
 
 
+def test_module_verify_above_old_symbolic_limit(capsys):
+    """(3,4) has dimension 361 and runs the same symbolic column check."""
+    code, obj, _ = run_json(
+        capsys, "module-verify", "--l", "3", "--lprime", "4", "--mu", "1/2", "--jobs", "1"
+    )
+    assert code == 0
+    assert obj["ok"] and obj["mode"] == "symbolic" and obj["dimension"] == 361
+    suite = ThetaModule(3, 4, Fraction(1, 2)).relation_suite()
+    assert [r["name"] for r in obj["relations"]] == [chk["name"] for chk in suite]
+    assert all(r["ok"] for r in obj["relations"])
+
+
 def test_module_verify_text(capsys):
     code, out, _ = run(
         capsys, "module-verify", "--l", "1", "--lprime", "2", "--mu", "2", "--format", "text"
@@ -139,6 +152,7 @@ def test_theta_lift_empty_renders_zero(capsys):
 def test_theta_lift_errors(capsys):
     assert run(capsys, "theta-lift", "--alpha", "[2]", "--beta", "[]", "--l", "1", "--lprime", "1")[0] == 2
     assert run(capsys, "theta-lift", "--alpha", "nope", "--beta", "[]", "--l", "0", "--lprime", "1")[0] == 2
+    assert run(capsys, "theta-lift", "--alpha", "[1,2]", "--beta", "[]", "--l", "3", "--lprime", "1")[0] == 2
 
 
 def test_first_occurrence_cli(capsys):
@@ -204,32 +218,72 @@ def test_coset_cli(capsys):
 def test_coset_flag_misuse(capsys):
     assert run(capsys, "coset", "--l", "2", "--lprime", "2")[0] == 2
     assert run(capsys, "coset")[0] == 2
+    assert run(capsys, "coset", "--l", "2", "--k", "3")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module-verify", "--l", "-1", "--lprime", "1", "--mu", "1/2"),
+        ("specialize-decompose", "--l", "-1", "--lprime", "2"),
+        ("theta-lift", "--alpha", "[]", "--beta", "[]", "--l", "0", "--lprime", "-1"),
+        ("hecke-mul", "--l", "0", "--mu", "1", "--a", "t", "--b", "e"),
+        ("coset", "--l", "-2"),
+        ("conservation-scan", "--lmax", "-1", "--case", "A", "--dimV0", "0", "--dimVp0", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_rank_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch):
+    """A corrupted generator matrix at nu = 1 is a failed verification: exit 1."""
+    real = ThetaModule.matrices_at_one
+
+    def corrupted(self):
+        mats = real(self)
+        mats[("T",)][0, 0] += 1
+        return mats
+
+    monkeypatch.setattr(ThetaModule, "matrices_at_one", corrupted)
+    code, out, err = run(capsys, "specialize-decompose", "--l", "2", "--lprime", "2")
+    assert code == 1 and out == ""
+    assert "involution_left_2" in err
 
 
 # -- determinism across processes ----------------------------------------------------
 
 
-def cli_bytes(*argv):
+def cli_bytes(*argv, flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "thetahecke.cli", *argv],
+        [sys.executable, *flags, "-m", "thetahecke.cli", *argv],
         capture_output=True,
         check=True,
     )
     return proc.stdout
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("module-verify", "--l", "2", "--lprime", "2", "--mu", "-3/2"),
-        ("hecke-mul", "--l", "2", "--mu", "-3/2", "--a", "s1,t", "--b", "t,s1"),
-        ("conservation-scan", "--lmax", "2", "--case", "A", "--dimV0", "1", "--dimVp0", "2"),
-    ],
-)
+DETERMINISM_ARGV = [
+    ("module-verify", "--l", "2", "--lprime", "2", "--mu", "-3/2"),
+    ("hecke-mul", "--l", "2", "--mu", "-3/2", "--a", "s1,t", "--b", "t,s1"),
+    ("conservation-scan", "--lmax", "2", "--case", "A", "--dimV0", "1", "--dimVp0", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_ARGV)
 def test_stdout_is_byte_identical_between_runs(argv):
     first, second = cli_bytes(*argv), cli_bytes(*argv)
     assert first == second
     json.loads(first)
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_ARGV)
+def test_stdout_is_byte_identical_under_optimize(argv):
+    """python -O strips asserts; the reports must not depend on them."""
+    assert cli_bytes(*argv, flags=("-O",)) == cli_bytes(*argv)
 
 
 def test_console_entry_point(monkeypatch, capsys):

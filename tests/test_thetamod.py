@@ -1,17 +1,11 @@
-"""The graded bimodule: basis, generator columns, relation suite, point mode."""
+"""The graded bimodule: basis, generator columns, relation suite, the nu = 1 group pair."""
 
 from fractions import Fraction
 
 import pytest
 
 from thetahecke.laurent import LaurentPoly, as_half
-from thetahecke.thetamod import (
-    FractionPointRing,
-    GroupRepAtOne,
-    PrimePowerRing,
-    ThetaModule,
-    grade_dim_formula,
-)
+from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
 from thetahecke.weylbc import flip_at, identity
 
 MU = Fraction(1, 2)
@@ -123,13 +117,14 @@ def test_relations_hold_asymmetric_shapes():
         assert ThetaModule(l, lp, Fraction(3, 2)).verify_relations()["ok"]
 
 
-def test_corrupted_column_is_reported():
+@pytest.mark.parametrize("delta", [nu(3), nu(0)], ids=["shifted_term", "constant_term"])
+def test_corrupted_column_is_reported(delta):
     mod = ThetaModule(2, 2, MU)
     mod.materialize_columns()
     table = mod._cols[("T",)]
     p = mod.unit_pos(1)
     r, a = table[p][0]
-    table[p] = ((r, a + nu(3)),) + table[p][1:]
+    table[p] = ((r, a + delta),) + table[p][1:]
     rep = mod.verify_relations()
     assert not rep["ok"]
     bad = [r for r in rep["relations"] if not r["ok"]]
@@ -137,74 +132,9 @@ def test_corrupted_column_is_reported():
     assert set(bad[0]["failure"]) == {"column", "entry", "residual"}
 
 
-# -- coherence across coefficient rings ----------------------------------------------
-
-
-def drop_zeros(ring, col):
-    return {r: v for r, v in col if not ring.is_zero(v)}
-
-
-@pytest.mark.parametrize("ring", [FractionPointRing(3), PrimePowerRing(2), PrimePowerRing(9)])
-def test_point_rings_agree_with_symbolic(ring):
-    sym = ThetaModule(2, 2, MU)
-    pt = ThetaModule(2, 2, MU, ring=ring)
-    for key in sym.gen_keys():
-        for p in range(sym.dim):
-            evaluated = {
-                r: v
-                for r, v in ((r, ring.from_laurent(a)) for r, a in sym.column(key, p))
-                if not ring.is_zero(v)
-            }
-            assert drop_zeros(ring, pt.column(key, p)) == evaluated
-
-
-def test_prime_power_relations():
-    assert ThetaModule(2, 2, MU, ring=PrimePowerRing(3)).verify_relations()["ok"]
-
-
-# -- evaluation-point mode ------------------------------------------------------------
-
-
-def test_point_plan_budget():
-    mod = ThetaModule(2, 2, MU)
-    plan = mod.point_plan()
-    assert plan["span"] >= 1
-    assert plan["points"] == list(range(2, plan["span"] + 3))
-    assert len(plan["points"]) == plan["span"] + 1
-
-
-def test_point_verification_passes():
-    rep = ThetaModule(2, 2, MU).verify_relations_points()
-    assert rep["ok"] and rep["mode"] == "points"
-    assert all(r["ok"] and not r["failed"] for r in rep["reports"])
-
-
-def test_point_verification_catches_corruption():
-    mod = ThetaModule(2, 2, MU)
-    mod.materialize_columns()
-    table = mod._cols[("T",)]
-    p = mod.unit_pos(1)
-    r, a = table[p][0]
-    table[p] = ((r, a + nu(0)),) + table[p][1:]
-    rep = mod.verify_relations_points()
-    assert not rep["ok"]
-    assert any(r["failed"] for r in rep["reports"])
-
-
-def test_auto_mode_switches_on_dimension():
-    mod = ThetaModule(2, 2, MU)
-    assert mod.verify_relations_auto()["mode"] == "symbolic"
-    assert mod.verify_relations_auto(symbolic_limit=10)["mode"] == "points"
-
-
-def test_evaluate_at_matches_direct_point_module():
-    sym = ThetaModule(2, 1, MU)
-    sym.materialize_columns()
-    ev = sym.evaluate_at(5)
-    direct = ThetaModule(2, 1, MU, ring=FractionPointRing(5))
-    for key in sym.gen_keys():
-        for p in range(sym.dim):
-            assert dict(ev.column(key, p)) == drop_zeros(direct.ring, direct.column(key, p))
+def test_negative_rank_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        ThetaModule(-1, 2, MU)
 
 
 # -- serialization ---------------------------------------------------------------------
