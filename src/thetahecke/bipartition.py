@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
+from . import VerificationError
 from .weylbc import partitions
 
 Partition = tuple[int, ...]
@@ -337,21 +338,15 @@ def theta_lift(alpha: Partition, beta: Partition, l: int, lp: int) -> dict[Bipar
 
 
 def amr_lift(m: int, l: int, lp: int, alpha: Partition, beta: Partition) -> dict[Bipartition, int]:
-    """The lift in the unipotent normalization: slots appear in the other
-    order (add-strips on alpha first, removed strips from beta second).
+    """The lift in the unipotent normalization: the theta lift with its two
+    slots exchanged (add-strips on alpha first, removed strips from beta second).
 
     The cuspidal-support parameter m fixes the normalization but does not
     enter the displayed sum.
     """
-    assert m >= 0
-    assert sum(alpha) + sum(beta) == l, (alpha, beta, l)
-    out: dict[Bipartition, int] = {}
-    for k in range(min(l, lp) + 1):
-        for bp in pieri_add(alpha, lp - k):
-            for ap in pieri_remove(beta, l - k):
-                vs_add(out, (bp, ap))
-    assert is_multiplicity_free(out)
-    return out
+    if m < 0:
+        raise ValueError(f"the cuspidal-support parameter m must be non-negative, got {m}")
+    return eps_twist(theta_lift(alpha, beta, l, lp))
 
 
 # -- nu = 1 module decomposition ----------------------------------------------
@@ -413,8 +408,8 @@ def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
               ) -> dict[tuple[Bipartition, Bipartition], int]:
     """Multiplicities of product-group irreducibles in an exact character.
 
-    Raises if any inner product fails to be a nonnegative integer, and
-    asserts that the multiplicities reconstruct the input classwise.
+    Raises VerificationError if any inner product fails to be a nonnegative
+    integer, or if the multiplicities fail to reconstruct the input classwise.
     """
     classes_l = signed_class_types(l)
     classes_lp = signed_class_types(lp)
@@ -435,11 +430,13 @@ def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
                         continue
                     total += Fraction(v * xl * xr,
                                       signed_centralizer(cl) * signed_centralizer(cr))
-            assert total.denominator == 1 and total >= 0, (bl, br, total)
+            if total.denominator != 1 or total < 0:
+                raise VerificationError(f"multiplicity of {(bl, br)} is {total}, not a count")
             if total:
                 mults[(bl, br)] = int(total)
     for cl in classes_l:
         for cr in classes_lp:
             rec = sum(m * wl_char(bl, cl) * wl_char(br, cr) for (bl, br), m in mults.items())
-            assert rec == charfn.get((cl, cr), 0), ("reconstruction", cl, cr)
+            if rec != charfn.get((cl, cr), 0):
+                raise VerificationError(f"multiplicities fail to reconstruct the class {(cl, cr)}")
     return mults

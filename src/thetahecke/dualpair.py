@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import VerificationError
 from .bipartition import check_partition, r1, theta_lift
-
-HalfInt = Fraction
+from .laurent import HalfInt, as_half, format_half
 
 
 # -- cases and towers ----------------------------------------------------------
@@ -141,12 +141,6 @@ def mu_sigma(n, ntilde) -> HalfInt:
     return Fraction(n - ntilde, 2)
 
 
-def mu_str(mu) -> str:
-    """Serialize a half-integer as 'p' or 'p/2'."""
-    mu = Fraction(mu)
-    return str(mu.numerator) if mu.denominator == 1 else f"{mu.numerator}/2"
-
-
 def lambda_exponents(cfg: TowerConfig) -> dict:
     """Formal scalar data for the two flip normalizations.
 
@@ -192,7 +186,11 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
     steps_t = max(0, l - r1(alpha))
     least = min(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
     least_t = min(lp for lp in range(l + 1) if theta_lift(beta, alpha, l, lp))
-    assert least == steps and least_t == steps_t, (alpha, beta, l)
+    if (least, least_t) != (steps, steps_t):
+        raise VerificationError(
+            f"first occurrence of ({list(alpha)}, {list(beta)}) at rank {l}: closed form "
+            f"{(steps, steps_t)} disagrees with the tower search {(least, least_t)}"
+        )
     return {
         "n": cfg.dimVp0 + 2 * steps,
         "n_tilde": cfg.dimVt0 + 2 * steps_t,
@@ -204,14 +202,13 @@ def conservation_check(alpha, beta, l: int, cfg: TowerConfig) -> dict:
     """Evaluate both weightings of the degree-drop index against the
     dimension budget 2*dimV_l + delta.
 
-    The variant counting c twice vanishes identically; the report carries
-    the residual of the single-c variant as well.
+    The variant counting c twice should vanish identically; its residual
+    is reported, not assumed, next to that of the single-c variant.
     """
     occ = first_occurrence(alpha, beta, l, cfg)
     rhs = 2 * (cfg.dimV0 + 2 * l) + cfg.case.delta
     one_c = occ["n"] + occ["n_tilde"] + occ["c"]
     two_c = occ["n"] + occ["n_tilde"] + 2 * occ["c"]
-    assert two_c == rhs, (alpha, beta, l, cfg)
     return {
         "n": occ["n"],
         "n_tilde": occ["n_tilde"],
@@ -233,9 +230,9 @@ def relevance_closure(mu, case, bound: int = 8) -> set[HalfInt]:
     connecting path briefly overshoots are still found.
     """
     case = get_case(case)
-    mu = Fraction(mu)
+    mu = as_half(mu)
     if not mu_range_check(case, mu):
-        raise ValueError(f"mu={mu_str(mu)} out of range for case {case.tag}")
+        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
     bound = max(bound, abs(mu))
     seen: set[Fraction] = set()
     frontier = [mu]
@@ -252,9 +249,9 @@ def relevance_closure(mu, case, bound: int = 8) -> set[HalfInt]:
 def abundance_witness(mu, case) -> TowerConfig:
     """A smallest-dimension tower pair whose parameter equals mu."""
     case = get_case(case)
-    mu = Fraction(mu)
+    mu = as_half(mu)
     if not mu_range_check(case, mu):
-        raise ValueError(f"mu={mu_str(mu)} out of range for case {case.tag}")
+        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
     if case.tag == "A":
         m = int(mu + Fraction(1, 2))
         v0 = max(0, m - 1, -m)

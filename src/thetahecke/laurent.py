@@ -135,17 +135,6 @@ class LaurentPoly:
         n = int(as_half(e) * 2)
         return LaurentPoly({k + n: c for k, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        assert n >= 0
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 

@@ -37,8 +37,11 @@ ring homomorphism, so the symbolic check proves the specialized relations too.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from functools import reduce
 
+from . import VerificationError
 from .heckealg import HeckeParams, he_inv_basis
 from .laurent import HalfInt, LaurentPoly, as_half
 from .weylbc import (
@@ -90,6 +93,11 @@ def grade_dim_formula(l: int, lp: int, k: int) -> int:
         * math.factorial(lp)
         // (math.factorial(l - k) * math.factorial(k) * math.factorial(lp - k))
     )
+
+
+def module_dim_formula(l: int, lp: int) -> int:
+    """The total dimension: the grade dimensions summed over k = 0..min(l, l')."""
+    return sum(grade_dim_formula(l, lp, k) for k in range(min(l, lp) + 1))
 
 
 class ThetaModule:
@@ -341,7 +349,8 @@ class ThetaModule:
 
         Quadratic entries carry the nu-exponent of the non-unipotent
         eigenvalue; word entries compare two operator products (rightmost
-        factor acts first).
+        factor acts first).  Each section is written once and built for
+        both sides from (name prefix, swap key, flip key, rank, flip exponent).
         """
         checks: list[dict] = []
 
@@ -351,60 +360,36 @@ class ThetaModule:
         def equal(name, lhs, rhs):
             checks.append({"name": name, "kind": "equal", "lhs": lhs, "rhs": rhs})
 
-        def S(i):
-            return ("S", i)
+        sides = (
+            ("", "S", ("T",), self.l, self.mu),
+            ("prime_", "Sp", ("Tp",), self.lp, -1 - self.mu),
+        )
+        # (name, key, quadratic exponent) of every generator, per side
+        gens = [
+            [(f"{pre}swap_{i}", (s, i), 1) for i in range(1, n)]
+            + ([(f"{pre}flip", t, par)] if n else [])
+            for pre, s, t, n, par in sides
+        ]
 
-        def Sp(i):
-            return ("Sp", i)
-
-        T = ("T",)
-        Tp = ("Tp",)
-
-        for i in range(1, self.l):
-            quad(f"quad_swap_{i}", S(i), 1)
-        if self.l >= 1:
-            quad("quad_flip", T, self.mu)
-        for i in range(1, self.lp):
-            quad(f"quad_prime_swap_{i}", Sp(i), 1)
-        if self.lp >= 1:
-            quad("quad_prime_flip", Tp, -1 - self.mu)
-
-        for i in range(1, self.l):
-            for j in range(i + 2, self.l):
-                equal(f"comm_swap_{i}_{j}", [S(i), S(j)], [S(j), S(i)])
-            if i + 1 < self.l:
-                equal(f"braid_swap_{i}", [S(i), S(i + 1), S(i)], [S(i + 1), S(i), S(i + 1)])
-        for i in range(1, self.lp):
-            for j in range(i + 2, self.lp):
-                equal(f"comm_prime_swap_{i}_{j}", [Sp(i), Sp(j)], [Sp(j), Sp(i)])
-            if i + 1 < self.lp:
-                equal(
-                    f"braid_prime_swap_{i}",
-                    [Sp(i), Sp(i + 1), Sp(i)],
-                    [Sp(i + 1), Sp(i), Sp(i + 1)],
-                )
-
-        if self.l >= 2:
-            equal("braid_flip", [T, S(self.l - 1), T, S(self.l - 1)], [S(self.l - 1), T, S(self.l - 1), T])
-        for i in range(1, self.l - 1):
-            equal(f"comm_flip_swap_{i}", [T, S(i)], [S(i), T])
-        if self.lp >= 2:
-            equal(
-                "braid_prime_flip",
-                [Tp, Sp(self.lp - 1), Tp, Sp(self.lp - 1)],
-                [Sp(self.lp - 1), Tp, Sp(self.lp - 1), Tp],
-            )
-        for i in range(1, self.lp - 1):
-            equal(f"comm_prime_flip_swap_{i}", [Tp, Sp(i)], [Sp(i), Tp])
-
-        left_ops = [(f"swap_{i}", S(i)) for i in range(1, self.l)]
-        if self.l >= 1:
-            left_ops.append(("flip", T))
-        right_ops = [(f"prime_swap_{i}", Sp(i)) for i in range(1, self.lp)]
-        if self.lp >= 1:
-            right_ops.append(("prime_flip", Tp))
-        for an, a in left_ops:
-            for bn, b in right_ops:
+        for side_gens in gens:
+            for name, g, par in side_gens:
+                quad(f"quad_{name}", g, par)
+        for pre, s, _, n, _ in sides:
+            for i in range(1, n):
+                a = (s, i)
+                for j in range(i + 2, n):
+                    equal(f"comm_{pre}swap_{i}_{j}", [a, (s, j)], [(s, j), a])
+                if i + 1 < n:
+                    b = (s, i + 1)
+                    equal(f"braid_{pre}swap_{i}", [a, b, a], [b, a, b])
+        for pre, s, t, n, _ in sides:
+            if n >= 2:
+                a = (s, n - 1)
+                equal(f"braid_{pre}flip", [t, a, t, a], [a, t, a, t])
+            for i in range(1, n - 1):
+                equal(f"comm_{pre}flip_swap_{i}", [t, (s, i)], [(s, i), t])
+        for an, a, _ in gens[0]:
+            for bn, b, _ in gens[1]:
                 equal(f"cross_{an}_{bn}", [a, b], [b, a])
         return checks
 
@@ -425,20 +410,19 @@ class ThetaModule:
         _add_scaled(rhs, vec.items(), par)
         return lhs, rhs
 
-    def verify_relations(self, columns: range | None = None) -> dict:
+    def verify_relations(self) -> dict:
         """Run every defining relation column by column.
 
         Returns {"ok": bool, "dimension": ..., "relations": [{name, ok,
         failure?}...]}; a failure records the first offending basis column,
         entry, and residual.
         """
-        cols = columns if columns is not None else range(self.dim)
         report = []
         all_ok = True
         for chk in self.relation_suite():
             t0 = time.perf_counter()
             failure = None
-            for p in cols:
+            for p in range(self.dim):
                 v = self.basis_vec(p)
                 lhs, rhs = self.relation_sides(chk, v)
                 if lhs != rhs:
@@ -502,10 +486,6 @@ class ThetaModule:
 # -- nu = 1 representation of the product of signed groups -------------------
 
 
-class GroupRelationError(Exception):
-    """A generator matrix at nu = 1 breaks a defining relation of the group pair."""
-
-
 class GroupRepAtOne:
     """The pair of commuting signed-group representations cut out at nu = 1."""
 
@@ -514,50 +494,44 @@ class GroupRepAtOne:
 
         self.l, self.lp = mod.l, mod.lp
         self.dim = mod.dim
-        mats = mod.matrices_at_one()
-        self._gen_left = {i: mats[("S", i)] for i in range(1, mod.l)}
+        self._suite = mod.relation_suite()
+        self._mats = mod.matrices_at_one()
+        self._gen_left = {i: self._mats[("S", i)] for i in range(1, mod.l)}
         if mod.l >= 1:
-            self._gen_left[mod.l] = mats[("T",)]
-        self._gen_right = {i: mats[("Sp", i)] for i in range(1, mod.lp)}
+            self._gen_left[mod.l] = self._mats[("T",)]
+        self._gen_right = {i: self._mats[("Sp", i)] for i in range(1, mod.lp)}
         if mod.lp >= 1:
-            self._gen_right[mod.lp] = mats[("Tp",)]
+            self._gen_right[mod.lp] = self._mats[("Tp",)]
         self._eye = np.eye(self.dim, dtype=np.int64)
         self._cache_left: dict[SignedPerm, object] = {}
         self._cache_right: dict[SignedPerm, object] = {}
 
-    def check_group_relations(self) -> None:
-        """Generators square to the identity and satisfy the braid relations.
+    def _product(self, mats: list):
+        """The matrix product of a word's letters; the identity for the empty word."""
+        return reduce(operator.matmul, mats) if mats else self._eye
 
-        Raises GroupRelationError naming the first relation that fails.
+    def check_group_relations(self) -> None:
+        """Every entry of the module's relation suite, evaluated at nu = 1.
+
+        At nu = 1 a quadratic relation says M @ M is the identity.  Raises
+        VerificationError naming the first relation that fails.
         """
         import numpy as np
 
-        def need(lhs, rhs, name: str) -> None:
+        for chk in self._suite:
+            if chk["kind"] == "quad":
+                m = self._mats[chk["gen"]]
+                lhs, rhs = m @ m, self._eye
+            else:
+                lhs = self._product([self._mats[k] for k in chk["lhs"]])
+                rhs = self._product([self._mats[k] for k in chk["rhs"]])
             if not np.array_equal(lhs, rhs):
-                raise GroupRelationError(f"group relation {name} fails at nu = 1")
-
-        for side, gens, rank in (("left", self._gen_left, self.l), ("right", self._gen_right, self.lp)):
-            for g, m in gens.items():
-                need(m @ m, self._eye, f"involution_{side}_{g}")
-            for i in range(1, rank):
-                for j in range(i + 1, rank + 1):
-                    a, b = gens[i], gens[j]
-                    if j == rank and i == rank - 1:
-                        need(a @ b @ a @ b, b @ a @ b @ a, f"braid_{side}_{i}_{j}")
-                    elif j == i + 1:
-                        need(a @ b @ a, b @ a @ b, f"braid_{side}_{i}_{j}")
-                    else:
-                        need(a @ b, b @ a, f"comm_{side}_{i}_{j}")
-        for i, a in self._gen_left.items():
-            for j, b in self._gen_right.items():
-                need(a @ b, b @ a, f"cross_{i}_{j}")
+                raise VerificationError(f"group relation {chk['name']} fails at nu = 1")
 
     def _rep(self, w: SignedPerm, gens, cache):
         got = cache.get(w)
         if got is None:
-            got = self._eye
-            for g in reduced_word(w):
-                got = got @ gens[g]
+            got = self._product([gens[g] for g in reduced_word(w)])
             cache[w] = got
         return got
 

@@ -20,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import VerificationError
+
 SignedPerm = tuple[int, ...]
 
 
@@ -259,7 +261,8 @@ def distinguished_reps(spec: CosetSpec) -> tuple[SignedPerm, ...]:
                 reps.append(tuple(head + rest))
     reps.sort(key=_perm_sort_key)
     for d in reps:
-        assert is_distinguished(d, spec), (d, spec)
+        if not is_distinguished(d, spec):
+            raise VerificationError(f"{d} has a right descent in the parabolic of {spec}")
     return tuple(reps)
 
 

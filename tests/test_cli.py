@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from thetahecke import bipartition, cli, dualpair, weylbc
 from thetahecke.cli import main
 from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from thetahecke.laurent import LaurentPoly
-from thetahecke.thetamod import ThetaModule
+from thetahecke.thetamod import GroupRepAtOne, ThetaModule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,12 +95,16 @@ def test_module_verify_dimension_cap(capsys):
     assert code == 2 and out == "" and "exceeds" in err
 
 
-def test_module_verify_parallel_symbolic(capsys):
-    code, obj, _ = run_json(
-        capsys, "module-verify", "--l", "3", "--lprime", "3", "--mu", "1/2", "--jobs", "2"
-    )
-    assert code == 0
-    assert obj["ok"] and obj["mode"] == "symbolic" and len(obj["relations"]) == 21
+def test_module_verify_runs_in_one_process(capsys):
+    """--jobs accepts only 1, and passing it changes nothing."""
+    argv = ("module-verify", "--l", "3", "--lprime", "3", "--mu", "1/2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["relations"]) == 21
+    assert run(capsys, *argv, "--jobs", "1")[:2] == (0, out)
 
 
 def test_module_verify_above_old_symbolic_limit(capsys):
@@ -239,19 +244,111 @@ def test_bad_rank_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [("--l", "9", "--lprime", "9"), ("--l", "0", "--lprime", "12"), ("--l", "4", "--lprime", "4")],
+    ids=lambda argv: f"{argv[1]},{argv[3]}",
+)
+def test_specialize_decompose_size_cap(capsys, monkeypatch, argv):
+    """Shapes past the rank or dimension cap are refused before anything is built."""
+    monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not fill memory
+    code, out, err = run(capsys, "specialize-decompose", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "caps" in err
+
+
+# -- failed verifications: exit 1, one stderr line, nothing on stdout ------------------
+
+
+def assert_failed_verification(code, out, err, needle):
+    assert code == 1 and out == ""
+    assert err.startswith("FAIL: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize(
+    "gen, relation", [(("T",), "quad_flip"), (("Tp",), "quad_prime_flip")], ids=["T", "Tp"]
+)
+def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch, gen, relation):
     """A corrupted generator matrix at nu = 1 is a failed verification: exit 1."""
     real = ThetaModule.matrices_at_one
 
     def corrupted(self):
         mats = real(self)
-        mats[("T",)][0, 0] += 1
+        mats[gen][0, 0] += 1
         return mats
 
     monkeypatch.setattr(ThetaModule, "matrices_at_one", corrupted)
     code, out, err = run(capsys, "specialize-decompose", "--l", "2", "--lprime", "2")
-    assert code == 1 and out == ""
-    assert "involution_left_2" in err
+    assert_failed_verification(code, out, err, f"group relation {relation} fails")
+
+
+def test_specialize_decompose_reports_non_integer_multiplicity(capsys, monkeypatch):
+    real = GroupRepAtOne.character
+
+    def corrupted(self):
+        char = real(self)
+        char[next(iter(char))] += 1
+        return char
+
+    monkeypatch.setattr(GroupRepAtOne, "character", corrupted)
+    code, out, err = run(capsys, "specialize-decompose", "--l", "1", "--lprime", "1")
+    assert_failed_verification(code, out, err, "not a count")
+
+
+def test_specialize_decompose_reports_failed_reconstruction(capsys, monkeypatch):
+    """With one irreducible left out, the others cannot rebuild the character."""
+    real = bipartition.bipartitions
+    monkeypatch.setattr(bipartition, "bipartitions", lambda m: real(m)[1:])
+    code, out, err = run(capsys, "specialize-decompose", "--l", "1", "--lprime", "1")
+    assert_failed_verification(code, out, err, "reconstruct")
+
+
+def test_first_occurrence_reports_closed_form_mismatch(capsys, monkeypatch):
+    real = dualpair.r1
+    monkeypatch.setattr(dualpair, "r1", lambda p: real(p) + 1)
+    code, out, err = run(
+        capsys,
+        "first-occurrence", "--alpha", "[1]", "--beta", "[]", "--l", "1",
+        "--case", "A", "--dimV0", "0", "--dimVp0", "1",
+    )
+    assert_failed_verification(code, out, err, "disagrees with the tower search")
+
+
+def test_conservation_scan_reports_nonzero_residual(capsys, monkeypatch):
+    """A wrong degree-drop index shows up as a residual and exit 1, not a crash."""
+    real = dualpair.first_occurrence
+
+    def off_by_one(*args):
+        occ = real(*args)
+        return {**occ, "c": occ["c"] + 1}
+
+    monkeypatch.setattr(dualpair, "first_occurrence", off_by_one)
+    code, out, _ = run(
+        capsys, "conservation-scan", "--lmax", "1", "--case", "D", "--dimV0", "2", "--dimVp0", "4"
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert not obj["all_double_c_residuals_zero"]
+    assert {r["residual_double_c"] for r in obj["rows"]} == {2}
+
+
+def test_coset_reports_failed_descent_check(capsys, monkeypatch):
+    monkeypatch.setattr(weylbc, "is_distinguished", lambda d, spec: False)
+    weylbc.distinguished_reps.cache_clear()
+    try:
+        code, out, err = run(capsys, "coset", "--l", "3")
+    finally:
+        weylbc.distinguished_reps.cache_clear()
+    assert_failed_verification(code, out, err, "right descent")
+
+
+def test_cli_import_starts_no_worker_machinery():
+    code = (
+        "import sys, thetahecke.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # -- determinism across processes ----------------------------------------------------

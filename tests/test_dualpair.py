@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from thetahecke.bipartition import bipartitions
+from thetahecke.laurent import format_half
 from thetahecke.dualpair import (
     CASES,
     TowerConfig,
@@ -18,7 +19,6 @@ from thetahecke.dualpair import (
     mu_of,
     mu_range_check,
     mu_sigma,
-    mu_str,
     relevance_closure,
     unitary2_signed_fixed_space_sum,
 )
@@ -94,7 +94,7 @@ def test_mu_examples():
     assert mu_of(TowerConfig("Ct", 2, 3, chi_minus_one=1)) == 0
     assert mu_of(TowerConfig("D", 2, 4)) == 2
     assert mu_sigma(5, 2) == Fraction(3, 2)
-    assert mu_str(Fraction(-3, 2)) == "-3/2" and mu_str(Fraction(4, 2)) == "2"
+    assert format_half(Fraction(-3, 2)) == "-3/2" and format_half(Fraction(4, 2)) == "2"
 
 
 def test_dimension_grid_respects_parity():
@@ -164,6 +164,16 @@ def test_relevance_closure_small():
     assert got == {Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)}
     with pytest.raises(ValueError):
         relevance_closure(1, "A")
+
+
+@pytest.mark.parametrize("check", [relevance_closure, abundance_witness])
+def test_non_half_integer_mu_is_named_as_such(check):
+    """1/3 is no half-integer; it must not be reported as the in-range 1/2."""
+    with pytest.raises(ValueError, match="not a half-integer") as exc:
+        check(Fraction(1, 3), "A")
+    assert "1/2" not in str(exc.value)
+    with pytest.raises(ValueError, match="mu=3 out of range for case A"):
+        check(3, "A")
 
 
 def test_relevance_closure_fills_parity_class():
