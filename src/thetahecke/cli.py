@@ -37,6 +37,9 @@ from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula
 from .weylbc import CosetSpec, distinguished_reps, length
 
 MAX_VERIFY_DIM = 5000
+# the dimension cap does not bound module-verify's work: the suite has about
+# rank^2 / 2 relations, and (0, 200) (dimension 1) took 15 s on 2 cores
+MAX_VERIFY_RANK = 200
 # specialize-decompose builds dense dim x dim matrices and a character over
 # every class pair; on 2 cores with Python 3.11.7, (4,3) (dim 361) took 24 s,
 # (2,8) (dim 257, but 185 classes on the rank-8 side) 74 s, and (4,4)
@@ -55,6 +58,17 @@ def _parse_partition(text: str):
     return check_partition(obj)
 
 
+def _check_size(subcommand: str, l: int, lp: int, max_rank: int, max_dim: int) -> None:
+    """Refuse a shape past a subcommand's caps before anything is built."""
+    # the rank is checked first: the dimension of a huge rank is itself costly
+    dim = module_dim_formula(l, lp) if max(l, lp) <= max_rank else None
+    if dim is None or dim > max_dim:
+        shape = f"shape ({l},{lp})" if dim is None else f"shape ({l},{lp}) with dimension {dim}"
+        raise ValueError(
+            f"{shape} exceeds the {subcommand} caps: rank {max_rank}, dimension {max_dim}"
+        )
+
+
 def _emit(args, obj, text_renderer):
     if args.format == "text":
         print(text_renderer(obj))
@@ -70,9 +84,7 @@ def cmd_module_verify(args) -> int:
     if args.case is not None and not mu_range_check(args.case, mu):
         raise ValueError(f"mu={format_half(mu)} is out of range for case {args.case}")
     l, lp = args.l, args.lprime
-    dim = module_dim_formula(l, lp)
-    if dim > MAX_VERIFY_DIM:
-        raise ValueError(f"dimension {dim} exceeds the verification cap {MAX_VERIFY_DIM}")
+    _check_size("module-verify", l, lp, MAX_VERIFY_RANK, MAX_VERIFY_DIM)
 
     t0 = time.perf_counter()
     report = ThetaModule(l, lp, mu).verify_relations()
@@ -205,12 +217,9 @@ def cmd_conservation_scan(args) -> int:
 
 
 def cmd_specialize_decompose(args) -> int:
-    rank, dim = max(args.l, args.lprime), module_dim_formula(args.l, args.lprime)
-    if rank > MAX_SPECIALIZE_RANK or dim > MAX_SPECIALIZE_DIM:
-        raise ValueError(
-            f"ranks ({args.l},{args.lprime}) with dimension {dim} exceed the specialize caps: "
-            f"rank {MAX_SPECIALIZE_RANK}, dimension {MAX_SPECIALIZE_DIM}"
-        )
+    _check_size(
+        "specialize-decompose", args.l, args.lprime, MAX_SPECIALIZE_RANK, MAX_SPECIALIZE_DIM
+    )
     module = ThetaModule(args.l, args.lprime, as_half(args.mu))
     rep = GroupRepAtOne(module)
     rep.check_group_relations()

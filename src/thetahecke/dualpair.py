@@ -108,10 +108,6 @@ class TowerConfig:
         """The same data with the roles of the two companion towers exchanged."""
         return TowerConfig(self.case, self.dimV0, self.dimVt0, self.chi_minus_one)
 
-    def member(self, steps: int) -> int:
-        # dimension of the tower member `steps` levels above the first
-        return self.dimVp0 + 2 * steps
-
 
 def dimension_grid(case, max_dim: int) -> list[TowerConfig]:
     """All parity-valid configs with both starting dimensions at most max_dim."""

@@ -96,9 +96,6 @@ class HeckeElem:
                 out[w] = s
         return HeckeElem(out)
 
-    def __sub__(self, other: "HeckeElem") -> "HeckeElem":
-        return self + other.scale_poly(LaurentPoly.const(-1))
-
     def scale_poly(self, p: LaurentPoly) -> "HeckeElem":
         if p.is_zero():
             return HeckeElem()

@@ -12,7 +12,6 @@ at 2).  Two specializations are supported exactly:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,13 +152,6 @@ class LaurentPoly:
         """Exponent numerators in increasing order."""
         return sorted(self.terms)
 
-    def degree_span(self) -> int:
-        """max minus min exponent numerator (0 for zero or a monomial)."""
-        if not self.terms:
-            return 0
-        s = self.support()
-        return s[-1] - s[0]
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -228,13 +220,6 @@ class LaurentPoly:
     def from_json_obj(cls, obj: Mapping[str, int]) -> "LaurentPoly":
         return cls({int(e): int(c) for e, c in obj.items()})
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def loads(cls, s: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(s))
-
 
 @dataclass(frozen=True)
 class QuadExtValue:
@@ -275,41 +260,3 @@ class QuadExtValue:
 
     def __repr__(self) -> str:
         return f"QuadExtValue({self.rational}, {self.surd}, sqrt({self.radicand}))"
-
-
-def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a / b in the Laurent ring; raises if b does not divide a.
-
-    Plain long division on the underlying ordinary polynomials after shifting
-    away the lowest exponents.  Every intermediate coefficient quotient must
-    be an exact integer, which holds whenever the quotient lies in the ring.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero()
-    sa, sb = a.support(), b.support()
-    # work with ordinary polynomials in v = nu^(1/2)
-    rem = {e - sa[0]: c for e, c in a.terms.items()}
-    den = {e - sb[0]: c for e, c in b.terms.items()}
-    dmax = max(den)
-    dlead = den[dmax]
-    quot: dict[int, int] = {}
-    while rem:
-        rmax = max(rem)
-        if rmax < dmax:
-            raise ValueError("not divisible")
-        lead = rem[rmax]
-        if lead % dlead:
-            raise ValueError("not divisible")
-        qc, qe = lead // dlead, rmax - dmax
-        quot[qe] = qc
-        for e, c in den.items():
-            k = e + qe
-            s = rem.get(k, 0) - qc * c
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    shift = sa[0] - sb[0]
-    return LaurentPoly({e + shift: c for e, c in quot.items()})

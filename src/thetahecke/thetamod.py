@@ -12,6 +12,10 @@ rank-l group (blocks l-k / k), d2 a minimal representative for the
 symmetric-times-signed quotient of the rank-l' signed group (blocks k / l'-k),
 and x an unsigned permutation of the shared k-slot.
 
+Each generator is keyed (side, g): side 0 is the rank-l algebra, side 1 the
+rank-l' algebra, and g is the generator index of weylbc (a swap for g below
+the rank, the flip for g equal to it).
+
 Both swap actions and the primed flip act grade-by-grade through the transfer
 lemma for distinguished representatives: a generator either stays in the
 quotient (relabel, possibly spending the quadratic parameter) or transfers
@@ -85,6 +89,11 @@ def _add_scaled(out: dict, pairs, c: LaurentPoly) -> None:
             out.pop(p, None)
 
 
+def _word(side: int, w: SignedPerm) -> list[tuple[int, int]]:
+    """The generator keys of a reduced word for w, acting on the given side."""
+    return [(side, g) for g in reduced_word(w)]
+
+
 def grade_dim_formula(l: int, lp: int, k: int) -> int:
     """2^k l! l'! / ((l-k)! k! (l'-k)!), the closed-form grade dimension."""
     return (
@@ -142,14 +151,8 @@ class ThetaModule:
     def basis_vec(self, p: int) -> dict:
         return {p: _ONE}
 
-    def gen_keys(self) -> list[tuple]:
-        keys: list[tuple] = [("S", i) for i in range(1, self.l)]
-        if self.l >= 1:
-            keys.append(("T",))
-        keys += [("Sp", i) for i in range(1, self.lp)]
-        if self.lp >= 1:
-            keys.append(("Tp",))
-        return keys
+    def gen_keys(self) -> list[tuple[int, int]]:
+        return [(0, g) for g in range(1, self.l + 1)] + [(1, g) for g in range(1, self.lp + 1)]
 
     # -- generator columns --
 
@@ -157,14 +160,7 @@ class ThetaModule:
         table = self._cols.setdefault(key, {})
         col = table.get(p)
         if col is None:
-            if key[0] == "S":
-                col = self._col_swap(key[1], p)
-            elif key[0] == "Sp":
-                col = self._col_prime_swap(key[1], p)
-            elif key[0] == "Tp":
-                col = self._col_prime_flip(p)
-            else:
-                col = self._col_flip(p)
+            col = self._col_flip(p) if key == (0, self.l) else self._col_transfer(*key, p)
             table[p] = col
         return col
 
@@ -179,78 +175,52 @@ class ThetaModule:
             _add_scaled(out, self.column(key, p), c)
         return out
 
-    def apply_word(self, word: list[int], vec: dict) -> dict:
-        """Unprimed side: word in swap indices only (rightmost acts first)."""
-        for g in reversed(word):
-            assert 1 <= g < self.l
-            vec = self.apply_gen(("S", g), vec)
+    def apply_word(self, keys: list[tuple[int, int]], vec: dict) -> dict:
+        """Apply a word of generator keys; the rightmost acts first."""
+        for key in reversed(keys):
+            vec = self.apply_gen(key, vec)
         return vec
 
-    def apply_prime_word(self, word: list[int], vec: dict) -> dict:
-        """Primed side: swap indices, with index l' meaning the flip."""
-        for g in reversed(word):
-            vec = self.apply_gen(("Tp",) if g == self.lp else ("Sp", g), vec)
-        return vec
+    # -- the grade-preserving generator actions --
 
-    # -- the three grade-preserving generator actions --
-
-    def _col_swap(self, i: int, p: int):
+    def _col_transfer(self, side: int, g: int, p: int):
+        """Every generator but the flip, through the transfer lemma on d1 or d2."""
         k, d1, d2, x = self.basis[p]
-        res = deodhar_transfer(d1, i, CosetSpec("sym_block", self.l, k))
+        if side == 0:
+            res = deodhar_transfer(d1, g, CosetSpec("sym_block", self.l, k))
+        else:
+            res = deodhar_transfer(d2, g, CosetSpec("mixed_block", self.lp, k))
         if res[0] == "coset":
-            np_ = self.pos[(k, res[1], d2, x)]
+            np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
             if res[2] > 0:
                 return ((np_, _ONE),)
+            if side == 1 and g == self.lp:
+                par = LaurentPoly.nu_power(-1 - self.mu)
+                return ((np_, par), (p, par - _ONE))
             return ((np_, _NU), (p, _NU_MINUS_ONE))
+        # the transfer lands on parabolic generator h; only h decides the action
         h = res[1]
-        if h < self.l - k:
-            return ((p, _NU),)
-        m = h - (self.l - k)
-        y = mul(x, gen_perm(m, k))
+        if side == 0:
+            if h < self.l - k:
+                return ((p, _NU),)
+            y = mul(x, gen_perm(h - (self.l - k), k))
+        else:
+            if h == self.lp:
+                return ((p, -_ONE),)
+            if h > k:
+                return ((p, _NU),)
+            y = mul(gen_perm(h, k), x)
         yp = self.pos[(k, d1, d2, y)]
         if length(y) > length(x):
             return ((yp, _ONE),)
         return ((yp, _NU), (p, _NU_MINUS_ONE))
-
-    def _col_prime_swap(self, i: int, p: int):
-        k, d1, d2, x = self.basis[p]
-        res = deodhar_transfer(d2, i, CosetSpec("mixed_block", self.lp, k))
-        if res[0] == "coset":
-            np_ = self.pos[(k, d1, res[1], x)]
-            if res[2] > 0:
-                return ((np_, _ONE),)
-            return ((np_, _NU), (p, _NU_MINUS_ONE))
-        h = res[1]
-        assert h != self.lp, "a swap cannot transfer to the flip"
-        if h > k:
-            return ((p, _NU),)
-        y = mul(gen_perm(h, k), x)
-        yp = self.pos[(k, d1, d2, y)]
-        if length(y) > length(x):
-            return ((yp, _ONE),)
-        return ((yp, _NU), (p, _NU_MINUS_ONE))
-
-    def _col_prime_flip(self, p: int):
-        k, d1, d2, x = self.basis[p]
-        res = deodhar_transfer(d2, self.lp, CosetSpec("mixed_block", self.lp, k))
-        if res[0] == "coset":
-            np_ = self.pos[(k, d1, res[1], x)]
-            if res[2] > 0:
-                return ((np_, _ONE),)
-            par = LaurentPoly.nu_power(-1 - self.mu)
-            return ((np_, par), (p, par - _ONE))
-        assert res[1] == self.lp, "a flip transfer lands on the flip"
-        return ((p, -_ONE),)
 
     # -- seeded flip action --
 
     def _term(self, k: int, d1: SignedPerm, d2: SignedPerm, x: SignedPerm) -> dict:
         """Operator word T_(d1) T'_(d2) T'_(x) applied to the grade-k base."""
-        vec = self.basis_vec(self.unit_pos(k))
-        vec = self.apply_prime_word(reduced_word(x), vec)
-        vec = self.apply_prime_word(reduced_word(d2), vec)
-        vec = self.apply_word(reduced_word(d1), vec)
-        return vec
+        word = _word(0, d1) + _word(1, d2) + _word(1, x)
+        return self.apply_word(word, self.basis_vec(self.unit_pos(k)))
 
     def seed_flip_top(self, k: int) -> dict:
         """The flip generator applied to the grade-k base vector."""
@@ -328,18 +298,14 @@ class ThetaModule:
         k, d1, d2, x = self.basis[p]
         branch = double_coset_split(d1, k)
         if branch[0] == "fix":
-            vec = dict(self.seed_flip_top(k))
-            vec = self.apply_word(reduced_word(d1), vec)
+            vec, first = self.seed_flip_top(k), d1
         else:
-            y = branch[1]
             inner = self.seed_flip_inner(k)
             vec: dict = {}
             for u, c in self._w2_inverse(k):
-                moved = self.apply_word(reduced_word(u), dict(inner))
-                _add_scaled(vec, moved.items(), c)
-            vec = self.apply_word(reduced_word(y), vec)
-        vec = self.apply_prime_word(reduced_word(x), vec)
-        vec = self.apply_prime_word(reduced_word(d2), vec)
+                _add_scaled(vec, self.apply_word(_word(0, u), inner).items(), c)
+            first = branch[1]
+        vec = self.apply_word(_word(1, d2) + _word(1, x) + _word(0, first), vec)
         return tuple(sorted(vec.items()))
 
     # -- relation suite --
@@ -350,7 +316,7 @@ class ThetaModule:
         Quadratic entries carry the nu-exponent of the non-unipotent
         eigenvalue; word entries compare two operator products (rightmost
         factor acts first).  Each section is written once and built for
-        both sides from (name prefix, swap key, flip key, rank, flip exponent).
+        both sides from (name prefix, side, rank, flip exponent).
         """
         checks: list[dict] = []
 
@@ -360,21 +326,18 @@ class ThetaModule:
         def equal(name, lhs, rhs):
             checks.append({"name": name, "kind": "equal", "lhs": lhs, "rhs": rhs})
 
-        sides = (
-            ("", "S", ("T",), self.l, self.mu),
-            ("prime_", "Sp", ("Tp",), self.lp, -1 - self.mu),
-        )
+        sides = (("", 0, self.l, self.mu), ("prime_", 1, self.lp, -1 - self.mu))
         # (name, key, quadratic exponent) of every generator, per side
         gens = [
             [(f"{pre}swap_{i}", (s, i), 1) for i in range(1, n)]
-            + ([(f"{pre}flip", t, par)] if n else [])
-            for pre, s, t, n, par in sides
+            + ([(f"{pre}flip", (s, n), par)] if n else [])
+            for pre, s, n, par in sides
         ]
 
         for side_gens in gens:
             for name, g, par in side_gens:
                 quad(f"quad_{name}", g, par)
-        for pre, s, _, n, _ in sides:
+        for pre, s, n, _ in sides:
             for i in range(1, n):
                 a = (s, i)
                 for j in range(i + 2, n):
@@ -382,7 +345,8 @@ class ThetaModule:
                 if i + 1 < n:
                     b = (s, i + 1)
                     equal(f"braid_{pre}swap_{i}", [a, b, a], [b, a, b])
-        for pre, s, t, n, _ in sides:
+        for pre, s, n, _ in sides:
+            t = (s, n)
             if n >= 2:
                 a = (s, n - 1)
                 equal(f"braid_{pre}flip", [t, a, t, a], [a, t, a, t])
@@ -393,15 +357,10 @@ class ThetaModule:
                 equal(f"cross_{an}_{bn}", [a, b], [b, a])
         return checks
 
-    def _run_word(self, keys: list, vec: dict) -> dict:
-        for key in reversed(keys):
-            vec = self.apply_gen(key, vec)
-        return vec
-
     def relation_sides(self, chk: dict, vec: dict) -> tuple[dict, dict]:
         """Evaluate one suite entry on a vector, returning (lhs, rhs)."""
         if chk["kind"] == "equal":
-            return self._run_word(chk["lhs"], vec), self._run_word(chk["rhs"], vec)
+            return self.apply_word(chk["lhs"], vec), self.apply_word(chk["rhs"], vec)
         par = LaurentPoly.nu_power(chk["par"])
         w = self.apply_gen(chk["gen"], vec)
         lhs = self.apply_gen(chk["gen"], w)
@@ -452,21 +411,6 @@ class ThetaModule:
         k, d1, d2, x = self.basis[p]
         return {"k": k, "d1": list(d1), "d2": list(d2), "x": list(x)}
 
-    def vec_to_json(self, vec: dict) -> list[dict]:
-        return [
-            {"index": self._index_obj(p), "coeff": vec[p].to_json_obj()}
-            for p in sorted(vec)
-            if not vec[p].is_zero()
-        ]
-
-    def vec_from_json(self, obj) -> dict:
-        out = {}
-        for item in obj:
-            d = item["index"]
-            idx = (d["k"], tuple(d["d1"]), tuple(d["d2"]), tuple(d["x"]))
-            out[self.pos[idx]] = LaurentPoly.from_json_obj(item["coeff"])
-        return out
-
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
@@ -496,15 +440,8 @@ class GroupRepAtOne:
         self.dim = mod.dim
         self._suite = mod.relation_suite()
         self._mats = mod.matrices_at_one()
-        self._gen_left = {i: self._mats[("S", i)] for i in range(1, mod.l)}
-        if mod.l >= 1:
-            self._gen_left[mod.l] = self._mats[("T",)]
-        self._gen_right = {i: self._mats[("Sp", i)] for i in range(1, mod.lp)}
-        if mod.lp >= 1:
-            self._gen_right[mod.lp] = self._mats[("Tp",)]
         self._eye = np.eye(self.dim, dtype=np.int64)
-        self._cache_left: dict[SignedPerm, object] = {}
-        self._cache_right: dict[SignedPerm, object] = {}
+        self._cache: dict[tuple[int, SignedPerm], object] = {}
 
     def _product(self, mats: list):
         """The matrix product of a word's letters; the identity for the empty word."""
@@ -528,30 +465,29 @@ class GroupRepAtOne:
             if not np.array_equal(lhs, rhs):
                 raise VerificationError(f"group relation {chk['name']} fails at nu = 1")
 
-    def _rep(self, w: SignedPerm, gens, cache):
-        got = cache.get(w)
+    def _rep(self, side: int, w: SignedPerm):
+        got = self._cache.get((side, w))
         if got is None:
-            got = self._product([gens[g] for g in reduced_word(w)])
-            cache[w] = got
+            got = self._product([self._mats[key] for key in _word(side, w)])
+            self._cache[(side, w)] = got
         return got
 
     def rep_left(self, w: SignedPerm):
-        return self._rep(w, self._gen_left, self._cache_left)
+        return self._rep(0, w)
 
     def rep_right(self, w: SignedPerm):
-        return self._rep(w, self._gen_right, self._cache_right)
+        return self._rep(1, w)
 
     def character(self) -> dict:
         """Trace on one representative per conjugacy-class pair.
 
         Keyed by ((pos_type, neg_type), (pos_type, neg_type)).
         """
-        import numpy as np
-
         out = {}
         for cl in conjugacy_classes(self.l):
             ml = self.rep_left(cl["rep"])
             for cr in conjugacy_classes(self.lp):
                 mr = self.rep_right(cr["rep"])
-                out[(cl["type"], cr["type"])] = int(np.trace(ml @ mr))
+                # trace(ml @ mr) without the dim^3 product
+                out[(cl["type"], cr["type"])] = int((ml * mr.T).sum())
         return out

@@ -437,23 +437,6 @@ def conjugacy_classes(l: int) -> list[dict]:
     return out
 
 
-def block_split(w: SignedPerm, a: int) -> tuple[SignedPerm, SignedPerm] | None:
-    """Split a block-preserving element of rank a+b into its two factors;
-    None when the blocks mix."""
-    l = len(w)
-    first, second = [], []
-    for i, v in enumerate(w, start=1):
-        if i <= a:
-            if abs(v) > a:
-                return None
-            first.append(v)
-        else:
-            if abs(v) <= a:
-                return None
-            second.append(v - a if v > 0 else v + a)
-    return tuple(first), tuple(second)
-
-
 # -- BFS oracle (tests) ------------------------------------------------------
 
 

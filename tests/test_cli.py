@@ -95,6 +95,17 @@ def test_module_verify_dimension_cap(capsys):
     assert code == 2 and out == "" and "exceeds" in err
 
 
+@pytest.mark.parametrize("shape", [("0", "201"), ("201", "0")], ids=["0,201", "201,0"])
+def test_module_verify_rank_cap(capsys, monkeypatch, shape):
+    """A rank past the cap is refused before anything is built, whatever the dimension."""
+    monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
+    code, out, err = run(
+        capsys, "module-verify", "--l", shape[0], "--lprime", shape[1], "--mu", "1/2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "caps" in err
+
+
 def test_module_verify_runs_in_one_process(capsys):
     """--jobs accepts only 1, and passing it changes nothing."""
     argv = ("module-verify", "--l", "3", "--lprime", "3", "--mu", "1/2")
@@ -266,7 +277,7 @@ def assert_failed_verification(code, out, err, needle):
 
 
 @pytest.mark.parametrize(
-    "gen, relation", [(("T",), "quad_flip"), (("Tp",), "quad_prime_flip")], ids=["T", "Tp"]
+    "gen, relation", [((0, 2), "quad_flip"), ((1, 2), "quad_prime_flip")], ids=["T", "Tp"]
 )
 def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch, gen, relation):
     """A corrupted generator matrix at nu = 1 is a failed verification: exit 1."""

@@ -84,7 +84,6 @@ def test_swapped_negates_mu():
         assert sw.dimVp0 == cfg.dimVt0 and sw.dimVt0 == cfg.dimVp0
         assert mu_of(sw) == -mu_of(cfg)
         assert sw.swapped().dimVp0 == cfg.dimVp0
-    assert TowerConfig("A", 1, 2).member(3) == 8
 
 
 def test_mu_examples():

@@ -1,6 +1,5 @@
 """Ground-ring arithmetic: exact Laurent polynomials in nu**(1/2)."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from thetahecke.laurent import (
     LaurentPoly,
     QuadExtValue,
     as_half,
-    divexact,
     format_half,
     half,
 )
@@ -91,27 +89,9 @@ def test_json_round_trip_sorted_keys():
     obj = p.to_json_obj()
     assert list(obj) == ["-2", "3"]
     assert LaurentPoly.from_json_obj(obj) == p
-    assert LaurentPoly.loads(p.dumps()) == p
-    assert json.loads(p.dumps()) == {"-2": 2, "3": 1}
 
 
 def test_zero_terms_dropped():
     assert LaurentPoly({2: 0}) == LaurentPoly.zero()
     assert not LaurentPoly.zero()
     assert (LaurentPoly.one() - LaurentPoly.one()).is_zero()
-
-
-def test_degree_span():
-    assert LaurentPoly({-2: 1, 3: 4}).degree_span() == 5
-    assert LaurentPoly.zero().degree_span() == 0
-
-
-def test_divexact():
-    rng = random.Random(1)
-    for _ in range(40):
-        a, b = rand_poly(rng), rand_poly(rng)
-        if b.is_zero():
-            continue
-        assert divexact(a * b, b) == a
-    with pytest.raises(ValueError):
-        divexact(LaurentPoly.one(), LaurentPoly({0: 1, 1: 1}))

@@ -6,7 +6,7 @@ import pytest
 
 from thetahecke.laurent import LaurentPoly, as_half
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
-from thetahecke.weylbc import flip_at, identity
+from thetahecke.weylbc import flip_at, gen_perm, identity
 
 MU = Fraction(1, 2)
 
@@ -55,7 +55,7 @@ def test_rank_one_flip_column_frozen():
     mod = ThetaModule(1, 1, MU)
     e1 = identity(1)
     p_bottom = mod.pos[(0, e1, e1, ())]
-    col = dict(mod.column(("T",), p_bottom))
+    col = dict(mod.column((0, 1), p_bottom))
     want = {
         p_bottom: nu(-1, -1),
         mod.pos[(1, e1, e1, (1,))]: nu(-1, -1),
@@ -71,20 +71,20 @@ def test_bottom_grade_eigenvectors():
         mod = ThetaModule(l, lp, MU)
         v = mod.basis_vec(mod.unit_pos(0))
         for i in range(1, l):
-            assert mod.apply_gen(("S", i), v) == {mod.unit_pos(0): nu(1)}
+            assert mod.apply_gen((0, i), v) == {mod.unit_pos(0): nu(1)}
         for i in range(1, lp):
-            assert mod.apply_gen(("Sp", i), v) == {mod.unit_pos(0): nu(1)}
-        assert mod.apply_gen(("Tp",), v) == {mod.unit_pos(0): nu(0, -1)}
+            assert mod.apply_gen((1, i), v) == {mod.unit_pos(0): nu(1)}
+        assert mod.apply_gen((1, lp), v) == {mod.unit_pos(0): nu(0, -1)}
 
 
 def test_apply_word_composes_columns():
     mod = ThetaModule(3, 2, MU)
-    v = mod.apply_gen(("T",), mod.basis_vec(mod.unit_pos(1)))
-    lhs = mod.apply_word([1, 2], v)
-    rhs = mod.apply_gen(("S", 1), mod.apply_gen(("S", 2), v))
+    v = mod.apply_gen((0, 3), mod.basis_vec(mod.unit_pos(1)))
+    lhs = mod.apply_word([(0, 1), (0, 2)], v)
+    rhs = mod.apply_gen((0, 1), mod.apply_gen((0, 2), v))
     assert lhs == rhs
-    lhs = mod.apply_prime_word([1], v)
-    rhs = mod.apply_gen(("Sp", 1), v)
+    lhs = mod.apply_word([(1, 1)], v)
+    rhs = mod.apply_gen((1, 1), v)
     assert lhs == rhs
 
 
@@ -121,7 +121,7 @@ def test_relations_hold_asymmetric_shapes():
 def test_corrupted_column_is_reported(delta):
     mod = ThetaModule(2, 2, MU)
     mod.materialize_columns()
-    table = mod._cols[("T",)]
+    table = mod._cols[(0, 2)]
     p = mod.unit_pos(1)
     r, a = table[p][0]
     table[p] = ((r, a + delta),) + table[p][1:]
@@ -137,25 +137,27 @@ def test_negative_rank_is_rejected():
         ThetaModule(-1, 2, MU)
 
 
-# -- serialization ---------------------------------------------------------------------
-
-
-def test_vec_json_round_trip():
-    mod = ThetaModule(2, 2, MU)
-    vec = mod.apply_gen(("T",), mod.basis_vec(mod.unit_pos(2)))
-    obj = mod.vec_to_json(vec)
-    assert mod.vec_from_json(obj) == vec
-    import json
-
-    assert json.loads(json.dumps(obj)) == obj
-
-
 # -- the group pair at nu = 1 ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mu", [Fraction(1, 2), 2])
 def test_group_relations_at_one(mu):
     GroupRepAtOne(ThetaModule(2, 2, mu)).check_group_relations()
+
+
+def test_generator_keys_follow_weylbc_numbering():
+    """Key (side, g) is weylbc's generator g of the rank-l (side 0) or rank-l' (side 1) group."""
+    mod = ThetaModule(2, 3, MU)
+    rep = GroupRepAtOne(mod)
+    mats = mod.matrices_at_one()
+    for g in range(1, 3):
+        assert (rep.rep_left(gen_perm(g, 2)) == mats[(0, g)]).all()
+    for g in range(1, 4):
+        assert (rep.rep_right(gen_perm(g, 3)) == mats[(1, g)]).all()
+    keys = set(mod.gen_keys())
+    for chk in mod.relation_suite():
+        used = [chk["gen"]] if chk["kind"] == "quad" else chk["lhs"] + chk["rhs"]
+        assert set(used) <= keys
 
 
 def test_character_is_mu_independent_at_one():

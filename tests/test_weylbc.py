@@ -7,7 +7,6 @@ from thetahecke.weylbc import (
     all_signed_perms,
     all_unsigned_perms,
     bfs_lengths,
-    block_split,
     class_rep,
     conjugacy_classes,
     cross_block_cycle,
@@ -141,12 +140,6 @@ def test_cycle_type_and_classes():
             lam, mu = c["type"]
             w = class_rep(lam, mu, l)
             assert cycle_type(w) == (lam, mu)
-
-
-def test_block_split():
-    w = (2, 1, -4, 3)
-    assert block_split(w, 2) == ((2, 1), (-2, 1))
-    assert block_split((3, 1, 2, 4), 2) is None
 
 
 def test_num_flips_counts_negatives():
