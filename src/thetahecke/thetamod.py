@@ -33,7 +33,10 @@ cross-block cycle and the flip conjugates to position l-k at the cost of an
 inverted Hecke element.
 
 Everything is exact: coefficients are Laurent polynomials in nu**(1/2), and
-the relation suite is checked symbolically, column by column.  Any
+the relation suite is checked symbolically, column by column.  On that hot
+path a vector is a dict {(p, e): c}, the integer c times nu**(e/2) at basis
+position p, and a column is a sorted tuple of ((r, e), c) pairs: one
+polynomial coefficient becomes one entry per exponent, all plain ints.  Any
 specialization (nu = 1, nu = q) is the image of this generic module under a
 ring homomorphism, so the symbolic check proves the specialized relations too.
 """
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import VerificationError
 from .heckealg import HeckeParams, he_inv_basis
@@ -70,28 +73,48 @@ from .weylbc import (
 BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 
-# -- sparse vectors keyed by basis position ----------------------------------
+# -- sparse vectors keyed by (basis position, exponent of nu^(1/2)) ----------
 
-_ONE = LaurentPoly.one()
-_NU = LaurentPoly.nu_power(1)
-_NU_MINUS_ONE = _NU - _ONE
-
-
-def _add_scaled(out: dict, pairs, c: LaurentPoly) -> None:
-    """out += c * v, for v given by its (position, coefficient) pairs."""
-    for p, a in pairs:
-        t = c * a
-        old = out.get(p)
-        s = t if old is None else old + t
-        if s:
-            out[p] = s
-        else:
-            out.pop(p, None)
+# coefficients as {e: c} term dicts: 1, -1, nu and nu - 1
+_ONE = {0: 1}
+_MINUS_ONE = {0: -1}
+_NU = {2: 1}
+_NU_MINUS_ONE = {2: 1, 0: -1}
 
 
-def _word(side: int, w: SignedPerm) -> list[tuple[int, int]]:
+def _add_scaled(out: dict, pairs, terms: dict) -> None:
+    """out += terms * v, for v given by its ((position, exponent), coefficient)
+    pairs and terms the {e: c} dict of a Laurent polynomial."""
+    for (p, e), a in pairs:
+        for f, c in terms.items():
+            key = (p, e + f)
+            s = out.get(key, 0) + c * a
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+
+
+def _column(*parts: tuple[int, dict]) -> tuple:
+    """The sorted ((r, e), c) entries of sum terms * e_r over (r, terms) parts."""
+    out: dict = {}
+    for r, terms in parts:
+        _add_scaled(out, (((r, 0), 1),), terms)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _quad_terms(par: HalfInt) -> tuple[dict, dict]:
+    """The term dicts of nu^par and nu^par - 1, the coefficients of a
+    generator's quadratic relation T^2 = (nu^par - 1) T + nu^par."""
+    q = LaurentPoly.nu_power(par)
+    return q.terms, (q - LaurentPoly.one()).terms
+
+
+@lru_cache(maxsize=None)
+def _word(side: int, w: SignedPerm) -> tuple[tuple[int, int], ...]:
     """The generator keys of a reduced word for w, acting on the given side."""
-    return [(side, g) for g in reduced_word(w)]
+    return tuple((side, g) for g in reduced_word(w))
 
 
 def grade_dim_formula(l: int, lp: int, k: int) -> int:
@@ -132,7 +155,11 @@ class ThetaModule:
                     for x in slots:
                         self.basis.append((k, d1, d2, x))
             self.grade_range[k] = (start, len(self.basis))
-            assert len(self.basis) - start == grade_dim_formula(l, lp, k)
+            if len(self.basis) - start != grade_dim_formula(l, lp, k):
+                raise VerificationError(
+                    f"grade {k} of ({l},{lp}) has {len(self.basis) - start} labels, "
+                    f"the closed form gives {grade_dim_formula(l, lp, k)}"
+                )
         self.pos: dict[BasisIndex, int] = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
 
@@ -149,7 +176,7 @@ class ThetaModule:
         return self.pos[(k, identity(self.l), identity(self.lp), identity(k))]
 
     def basis_vec(self, p: int) -> dict:
-        return {p: _ONE}
+        return {(p, 0): 1}
 
     def gen_keys(self) -> list[tuple[int, int]]:
         return [(0, g) for g in range(1, self.l + 1)] + [(1, g) for g in range(1, self.lp + 1)]
@@ -171,12 +198,15 @@ class ThetaModule:
 
     def apply_gen(self, key: tuple, vec: dict) -> dict:
         out: dict = {}
-        for p, c in vec.items():
-            _add_scaled(out, self.column(key, p), c)
-        return out
+        get = out.get
+        for (p, e), c in vec.items():
+            for (r, f), a in self.column(key, p):
+                rf = (r, e + f)
+                out[rf] = get(rf, 0) + c * a
+        return {rf: c for rf, c in out.items() if c}
 
-    def apply_word(self, keys: list[tuple[int, int]], vec: dict) -> dict:
-        """Apply a word of generator keys; the rightmost acts first."""
+    def apply_word(self, keys, vec: dict) -> dict:
+        """Apply a sequence of generator keys; the rightmost acts first."""
         for key in reversed(keys):
             vec = self.apply_gen(key, vec)
         return vec
@@ -193,27 +223,27 @@ class ThetaModule:
         if res[0] == "coset":
             np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
             if res[2] > 0:
-                return ((np_, _ONE),)
+                return _column((np_, _ONE))
             if side == 1 and g == self.lp:
-                par = LaurentPoly.nu_power(-1 - self.mu)
-                return ((np_, par), (p, par - _ONE))
-            return ((np_, _NU), (p, _NU_MINUS_ONE))
+                par, par_minus_one = _quad_terms(-1 - self.mu)
+                return _column((np_, par), (p, par_minus_one))
+            return _column((np_, _NU), (p, _NU_MINUS_ONE))
         # the transfer lands on parabolic generator h; only h decides the action
         h = res[1]
         if side == 0:
             if h < self.l - k:
-                return ((p, _NU),)
+                return _column((p, _NU))
             y = mul(x, gen_perm(h - (self.l - k), k))
         else:
             if h == self.lp:
-                return ((p, -_ONE),)
+                return _column((p, _MINUS_ONE))
             if h > k:
-                return ((p, _NU),)
+                return _column((p, _NU))
             y = mul(gen_perm(h, k), x)
         yp = self.pos[(k, d1, d2, y)]
         if length(y) > length(x):
-            return ((yp, _ONE),)
-        return ((yp, _NU), (p, _NU_MINUS_ONE))
+            return _column((yp, _ONE))
+        return _column((yp, _NU), (p, _NU_MINUS_ONE))
 
     # -- seeded flip action --
 
@@ -235,14 +265,14 @@ class ThetaModule:
         nu = LaurentPoly.nu_power
         out: dict = {}
         top = self._term(k, identity(l), flip_at(k, lp), identity(k))
-        _add_scaled(out, top.items(), nu(k - lp + mu, -1))
+        _add_scaled(out, top.items(), nu(k - lp + mu, -1).terms)
         # bracket, entering with weight nu^(k-l'+1) - nu^(k-l')
         bracket = nu(k - lp + 1) + nu(k - lp, -1)
-        c = bracket * nu(mu)
+        c = (bracket * nu(mu)).terms
         for i in range(k + 1, lp + 1):
             t = self._term(k, identity(l), mul(flip_at(i, lp), swap_range(k, i, lp)), identity(k))
             _add_scaled(out, t.items(), c)
-        c_low = bracket * nu(-1, -1)
+        c_low = (bracket * nu(-1, -1)).terms
         low = self._term(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
         _add_scaled(out, low.items(), c_low)
         for i in range(k, lp + 1):
@@ -260,24 +290,25 @@ class ThetaModule:
         key = ("inner", k)
         if key in self._seeds:
             return self._seeds[key]
-        assert 0 <= k < self.l
+        if not 0 <= k < self.l:
+            raise ValueError(f"the inner flip seed needs 0 <= k < l = {self.l}, got k = {k}")
         l, lp, mu = self.l, self.lp, self.mu
         nu = LaurentPoly.nu_power
-        out: dict = {self.unit_pos(k): nu(2 * k - lp, -1)}
+        out = dict(_column((self.unit_pos(k), nu(2 * k - lp, -1).terms)))
         scale = nu(k - lp, -1)
         if k < lp:
             slot_up = swap_range(1, k + 1, k + 1)
-            flipped_scale = scale * nu(mu + 1, -1)
+            flipped_scale = (scale * nu(mu + 1, -1)).terms
             for i in range(k + 1, lp + 1):
                 plain = self._term(k + 1, identity(l), swap_range(k + 1, i, lp), slot_up)
-                _add_scaled(out, plain.items(), scale)
+                _add_scaled(out, plain.items(), scale.terms)
                 flipped = self._term(
                     k + 1, identity(l), mul(flip_at(i, lp), swap_range(k + 1, i, lp)), slot_up
                 )
                 _add_scaled(out, flipped.items(), flipped_scale)
         for i in range(1, k + 1):
             t = self._term(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
-            _add_scaled(out, t.items(), scale * (nu(k - i + 1) + nu(k - i, -1)))
+            _add_scaled(out, t.items(), (scale * (nu(k - i + 1) + nu(k - i, -1))).terms)
         self._seeds[key] = out
         return out
 
@@ -294,7 +325,8 @@ class ThetaModule:
         return got
 
     def _col_flip(self, p: int):
-        assert self.l >= 1
+        if self.l < 1:
+            raise ValueError("the rank-0 algebra has no flip generator")
         k, d1, d2, x = self.basis[p]
         branch = double_coset_split(d1, k)
         if branch[0] == "fix":
@@ -303,7 +335,7 @@ class ThetaModule:
             inner = self.seed_flip_inner(k)
             vec: dict = {}
             for u, c in self._w2_inverse(k):
-                _add_scaled(vec, self.apply_word(_word(0, u), inner).items(), c)
+                _add_scaled(vec, self.apply_word(_word(0, u), inner).items(), c.terms)
             first = branch[1]
         vec = self.apply_word(_word(1, d2) + _word(1, x) + _word(0, first), vec)
         return tuple(sorted(vec.items()))
@@ -361,11 +393,11 @@ class ThetaModule:
         """Evaluate one suite entry on a vector, returning (lhs, rhs)."""
         if chk["kind"] == "equal":
             return self.apply_word(chk["lhs"], vec), self.apply_word(chk["rhs"], vec)
-        par = LaurentPoly.nu_power(chk["par"])
+        par, par_minus_one = _quad_terms(chk["par"])
         w = self.apply_gen(chk["gen"], vec)
         lhs = self.apply_gen(chk["gen"], w)
         rhs: dict = {}
-        _add_scaled(rhs, w.items(), par - _ONE)
+        _add_scaled(rhs, w.items(), par_minus_one)
         _add_scaled(rhs, vec.items(), par)
         return lhs, rhs
 
@@ -386,12 +418,13 @@ class ThetaModule:
                 lhs, rhs = self.relation_sides(chk, v)
                 if lhs != rhs:
                     diff: dict = dict(lhs)
-                    _add_scaled(diff, rhs.items(), -_ONE)
-                    bad = min(diff)
+                    _add_scaled(diff, rhs.items(), _MINUS_ONE)
+                    bad = min(r for r, _ in diff)
+                    residual = LaurentPoly({e: c for (r, e), c in diff.items() if r == bad})
                     failure = {
                         "column": self._index_obj(p),
                         "entry": self._index_obj(bad),
-                        "residual": str(diff[bad]),
+                        "residual": str(residual),
                     }
                     all_ok = False
                     break
@@ -421,8 +454,8 @@ class ThetaModule:
         for key in self.gen_keys():
             m = np.zeros((self.dim, self.dim), dtype=np.int64)
             for p in range(self.dim):
-                for r, c in self.column(key, p):
-                    m[r, p] = c.specialize_nu1()
+                for (r, _), c in self.column(key, p):
+                    m[r, p] += c
             mats[key] = m
         return mats
 

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, deterministic output."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from thetahecke import bipartition, cli, dualpair, weylbc
+from thetahecke import bipartition, cli, dualpair, thetamod, weylbc
 from thetahecke.cli import main
 from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from thetahecke.laurent import LaurentPoly
@@ -128,6 +129,17 @@ def test_module_verify_above_old_symbolic_limit(capsys):
     suite = ThetaModule(3, 4, Fraction(1, 2)).relation_suite()
     assert [r["name"] for r in obj["relations"]] == [chk["name"] for chk in suite]
     assert all(r["ok"] for r in obj["relations"])
+
+
+def test_module_verify_huge_mu_is_exact(capsys):
+    """Exponents are unbounded ints: a 31-digit mu still gives the recorded stdout."""
+    code, out, _ = run(
+        capsys, "module-verify", "--l", "2", "--lprime", "2", "--mu",
+        "1000000000000000000000000000001/2",
+    )
+    assert code == 0 and json.loads(out)["ok"]
+    digest = "f7d09ae2ec02b277b2ac4321cd5940715615a428a2141384d376a8b6d0f6137d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_verify_text(capsys):
@@ -353,6 +365,14 @@ def test_coset_reports_failed_descent_check(capsys, monkeypatch):
     assert_failed_verification(code, out, err, "right descent")
 
 
+def test_module_verify_reports_grade_count_mismatch(capsys, monkeypatch):
+    """The basis enumeration is checked against the closed-form grade dimension."""
+    real = thetamod.grade_dim_formula
+    monkeypatch.setattr(thetamod, "grade_dim_formula", lambda l, lp, k: real(l, lp, k) + 1)
+    code, out, err = run(capsys, "module-verify", "--l", "1", "--lprime", "1", "--mu", "1/2")
+    assert_failed_verification(code, out, err, "closed form gives 2")
+
+
 def test_cli_import_starts_no_worker_machinery():
     code = (
         "import sys, thetahecke.cli; "
@@ -360,6 +380,19 @@ def test_cli_import_starts_no_worker_machinery():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_verify_loads_no_numpy():
+    """The relation check runs on Python ints; numpy alone would add about 11 MB of RSS."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from thetahecke.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['module-verify', '--l', '2', '--lprime', '2', '--mu', '1/2'])\n"
+        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 []"
 
 
 # -- determinism across processes ----------------------------------------------------

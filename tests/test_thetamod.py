@@ -1,18 +1,23 @@
-"""The graded bimodule: basis, generator columns, relation suite, the nu = 1 group pair."""
+"""The graded bimodule: basis, generator columns, relation suite, the nu = 1 group pair.
 
+Vectors and columns hold (position, exponent) keys: {(p, e): c} is the
+integer c times nu^(e/2) at basis position p.
+"""
+
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from thetahecke.laurent import LaurentPoly, as_half
+from thetahecke import VerificationError
+from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
 from thetahecke.weylbc import flip_at, gen_perm, identity
 
 MU = Fraction(1, 2)
-
-
-def nu(e, c=1):
-    return LaurentPoly.nu_power(as_half(e), c)
+# an exponent far past any fixed-width packing of (position, exponent)
+HUGE_MU = Fraction(1000000000000000000000000000001, 2)
 
 
 # -- basis ----------------------------------------------------------------------
@@ -55,13 +60,14 @@ def test_rank_one_flip_column_frozen():
     mod = ThetaModule(1, 1, MU)
     e1 = identity(1)
     p_bottom = mod.pos[(0, e1, e1, ())]
-    col = dict(mod.column((0, 1), p_bottom))
+    col = mod.column((0, 1), p_bottom)
     want = {
-        p_bottom: nu(-1, -1),
-        mod.pos[(1, e1, e1, (1,))]: nu(-1, -1),
-        mod.pos[(1, e1, flip_at(1, 1), (1,))]: nu(MU),
+        (p_bottom, -2): -1,
+        (mod.pos[(1, e1, e1, (1,))], -2): -1,
+        (mod.pos[(1, e1, flip_at(1, 1), (1,))], 1): 1,
     }
-    assert col == want
+    assert dict(col) == want
+    assert col == tuple(sorted(want.items()))
 
 
 def test_bottom_grade_eigenvectors():
@@ -71,10 +77,10 @@ def test_bottom_grade_eigenvectors():
         mod = ThetaModule(l, lp, MU)
         v = mod.basis_vec(mod.unit_pos(0))
         for i in range(1, l):
-            assert mod.apply_gen((0, i), v) == {mod.unit_pos(0): nu(1)}
+            assert mod.apply_gen((0, i), v) == {(mod.unit_pos(0), 2): 1}
         for i in range(1, lp):
-            assert mod.apply_gen((1, i), v) == {mod.unit_pos(0): nu(1)}
-        assert mod.apply_gen((1, lp), v) == {mod.unit_pos(0): nu(0, -1)}
+            assert mod.apply_gen((1, i), v) == {(mod.unit_pos(0), 2): 1}
+        assert mod.apply_gen((1, lp), v) == {(mod.unit_pos(0), 0): -1}
 
 
 def test_apply_word_composes_columns():
@@ -86,6 +92,74 @@ def test_apply_word_composes_columns():
     lhs = mod.apply_word([(1, 1)], v)
     rhs = mod.apply_gen((1, 1), v)
     assert lhs == rhs
+
+
+# a {p: LaurentPoly} reference of one generator application, with LaurentPoly arithmetic
+
+
+def _to_poly_vec(vec: dict) -> dict:
+    out: dict = {}
+    for (p, e), c in vec.items():
+        out.setdefault(p, {})[e] = c
+    return {p: LaurentPoly(terms) for p, terms in out.items()}
+
+
+def _reference_apply_gen(mod: ThetaModule, key: tuple, vec: dict) -> dict:
+    out: dict = {}
+    for p, c in vec.items():
+        for r, a in _to_poly_vec(dict(mod.column(key, p))).items():
+            s = out.get(r, LaurentPoly.zero()) + c * a
+            if s:
+                out[r] = s
+            else:
+                out.pop(r, None)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_apply_word_matches_laurent_reference(shape):
+    """On random sparse integer vectors and random words, the integer
+    (position, exponent) arithmetic equals LaurentPoly arithmetic."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    keys = mod.gen_keys()
+    vectors = st.dictionaries(
+        st.tuples(st.integers(0, mod.dim - 1), st.integers(-8, 8)),
+        st.integers(-5, 5).filter(bool),
+        max_size=6,
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(vec=vectors, word=st.lists(st.sampled_from(keys), max_size=5))
+    def check(vec, word):
+        want = _to_poly_vec(vec)
+        for key in reversed(word):
+            want = _reference_apply_gen(mod, key, want)
+        assert _to_poly_vec(mod.apply_word(word, vec)) == want
+
+    check()
+
+
+# sha256 of every column at (3,3) as [key, p, sorted [r, e, c] entries], recorded
+# from the {p: LaurentPoly} columns this representation replaced
+FROZEN_COLUMN_DIGESTS = {
+    Fraction(1, 2): "796134564443975a2121651458b2f2ef4cb4478576898f128ccea1cedf9daad4",
+    Fraction(-3, 2): "a85c9e365eb0e4a1d6e70bb34484b2992711693401eb245b700a49bcc135aa6a",
+    Fraction(2): "7c270b4e62fc4f5eaeb4d4fef42878539ed41c16dd056b71c6e6005cf9010e10",
+}
+
+
+@pytest.mark.parametrize("mu", sorted(FROZEN_COLUMN_DIGESTS), ids=str)
+def test_columns_frozen_rank_three(mu):
+    mod = ThetaModule(3, 3, mu)
+    doc = [
+        [list(key), p, sorted([r, e, c] for (r, e), c in mod.column(key, p))]
+        for key in mod.gen_keys()
+        for p in range(mod.dim)
+    ]
+    assert all(c for _, _, entries in doc for _, _, c in entries)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == FROZEN_COLUMN_DIGESTS[mu]
 
 
 # -- relation suite ----------------------------------------------------------------
@@ -117,19 +191,75 @@ def test_relations_hold_asymmetric_shapes():
         assert ThetaModule(l, lp, Fraction(3, 2)).verify_relations()["ok"]
 
 
-@pytest.mark.parametrize("delta", [nu(3), nu(0)], ids=["shifted_term", "constant_term"])
-def test_corrupted_column_is_reported(delta):
-    mod = ThetaModule(2, 2, MU)
+def _corrupt(mod: ThetaModule, key: tuple, p: int, e: int) -> None:
+    """Add nu^(e/2) to the first (lowest-row) entry's row of a built column."""
     mod.materialize_columns()
-    table = mod._cols[(0, 2)]
-    p = mod.unit_pos(1)
-    r, a = table[p][0]
-    table[p] = ((r, a + delta),) + table[p][1:]
+    table = mod._cols[key]
+    col = dict(table[p])
+    (r, _), _ = table[p][0]
+    col[(r, e)] = col.get((r, e), 0) + 1
+    table[p] = tuple(sorted((re, c) for re, c in col.items() if c))
+
+
+BOTTOM = {"k": 0, "d1": [1, 2], "d2": [1, 2], "x": []}
+
+
+@pytest.mark.parametrize(
+    "k, e, residual, failing",
+    [
+        (1, 6, "-nu^1", ["quad_flip", "braid_flip", "cross_flip_prime_swap_1"]),
+        (1, 0, "-nu^-2", ["quad_flip", "braid_flip", "cross_flip_prime_swap_1"]),
+        # the difference spans five rows; the residual is the lowest row's
+        (0, 6, "-2*nu^1 + nu^3 - nu^(7/2) + nu^6", ["quad_flip", "braid_flip"]),
+    ],
+    ids=["shifted_term", "constant_term", "bottom_column"],
+)
+def test_corrupted_column_is_reported(k, e, residual, failing):
+    """The flip column of the grade-k unit is corrupted; the report is pinned
+    to the one the {p: LaurentPoly} columns gave."""
+    mod = ThetaModule(2, 2, MU)
+    _corrupt(mod, (0, 2), mod.unit_pos(k), e)
     rep = mod.verify_relations()
     assert not rep["ok"]
+    assert [r["name"] for r in rep["relations"] if not r["ok"]] == failing
+    failure = next(r["failure"] for r in rep["relations"] if not r["ok"])
+    assert failure == {"column": BOTTOM, "entry": BOTTOM, "residual": residual}
+
+
+def test_corrupted_column_is_reported_at_huge_mu():
+    """The primed flip's nu^(-1-mu) keeps its exact exponent in the residual."""
+    mod = ThetaModule(2, 2, HUGE_MU)
+    p = mod.pos[(1, (1, 2), (-2, 1), (1,))]
+    r = mod.pos[(1, (1, 2), (2, 1), (1,))]
+    e = int(2 * (-1 - HUGE_MU))
+    assert mod.column((1, 2), p)[0] == ((r, e), 1)
+    _corrupt(mod, (1, 2), p, e)
+    rep = mod.verify_relations()
     bad = [r for r in rep["relations"] if not r["ok"]]
-    assert bad
-    assert set(bad[0]["failure"]) == {"column", "entry", "residual"}
+    assert bad[0]["name"] == "quad_prime_flip"
+    where = {"k": 1, "d1": [1, 2], "d2": [2, 1], "x": [1]}
+    assert bad[0]["failure"] == {
+        "column": where,
+        "entry": where,
+        "residual": "nu^(-1000000000000000000000000000003/2)",
+    }
+
+
+def test_grade_count_mismatch_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(
+        "thetahecke.thetamod.grade_dim_formula", lambda l, lp, k: grade_dim_formula(l, lp, k) + 1
+    )
+    with pytest.raises(VerificationError, match="grade 0 of \\(1,1\\) has 1 labels"):
+        ThetaModule(1, 1, MU)
+
+
+def test_flip_seeds_and_columns_check_their_range():
+    mod = ThetaModule(2, 2, MU)
+    for k in (-1, 2):
+        with pytest.raises(ValueError, match="inner flip seed"):
+            mod.seed_flip_inner(k)
+    with pytest.raises(ValueError, match="no flip generator"):
+        ThetaModule(0, 2, MU).column((0, 0), 0)
 
 
 def test_negative_rank_is_rejected():
