@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from . import VerificationError
-from .weylbc import partitions
+from .weylbc import group_order, partitions
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -299,7 +299,8 @@ def wl_char(bip: Bipartition, cls: ClassType) -> int:
             total += Fraction(sign * x1 * x2,
                               signed_centralizer((lam1, mu1)) * signed_centralizer((lam2, mu2)))
     total *= signed_centralizer(cls)
-    assert total.denominator == 1, (bip, cls, total)
+    if total.denominator != 1:
+        raise VerificationError(f"character of {bip} on class {cls} is {total}, not an integer")
     return int(total)
 
 
@@ -323,17 +324,20 @@ def theta_lift(alpha: Partition, beta: Partition, l: int, lp: int) -> dict[Bipar
     """Lift of the (alpha, beta)-labeled representation from rank l to rank l'.
 
     Sum over k of (remove an (l-k)-strip from beta) x (add an (l'-k)-strip
-    to alpha); asserted multiplicity-free.
+    to alpha); checked to be multiplicity-free and of rank l'.
     """
-    assert sum(alpha) + sum(beta) == l, (alpha, beta, l)
-    assert lp >= 0
+    if sum(alpha) + sum(beta) != l or lp < 0:
+        raise ValueError(f"cannot lift ({alpha}, {beta}) from rank {l} to rank {lp}")
     out: dict[Bipartition, int] = {}
     for k in range(min(l, lp) + 1):
         for ap in pieri_remove(beta, l - k):
             for bp in pieri_add(alpha, lp - k):
                 vs_add(out, (ap, bp))
-    assert all(sum(x[0]) + sum(x[1]) == lp for x in out)
-    assert is_multiplicity_free(out), (alpha, beta, l, lp, out)
+    wrong = [x for x in out if sum(x[0]) + sum(x[1]) != lp]
+    if wrong:
+        raise VerificationError(f"lift of ({alpha}, {beta}) to rank {lp} contains {wrong[0]}")
+    if not is_multiplicity_free(out):
+        raise VerificationError(f"lift of ({alpha}, {beta}) to rank {lp} is not multiplicity-free")
     return out
 
 
@@ -413,27 +417,27 @@ def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
     """
     classes_l = signed_class_types(l)
     classes_lp = signed_class_types(lp)
+    # each class weighted by its size |W_m| / z, so the sums stay in integers
+    size_l = {cl: group_order(l) // signed_centralizer(cl) for cl in classes_l}
+    size_lp = {cr: group_order(lp) // signed_centralizer(cr) for cr in classes_lp}
+    order = group_order(l) * group_order(lp)
     mults: dict[tuple[Bipartition, Bipartition], int] = {}
     for bl in bipartitions(l):
-        for br in bipartitions(lp):
-            total = Fraction(0)
-            for cl in classes_l:
-                xl = wl_char(bl, cl)
-                if not xl:
-                    continue
+        u = {cr: 0 for cr in classes_lp}
+        for cl in classes_l:
+            xl = size_l[cl] * wl_char(bl, cl)
+            if xl:
                 for cr in classes_lp:
-                    v = charfn.get((cl, cr), 0)
-                    if not v:
-                        continue
-                    xr = wl_char(br, cr)
-                    if not xr:
-                        continue
-                    total += Fraction(v * xl * xr,
-                                      signed_centralizer(cl) * signed_centralizer(cr))
-            if total.denominator != 1 or total < 0:
-                raise VerificationError(f"multiplicity of {(bl, br)} is {total}, not a count")
-            if total:
-                mults[(bl, br)] = int(total)
+                    u[cr] += xl * charfn.get((cl, cr), 0)
+        for br in bipartitions(lp):
+            total = sum(v * size_lp[cr] * wl_char(br, cr) for cr, v in u.items() if v)
+            m, rem = divmod(total, order)
+            if rem or m < 0:
+                raise VerificationError(
+                    f"multiplicity of {(bl, br)} is {Fraction(total, order)}, not a count"
+                )
+            if m:
+                mults[(bl, br)] = m
     for cl in classes_l:
         for cr in classes_lp:
             rec = sum(m * wl_char(bl, cl) * wl_char(br, cr) for (bl, br), m in mults.items())

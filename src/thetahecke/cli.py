@@ -40,12 +40,13 @@ MAX_VERIFY_DIM = 5000
 # the dimension cap does not bound module-verify's work: the suite has about
 # rank^2 / 2 relations, and (0, 200) (dimension 1) took 15 s on 2 cores
 MAX_VERIFY_RANK = 200
-# specialize-decompose builds dense dim x dim matrices and a character over
-# every class pair; on 2 cores with Python 3.11.7, (4,3) (dim 361) took 24 s,
-# (2,8) (dim 257, but 185 classes on the rank-8 side) 74 s, and (4,4)
-# (dim 1473) did not finish in 900 s
+# specialize-decompose holds every generator as sparse integer columns, one
+# product per class representative, and a character over every class pair;
+# on 2 cores with Python 3.11.7, (4,4) (dim 1473) took 1.9 s at 38 MB peak RSS,
+# (5,4) (dim 4361) 9.7 s at 100 MB, and (3,8) (dim 3409, but 185 classes on the
+# rank-8 side) 23 s at 199 MB
 MAX_SPECIALIZE_RANK = 8
-MAX_SPECIALIZE_DIM = 400
+MAX_SPECIALIZE_DIM = 5000
 
 
 def _parse_partition(text: str):

@@ -44,9 +44,8 @@ ring homomorphism, so the symbolic check proves the specialized relations too.
 from __future__ import annotations
 
 import math
-import operator
 import time
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import VerificationError
 from .heckealg import HeckeParams, he_inv_basis
@@ -447,68 +446,77 @@ class ThetaModule:
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
-        """Integer matrices of every generator at nu = 1 (numpy, int64)."""
-        import numpy as np
-
+        """Every generator at nu = 1, as its dim sparse integer columns {r: c}."""
         mats = {}
         for key in self.gen_keys():
-            m = np.zeros((self.dim, self.dim), dtype=np.int64)
+            cols = []
             for p in range(self.dim):
+                col: dict = {}
                 for (r, _), c in self.column(key, p):
-                    m[r, p] += c
-            mats[key] = m
+                    col[r] = col.get(r, 0) + c
+                cols.append({r: c for r, c in col.items() if c})
+            mats[key] = cols
         return mats
 
 
 # -- nu = 1 representation of the product of signed groups -------------------
 
 
+def _apply_at_one(cols: list, vec: dict) -> dict:
+    """The matrix with the given sparse columns, applied to a sparse vector."""
+    out: dict = {}
+    get = out.get
+    for p, c in vec.items():
+        for r, a in cols[p].items():
+            out[r] = get(r, 0) + c * a
+    return {r: c for r, c in out.items() if c}
+
+
 class GroupRepAtOne:
     """The pair of commuting signed-group representations cut out at nu = 1."""
 
     def __init__(self, mod: ThetaModule):
-        import numpy as np
-
         self.l, self.lp = mod.l, mod.lp
         self.dim = mod.dim
         self._suite = mod.relation_suite()
         self._mats = mod.matrices_at_one()
-        self._eye = np.eye(self.dim, dtype=np.int64)
-        self._cache: dict[tuple[int, SignedPerm], object] = {}
+        self._identity = [{p: 1} for p in range(self.dim)]
+        self._cache: dict[tuple[int, SignedPerm], list] = {}
 
-    def _product(self, mats: list):
-        """The matrix product of a word's letters; the identity for the empty word."""
-        return reduce(operator.matmul, mats) if mats else self._eye
+    def _product(self, keys) -> list:
+        """The sparse columns of a word's product; the rightmost letter acts
+        first, and the empty word gives the identity."""
+        cols = self._identity
+        for key in reversed(keys):
+            m = self._mats[key]
+            cols = [_apply_at_one(m, col) for col in cols]
+        return cols
 
     def check_group_relations(self) -> None:
         """Every entry of the module's relation suite, evaluated at nu = 1.
 
-        At nu = 1 a quadratic relation says M @ M is the identity.  Raises
+        At nu = 1 a quadratic relation says M M is the identity.  Raises
         VerificationError naming the first relation that fails.
         """
-        import numpy as np
-
         for chk in self._suite:
             if chk["kind"] == "quad":
-                m = self._mats[chk["gen"]]
-                lhs, rhs = m @ m, self._eye
+                lhs, rhs = self._product([chk["gen"]] * 2), self._identity
             else:
-                lhs = self._product([self._mats[k] for k in chk["lhs"]])
-                rhs = self._product([self._mats[k] for k in chk["rhs"]])
-            if not np.array_equal(lhs, rhs):
+                lhs, rhs = self._product(chk["lhs"]), self._product(chk["rhs"])
+            if lhs != rhs:
                 raise VerificationError(f"group relation {chk['name']} fails at nu = 1")
 
-    def _rep(self, side: int, w: SignedPerm):
+    def _rep(self, side: int, w: SignedPerm) -> list:
         got = self._cache.get((side, w))
         if got is None:
-            got = self._product([self._mats[key] for key in _word(side, w)])
+            got = self._product(_word(side, w))
             self._cache[(side, w)] = got
         return got
 
-    def rep_left(self, w: SignedPerm):
+    def rep_left(self, w: SignedPerm) -> list:
         return self._rep(0, w)
 
-    def rep_right(self, w: SignedPerm):
+    def rep_right(self, w: SignedPerm) -> list:
         return self._rep(1, w)
 
     def character(self) -> dict:
@@ -521,6 +529,8 @@ class GroupRepAtOne:
             ml = self.rep_left(cl["rep"])
             for cr in conjugacy_classes(self.lp):
                 mr = self.rep_right(cr["rep"])
-                # trace(ml @ mr) without the dim^3 product
-                out[(cl["type"], cr["type"])] = int((ml * mr.T).sum())
+                # trace(ml mr) = sum over p of row p of ml dotted with column p of mr
+                out[(cl["type"], cr["type"])] = sum(
+                    c * ml[r].get(p, 0) for p, col in enumerate(mr) for r, c in col.items()
+                )
         return out

@@ -314,13 +314,16 @@ def double_coset_split(d1: SignedPerm, k: int):
     with d1 = y * cross_block_cycle(l, k) and lengths adding.
     """
     l = len(d1)
-    assert is_unsigned(d1)
+    if not is_unsigned(d1):
+        raise ValueError(f"the two-block split needs an unsigned permutation, got {d1}")
     if d1[l - 1] == l:
         return ("fix", d1)
     w2 = cross_block_cycle(l, k)
     y = mul(d1, inv(w2))
-    assert y[l - 1] == l, f"cross-branch remainder moves the last position: {d1}"
-    assert length(d1) == length(y) + k, f"lengths fail to add for {d1}"
+    if y[l - 1] != l:
+        raise VerificationError(f"cross-branch remainder moves the last position: {d1}")
+    if length(d1) != length(y) + k:
+        raise VerificationError(f"lengths fail to add for {d1}")
     return ("cross", y)
 
 

@@ -137,28 +137,36 @@ def test_criterion_03_dimension_identity():
             ]
 
 
-@criterion(4, "specialized character equals induced sum, ranks <= (3,3)")
+# every shape with both ranks at most 3, and (4, 4)
+SHAPES_AT_ONE = [(l, lp) for l in range(4) for lp in range(4)] + [(4, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def character_at_one(l, lp):
+    """The nu = 1 character, taken once its group relations hold; shared by
+    criteria 4 and 5."""
+    rep = GroupRepAtOne(ThetaModule(l, lp, HALF))
+    rep.check_group_relations()
+    return rep.character()
+
+
+@criterion(4, "specialized character equals induced sum, ranks <= (3,3) and (4,4)")
 def test_criterion_04_character_at_one():
-    for l in range(4):
-        for lp in range(4):
-            rep = GroupRepAtOne(ThetaModule(l, lp, HALF))
-            rep.check_group_relations()
-            assert rep.character() == expected_module_character(l, lp), (l, lp)
-            assert decompose(rep.character(), l, lp) == expected_decomposition(l, lp), (l, lp)
+    for l, lp in SHAPES_AT_ONE:
+        char = character_at_one(l, lp)
+        assert char == expected_module_character(l, lp), (l, lp)
+        assert decompose(char, l, lp) == expected_decomposition(l, lp), (l, lp)
 
 
-@criterion(5, "module multiplicities equal lift coefficients, ranks <= (3,3)")
+@criterion(5, "module multiplicities equal lift coefficients, ranks <= (3,3) and (4,4)")
 def test_criterion_05_lift_consistency():
-    for l in range(4):
-        for lp in range(4):
-            mults = decompose(
-                GroupRepAtOne(ThetaModule(l, lp, HALF)).character(), l, lp
-            )
-            for alpha, beta in bipartitions(l):
-                lift = theta_lift(alpha, beta, l, lp)
-                for target in bipartitions(lp):
-                    got = mults.get(((alpha, beta), target), 0)
-                    assert got == lift.get(target, 0), (l, lp, alpha, beta, target)
+    for l, lp in SHAPES_AT_ONE:
+        mults = decompose(character_at_one(l, lp), l, lp)
+        for alpha, beta in bipartitions(l):
+            lift = theta_lift(alpha, beta, l, lp)
+            for target in bipartitions(lp):
+                got = mults.get(((alpha, beta), target), 0)
+                assert got == lift.get(target, 0), (l, lp, alpha, beta, target)
 
 
 @criterion(6, "lifts are multiplicity-free, ranks <= 6")

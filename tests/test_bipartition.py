@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetahecke import VerificationError, bipartition
 from thetahecke.bipartition import (
     amr_lift,
     bip_product,
@@ -270,6 +271,31 @@ def test_theta_lift_sizes_and_freeness():
                 lift = theta_lift(alpha, beta, l, lp)
                 assert is_multiplicity_free(lift)
                 assert all(sum(a) + sum(b) == lp for a, b in lift)
+
+
+def test_theta_lift_checks_its_input_and_result(monkeypatch):
+    """Explicit checks, so they hold under python -O too."""
+    with pytest.raises(ValueError, match="cannot lift"):
+        theta_lift((1,), (), 2, 2)
+    real = bipartition.pieri_add
+    monkeypatch.setattr(bipartition, "pieri_add", lambda lam, i: [lam])
+    with pytest.raises(VerificationError, match="to rank 2 contains"):
+        theta_lift((1,), (), 1, 2)
+    monkeypatch.setattr(bipartition, "pieri_add", lambda lam, i: list(real(lam, i)) * 2)
+    with pytest.raises(VerificationError, match="not multiplicity-free"):
+        theta_lift((1,), (), 1, 2)
+
+
+def test_wl_char_checks_integrality(monkeypatch):
+    """A non-integral induced-character sum raises instead of truncating."""
+    real = bipartition.signed_centralizer
+    monkeypatch.setattr(bipartition, "signed_centralizer", lambda cls: real(cls) + 1)
+    wl_char.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="not an integer"):
+            wl_char(((1,), ()), ((1,), ()))
+    finally:
+        wl_char.cache_clear()
 
 
 def test_theta_lift_monotone_in_target_rank():

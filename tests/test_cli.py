@@ -269,7 +269,7 @@ def test_bad_rank_exits_2(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--l", "9", "--lprime", "9"), ("--l", "0", "--lprime", "12"), ("--l", "4", "--lprime", "4")],
+    [("--l", "9", "--lprime", "9"), ("--l", "0", "--lprime", "12"), ("--l", "4", "--lprime", "6")],
     ids=lambda argv: f"{argv[1]},{argv[3]}",
 )
 def test_specialize_decompose_size_cap(capsys, monkeypatch, argv):
@@ -297,7 +297,8 @@ def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch, gen, 
 
     def corrupted(self):
         mats = real(self)
-        mats[gen][0, 0] += 1
+        col = mats[gen][0]
+        col[0] = col.get(0, 0) + 1
         return mats
 
     monkeypatch.setattr(ThetaModule, "matrices_at_one", corrupted)
@@ -382,17 +383,18 @@ def test_cli_import_starts_no_worker_machinery():
     assert proc.stdout.strip() == "[]"
 
 
-def test_module_verify_loads_no_numpy():
-    """The relation check runs on Python ints; numpy alone would add about 11 MB of RSS."""
+def test_verify_and_specialize_load_no_numpy():
+    """Both checks run on Python ints; numpy alone would add about 11 MB of RSS."""
     code = (
         "import contextlib, io, sys\n"
         "from thetahecke.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['module-verify', '--l', '2', '--lprime', '2', '--mu', '1/2'])\n"
-        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "    codes = [main(['module-verify', '--l', '2', '--lprime', '2', '--mu', '1/2']),\n"
+        "             main(['specialize-decompose', '--l', '2', '--lprime', '2'])]\n"
+        "print(codes, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "[0, 0] []"
 
 
 # -- determinism across processes ----------------------------------------------------

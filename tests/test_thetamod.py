@@ -281,13 +281,35 @@ def test_generator_keys_follow_weylbc_numbering():
     rep = GroupRepAtOne(mod)
     mats = mod.matrices_at_one()
     for g in range(1, 3):
-        assert (rep.rep_left(gen_perm(g, 2)) == mats[(0, g)]).all()
+        assert rep.rep_left(gen_perm(g, 2)) == mats[(0, g)]
     for g in range(1, 4):
-        assert (rep.rep_right(gen_perm(g, 3)) == mats[(1, g)]).all()
+        assert rep.rep_right(gen_perm(g, 3)) == mats[(1, g)]
     keys = set(mod.gen_keys())
     for chk in mod.relation_suite():
         used = [chk["gen"]] if chk["kind"] == "quad" else chk["lhs"] + chk["rhs"]
         assert set(used) <= keys
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_product_at_one_matches_apply_word(shape):
+    """Each column of a word's product at nu = 1 is the symbolic word applied
+    to that basis vector, with exponents summed out and zeros dropped."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    rep = GroupRepAtOne(mod)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(word=st.lists(st.sampled_from(mod.gen_keys()), max_size=6))
+    def check(word):
+        cols = rep._product(word)
+        for p in range(mod.dim):
+            want: dict = {}
+            for (r, _), c in mod.apply_word(word, mod.basis_vec(p)).items():
+                want[r] = want.get(r, 0) + c
+            assert cols[p] == {r: c for r, c in want.items() if c}, (word, p)
+
+    check()
 
 
 def test_character_is_mu_independent_at_one():

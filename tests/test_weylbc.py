@@ -2,6 +2,7 @@
 
 import pytest
 
+from thetahecke import VerificationError, weylbc
 from thetahecke.weylbc import (
     CosetSpec,
     all_signed_perms,
@@ -126,6 +127,19 @@ def test_double_coset_split(n, k):
             _, y = out
             assert mul(y, w2) == d1
             assert length(y) + length(w2) == length(d1)
+
+
+def test_double_coset_split_checks_the_cross_branch(monkeypatch):
+    """Explicit checks, so they hold under python -O too."""
+    with pytest.raises(ValueError, match="unsigned"):
+        double_coset_split((-2, 1), 1)
+    with monkeypatch.context() as m:
+        m.setattr(weylbc, "cross_block_cycle", lambda l, k: identity(l))
+        with pytest.raises(VerificationError, match="moves the last position"):
+            double_coset_split((2, 1), 1)
+    monkeypatch.setattr(weylbc, "length", lambda w: 0)
+    with pytest.raises(VerificationError, match="lengths fail to add"):
+        double_coset_split((2, 1), 1)
 
 
 def test_cycle_type_and_classes():
