@@ -235,7 +235,10 @@ def sym_product_pair(alpha: Partition, gamma: Partition) -> tuple:
                     continue
                 m += Fraction(x1 * x2 * sn_char(lam, part_union(rho1, rho2)),
                               sym_centralizer(rho1) * sym_centralizer(rho2))
-        assert m.denominator == 1 and m >= 0, (alpha, gamma, lam, m)
+        if m.denominator != 1 or m < 0:
+            raise VerificationError(
+                f"multiplicity of {lam} in {alpha} x {gamma} is {m}, not a nonnegative integer"
+            )
         if m:
             out[lam] = int(m)
     return tuple(sorted(out.items()))
@@ -380,7 +383,10 @@ def induced_eps_character(l: int, lp: int, k: int) -> dict[tuple[ClassType, Clas
     for cl in signed_class_types(l):
         for cr in signed_class_types(lp):
             v = out.get((cl, cr), Fraction(0)) * signed_centralizer(cl) * signed_centralizer(cr)
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise VerificationError(
+                    f"induced character of grade {k} on class {(cl, cr)} is {v}, not an integer"
+                )
             if v:
                 final[(cl, cr)] = int(v)
     return final

@@ -29,8 +29,10 @@ Its action is seeded on the grade-k base vector by two explicit expansions
 (one for the flip at the last position, one for the flip at position l-k) and
 propagated to general labels through the double-coset split of d1: either d1
 fixes the last position and commutes with the flip, or d1 factors through the
-cross-block cycle and the flip conjugates to position l-k at the cost of an
-inverted Hecke element.
+cross-block cycle and the flip conjugates to position l-k.  The crossing seed
+is then the inner seed under T_w^-1, w the inverted cross-block cycle
+s_(l-k) ... s_(l-1): k inverse swap steps, each T_g^-1 = nu^-1 T_g +
+(nu^-1 - 1) by the quadratic relation, built once per grade.
 
 Everything is exact: coefficients are Laurent polynomials in nu**(1/2), and
 the relation suite is checked symbolically, column by column.  On that hot
@@ -48,21 +50,18 @@ import time
 from functools import lru_cache
 
 from . import VerificationError
-from .heckealg import HeckeParams, he_inv_basis
 from .laurent import HalfInt, LaurentPoly, as_half
 from .weylbc import (
     CosetSpec,
     SignedPerm,
     all_unsigned_perms,
     conjugacy_classes,
-    cross_block_cycle,
     deodhar_transfer,
     distinguished_reps,
     double_coset_split,
     flip_at,
     gen_perm,
     identity,
-    inv,
     length,
     mul,
     reduced_word,
@@ -74,11 +73,13 @@ BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 # -- sparse vectors keyed by (basis position, exponent of nu^(1/2)) ----------
 
-# coefficients as {e: c} term dicts: 1, -1, nu and nu - 1
+# coefficients as {e: c} term dicts: 1, -1, nu, nu - 1, nu^-1 and nu^-1 - 1
 _ONE = {0: 1}
 _MINUS_ONE = {0: -1}
 _NU = {2: 1}
 _NU_MINUS_ONE = {2: 1, 0: -1}
+_NU_INV = {-2: 1}
+_NU_INV_MINUS_ONE = {-2: 1, 0: -1}
 
 
 def _add_scaled(out: dict, pairs, terms: dict) -> None:
@@ -163,8 +164,7 @@ class ThetaModule:
         self.dim = len(self.basis)
 
         self._cols: dict[tuple, dict[int, tuple]] = {}
-        self._seeds: dict[tuple, dict] = {}
-        self._w2_inverses: dict[int, list[tuple[SignedPerm, LaurentPoly]]] = {}
+        self._seeds: dict[tuple[str, int], dict] = {}
 
     # -- bookkeeping --
 
@@ -253,13 +253,8 @@ class ThetaModule:
 
     def seed_flip_top(self, k: int) -> dict:
         """The flip generator applied to the grade-k base vector."""
-        key = ("top", k)
-        if key in self._seeds:
-            return self._seeds[key]
         if k == 0:
-            vec = self.seed_flip_inner(0)  # the inner flip at position l-0 is the flip itself
-            self._seeds[key] = vec
-            return vec
+            return self.seed_flip_inner(0)  # the inner flip at position l-0 is the flip itself
         l, lp, mu = self.l, self.lp, self.mu
         nu = LaurentPoly.nu_power
         out: dict = {}
@@ -277,7 +272,6 @@ class ThetaModule:
         for i in range(k, lp + 1):
             t = self._term(k, identity(l), swap_range(k, i, lp), identity(k))
             _add_scaled(out, t.items(), c_low)
-        self._seeds[key] = out
         return out
 
     def seed_flip_inner(self, k: int) -> dict:
@@ -286,9 +280,6 @@ class ThetaModule:
         Defined for 0 <= k <= l-1; grade-(k+1) labels only arise when
         k < l', which keeps them inside the grading.
         """
-        key = ("inner", k)
-        if key in self._seeds:
-            return self._seeds[key]
         if not 0 <= k < self.l:
             raise ValueError(f"the inner flip seed needs 0 <= k < l = {self.l}, got k = {k}")
         l, lp, mu = self.l, self.lp, self.mu
@@ -308,34 +299,26 @@ class ThetaModule:
         for i in range(1, k + 1):
             t = self._term(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
             _add_scaled(out, t.items(), (scale * (nu(k - i + 1) + nu(k - i, -1))).terms)
-        self._seeds[key] = out
         return out
-
-    def _w2_inverse(self, k: int) -> list[tuple[SignedPerm, LaurentPoly]]:
-        """Expansion of the inverse of T_w for w the inverted cross-block cycle."""
-        got = self._w2_inverses.get(k)
-        if got is None:
-            params = HeckeParams.unsigned(self.l)
-            w2 = cross_block_cycle(self.l, k)
-            elem = he_inv_basis(params, tuple(inv(w2)))
-            got = [(w, c) for w, c in elem.terms.items()]
-            got.sort(key=lambda t: (length(t[0]), t[0]))
-            self._w2_inverses[k] = got
-        return got
 
     def _col_flip(self, p: int):
         if self.l < 1:
             raise ValueError("the rank-0 algebra has no flip generator")
         k, d1, d2, x = self.basis[p]
-        branch = double_coset_split(d1, k)
-        if branch[0] == "fix":
-            vec, first = self.seed_flip_top(k), d1
-        else:
-            inner = self.seed_flip_inner(k)
-            vec: dict = {}
-            for u, c in self._w2_inverse(k):
-                _add_scaled(vec, self.apply_word(_word(0, u), inner).items(), c.terms)
-            first = branch[1]
+        branch, first = double_coset_split(d1, k)
+        vec = self._seeds.get((branch, k))
+        if vec is None:
+            if branch == "fix":
+                vec = self.seed_flip_top(k)
+            else:
+                # T_w^-1 = T_(l-1)^-1 ... T_(l-k)^-1 on the inner seed, w = s_(l-k) ... s_(l-1)
+                vec = self.seed_flip_inner(k)
+                for g in range(self.l - k, self.l):
+                    out: dict = {}
+                    _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV)
+                    _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE)
+                    vec = out
+            self._seeds[(branch, k)] = vec
         vec = self.apply_word(_word(1, d2) + _word(1, x) + _word(0, first), vec)
         return tuple(sorted(vec.items()))
 

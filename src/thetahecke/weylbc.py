@@ -290,20 +290,21 @@ def _coset_key(w: SignedPerm, spec: CosetSpec):
 def deodhar_transfer(d: SignedPerm, g: int, spec: CosetSpec):
     """Multiply a distinguished representative by a generator on the left.
 
-    Returns ('coset', g*d, +1 or -1) when g*d is again distinguished, the
-    sign recording the length change; otherwise ('transfer', h) where h is
-    the parabolic generator index with g*d = d*h.
+    By Deodhar's lemma (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, 2000, Lemma 2.1.2) exactly one case holds: g*d is
+    shorter and distinguished, returned as ('coset', g*d, -1); g*d = d*h for a
+    parabolic generator h, returned as ('transfer', h); or g*d is longer and
+    distinguished, returned as ('coset', g*d, +1).
     """
     l = len(d)
-    gp = gen_perm(g, l)
-    gd = mul(gp, d)
-    if is_distinguished(gd, spec):
-        return ("coset", gd, 1 if length(gd) > length(d) else -1)
-    h = mul(mul(inv(d), gp), d)
+    gd = mul(gen_perm(g, l), d)
+    if length(gd) < length(d):
+        return ("coset", gd, -1)
+    h = mul(inv(d), gd)
     for t in spec.parabolic_gens():
         if h == gen_perm(t, l):
             return ("transfer", t)
-    raise AssertionError(f"transfer fell outside the parabolic: d={d} g={g}")
+    return ("coset", gd, 1)
 
 
 def double_coset_split(d1: SignedPerm, k: int):

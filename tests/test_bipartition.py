@@ -15,6 +15,7 @@ from thetahecke.bipartition import (
     eps_value,
     expected_decomposition,
     expected_module_character,
+    induced_eps_character,
     is_multiplicity_free,
     part_splits,
     part_union,
@@ -27,6 +28,7 @@ from thetahecke.bipartition import (
     sn_dim,
     sym_centralizer,
     sym_product,
+    sym_product_pair,
     theta_lift,
     wl_char,
     wl_char_table,
@@ -296,6 +298,35 @@ def test_wl_char_checks_integrality(monkeypatch):
             wl_char(((1,), ()), ((1,), ()))
     finally:
         wl_char.cache_clear()
+
+
+def test_sym_product_checks_its_multiplicities(monkeypatch):
+    """A non-integral or negative multiplicity raises instead of truncating."""
+    real_z, real_chi = bipartition.sym_centralizer, bipartition.sn_char
+    sym_product_pair.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bipartition, "sym_centralizer", lambda rho: real_z(rho) + 1)
+            with pytest.raises(VerificationError, match="not a nonnegative integer"):
+                sym_product_pair((1,), (1,))
+
+        def negated_on_rank_two(lam, rho):
+            return -real_chi(lam, rho) if sum(lam) == 2 else real_chi(lam, rho)
+
+        with monkeypatch.context() as m:
+            m.setattr(bipartition, "sn_char", negated_on_rank_two)
+            with pytest.raises(VerificationError, match="is -1, not a nonnegative integer"):
+                sym_product_pair((1,), (1,))
+    finally:
+        sym_product_pair.cache_clear()
+
+
+def test_induced_eps_character_checks_integrality(monkeypatch):
+    """A non-integral induced character raises instead of truncating."""
+    real = bipartition.signed_centralizer
+    monkeypatch.setattr(bipartition, "signed_centralizer", lambda cls: real(cls) + 1)
+    with pytest.raises(VerificationError, match="not an integer"):
+        induced_eps_character(1, 1, 1)
 
 
 def test_theta_lift_monotone_in_target_rank():

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from thetahecke import VerificationError
+from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
-from thetahecke.weylbc import flip_at, gen_perm, identity
+from thetahecke.weylbc import cross_block_cycle, flip_at, gen_perm, identity, inv, reduced_word
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -260,6 +261,27 @@ def test_flip_seeds_and_columns_check_their_range():
             mod.seed_flip_inner(k)
     with pytest.raises(ValueError, match="no flip generator"):
         ThetaModule(0, 2, MU).column((0, 0), 0)
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), 2], ids=str)
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (3, 5)], ids=["2,2", "3,3", "4,3", "3,5"])
+def test_cross_seed_matches_inverted_hecke_element(shape, mu):
+    """The crossing seed, built by k inverse swap steps, is the inner seed under
+    the Hecke-basis expansion of T_w^-1, w the inverted cross-block cycle."""
+    l, lp = shape
+    mod = ThetaModule(l, lp, mu)
+    for k in range(1, min(l - 1, lp) + 1):
+        # one flip column on the crossing branch builds and caches the grade's seed
+        p = next(p for p, (j, d1, _, _) in enumerate(mod.basis) if j == k and d1[-1] != l)
+        mod.column((0, l), p)
+        inner = mod.seed_flip_inner(k)
+        want: dict = {}
+        t_inv = he_inv_basis(HeckeParams.unsigned(l), inv(cross_block_cycle(l, k)))
+        for u, c in t_inv.terms.items():
+            tu = _to_poly_vec(mod.apply_word([(0, g) for g in reduced_word(u)], inner))
+            for r, a in tu.items():
+                want[r] = want.get(r, LaurentPoly.zero()) + c * a
+        assert _to_poly_vec(mod._seeds[("cross", k)]) == {r: a for r, a in want.items() if a}
 
 
 def test_negative_rank_is_rejected():

@@ -93,9 +93,17 @@ def test_coset_counts():
     assert len(distinguished_reps(CosetSpec("mixed_block", 3, 0))) == 1
 
 
-@pytest.mark.parametrize("kind,n,k", [("sym_block", 4, 2), ("sym_block", 3, 1), ("mixed_block", 3, 1), ("mixed_block", 3, 2)])
+@pytest.mark.parametrize(
+    "kind,n,k",
+    [("sym_block", 4, 2), ("sym_block", 3, 1), ("mixed_block", 3, 1), ("mixed_block", 3, 2)]
+    + [(kind, n, k) for kind in ("sym_block", "mixed_block") for n in (5, 6) for k in range(n + 1)],
+)
 def test_deodhar_transfer_cases(kind, n, k):
-    """g*d is either a representative again or d times a subgroup generator."""
+    """g*d is either a representative again or d times a subgroup generator.
+
+    deodhar_transfer decides by Deodhar's lemma without testing coset
+    membership, so this test is the oracle for its labels.
+    """
     spec = CosetSpec(kind, n, k)
     reps = set(distinguished_reps(spec))
     gens = range(1, n) if kind == "sym_block" else range(1, n + 1)
