@@ -138,15 +138,26 @@ def sn_dim(lam: Partition) -> int:
 def pieri_add(lam: Partition, i: int) -> dict[Partition, int]:
     """Partitions obtained by adding a horizontal i-strip (at most one new
     cell per column): new_0 >= old_0 >= new_1 >= old_1 >= ..."""
-    assert i >= 0
-    out: dict[Partition, int] = {}
+    return dict.fromkeys(_add_strip(lam, i), 1)
+
+
+def pieri_remove(lam: Partition, i: int) -> dict[Partition, int]:
+    """Partitions obtained by removing a horizontal i-strip."""
+    return dict.fromkeys(_remove_strip(lam, i), 1)
+
+
+@lru_cache(maxsize=None)
+def _add_strip(lam: Partition, i: int) -> tuple[Partition, ...]:
+    if i < 0:
+        raise ValueError(f"strip size must be non-negative, got {i}")
+    out: list[Partition] = []
     rows = len(lam)
     padded = lam + (0,)
 
     def build(idx: int, remaining: int, acc: list[int]):
         if idx == rows + 1:
             if remaining == 0:
-                out[tuple(v for v in acc if v)] = 1
+                out.append(tuple(v for v in acc if v))
             return
         old = padded[idx]
         hi = old + remaining if idx == 0 else min(padded[idx - 1], old + remaining)
@@ -154,20 +165,21 @@ def pieri_add(lam: Partition, i: int) -> dict[Partition, int]:
             build(idx + 1, remaining - (v - old), acc + [v])
 
     build(0, i, [])
-    return out
+    return tuple(out)
 
 
-def pieri_remove(lam: Partition, i: int) -> dict[Partition, int]:
-    """Partitions obtained by removing a horizontal i-strip."""
-    assert i >= 0
-    out: dict[Partition, int] = {}
+@lru_cache(maxsize=None)
+def _remove_strip(lam: Partition, i: int) -> tuple[Partition, ...]:
+    if i < 0:
+        raise ValueError(f"strip size must be non-negative, got {i}")
+    out: list[Partition] = []
     rows = len(lam)
     padded = lam + (0,)
 
     def build(idx: int, remaining: int, acc: list[int]):
         if idx == rows:
             if remaining == 0:
-                out[tuple(v for v in acc if v)] = 1
+                out.append(tuple(v for v in acc if v))
             return
         old = padded[idx]
         nxt = padded[idx + 1]
@@ -177,7 +189,7 @@ def pieri_remove(lam: Partition, i: int) -> dict[Partition, int]:
             build(idx + 1, remaining - (old - v), acc + [v])
 
     build(0, i, [])
-    return out
+    return tuple(out)
 
 
 def r1(lam: Partition) -> int:
@@ -287,7 +299,8 @@ def wl_char(bip: Bipartition, cls: ClassType) -> int:
     lam, mu = cls
     a = sum(alpha)
     assert a + sum(beta) == sum(lam) + sum(mu), (bip, cls)
-    total = Fraction(0)
+    z = signed_centralizer(cls)
+    total = 0
     for lam1, lam2 in part_splits(lam):
         for mu1, mu2 in part_splits(mu):
             if sum(lam1) + sum(mu1) != a:
@@ -298,13 +311,14 @@ def wl_char(bip: Bipartition, cls: ClassType) -> int:
             x2 = sn_char(beta, part_union(lam2, mu2))
             if not x2:
                 continue
+            # z / (z1 z2) is the index of the block class's centralizer
+            index, rem = divmod(z, signed_centralizer((lam1, mu1)) * signed_centralizer((lam2, mu2)))
+            if rem:
+                raise VerificationError(
+                    f"character of {bip} on class {cls}: a class index is not an integer")
             sign = -1 if len(mu2) % 2 else 1
-            total += Fraction(sign * x1 * x2,
-                              signed_centralizer((lam1, mu1)) * signed_centralizer((lam2, mu2)))
-    total *= signed_centralizer(cls)
-    if total.denominator != 1:
-        raise VerificationError(f"character of {bip} on class {cls} is {total}, not an integer")
-    return int(total)
+            total += sign * x1 * x2 * index
+    return total
 
 
 def wl_char_table(m: int) -> dict[Bipartition, dict[ClassType, int]]:

@@ -25,6 +25,7 @@ from .weylbc import (
     SignedPerm,
     gen_perm,
     identity,
+    is_right_descent,
     length,
     mul,
     num_flips,
@@ -128,41 +129,70 @@ class HeckeElem:
         )
 
 
-@lru_cache(maxsize=None)
-def _basis_times_gen(params: HeckeParams, w: SignedPerm, g: int) -> tuple:
-    """T_w * T_g as ((perm, poly), ...); the single recursion step."""
+def _add_shifted(out: dict[int, int], p: dict[int, int], e: int, k: int = 1) -> None:
+    """out += k * nu^(e/2) * p for Laurent term dicts {e: c}, zeros dropped."""
+    get = out.get
+    for f, c in p.items():
+        f += e
+        s = get(f, 0) + k * c
+        if s:
+            out[f] = s
+        else:
+            del out[f]
+
+
+def _add_product(out: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
+    """out += p * q for Laurent term dicts."""
+    for e, k in q.items():
+        _add_shifted(out, p, e, k)
+
+
+def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
+    """T_u * T_w as term dicts {x: {e: c}}, peeling a reduced word of w.
+
+    T_x T_g is T_xg on an ascent, a relabel; on a descent the quadratic
+    relation gives nu^(e/2) T_xg + (nu^(e/2) - 1) T_x, with e = 2 for a swap
+    and flip_numer for the flip.
+    """
+    if not (params.allows(u) and params.allows(w)):
+        raise ValueError(f"T_{u} * T_{w} leaves the unsigned subalgebra")
     l = params.rank
-    wg = mul(w, gen_perm(g, l))
-    if length(wg) > length(w):
-        return ((wg, LaurentPoly.one()),)
-    e = params.gen_exponent(g)
-    return ((wg, LaurentPoly.nu_power(e)), (w, LaurentPoly.nu_power(e) - LaurentPoly.one()))
+    cur = {u: {0: 1}}
+    for g in reduced_word(w):
+        e = 2 if g < l else params.flip_numer
+        gp = gen_perm(g, l)
+        nxt: dict[SignedPerm, dict[int, int]] = {}
+        for x, c in cur.items():
+            xg = mul(x, gp)
+            if is_right_descent(x, g):
+                _add_shifted(nxt.setdefault(xg, {}), c, e)
+                at_x = nxt.setdefault(x, {})
+                _add_shifted(at_x, c, e)
+                _add_shifted(at_x, c, 0, -1)
+            elif xg in nxt:
+                _add_shifted(nxt[xg], c, 0)
+            else:
+                # cur is dropped after this step, so its dicts can move
+                nxt[xg] = c
+        cur = {x: c for x, c in nxt.items() if c}
+    return cur
 
 
 def basis_product(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> HeckeElem:
     """T_u * T_w, peeling a fixed reduced word of w."""
-    assert params.allows(u) and params.allows(w)
-    cur = {u: LaurentPoly.one()}
-    for g in reduced_word(w):
-        nxt: dict[SignedPerm, LaurentPoly] = {}
-        for x, c in cur.items():
-            for y, p in _basis_times_gen(params, x, g):
-                s = nxt.get(y, LaurentPoly.zero()) + c * p
-                if s.is_zero():
-                    nxt.pop(y, None)
-                else:
-                    nxt[y] = s
-        cur = nxt
-    return HeckeElem(cur)
+    return HeckeElem({x: LaurentPoly(c) for x, c in _basis_terms(params, u, w).items()})
 
 
 def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:
     """Product in the algebra, extended bilinearly from basis products."""
-    out = HeckeElem()
+    acc: dict[SignedPerm, dict[int, int]] = {}
     for w, cb in b.terms.items():
         for u, ca in a.terms.items():
-            out = out + basis_product(params, u, w).scale_poly(ca * cb)
-    return out
+            scale: dict[int, int] = {}
+            _add_product(scale, ca.terms, cb.terms)
+            for x, c in _basis_terms(params, u, w).items():
+                _add_product(acc.setdefault(x, {}), c, scale)
+    return HeckeElem({x: LaurentPoly(c) for x, c in acc.items() if c})
 
 
 def gen_elem(params: HeckeParams, g: int) -> HeckeElem:

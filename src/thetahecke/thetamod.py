@@ -62,6 +62,8 @@ from .weylbc import (
     flip_at,
     gen_perm,
     identity,
+    inv,
+    is_right_descent,
     length,
     mul,
     reduced_word,
@@ -232,15 +234,18 @@ class ThetaModule:
         if side == 0:
             if h < self.l - k:
                 return _column((p, _NU))
-            y = mul(x, gen_perm(h - (self.l - k), k))
+            h -= self.l - k
+            y = mul(x, gen_perm(h, k))
+            descent = is_right_descent(x, h)
         else:
             if h == self.lp:
                 return _column((p, _MINUS_ONE))
             if h > k:
                 return _column((p, _NU))
             y = mul(gen_perm(h, k), x)
+            descent = is_right_descent(inv(x), h)
         yp = self.pos[(k, d1, d2, y)]
-        if length(y) > length(x):
+        if not descent:
             return _column((yp, _ONE))
         return _column((yp, _NU), (p, _NU_MINUS_ONE))
 

@@ -87,15 +87,15 @@ def num_flips(w: SignedPerm) -> int:
 # -- length ----------------------------------------------------------------
 
 
+def _mirror_value(v: int, l: int) -> int:
+    return l + 1 - v if v > 0 else -(l + 1 + v)
+
+
 def _mirror(w: SignedPerm) -> SignedPerm:
     # conjugate by the position reversal, moving the flip generator from the
     # last position to the first so the textbook length statistic applies
     l = len(w)
-    out = []
-    for i in range(l, 0, -1):
-        v = w[i - 1]
-        out.append((l + 1 - abs(v)) * (1 if v > 0 else -1))
-    return tuple(out)
+    return tuple(_mirror_value(w[i - 1], l) for i in range(l, 0, -1))
 
 
 def length(w: SignedPerm) -> int:
@@ -116,27 +116,52 @@ def length(w: SignedPerm) -> int:
     return inversions + sum(-v for v in u if v < 0)
 
 
-def left_descents(w: SignedPerm) -> list[int]:
+def is_right_descent(w, g: int) -> bool:
+    """Whether length(w * s_g) < length(w), read from two entries.
+
+    In mirrored coordinates a swap is a descent at an inversion and the flip
+    at a negative first entry (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2005, Section 8.1).  Left descents of w are the right descents
+    of inv(w).
+
+    >>> is_right_descent((-1, 2), 1), is_right_descent((2, 1), 2)
+    (True, False)
+    """
     l = len(w)
-    lw = length(w)
-    return [g for g in range(1, l + 1) if length(mul(gen_perm(g, l), w)) < lw]
+    if g == l:
+        return w[l - 1] < 0
+    return _mirror_value(w[g], l) > _mirror_value(w[g - 1], l)
+
+
+def left_descents(w: SignedPerm) -> list[int]:
+    w_inv = inv(w)
+    return [g for g in range(1, len(w) + 1) if is_right_descent(w_inv, g)]
 
 
 def reduced_word(w: SignedPerm) -> list[int]:
     """A reduced word, deterministic: lowest-index left descent first.
 
+    Peels right descents of inv(w), since inv(s_g w) = inv(w) s_g.  Applying
+    s_g at the lowest descent g leaves positions below g - 1 untouched, so
+    the next search starts at g - 1.
+
     >>> reduced_word((-1, 2))
     [1, 2, 1]
     """
     l = len(w)
+    cur = list(inv(w))
     word = []
-    cur = w
-    while cur != identity(l):
-        ds = left_descents(cur)
-        assert ds, f"no descent for non-identity {cur}"
-        g = ds[0]
+    g = 1
+    while g <= l:
+        if not is_right_descent(cur, g):
+            g += 1
+            continue
         word.append(g)
-        cur = mul(gen_perm(g, l), cur)
+        if g == l:
+            cur[l - 1] = -cur[l - 1]
+        else:
+            cur[g - 1], cur[g] = cur[g], cur[g - 1]
+        g = max(g - 1, 1)
     return word
 
 
@@ -219,10 +244,8 @@ class CosetSpec:
 
 def is_distinguished(w: SignedPerm, spec: CosetSpec) -> bool:
     """No right descent at any parabolic generator."""
-    l = len(w)
-    assert l == spec.n
-    lw = length(w)
-    return all(length(mul(w, gen_perm(g, l))) > lw for g in spec.parabolic_gens())
+    assert len(w) == spec.n
+    return not any(is_right_descent(w, g) for g in spec.parabolic_gens())
 
 
 def _perm_sort_key(w: SignedPerm):
@@ -298,9 +321,10 @@ def deodhar_transfer(d: SignedPerm, g: int, spec: CosetSpec):
     """
     l = len(d)
     gd = mul(gen_perm(g, l), d)
-    if length(gd) < length(d):
+    d_inv = inv(d)
+    if is_right_descent(d_inv, g):
         return ("coset", gd, -1)
-    h = mul(inv(d), gd)
+    h = mul(d_inv, gd)
     for t in spec.parabolic_gens():
         if h == gen_perm(t, l):
             return ("transfer", t)

@@ -148,6 +148,18 @@ def test_pieri_trivia():
     assert pieri_add((2, 1), 0) == {(2, 1): 1}
     assert pieri_remove((1,), 2) == {}
     assert set(pieri_add((2,), 2)) == {(4,), (3, 1), (2, 2)}
+    with pytest.raises(ValueError, match="non-negative"):
+        pieri_remove((2,), -1)
+
+
+@pytest.mark.parametrize("strip", [pieri_add, pieri_remove])
+def test_pieri_results_are_not_shared(strip):
+    """The strips are memoised, but each call hands out a fresh dict."""
+    first = strip((3, 1), 2)
+    expect = dict(first)
+    first.clear()
+    first[(9,)] = 5
+    assert strip((3, 1), 2) == expect
 
 
 # -- signed-group characters ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Generic signed Hecke algebra: products, inverses, characters, twist."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -17,7 +18,14 @@ from thetahecke.heckealg import (
     sign_character,
 )
 from thetahecke.laurent import LaurentPoly, half
-from thetahecke.weylbc import all_signed_perms, gen_perm, identity, length, mul
+from thetahecke.weylbc import (
+    all_signed_perms,
+    gen_perm,
+    identity,
+    length,
+    mul,
+    reduced_word_rightmost,
+)
 
 MUS = [half(1), half(-3), half(4), half(0)]
 
@@ -70,6 +78,48 @@ def test_basis_product_matches_length_additivity():
             prod = basis_product(params, u, w)
             if length(mul(u, w)) == length(u) + length(w):
                 assert prod == HeckeElem.basis(mul(u, w))
+
+
+@lru_cache(maxsize=None)
+def _reference_times_gen(params, w, g):
+    """T_w * T_g on LaurentPoly coefficients, the descent decided by lengths."""
+    wg = mul(w, gen_perm(g, params.rank))
+    if length(wg) > length(w):
+        return ((wg, LaurentPoly.one()),)
+    e = params.gen_exponent(g)
+    return ((wg, nu(e)), (w, nu(e) - LaurentPoly.one()))
+
+
+def _reference_basis_product(params, u, w):
+    cur = {u: LaurentPoly.one()}
+    for g in reduced_word_rightmost(w):
+        nxt = {}
+        for x, c in cur.items():
+            for y, p in _reference_times_gen(params, x, g):
+                nxt[y] = nxt.get(y, LaurentPoly.zero()) + c * p
+        cur = nxt
+    return HeckeElem(cur)
+
+
+@pytest.mark.parametrize("mu", [half(1), half(-3), half(0)])
+def test_basis_product_matches_reference(mu):
+    params = HeckeParams.signed(3, mu)
+    perms = all_signed_perms(3)
+    for u in perms:
+        for w in perms:
+            assert basis_product(params, u, w) == _reference_basis_product(params, u, w)
+
+
+def test_unsigned_subalgebra_rejects_signed_elements():
+    """An explicit check, so it holds under python -O too."""
+    params = HeckeParams.unsigned(2)
+    with pytest.raises(ValueError, match="unsigned subalgebra"):
+        basis_product(params, (1, -2), identity(2))
+    with pytest.raises(ValueError, match="unsigned subalgebra"):
+        he_mul(params, HeckeElem.unit(2), HeckeElem.basis((-1, 2)))
+    assert basis_product(params, (2, 1), (2, 1)) == basis_product(
+        HeckeParams.signed(2, half(1)), (2, 1), (2, 1)
+    )
 
 
 @pytest.mark.parametrize("mu", MUS)

@@ -22,6 +22,8 @@ from thetahecke.weylbc import (
     identity,
     inv,
     is_distinguished,
+    is_right_descent,
+    left_descents,
     length,
     mul,
     num_flips,
@@ -45,7 +47,19 @@ def test_longest_element_length():
     assert num_flips(w0) == 3
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_descents_match_lengths(l):
+    """The two-entry descent test agrees with comparing lengths, on both sides."""
+    for w in all_signed_perms(l):
+        lw = length(w)
+        lefts = left_descents(w)
+        for g in range(1, l + 1):
+            gp = gen_perm(g, l)
+            assert is_right_descent(w, g) == (length(mul(w, gp)) < lw)
+            assert (g in lefts) == (length(mul(gp, w)) < lw)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_reduced_words_multiply_back(l):
     for w in all_signed_perms(l):
         word = reduced_word(w)
