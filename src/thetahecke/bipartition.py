@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from . import VerificationError
-from .weylbc import group_order, partitions
+from .weylbc import group_order, partitions, signed_centralizer
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -69,23 +69,9 @@ def sym_centralizer(rho: Partition) -> int:
     return z
 
 
-def signed_centralizer(cls: ClassType) -> int:
-    z = 1
-    for rho in cls:
-        for v in set(rho):
-            m = rho.count(v)
-            z *= (2 * v) ** m * math.factorial(m)
-    return z
-
-
-def signed_class_types(m: int) -> list[ClassType]:
-    """Conjugacy-class labels (positive type; negative type) of rank m."""
-    out = []
-    for a in range(m + 1):
-        for lam in partitions(a):
-            for mu in partitions(m - a):
-                out.append((lam, mu))
-    return out
+# the classes and the irreducibles of W_m are both indexed by pairs of
+# partitions of total size m: (positive type, negative type) for a class
+signed_class_types = bipartitions
 
 
 def eps_value(cls: ClassType) -> int:
@@ -99,7 +85,8 @@ def eps_value(cls: ClassType) -> int:
 @lru_cache(maxsize=None)
 def sn_char(lam: Partition, rho: Partition) -> int:
     """chi_lam evaluated on the class of cycle type rho."""
-    assert sum(lam) == sum(rho), (lam, rho)
+    if sum(lam) != sum(rho):
+        raise ValueError(f"chi_{lam} needs a class of size {sum(lam)}, got {rho}")
     if not rho:
         return 1
     r, rest = rho[0], rho[1:]
@@ -298,7 +285,8 @@ def wl_char(bip: Bipartition, cls: ClassType) -> int:
     alpha, beta = bip
     lam, mu = cls
     a = sum(alpha)
-    assert a + sum(beta) == sum(lam) + sum(mu), (bip, cls)
+    if a + sum(beta) != sum(lam) + sum(mu):
+        raise ValueError(f"the character of {bip} needs a class of its rank, got {cls}")
     z = signed_centralizer(cls)
     total = 0
     for lam1, lam2 in part_splits(lam):
@@ -378,7 +366,8 @@ def induced_eps_character(l: int, lp: int, k: int) -> dict[tuple[ClassType, Clas
     (first l-k positions) x (diagonal k-block shared by both factors) x
     (last l'-k positions), with the flip-negating character on every block.
     """
-    assert 0 <= k <= min(l, lp)
+    if not 0 <= k <= min(l, lp):
+        raise ValueError(f"grade {k} is outside 0..min({l}, {lp})")
     out: dict[tuple[ClassType, ClassType], Fraction] = {}
     for ta in signed_class_types(l - k):
         za = signed_centralizer(ta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -48,6 +49,12 @@ MAX_VERIFY_RANK = 200
 # rank-8 side) 23 s at 199 MB
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
+# coset prints every representative with its length, an O(rank^2) inversion
+# count, so a request costs representatives x rank^2; on 2 cores with Python
+# 3.11.7 the largest admitted tables, --lprime 10 (59,049 representatives) and
+# --l 15 (32,768), took 2.8 s at 135 MB and 2.0 s at 98 MB peak RSS, where
+# --lprime 11 (177,147) took 9.8 s at 395 MB
+MAX_COSET_WORK = 2**23
 
 
 def _parse_partition(text: str):
@@ -261,6 +268,16 @@ def cmd_coset(args) -> int:
     if args.k is not None and args.k > n:
         raise ValueError(f"--k must be at most {n}, got {args.k}")
     ks = [args.k] if args.k is not None else list(range(n + 1))
+    # C(n, k) representatives per table, times 2^k head signs for the mixed block;
+    # every table has one, so a rank with rank^2 past the cap is refused uncounted
+    signs = 2 if kind == "mixed_block" else 1
+    count = sum(math.comb(n, k) * signs**k for k in ks) if n * n <= MAX_COSET_WORK else None
+    if count is None or count * n * n > MAX_COSET_WORK:
+        detail = "" if count is None else f" ({count} representatives)"
+        raise ValueError(
+            f"coset tables at rank {n}{detail} exceed the cap: "
+            f"representatives x rank^2 at most {MAX_COSET_WORK}"
+        )
     tables = []
     for k in ks:
         reps = distinguished_reps(CosetSpec(kind, n, k))

@@ -45,7 +45,8 @@ CASES = {
     "D": DualPairCase("D", 0, 2, 0, 0, False),
 }
 
-assert all(c.delta + c.delta_prime == 2 for c in CASES.values())
+if any(c.delta + c.delta_prime != 2 for c in CASES.values()):
+    raise VerificationError("every case needs delta + delta' = 2")
 
 
 def get_case(case) -> DualPairCase:
@@ -128,7 +129,8 @@ def dimension_grid(case, max_dim: int) -> list[TowerConfig]:
 def mu_of(cfg: TowerConfig) -> HalfInt:
     """Exponent parameter of the flip generator for this tower pair."""
     mu = Fraction(cfg.dimVp0 - cfg.dimV0) - Fraction(cfg.case.delta, 2)
-    assert mu_range_check(cfg.case, mu), (cfg, mu)
+    if not mu_range_check(cfg.case, mu):
+        raise VerificationError(f"{cfg} gives mu={format_half(mu)}, out of range for its case")
     return mu
 
 
@@ -148,8 +150,8 @@ def lambda_exponents(cfg: TowerConfig) -> dict:
     e = cfg.dimV0 - Fraction(cfg.dimVp0, 2) + d
     et = cfg.dimV0 - Fraction(cfg.dimVt0, 2) + d
     mu = mu_of(cfg)
-    assert et - e == mu
-    assert e + et == cfg.dimV0 + d
+    if et - e != mu or e + et != cfg.dimV0 + d:
+        raise VerificationError(f"the flip normalizations of {cfg} fail their ratio or product")
     return {
         "lambda": {"sign": "gamma", "q_exponent": e},
         "lambda_tilde": {"sign": "-gamma", "q_exponent": et},
@@ -265,7 +267,8 @@ def abundance_witness(mu, case) -> TowerConfig:
         v0 = abs(m)
         vp = v0 + m + 1
     cfg = TowerConfig(case, v0, vp, chi_minus_one=1)
-    assert mu_of(cfg) == mu
+    if mu_of(cfg) != mu:
+        raise VerificationError(f"{cfg} has mu={format_half(mu_of(cfg))}, not {format_half(mu)}")
     return cfg
 
 
@@ -336,5 +339,6 @@ def unitary2_signed_fixed_space_sum() -> int:
         else:
             fixed = 0
         total += (-2) ** fixed
-    assert count == 18, count
+    if count != 18:
+        raise VerificationError(f"the rank-2 unitary group has {count} elements, not 18")
     return total

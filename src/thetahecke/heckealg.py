@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import HalfInt, LaurentPoly, as_half
+from .laurent import HalfInt, LaurentPoly, add_product, add_shifted, as_half
 from .weylbc import (
     SignedPerm,
     gen_perm,
@@ -51,16 +51,18 @@ class HeckeParams:
 
     @property
     def flip_exponent(self) -> HalfInt:
-        assert self.flip_numer is not None
+        if self.flip_numer is None:
+            raise ValueError("the unsigned subalgebra has no flip exponent")
         return HalfInt(self.flip_numer, 2)
 
     def gen_exponent(self, g: int) -> HalfInt:
         """Exponent e with parameter nu**e for generator g."""
         if g == self.rank and self.flip_numer is not None:
             return HalfInt(self.flip_numer, 2)
-        assert 1 <= g < self.rank or (g == self.rank and self.flip_numer is None)
         if g == self.rank:
             raise ValueError("flip generator not present in the unsigned subalgebra")
+        if not 1 <= g < self.rank:
+            raise ValueError(f"no generator {g} at rank {self.rank}")
         return HalfInt(1)
 
     def allows(self, w: SignedPerm) -> bool:
@@ -129,24 +131,6 @@ class HeckeElem:
         )
 
 
-def _add_shifted(out: dict[int, int], p: dict[int, int], e: int, k: int = 1) -> None:
-    """out += k * nu^(e/2) * p for Laurent term dicts {e: c}, zeros dropped."""
-    get = out.get
-    for f, c in p.items():
-        f += e
-        s = get(f, 0) + k * c
-        if s:
-            out[f] = s
-        else:
-            del out[f]
-
-
-def _add_product(out: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
-    """out += p * q for Laurent term dicts."""
-    for e, k in q.items():
-        _add_shifted(out, p, e, k)
-
-
 def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
     """T_u * T_w as term dicts {x: {e: c}}, peeling a reduced word of w.
 
@@ -165,12 +149,12 @@ def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
         for x, c in cur.items():
             xg = mul(x, gp)
             if is_right_descent(x, g):
-                _add_shifted(nxt.setdefault(xg, {}), c, e)
+                add_shifted(nxt.setdefault(xg, {}), c, e)
                 at_x = nxt.setdefault(x, {})
-                _add_shifted(at_x, c, e)
-                _add_shifted(at_x, c, 0, -1)
+                add_shifted(at_x, c, e)
+                add_shifted(at_x, c, 0, -1)
             elif xg in nxt:
-                _add_shifted(nxt[xg], c, 0)
+                add_shifted(nxt[xg], c, 0)
             else:
                 # cur is dropped after this step, so its dicts can move
                 nxt[xg] = c
@@ -189,9 +173,9 @@ def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:
     for w, cb in b.terms.items():
         for u, ca in a.terms.items():
             scale: dict[int, int] = {}
-            _add_product(scale, ca.terms, cb.terms)
+            add_product(scale, ca.terms, cb.terms)
             for x, c in _basis_terms(params, u, w).items():
-                _add_product(acc.setdefault(x, {}), c, scale)
+                add_product(acc.setdefault(x, {}), c, scale)
     return HeckeElem({x: LaurentPoly(c) for x, c in acc.items() if c})
 
 

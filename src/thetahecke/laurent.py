@@ -3,7 +3,9 @@
 The ground ring is Z[v, v^-1] where v**2 = nu, the deformation variable.
 A ring element is stored as a sparse map ``{e: c}`` meaning ``sum c * nu**(e/2)``,
 with integer coefficients and integer exponent numerators (denominator fixed
-at 2).  Two specializations are supported exactly:
+at 2).  ``add_shifted`` and ``add_product`` are the kernels on these term
+dicts: ``LaurentPoly``'s sum and product and the Hecke algebra's basis
+products all run through them.  Two specializations are supported exactly:
 
 * ``nu = 1``  -- the integer obtained by summing all coefficients;
 * ``nu = q``  -- for an integer q >= 2, a value ``a + b*sqrt(q)`` with exact
@@ -45,6 +47,24 @@ def format_half(value: HalfInt) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/2"
 
 
+def add_shifted(out: dict[int, int], p: dict[int, int], e: int, k: int = 1) -> None:
+    """out += k * nu^(e/2) * p for Laurent term dicts {e: c}, zeros dropped."""
+    get = out.get
+    for f, c in p.items():
+        f += e
+        s = get(f, 0) + k * c
+        if s:
+            out[f] = s
+        else:
+            del out[f]
+
+
+def add_product(out: dict[int, int], p: dict[int, int], q: dict[int, int]) -> None:
+    """out += p * q for Laurent term dicts."""
+    for e, k in q.items():
+        add_shifted(out, p, e, k)
+
+
 class LaurentPoly:
     """A Laurent polynomial in nu**(1/2) with integer coefficients.
 
@@ -63,7 +83,8 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                assert isinstance(e, int) and isinstance(c, int)
+                if not (isinstance(e, int) and isinstance(c, int)):
+                    raise TypeError(f"terms need int exponents and coefficients: {e!r}: {c!r}")
                 if c:
                     clean[e] = c
         self.terms: dict[int, int] = clean
@@ -96,12 +117,7 @@ class LaurentPoly:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        add_shifted(out, other.terms, 0)
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -114,14 +130,7 @@ class LaurentPoly:
         if not self.terms or not other.terms:
             return LaurentPoly.zero()
         out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        add_product(out, self.terms, other.terms)
         return LaurentPoly(out)
 
     def scale(self, c: int) -> "LaurentPoly":
@@ -192,22 +201,20 @@ class LaurentPoly:
         >>> p.specialize_prime_power(4)
         Fraction(9, 2)
         """
-        assert q >= 2
-        r = math.isqrt(q)
-        if r * r == q:
-            total = Fraction(0)
-            for e, c in self.terms.items():
-                total += c * Fraction(r) ** e
-            return total
+        if q < 2:
+            raise ValueError(f"nu = q needs an integer q >= 2, got {q}")
         rational = Fraction(0)
         surd = Fraction(0)
         for e, c in self.terms.items():
             # nu^(e/2) = q^(e//2) * sqrt(q)^(e%2) with floor division
-            base = Fraction(q) ** (e // 2) if e % 2 == 0 else Fraction(q) ** ((e - 1) // 2)
-            if e % 2 == 0:
-                rational += c * base
+            term = c * Fraction(q) ** (e // 2)
+            if e % 2:
+                surd += term
             else:
-                surd += c * base
+                rational += term
+        r = math.isqrt(q)
+        if r * r == q:
+            return rational + surd * r
         return QuadExtValue(rational, surd, q)
 
     # -- serialization -----------------------------------------------------
@@ -235,10 +242,12 @@ class QuadExtValue:
 
     def __post_init__(self):
         r = math.isqrt(self.radicand)
-        assert self.radicand >= 2 and r * r != self.radicand, "radicand must be a non-square"
+        if self.radicand < 2 or r * r == self.radicand:
+            raise ValueError(f"the radicand must be a non-square >= 2, got {self.radicand}")
 
     def _check(self, other: "QuadExtValue"):
-        assert self.radicand == other.radicand, "mixed radicands"
+        if self.radicand != other.radicand:
+            raise ValueError(f"mixed radicands {self.radicand} and {other.radicand}")
 
     def __add__(self, other: "QuadExtValue") -> "QuadExtValue":
         self._check(other)

@@ -26,7 +26,11 @@ signed side).
 
 The unprimed flip generator is the one operator that moves between grades.
 Its action is seeded on the grade-k base vector by two explicit expansions
-(one for the flip at the last position, one for the flip at position l-k) and
+(one for the flip at the last position, one for the flip at position l-k).
+Each is a sum of labelled basis vectors: a term T_(d1) T'_(d2) T'_x e_k is
+the basis vector of label (k, d1, d2, x), because every letter of those
+reduced words is an ascent (Deodhar's lemma for the distinguished d1 and d2,
+a slot ascent for x), so no seed applies a generator.  The seeds are
 propagated to general labels through the double-coset split of d1: either d1
 fixes the last position and commutes with the flip, or d1 factors through the
 cross-block cycle and the flip conjugates to position l-k.  The crossing seed
@@ -251,10 +255,12 @@ class ThetaModule:
 
     # -- seeded flip action --
 
-    def _term(self, k: int, d1: SignedPerm, d2: SignedPerm, x: SignedPerm) -> dict:
-        """Operator word T_(d1) T'_(d2) T'_(x) applied to the grade-k base."""
-        word = _word(0, d1) + _word(1, d2) + _word(1, x)
-        return self.apply_word(word, self.basis_vec(self.unit_pos(k)))
+    def _label(self, k: int, d1: SignedPerm, d2: SignedPerm, x: SignedPerm) -> int:
+        """The position of e_(k,d1,d2,x) = T_(d1) T'_(d2) T'_x e_k, a word of ascents."""
+        p = self.pos.get((k, d1, d2, x))
+        if p is None:
+            raise VerificationError(f"{(k, d1, d2, x)} is not a label of ({self.l},{self.lp})")
+        return p
 
     def seed_flip_top(self, k: int) -> dict:
         """The flip generator applied to the grade-k base vector."""
@@ -262,22 +268,19 @@ class ThetaModule:
             return self.seed_flip_inner(0)  # the inner flip at position l-0 is the flip itself
         l, lp, mu = self.l, self.lp, self.mu
         nu = LaurentPoly.nu_power
-        out: dict = {}
-        top = self._term(k, identity(l), flip_at(k, lp), identity(k))
-        _add_scaled(out, top.items(), nu(k - lp + mu, -1).terms)
+        unit, slot = identity(l), identity(k)
+        parts = [(self._label(k, unit, flip_at(k, lp), slot), nu(k - lp + mu, -1).terms)]
         # bracket, entering with weight nu^(k-l'+1) - nu^(k-l')
         bracket = nu(k - lp + 1) + nu(k - lp, -1)
         c = (bracket * nu(mu)).terms
         for i in range(k + 1, lp + 1):
-            t = self._term(k, identity(l), mul(flip_at(i, lp), swap_range(k, i, lp)), identity(k))
-            _add_scaled(out, t.items(), c)
+            parts.append((self._label(k, unit, mul(flip_at(i, lp), swap_range(k, i, lp)), slot), c))
         c_low = (bracket * nu(-1, -1)).terms
-        low = self._term(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
-        _add_scaled(out, low.items(), c_low)
+        low = self._label(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
+        parts.append((low, c_low))
         for i in range(k, lp + 1):
-            t = self._term(k, identity(l), swap_range(k, i, lp), identity(k))
-            _add_scaled(out, t.items(), c_low)
-        return out
+            parts.append((self._label(k, unit, swap_range(k, i, lp), slot), c_low))
+        return dict(_column(*parts))
 
     def seed_flip_inner(self, k: int) -> dict:
         """The flip at position l-k applied to the grade-k base vector.
@@ -289,22 +292,21 @@ class ThetaModule:
             raise ValueError(f"the inner flip seed needs 0 <= k < l = {self.l}, got k = {k}")
         l, lp, mu = self.l, self.lp, self.mu
         nu = LaurentPoly.nu_power
-        out = dict(_column((self.unit_pos(k), nu(2 * k - lp, -1).terms)))
+        unit = identity(l)
+        parts = [(self.unit_pos(k), nu(2 * k - lp, -1).terms)]
         scale = nu(k - lp, -1)
         if k < lp:
             slot_up = swap_range(1, k + 1, k + 1)
             flipped_scale = (scale * nu(mu + 1, -1)).terms
             for i in range(k + 1, lp + 1):
-                plain = self._term(k + 1, identity(l), swap_range(k + 1, i, lp), slot_up)
-                _add_scaled(out, plain.items(), scale.terms)
-                flipped = self._term(
-                    k + 1, identity(l), mul(flip_at(i, lp), swap_range(k + 1, i, lp)), slot_up
-                )
-                _add_scaled(out, flipped.items(), flipped_scale)
+                cycle = swap_range(k + 1, i, lp)
+                parts.append((self._label(k + 1, unit, cycle, slot_up), scale.terms))
+                flipped = mul(flip_at(i, lp), cycle)
+                parts.append((self._label(k + 1, unit, flipped, slot_up), flipped_scale))
         for i in range(1, k + 1):
-            t = self._term(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
-            _add_scaled(out, t.items(), (scale * (nu(k - i + 1) + nu(k - i, -1))).terms)
-        return out
+            p = self._label(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
+            parts.append((p, (scale * (nu(k - i + 1) + nu(k - i, -1))).terms))
+        return dict(_column(*parts))
 
     def _col_flip(self, p: int):
         if self.l < 1:

@@ -17,6 +17,7 @@ closed form and checked against descent criteria.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,8 @@ def mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     >>> mul((2, 1), (1, -2))
     (2, -1)
     """
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError(f"cannot compose ranks {len(a)} and {len(b)}")
     out = []
     for v in b:
         img = a[abs(v) - 1]
@@ -58,7 +60,8 @@ def inv(w: SignedPerm) -> SignedPerm:
 
 def gen_perm(g: int, l: int) -> SignedPerm:
     """The generator with index g (swap for g < l, sign flip for g == l)."""
-    assert 1 <= g <= l
+    if not 1 <= g <= l:
+        raise ValueError(f"no generator {g} at rank {l}")
     img = list(range(1, l + 1))
     if g == l:
         img[l - 1] = -l
@@ -192,7 +195,8 @@ def flip_at(k: int, l: int) -> SignedPerm:
     >>> flip_at(1, 2)
     (-1, 2)
     """
-    assert 1 <= k <= l
+    if not 1 <= k <= l:
+        raise ValueError(f"no position {k} at rank {l}")
     img = list(range(1, l + 1))
     img[k - 1] = -k
     return tuple(img)
@@ -200,13 +204,15 @@ def flip_at(k: int, l: int) -> SignedPerm:
 
 def swap_range(i: int, j: int, l: int) -> SignedPerm:
     """The cycle product s_(j-1)...s_i for i <= j (identity when i == j)."""
-    assert 1 <= i <= j <= l
+    if not 1 <= i <= j <= l:
+        raise ValueError(f"swap_range needs 1 <= i <= j <= l, got {(i, j, l)}")
     return word_to_perm(list(range(j - 1, i - 1, -1)), l)
 
 
 def cross_block_cycle(l: int, k: int) -> SignedPerm:
     """The product s_(l-1) s_(l-2) ... s_(l-k); identity for k == 0."""
-    assert 0 <= k <= l - 1 or (k == 0 and l >= 0)
+    if not (0 <= k < l or k == 0 <= l):
+        raise ValueError(f"the cross-block cycle needs 0 <= k < l or k = 0, got {(k, l)}")
     return word_to_perm(list(range(l - 1, l - k - 1, -1)), l)
 
 
@@ -229,8 +235,8 @@ class CosetSpec:
     k: int
 
     def __post_init__(self):
-        assert self.kind in ("sym_block", "mixed_block")
-        assert 0 <= self.k <= self.n
+        if self.kind not in ("sym_block", "mixed_block") or not 0 <= self.k <= self.n:
+            raise ValueError(f"no coset shape {self.kind} with n={self.n}, k={self.k}")
 
     def parabolic_gens(self) -> list[int]:
         n, k = self.n, self.k
@@ -244,7 +250,8 @@ class CosetSpec:
 
 def is_distinguished(w: SignedPerm, spec: CosetSpec) -> bool:
     """No right descent at any parabolic generator."""
-    assert len(w) == spec.n
+    if len(w) != spec.n:
+        raise ValueError(f"{w} is not of rank {spec.n}")
     return not any(is_right_descent(w, g) for g in spec.parabolic_gens())
 
 
@@ -418,20 +425,21 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return _partitions(n)
 
 
-def _centralizer_factor(lam: tuple[int, ...]) -> int:
-    out = 1
-    for j in set(lam):
-        m = lam.count(j)
-        f = 1
-        for i in range(1, m + 1):
-            f *= i
-        out *= (2 * j) ** m * f
-    return out
+def signed_centralizer(cls: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """The centralizer order of the class of signed cycle type cls = (lam, mu):
+    a j-cycle of either sign repeated m times contributes (2j)^m m!."""
+    z = 1
+    for rho in cls:
+        for v in set(rho):
+            m = rho.count(v)
+            z *= (2 * v) ** m * math.factorial(m)
+    return z
 
 
 def class_rep(lam: tuple[int, ...], mu: tuple[int, ...], l: int) -> SignedPerm:
     """A block representative with the given signed cycle type."""
-    assert sum(lam) + sum(mu) == l
+    if sum(lam) + sum(mu) != l:
+        raise ValueError(f"the type {(lam, mu)} is not of rank {l}")
     img = [0] * l
     pos = 0
     for j in lam:
@@ -453,7 +461,7 @@ def conjugacy_classes(l: int) -> list[dict]:
     for a in range(l + 1):
         for lam in partitions(a):
             for mu in partitions(l - a):
-                size = order // (_centralizer_factor(lam) * _centralizer_factor(mu))
+                size = order // signed_centralizer((lam, mu))
                 out.append(
                     {
                         "type": (lam, mu),

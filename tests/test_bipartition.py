@@ -1,5 +1,6 @@
 """Partition combinatorics, characters of both group families, lifts."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from thetahecke.bipartition import (
     wl_char_table,
     wl_inner,
 )
+from thetahecke.weylbc import all_signed_perms, conjugacy_classes, cycle_type, group_order
 from thetahecke.weylbc import partitions as partitions_of
 
 # -- plain partitions ----------------------------------------------------------
@@ -171,6 +173,18 @@ def test_class_data_partitions_group():
     for m in range(1, 5):
         order = 2**m * math.factorial(m)
         assert sum(order // signed_centralizer(c) for c in signed_class_types(m)) == order
+
+
+@pytest.mark.parametrize("l", range(7))
+def test_conjugacy_classes_share_the_class_vocabulary(l):
+    """The classes of W_l carry the types of signed_class_types(l), sized by signed_centralizer."""
+    classes = conjugacy_classes(l)
+    assert sorted(c["type"] for c in classes) == sorted(signed_class_types(l))
+    for c in classes:
+        assert c["size"] == group_order(l) // signed_centralizer(c["type"])
+    if l <= 5:
+        sizes = Counter(map(cycle_type, all_signed_perms(l)))
+        assert sizes == {c["type"]: c["size"] for c in classes}
 
 
 def test_trivial_and_sign_labels():

@@ -280,6 +280,32 @@ def test_specialize_decompose_size_cap(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "caps" in err
 
 
+@pytest.mark.parametrize(
+    "argv, admitted",
+    [
+        (("--lprime", "30"), False),
+        (("--l", "40"), False),
+        (("--lprime", "11"), False),
+        (("--l", "16"), False),
+        (("--l", "2897", "--k", "0"), False),
+        (("--lprime", "10"), True),
+        (("--l", "15"), True),
+        (("--l", "2896", "--k", "0"), True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_coset_size_cap(capsys, monkeypatch, argv, admitted):
+    """Tables past representatives x rank^2 are refused from their closed-form count."""
+    # a refused request must not list a representative; an admitted one lists none here
+    monkeypatch.setattr(cli, "distinguished_reps", (lambda spec: ()) if admitted else None)
+    code, out, err = run(capsys, "coset", *argv)
+    if admitted:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
 # -- failed verifications: exit 1, one stderr line, nothing on stdout ------------------
 
 

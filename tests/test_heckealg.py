@@ -221,3 +221,5 @@ def test_unsigned_subalgebra_has_no_flip():
     params = HeckeParams.unsigned(3)
     with pytest.raises(ValueError):
         params.gen_exponent(3)
+    with pytest.raises(ValueError, match="no flip exponent"):
+        params.flip_exponent

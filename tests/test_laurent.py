@@ -84,6 +84,18 @@ def test_quadext_is_exact():
     assert prod.surd == Fraction(-1, 6) + Fraction(6)
 
 
+def test_bad_specializations_raise():
+    """Explicit checks, so they hold under python -O too."""
+    with pytest.raises(ValueError, match="non-square"):
+        QuadExtValue(Fraction(1), Fraction(1), 4)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        QuadExtValue(Fraction(1), Fraction(1), 2) + QuadExtValue(Fraction(1), Fraction(1), 3)
+    with pytest.raises(ValueError, match="q >= 2"):
+        LaurentPoly.one().specialize_prime_power(1)
+    with pytest.raises(TypeError, match="int exponents"):
+        LaurentPoly({Fraction(1, 2): 1})
+
+
 def test_json_round_trip_sorted_keys():
     p = LaurentPoly({3: 1, -2: 2})
     obj = p.to_json_obj()

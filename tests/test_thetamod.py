@@ -13,7 +13,7 @@ import pytest
 from thetahecke import VerificationError
 from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
-from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
+from thetahecke.thetamod import GroupRepAtOne, ThetaModule, _word, grade_dim_formula
 from thetahecke.weylbc import cross_block_cycle, flip_at, gen_perm, identity, inv, reduced_word
 
 MU = Fraction(1, 2)
@@ -254,8 +254,21 @@ def test_grade_count_mismatch_is_a_verification_error(monkeypatch):
         ThetaModule(1, 1, MU)
 
 
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2)], ids=str)
+def test_labels_are_words_of_ascents(mu):
+    """e_(k,d1,d2,x) = T_(d1) T'_(d2) T'_x e_k, so the flip seeds name their terms by label."""
+    shapes = [(l, lp) for l in range(4) for lp in range(4)] + [(4, 2), (2, 4)]
+    for l, lp in shapes:
+        mod = ThetaModule(l, lp, mu)
+        for p, (k, d1, d2, x) in enumerate(mod.basis):
+            word = _word(0, d1) + _word(1, d2) + _word(1, x)
+            assert mod.apply_word(word, mod.basis_vec(mod.unit_pos(k))) == {(p, 0): 1}
+
+
 def test_flip_seeds_and_columns_check_their_range():
     mod = ThetaModule(2, 2, MU)
+    with pytest.raises(VerificationError, match="not a label"):
+        mod._label(1, identity(2), identity(2), identity(2))
     for k in (-1, 2):
         with pytest.raises(ValueError, match="inner flip seed"):
             mod.seed_flip_inner(k)

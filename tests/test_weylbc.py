@@ -86,6 +86,11 @@ def test_special_elements():
 
     assert swap_range(2, 2, 4) == identity(4)
     assert swap_range(1, 3, 4) == word_to_perm([2, 1], 4)
+    # explicit checks, so they hold under python -O too
+    with pytest.raises(ValueError, match="no generator 0"):
+        gen_perm(0, 3)
+    with pytest.raises(ValueError, match="cannot compose"):
+        mul((1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize(
