@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from . import VerificationError
-from .weylbc import group_order, partitions, signed_centralizer
+from .weylbc import bipartitions, group_order, partitions, signed_centralizer
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -35,16 +35,6 @@ def check_partition(lam) -> Partition:
     if not all(a >= b for a, b in zip(lam, lam[1:])) or not all(x > 0 for x in lam):
         raise ValueError(f"not a partition: {lam}")
     return lam
-
-
-def bipartitions(m: int) -> list[Bipartition]:
-    """All bipartitions of total size m, deterministic order."""
-    out = []
-    for a in range(m + 1):
-        for alpha in partitions(a):
-            for beta in partitions(m - a):
-                out.append((alpha, beta))
-    return out
 
 
 def part_union(lam: Partition, mu: Partition) -> Partition:

@@ -55,6 +55,11 @@ MAX_SPECIALIZE_DIM = 5000
 # --l 15 (32,768), took 2.8 s at 135 MB and 2.0 s at 98 MB peak RSS, where
 # --lprime 11 (177,147) took 9.8 s at 395 MB
 MAX_COSET_WORK = 2**23
+# conservation-scan checks every bipartition of every rank up to --lmax, and
+# its memory about doubles every two ranks; on 2 cores with Python 3.11.7,
+# --lmax 16 (17,345 labels) took 5.6 s at 73 MB peak RSS, --lmax 18 (38,045)
+# 15 s at 142 MB, and --lmax 20 (80,377) 39 s at 285 MB
+MAX_SCAN_LMAX = 18
 
 
 def _parse_partition(text: str):
@@ -177,6 +182,8 @@ def cmd_first_occurrence(args) -> int:
 
 
 def cmd_conservation_scan(args) -> int:
+    if args.lmax > MAX_SCAN_LMAX:
+        raise ValueError(f"--lmax {args.lmax} exceeds the conservation-scan cap {MAX_SCAN_LMAX}")
     cfg = _tower_config(args)
     rows = []
     all_zero = True

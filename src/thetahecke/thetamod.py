@@ -40,18 +40,20 @@ s_(l-k) ... s_(l-1): k inverse swap steps, each T_g^-1 = nu^-1 T_g +
 
 Everything is exact: coefficients are Laurent polynomials in nu**(1/2), and
 the relation suite is checked symbolically, column by column.  On that hot
-path a vector is a dict {(p, e): c}, the integer c times nu**(e/2) at basis
-position p, and a column is a sorted tuple of ((r, e), c) pairs: one
-polynomial coefficient becomes one entry per exponent, all plain ints.  Any
-specialization (nu = 1, nu = q) is the image of this generic module under a
-ring homomorphism, so the symbolic check proves the specialized relations too.
+path a vector is a dict {e*dim + p: c}, the integer c times nu**(e/2) at
+basis position p (divmod(key, dim) gives (e, p) for either sign of e), and a
+column is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient
+becomes one entry per exponent, all plain ints.  Any specialization (nu = 1,
+nu = q) is the image of this generic module under a ring homomorphism, so
+the symbolic check proves the specialized relations too; at nu = 1 it is
+key -> key mod dim, and the columns keep the same type.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import VerificationError
 from .laurent import HalfInt, LaurentPoly, as_half
@@ -77,7 +79,7 @@ from .weylbc import (
 BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 
-# -- sparse vectors keyed by (basis position, exponent of nu^(1/2)) ----------
+# -- sparse vectors keyed by e*dim + p: exponent e of nu^(1/2), position p ---
 
 # coefficients as {e: c} term dicts: 1, -1, nu, nu - 1, nu^-1 and nu^-1 - 1
 _ONE = {0: 1}
@@ -88,25 +90,39 @@ _NU_INV = {-2: 1}
 _NU_INV_MINUS_ONE = {-2: 1, 0: -1}
 
 
-def _add_scaled(out: dict, pairs, terms: dict) -> None:
-    """out += terms * v, for v given by its ((position, exponent), coefficient)
-    pairs and terms the {e: c} dict of a Laurent polynomial."""
-    for (p, e), a in pairs:
+def _add_scaled(out: dict, pairs, terms: dict, dim: int) -> None:
+    """out += terms * v, for v given by its (key, coefficient) pairs and terms
+    the {f: c} dict of a Laurent polynomial: nu^(f/2) adds f*dim to a key."""
+    for key, a in pairs:
         for f, c in terms.items():
-            key = (p, e + f)
-            s = out.get(key, 0) + c * a
+            k = key + f * dim
+            s = out.get(k, 0) + c * a
             if s:
-                out[key] = s
+                out[k] = s
             else:
-                out.pop(key, None)
+                out.pop(k, None)
 
 
-def _column(*parts: tuple[int, dict]) -> tuple:
-    """The sorted ((r, e), c) entries of sum terms * e_r over (r, terms) parts."""
+def _column(dim: int, *parts: tuple[int, dict]) -> tuple:
+    """The sorted (key, c) entries of sum terms * e_r over (r, terms) parts."""
     out: dict = {}
     for r, terms in parts:
-        _add_scaled(out, (((r, 0), 1),), terms)
+        _add_scaled(out, ((r, 1),), terms, dim)
     return tuple(sorted(out.items()))
+
+
+def _apply(cols, vec: dict, dim: int) -> dict:
+    """The matrix with the given columns applied to a vector: the entry at
+    key e*dim + p meets column p, whose entry f*dim + r lands at (e+f)*dim + r."""
+    out: dict = {}
+    get = out.get
+    for key, c in vec.items():
+        p = key % dim
+        base = key - p
+        for off, a in cols[p]:
+            k = base + off
+            out[k] = get(k, 0) + c * a
+    return {k: c for k, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +185,7 @@ class ThetaModule:
         self.pos: dict[BasisIndex, int] = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
 
-        self._cols: dict[tuple, dict[int, tuple]] = {}
+        self._cols: dict[tuple, list[tuple]] = {}
         self._seeds: dict[tuple[str, int], dict] = {}
 
     # -- bookkeeping --
@@ -181,34 +197,27 @@ class ThetaModule:
         return self.pos[(k, identity(self.l), identity(self.lp), identity(k))]
 
     def basis_vec(self, p: int) -> dict:
-        return {(p, 0): 1}
+        return {p: 1}
 
     def gen_keys(self) -> list[tuple[int, int]]:
         return [(0, g) for g in range(1, self.l + 1)] + [(1, g) for g in range(1, self.lp + 1)]
 
     # -- generator columns --
 
-    def column(self, key: tuple, p: int):
-        table = self._cols.setdefault(key, {})
-        col = table.get(p)
-        if col is None:
-            col = self._col_flip(p) if key == (0, self.l) else self._col_transfer(*key, p)
-            table[p] = col
-        return col
+    def matrix(self, key: tuple) -> list[tuple]:
+        """Every column of a generator, built on first use (the flip's columns
+        apply the other generators, never the flip)."""
+        cols = self._cols.get(key)
+        if cols is None:
+            build = self._col_flip if key == (0, self.l) else partial(self._col_transfer, *key)
+            cols = self._cols[key] = [build(p) for p in range(self.dim)]
+        return cols
 
-    def materialize_columns(self) -> None:
-        for key in self.gen_keys():
-            for p in range(self.dim):
-                self.column(key, p)
+    def column(self, key: tuple, p: int) -> tuple:
+        return self.matrix(key)[p]
 
     def apply_gen(self, key: tuple, vec: dict) -> dict:
-        out: dict = {}
-        get = out.get
-        for (p, e), c in vec.items():
-            for (r, f), a in self.column(key, p):
-                rf = (r, e + f)
-                out[rf] = get(rf, 0) + c * a
-        return {rf: c for rf, c in out.items() if c}
+        return _apply(self.matrix(key), vec, self.dim)
 
     def apply_word(self, keys, vec: dict) -> dict:
         """Apply a sequence of generator keys; the rightmost acts first."""
@@ -228,30 +237,30 @@ class ThetaModule:
         if res[0] == "coset":
             np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
             if res[2] > 0:
-                return _column((np_, _ONE))
+                return _column(self.dim, (np_, _ONE))
             if side == 1 and g == self.lp:
                 par, par_minus_one = _quad_terms(-1 - self.mu)
-                return _column((np_, par), (p, par_minus_one))
-            return _column((np_, _NU), (p, _NU_MINUS_ONE))
+                return _column(self.dim, (np_, par), (p, par_minus_one))
+            return _column(self.dim, (np_, _NU), (p, _NU_MINUS_ONE))
         # the transfer lands on parabolic generator h; only h decides the action
         h = res[1]
         if side == 0:
             if h < self.l - k:
-                return _column((p, _NU))
+                return _column(self.dim, (p, _NU))
             h -= self.l - k
             y = mul(x, gen_perm(h, k))
             descent = is_right_descent(x, h)
         else:
             if h == self.lp:
-                return _column((p, _MINUS_ONE))
+                return _column(self.dim, (p, _MINUS_ONE))
             if h > k:
-                return _column((p, _NU))
+                return _column(self.dim, (p, _NU))
             y = mul(gen_perm(h, k), x)
             descent = is_right_descent(inv(x), h)
         yp = self.pos[(k, d1, d2, y)]
         if not descent:
-            return _column((yp, _ONE))
-        return _column((yp, _NU), (p, _NU_MINUS_ONE))
+            return _column(self.dim, (yp, _ONE))
+        return _column(self.dim, (yp, _NU), (p, _NU_MINUS_ONE))
 
     # -- seeded flip action --
 
@@ -280,7 +289,7 @@ class ThetaModule:
         parts.append((low, c_low))
         for i in range(k, lp + 1):
             parts.append((self._label(k, unit, swap_range(k, i, lp), slot), c_low))
-        return dict(_column(*parts))
+        return dict(_column(self.dim, *parts))
 
     def seed_flip_inner(self, k: int) -> dict:
         """The flip at position l-k applied to the grade-k base vector.
@@ -306,7 +315,7 @@ class ThetaModule:
         for i in range(1, k + 1):
             p = self._label(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
             parts.append((p, (scale * (nu(k - i + 1) + nu(k - i, -1))).terms))
-        return dict(_column(*parts))
+        return dict(_column(self.dim, *parts))
 
     def _col_flip(self, p: int):
         if self.l < 1:
@@ -322,8 +331,8 @@ class ThetaModule:
                 vec = self.seed_flip_inner(k)
                 for g in range(self.l - k, self.l):
                     out: dict = {}
-                    _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV)
-                    _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE)
+                    _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV, self.dim)
+                    _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE, self.dim)
                     vec = out
             self._seeds[(branch, k)] = vec
         vec = self.apply_word(_word(1, d2) + _word(1, x) + _word(0, first), vec)
@@ -386,8 +395,8 @@ class ThetaModule:
         w = self.apply_gen(chk["gen"], vec)
         lhs = self.apply_gen(chk["gen"], w)
         rhs: dict = {}
-        _add_scaled(rhs, w.items(), par_minus_one)
-        _add_scaled(rhs, vec.items(), par)
+        _add_scaled(rhs, w.items(), par_minus_one, self.dim)
+        _add_scaled(rhs, vec.items(), par, self.dim)
         return lhs, rhs
 
     def verify_relations(self) -> dict:
@@ -399,17 +408,18 @@ class ThetaModule:
         """
         report = []
         all_ok = True
+        dim = self.dim
         for chk in self.relation_suite():
             t0 = time.perf_counter()
             failure = None
-            for p in range(self.dim):
+            for p in range(dim):
                 v = self.basis_vec(p)
                 lhs, rhs = self.relation_sides(chk, v)
                 if lhs != rhs:
                     diff: dict = dict(lhs)
-                    _add_scaled(diff, rhs.items(), _MINUS_ONE)
-                    bad = min(r for r, _ in diff)
-                    residual = LaurentPoly({e: c for (r, e), c in diff.items() if r == bad})
+                    _add_scaled(diff, rhs.items(), _MINUS_ONE, dim)
+                    bad = min(k % dim for k in diff)
+                    residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
                     failure = {
                         "column": self._index_obj(p),
                         "entry": self._index_obj(bad),
@@ -436,30 +446,19 @@ class ThetaModule:
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
-        """Every generator at nu = 1, as its dim sparse integer columns {r: c}."""
+        """Every generator at nu = 1: each key reduced mod dim, so the columns
+        are sorted tuples of (r, c) with the exponents summed out."""
         mats = {}
         for key in self.gen_keys():
-            cols = []
-            for p in range(self.dim):
-                col: dict = {}
-                for (r, _), c in self.column(key, p):
-                    col[r] = col.get(r, 0) + c
-                cols.append({r: c for r, c in col.items() if c})
-            mats[key] = cols
+            cols = mats[key] = []
+            for col in self.matrix(key):
+                out: dict = {}
+                _add_scaled(out, ((k % self.dim, c) for k, c in col), _ONE, self.dim)
+                cols.append(tuple(sorted(out.items())))
         return mats
 
 
 # -- nu = 1 representation of the product of signed groups -------------------
-
-
-def _apply_at_one(cols: list, vec: dict) -> dict:
-    """The matrix with the given sparse columns, applied to a sparse vector."""
-    out: dict = {}
-    get = out.get
-    for p, c in vec.items():
-        for r, a in cols[p].items():
-            out[r] = get(r, 0) + c * a
-    return {r: c for r, c in out.items() if c}
 
 
 class GroupRepAtOne:
@@ -479,7 +478,7 @@ class GroupRepAtOne:
         cols = self._identity
         for key in reversed(keys):
             m = self._mats[key]
-            cols = [_apply_at_one(m, col) for col in cols]
+            cols = [_apply(m, col, self.dim) for col in cols]
         return cols
 
     def check_group_relations(self) -> None:

@@ -425,6 +425,16 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return _partitions(n)
 
 
+def bipartitions(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All bipartitions of total size m, deterministic order."""
+    out = []
+    for a in range(m + 1):
+        for alpha in partitions(a):
+            for beta in partitions(m - a):
+                out.append((alpha, beta))
+    return out
+
+
 def signed_centralizer(cls: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
     """The centralizer order of the class of signed cycle type cls = (lam, mu):
     a j-cycle of either sign repeated m times contributes (2j)^m m!."""
@@ -456,19 +466,11 @@ def class_rep(lam: tuple[int, ...], mu: tuple[int, ...], l: int) -> SignedPerm:
 def conjugacy_classes(l: int) -> list[dict]:
     """Classes of the rank-l signed group: signed cycle type pairs with
     representative and size (order / centralizer product)."""
-    out = []
     order = group_order(l)
-    for a in range(l + 1):
-        for lam in partitions(a):
-            for mu in partitions(l - a):
-                size = order // signed_centralizer((lam, mu))
-                out.append(
-                    {
-                        "type": (lam, mu),
-                        "rep": class_rep(lam, mu, l),
-                        "size": size,
-                    }
-                )
+    out = []
+    for lam, mu in bipartitions(l):
+        size = order // signed_centralizer((lam, mu))
+        out.append({"type": (lam, mu), "rep": class_rep(lam, mu, l), "size": size})
     out.sort(key=lambda c: c["type"])
     return out
 

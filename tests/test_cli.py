@@ -206,6 +206,27 @@ def test_conservation_scan_cli(capsys):
     assert all(r["residual_double_c"] == 0 for r in obj["rows"])
 
 
+@pytest.mark.parametrize(
+    "lmax, admitted", [(cli.MAX_SCAN_LMAX, True), (cli.MAX_SCAN_LMAX + 1, False), (1000, False)]
+)
+def test_conservation_scan_size_cap(capsys, monkeypatch, lmax, admitted):
+    """--lmax past the cap is refused before any label is listed or checked."""
+    stub = {k: 0 for k in ("n", "n_tilde", "c", "rhs", "residual_double_c", "residual_single_c")}
+    # a refused request must not check a label; an admitted one checks each against the stub
+    monkeypatch.setattr(cli, "conservation_check", (lambda *args: stub) if admitted else None)
+    if not admitted:
+        monkeypatch.setattr(cli, "bipartitions", None)
+    code, out, err = run(
+        capsys, "conservation-scan", "--lmax", str(lmax), "--case", "A", "--dimV0", "0", "--dimVp0", "1"
+    )
+    if admitted:
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["rows"]) == sum(len(weylbc.bipartitions(l)) for l in range(lmax + 1))
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
 def test_tower_flags_are_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conservation-scan", "--lmax", "1", "--case", "A"])
@@ -323,8 +344,9 @@ def test_specialize_decompose_reports_broken_relation(capsys, monkeypatch, gen, 
 
     def corrupted(self):
         mats = real(self)
-        col = mats[gen][0]
+        col = dict(mats[gen][0])
         col[0] = col.get(0, 0) + 1
+        mats[gen][0] = tuple(sorted(col.items()))
         return mats
 
     monkeypatch.setattr(ThetaModule, "matrices_at_one", corrupted)

@@ -1,7 +1,8 @@
 """The graded bimodule: basis, generator columns, relation suite, the nu = 1 group pair.
 
-Vectors and columns hold (position, exponent) keys: {(p, e): c} is the
-integer c times nu^(e/2) at basis position p.
+Vectors and columns hold one integer key per entry: {e*dim + p: c} is the
+integer c times nu^(e/2) at basis position p, and _pe decodes a key to (p, e).
+At nu = 1 a key is reduced mod dim to its position.
 """
 
 import hashlib
@@ -19,6 +20,17 @@ from thetahecke.weylbc import cross_block_cycle, flip_at, gen_perm, identity, in
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
 HUGE_MU = Fraction(1000000000000000000000000000001, 2)
+
+
+def _pe(mod: ThetaModule, key: int) -> tuple[int, int]:
+    """The (position, exponent) of a vector key e*dim + p."""
+    e, p = divmod(key, mod.dim)
+    return p, e
+
+
+def _decoded(mod: ThetaModule, vec) -> dict:
+    """A vector or column as {(p, e): c}."""
+    return {_pe(mod, key): c for key, c in dict(vec).items()}
 
 
 # -- basis ----------------------------------------------------------------------
@@ -67,8 +79,8 @@ def test_rank_one_flip_column_frozen():
         (mod.pos[(1, e1, e1, (1,))], -2): -1,
         (mod.pos[(1, e1, flip_at(1, 1), (1,))], 1): 1,
     }
-    assert dict(col) == want
-    assert col == tuple(sorted(want.items()))
+    assert _decoded(mod, col) == want
+    assert col == tuple(sorted((e * mod.dim + p, c) for (p, e), c in want.items()))
 
 
 def test_bottom_grade_eigenvectors():
@@ -78,10 +90,10 @@ def test_bottom_grade_eigenvectors():
         mod = ThetaModule(l, lp, MU)
         v = mod.basis_vec(mod.unit_pos(0))
         for i in range(1, l):
-            assert mod.apply_gen((0, i), v) == {(mod.unit_pos(0), 2): 1}
+            assert _decoded(mod, mod.apply_gen((0, i), v)) == {(mod.unit_pos(0), 2): 1}
         for i in range(1, lp):
-            assert mod.apply_gen((1, i), v) == {(mod.unit_pos(0), 2): 1}
-        assert mod.apply_gen((1, lp), v) == {(mod.unit_pos(0), 0): -1}
+            assert _decoded(mod, mod.apply_gen((1, i), v)) == {(mod.unit_pos(0), 2): 1}
+        assert _decoded(mod, mod.apply_gen((1, lp), v)) == {(mod.unit_pos(0), 0): -1}
 
 
 def test_apply_word_composes_columns():
@@ -98,9 +110,9 @@ def test_apply_word_composes_columns():
 # a {p: LaurentPoly} reference of one generator application, with LaurentPoly arithmetic
 
 
-def _to_poly_vec(vec: dict) -> dict:
+def _to_poly_vec(mod: ThetaModule, vec) -> dict:
     out: dict = {}
-    for (p, e), c in vec.items():
+    for (p, e), c in _decoded(mod, vec).items():
         out.setdefault(p, {})[e] = c
     return {p: LaurentPoly(terms) for p, terms in out.items()}
 
@@ -108,7 +120,7 @@ def _to_poly_vec(vec: dict) -> dict:
 def _reference_apply_gen(mod: ThetaModule, key: tuple, vec: dict) -> dict:
     out: dict = {}
     for p, c in vec.items():
-        for r, a in _to_poly_vec(dict(mod.column(key, p))).items():
+        for r, a in _to_poly_vec(mod, mod.column(key, p)).items():
             s = out.get(r, LaurentPoly.zero()) + c * a
             if s:
                 out[r] = s
@@ -120,13 +132,16 @@ def _reference_apply_gen(mod: ThetaModule, key: tuple, vec: dict) -> dict:
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
 def test_apply_word_matches_laurent_reference(shape):
     """On random sparse integer vectors and random words, the integer
-    (position, exponent) arithmetic equals LaurentPoly arithmetic."""
+    e*dim + p arithmetic equals LaurentPoly arithmetic, also for exponents
+    far past any fixed-width packing, of either sign."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     mod = ThetaModule(*shape, MU)
     keys = mod.gen_keys()
+    far = 2 * 10**30 + 1
+    exponents = st.one_of(st.integers(-8, 8), st.sampled_from([far, -far]))
     vectors = st.dictionaries(
-        st.tuples(st.integers(0, mod.dim - 1), st.integers(-8, 8)),
+        st.builds(lambda p, e: e * mod.dim + p, st.integers(0, mod.dim - 1), exponents),
         st.integers(-5, 5).filter(bool),
         max_size=6,
     )
@@ -134,10 +149,10 @@ def test_apply_word_matches_laurent_reference(shape):
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     @hypothesis.given(vec=vectors, word=st.lists(st.sampled_from(keys), max_size=5))
     def check(vec, word):
-        want = _to_poly_vec(vec)
+        want = _to_poly_vec(mod, vec)
         for key in reversed(word):
             want = _reference_apply_gen(mod, key, want)
-        assert _to_poly_vec(mod.apply_word(word, vec)) == want
+        assert _to_poly_vec(mod, mod.apply_word(word, vec)) == want
 
     check()
 
@@ -155,7 +170,7 @@ FROZEN_COLUMN_DIGESTS = {
 def test_columns_frozen_rank_three(mu):
     mod = ThetaModule(3, 3, mu)
     doc = [
-        [list(key), p, sorted([r, e, c] for (r, e), c in mod.column(key, p))]
+        [list(key), p, sorted([*_pe(mod, k), c] for k, c in mod.column(key, p))]
         for key in mod.gen_keys()
         for p in range(mod.dim)
     ]
@@ -193,13 +208,17 @@ def test_relations_hold_asymmetric_shapes():
 
 
 def _corrupt(mod: ThetaModule, key: tuple, p: int, e: int) -> None:
-    """Add nu^(e/2) to the first (lowest-row) entry's row of a built column."""
-    mod.materialize_columns()
-    table = mod._cols[key]
+    """Add nu^(e/2) to the lowest row of a column, once every generator is
+    built, so no other column is built from the corrupted one."""
+    for g in mod.gen_keys():
+        mod.matrix(g)
+    table = mod.matrix(key)
     col = dict(table[p])
-    (r, _), _ = table[p][0]
-    col[(r, e)] = col.get((r, e), 0) + 1
-    table[p] = tuple(sorted((re, c) for re, c in col.items() if c))
+    # columns sort by (e, r), so the lowest row is not the first entry
+    r = min(_pe(mod, k)[0] for k in col)
+    k = e * mod.dim + r
+    col[k] = col.get(k, 0) + 1
+    table[p] = tuple(sorted((k, c) for k, c in col.items() if c))
 
 
 BOTTOM = {"k": 0, "d1": [1, 2], "d2": [1, 2], "x": []}
@@ -233,7 +252,7 @@ def test_corrupted_column_is_reported_at_huge_mu():
     p = mod.pos[(1, (1, 2), (-2, 1), (1,))]
     r = mod.pos[(1, (1, 2), (2, 1), (1,))]
     e = int(2 * (-1 - HUGE_MU))
-    assert mod.column((1, 2), p)[0] == ((r, e), 1)
+    assert mod.column((1, 2), p)[0] == (e * mod.dim + r, 1)
     _corrupt(mod, (1, 2), p, e)
     rep = mod.verify_relations()
     bad = [r for r in rep["relations"] if not r["ok"]]
@@ -262,7 +281,7 @@ def test_labels_are_words_of_ascents(mu):
         mod = ThetaModule(l, lp, mu)
         for p, (k, d1, d2, x) in enumerate(mod.basis):
             word = _word(0, d1) + _word(1, d2) + _word(1, x)
-            assert mod.apply_word(word, mod.basis_vec(mod.unit_pos(k))) == {(p, 0): 1}
+            assert _decoded(mod, mod.apply_word(word, mod.basis_vec(mod.unit_pos(k)))) == {(p, 0): 1}
 
 
 def test_flip_seeds_and_columns_check_their_range():
@@ -291,10 +310,10 @@ def test_cross_seed_matches_inverted_hecke_element(shape, mu):
         want: dict = {}
         t_inv = he_inv_basis(HeckeParams.unsigned(l), inv(cross_block_cycle(l, k)))
         for u, c in t_inv.terms.items():
-            tu = _to_poly_vec(mod.apply_word([(0, g) for g in reduced_word(u)], inner))
+            tu = _to_poly_vec(mod, mod.apply_word([(0, g) for g in reduced_word(u)], inner))
             for r, a in tu.items():
                 want[r] = want.get(r, LaurentPoly.zero()) + c * a
-        assert _to_poly_vec(mod._seeds[("cross", k)]) == {r: a for r, a in want.items() if a}
+        assert _to_poly_vec(mod, mod._seeds[("cross", k)]) == {r: a for r, a in want.items() if a}
 
 
 def test_negative_rank_is_rejected():
@@ -316,9 +335,9 @@ def test_generator_keys_follow_weylbc_numbering():
     rep = GroupRepAtOne(mod)
     mats = mod.matrices_at_one()
     for g in range(1, 3):
-        assert rep.rep_left(gen_perm(g, 2)) == mats[(0, g)]
+        assert rep.rep_left(gen_perm(g, 2)) == [dict(col) for col in mats[(0, g)]]
     for g in range(1, 4):
-        assert rep.rep_right(gen_perm(g, 3)) == mats[(1, g)]
+        assert rep.rep_right(gen_perm(g, 3)) == [dict(col) for col in mats[(1, g)]]
     keys = set(mod.gen_keys())
     for chk in mod.relation_suite():
         used = [chk["gen"]] if chk["kind"] == "quad" else chk["lhs"] + chk["rhs"]
@@ -340,7 +359,7 @@ def test_product_at_one_matches_apply_word(shape):
         cols = rep._product(word)
         for p in range(mod.dim):
             want: dict = {}
-            for (r, _), c in mod.apply_word(word, mod.basis_vec(p)).items():
+            for (r, _), c in _decoded(mod, mod.apply_word(word, mod.basis_vec(p))).items():
                 want[r] = want.get(r, 0) + c
             assert cols[p] == {r: c for r, c in want.items() if c}, (word, p)
 
