@@ -123,59 +123,51 @@ def pieri_remove(lam: Partition, i: int) -> dict[Partition, int]:
     return dict.fromkeys(_remove_strip(lam, i), 1)
 
 
-@lru_cache(maxsize=None)
-def _add_strip(lam: Partition, i: int) -> tuple[Partition, ...]:
-    if i < 0:
-        raise ValueError(f"strip size must be non-negative, got {i}")
-    out: list[Partition] = []
-    rows = len(lam)
-    padded = lam + (0,)
+def _interlaced(bounds: tuple[tuple[int, int], ...], size: int) -> tuple[Partition, ...]:
+    """Partitions of size `size` with lo_j <= part_j <= hi_j for the j-th
+    (lo_j, hi_j) of bounds, zero parts dropped, in lexicographic order.
 
-    def build(idx: int, remaining: int, acc: list[int]):
-        if idx == rows + 1:
+    The parts are independent, so each is picked within its bounds and within
+    what the rows after it can still absorb (the sums of their bounds).  The
+    search keeps its own stack, so a partition of any length fits.
+    """
+    out: list[Partition] = []
+    stack = [((), size, sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds))]
+    while stack:
+        acc, remaining, lo_rest, hi_rest = stack.pop()
+        if len(acc) == len(bounds):
             if remaining == 0:
                 out.append(tuple(v for v in acc if v))
-            return
-        old = padded[idx]
-        hi = old + remaining if idx == 0 else min(padded[idx - 1], old + remaining)
-        for v in range(old, hi + 1):
-            build(idx + 1, remaining - (v - old), acc + [v])
-
-    build(0, i, [])
+            continue
+        lo, hi = bounds[len(acc)]
+        lo_rest, hi_rest = lo_rest - lo, hi_rest - hi
+        # pushed in reverse, so the smallest part is popped first
+        for v in range(min(hi, remaining - lo_rest), max(lo, remaining - hi_rest) - 1, -1):
+            stack.append((acc + (v,), remaining - v, lo_rest, hi_rest))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _add_strip(lam: Partition, i: int) -> tuple[Partition, ...]:
+    # a horizontal strip interlaces: old_j <= new_j <= old_(j-1), one row more
+    if i < 0:
+        raise ValueError(f"strip size must be non-negative, got {i}")
+    above = (lam[0] + i if lam else i,) + lam
+    return _interlaced(tuple(zip(lam + (0,), above)), sum(lam) + i)
 
 
 @lru_cache(maxsize=None)
 def _remove_strip(lam: Partition, i: int) -> tuple[Partition, ...]:
+    # old_(j+1) <= new_j <= old_j
     if i < 0:
         raise ValueError(f"strip size must be non-negative, got {i}")
-    out: list[Partition] = []
-    rows = len(lam)
-    padded = lam + (0,)
-
-    def build(idx: int, remaining: int, acc: list[int]):
-        if idx == rows:
-            if remaining == 0:
-                out.append(tuple(v for v in acc if v))
-            return
-        old = padded[idx]
-        nxt = padded[idx + 1]
-        lo = max(nxt, old - remaining)
-        for v in range(lo, old + 1):
-            # interlacing old_idx >= new_idx >= old_{idx+1} keeps the strip horizontal
-            build(idx + 1, remaining - (old - v), acc + [v])
-
-    build(0, i, [])
-    return tuple(out)
+    return _interlaced(tuple(zip(lam[1:] + (0,), lam)), sum(lam) - i)
 
 
 def r1(lam: Partition) -> int:
-    """Largest removable horizontal-strip size, found by enumeration."""
-    best = 0
-    for i in range(sum(lam) + 1):
-        if pieri_remove(lam, i):
-            best = i
-    return best
+    """Largest removable horizontal-strip size: every part can drop to the
+    next one, so the strip has lam_0 cells."""
+    return lam[0] if lam else 0
 
 
 # -- virtual sums -------------------------------------------------------------

@@ -35,7 +35,7 @@ from .dualpair import (
 from .heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from .laurent import as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula
-from .weylbc import CosetSpec, distinguished_reps, length
+from .weylbc import CosetSpec, distinguished_reps, group_order, length
 
 MAX_VERIFY_DIM = 5000
 # the dimension cap does not bound module-verify's work: the suite has about
@@ -60,6 +60,25 @@ MAX_COSET_WORK = 2**23
 # --lmax 16 (17,345 labels) took 5.6 s at 73 MB peak RSS, --lmax 18 (38,045)
 # 15 s at 142 MB, and --lmax 20 (80,377) 39 s at 285 MB
 MAX_SCAN_LMAX = 18
+# first-occurrence searches the tower one rank at a time, and each rank's lift
+# looks up O(rank) strip removals keyed by the label; on 2 cores with Python
+# 3.11.7, --l 1000 took 0.29 s for the label ([1000], []), 2.4 s for
+# ([1^1000], []) and 3.1 s for ([1^500], [1^500]), the slowest label found;
+# --l 2000 took 0.90 s for ([2000], []) and 17 s for ([1^2000], [])
+MAX_OCCURRENCE_RANK = 1000
+# hecke-mul: words with n letters in all multiply out to at most min(|W_l|, 2^n)
+# terms, each costing O(l) per letter and O(l^2) for its printed length, so a
+# request costs min(|W_l|, 2^n) x (n l + l^2); a rank with rank^2 past the cap
+# is refused uncounted.  That count leaves out the coefficients, whose monomials
+# grow with the letters, and the pairwise product of two dense elements, so the
+# letters are capped too.  On 2 cores with Python 3.11.7, before the caps,
+# --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6 longest
+# element squared (72 letters) 7.7 s at 565 MB, and two random 35-letter words
+# at rank 4 17 s; under them, the rank-5 longest element squared (50 letters)
+# takes 0.41 s at 49 MB, and the slowest admitted request found, two random
+# 25-letter words at rank 5, 5.3 s at 46 MB
+MAX_HECKE_WORK = 2**23
+MAX_HECKE_LETTERS = 50
 
 
 def _parse_partition(text: str):
@@ -152,6 +171,8 @@ def _tower_config(args) -> TowerConfig:
 
 
 def cmd_first_occurrence(args) -> int:
+    if args.l > MAX_OCCURRENCE_RANK:
+        raise ValueError(f"--l {args.l} exceeds the first-occurrence cap {MAX_OCCURRENCE_RANK}")
     alpha, beta = _parse_partition(args.alpha), _parse_partition(args.beta)
     cfg = _tower_config(args)
     occ = first_occurrence(alpha, beta, args.l, cfg)
@@ -310,11 +331,14 @@ def cmd_coset(args) -> int:
     return 0
 
 
+def _letters(text: str) -> list[str]:
+    """The generator tokens of a word; e stands for the empty word."""
+    return [token for token in text.replace(",", " ").split() if token != "e"]
+
+
 def _parse_hecke_word(text: str, params: HeckeParams) -> HeckeElem:
     elem = HeckeElem.unit(params.rank)
-    for token in text.replace(",", " ").split():
-        if token == "e":
-            continue
+    for token in _letters(text):
         if token == "t":
             if params.rank < 1:
                 raise ValueError("the rank-0 algebra has no flip generator t")
@@ -330,7 +354,16 @@ def _parse_hecke_word(text: str, params: HeckeParams) -> HeckeElem:
 
 
 def cmd_hecke_mul(args) -> int:
-    params = HeckeParams.signed(args.l, as_half(args.mu))
+    l, n = args.l, len(_letters(args.a)) + len(_letters(args.b))
+    if n > MAX_HECKE_LETTERS:
+        raise ValueError(f"the words have {n} letters in all, past the hecke-mul cap {MAX_HECKE_LETTERS}")
+    work = min(group_order(l), 2**n) * (n * l + l * l) if l * l <= MAX_HECKE_WORK else None
+    if work is None or work > MAX_HECKE_WORK:
+        raise ValueError(
+            f"hecke-mul at rank {l} with {n} letters exceeds the cap: "
+            f"min(|W_l|, 2^letters) x (letters x rank + rank^2) at most {MAX_HECKE_WORK}"
+        )
+    params = HeckeParams.signed(l, as_half(args.mu))
     a = _parse_hecke_word(args.a, params)
     b = _parse_hecke_word(args.b, params)
     prod = he_mul(params, a, b)

@@ -182,8 +182,9 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
         raise ValueError("label size must equal the rank")
     steps = max(0, l - r1(beta))
     steps_t = max(0, l - r1(alpha))
-    least = min(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
-    least_t = min(lp for lp in range(l + 1) if theta_lift(beta, alpha, l, lp))
+    # the search ends by lp = l, where the k = l term lifts (alpha, beta) to (beta, alpha)
+    least = next(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
+    least_t = next(lp for lp in range(l + 1) if theta_lift(beta, alpha, l, lp))
     if (least, least_t) != (steps, steps_t):
         raise VerificationError(
             f"first occurrence of ({list(alpha)}, {list(beta)}) at rank {l}: closed form "

@@ -6,8 +6,7 @@ elements, with T_u T_w = T_(uw) whenever lengths add and quadratic relations
     (T_s + 1)(T_s - nu) = 0                for the adjacent swaps,
     (T_t + 1)(T_t - nu**flip_exponent) = 0  for the sign flip,
 
-the flip exponent being any half-integer.  Dropping the flip generator gives
-the unsigned (type A) subalgebra on the swap generators alone.
+the flip exponent being any half-integer.
 
 Products are computed by peeling reduced words one generator at a time:
 multiplying a basis element on the right by a generator either ascends
@@ -36,37 +35,24 @@ from .weylbc import (
 @dataclass(frozen=True)
 class HeckeParams:
     """Rank plus the flip parameter exponent; flip_numer is the numerator of
-    the half-integer exponent, or None for the unsigned subalgebra."""
+    the half-integer exponent."""
 
     rank: int
-    flip_numer: int | None
+    flip_numer: int
 
     @classmethod
     def signed(cls, l: int, mu) -> "HeckeParams":
         return cls(l, int(as_half(mu) * 2))
 
-    @classmethod
-    def unsigned(cls, l: int) -> "HeckeParams":
-        return cls(l, None)
-
     @property
     def flip_exponent(self) -> HalfInt:
-        if self.flip_numer is None:
-            raise ValueError("the unsigned subalgebra has no flip exponent")
         return HalfInt(self.flip_numer, 2)
 
     def gen_exponent(self, g: int) -> HalfInt:
         """Exponent e with parameter nu**e for generator g."""
-        if g == self.rank and self.flip_numer is not None:
-            return HalfInt(self.flip_numer, 2)
-        if g == self.rank:
-            raise ValueError("flip generator not present in the unsigned subalgebra")
-        if not 1 <= g < self.rank:
+        if not 1 <= g <= self.rank:
             raise ValueError(f"no generator {g} at rank {self.rank}")
-        return HalfInt(1)
-
-    def allows(self, w: SignedPerm) -> bool:
-        return self.flip_numer is not None or num_flips(w) == 0
+        return self.flip_exponent if g == self.rank else HalfInt(1)
 
 
 class HeckeElem:
@@ -138,8 +124,6 @@ def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
     relation gives nu^(e/2) T_xg + (nu^(e/2) - 1) T_x, with e = 2 for a swap
     and flip_numer for the flip.
     """
-    if not (params.allows(u) and params.allows(w)):
-        raise ValueError(f"T_{u} * T_{w} leaves the unsigned subalgebra")
     l = params.rank
     cur = {u: {0: 1}}
     for g in reduced_word(w):

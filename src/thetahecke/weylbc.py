@@ -209,13 +209,6 @@ def swap_range(i: int, j: int, l: int) -> SignedPerm:
     return word_to_perm(list(range(j - 1, i - 1, -1)), l)
 
 
-def cross_block_cycle(l: int, k: int) -> SignedPerm:
-    """The product s_(l-1) s_(l-2) ... s_(l-k); identity for k == 0."""
-    if not (0 <= k < l or k == 0 <= l):
-        raise ValueError(f"the cross-block cycle needs 0 <= k < l or k = 0, got {(k, l)}")
-    return word_to_perm(list(range(l - 1, l - k - 1, -1)), l)
-
-
 # -- parabolic cosets --------------------------------------------------------
 
 
@@ -343,14 +336,15 @@ def double_coset_split(d1: SignedPerm, k: int):
     one-position block at the end.
 
     Returns ('fix', d1) when d1 fixes the last position, else ('cross', y)
-    with d1 = y * cross_block_cycle(l, k) and lengths adding.
+    with d1 = y * swap_range(l - k, l, l), the cross-block cycle
+    s_(l-1) ... s_(l-k), and lengths adding.
     """
     l = len(d1)
     if not is_unsigned(d1):
         raise ValueError(f"the two-block split needs an unsigned permutation, got {d1}")
     if d1[l - 1] == l:
         return ("fix", d1)
-    w2 = cross_block_cycle(l, k)
+    w2 = swap_range(l - k, l, l)
     y = mul(d1, inv(w2))
     if y[l - 1] != l:
         raise VerificationError(f"cross-branch remainder moves the last position: {d1}")

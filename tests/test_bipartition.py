@@ -140,9 +140,10 @@ def test_pieri_adjointness():
 
 
 def test_r1_is_first_part():
+    """The closed form against the largest strip size that Pieri removal finds."""
     for n in range(11):
         for lam in partitions_of(n):
-            assert r1(lam) == (lam[0] if lam else 0)
+            assert r1(lam) == max(i for i in range(n + 1) if pieri_remove(lam, i))
 
 
 def test_pieri_trivia():
@@ -150,8 +151,14 @@ def test_pieri_trivia():
     assert pieri_add((2, 1), 0) == {(2, 1): 1}
     assert pieri_remove((1,), 2) == {}
     assert set(pieri_add((2,), 2)) == {(4,), (3, 1), (2, 2)}
+    # a partition longer than the interpreter's recursion limit
+    column = (1,) * 3000
+    assert pieri_remove(column, 1) == {column[1:]: 1}
+    assert pieri_add(column, 1) == {(2,) + column[1:]: 1, column + (1,): 1}
     with pytest.raises(ValueError, match="non-negative"):
         pieri_remove((2,), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        pieri_add((2,), -1)
 
 
 @pytest.mark.parametrize("strip", [pieri_add, pieri_remove])

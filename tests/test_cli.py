@@ -63,6 +63,36 @@ def test_hecke_mul_rejects_bad_tokens(capsys):
     assert run(capsys, "hecke-mul", "--l", "2", "--mu", "1", "--a", "x", "--b", "e")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "l, letters, admitted",
+    [
+        (2, cli.MAX_HECKE_LETTERS, True),
+        (2, cli.MAX_HECKE_LETTERS + 1, False),
+        # with no letters the work is rank^2
+        (math.isqrt(cli.MAX_HECKE_WORK), 0, True),
+        (math.isqrt(cli.MAX_HECKE_WORK) + 1, 0, False),
+        # |W_6| = 46080: 46080 x (6*24 + 36) is within 2^23, 46080 x (6*25 + 36) is not
+        (6, 24, True),
+        (6, 25, False),
+        (100000, 2, False),
+    ],
+)
+def test_hecke_mul_size_caps(capsys, monkeypatch, l, letters, admitted):
+    """Too many letters or too much work is refused before either word is parsed."""
+    a = " ".join(["s1"] * (letters // 2)) or "e"
+    b = " ".join(["s1"] * (letters - letters // 2)) or "e"
+    monkeypatch.setattr(cli, "he_mul", (lambda params, x, y: HeckeElem()) if admitted else None)
+    if not admitted:
+        monkeypatch.setattr(cli, "_parse_hecke_word", None)
+    code, out, err = run(capsys, "hecke-mul", "--l", str(l), "--mu", "1/2", "--a", a, "--b", b)
+    if admitted:
+        assert code == 0 and err == ""
+        assert json.loads(out)["product"] == []
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
 # -- module-verify -------------------------------------------------------------
 
 
@@ -222,6 +252,26 @@ def test_conservation_scan_size_cap(capsys, monkeypatch, lmax, admitted):
     if admitted:
         assert code == 0 and err == ""
         assert len(json.loads(out)["rows"]) == sum(len(weylbc.bipartitions(l)) for l in range(lmax + 1))
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "l, admitted",
+    [(cli.MAX_OCCURRENCE_RANK, True), (cli.MAX_OCCURRENCE_RANK + 1, False), (100000, False)],
+)
+def test_first_occurrence_rank_cap(capsys, monkeypatch, l, admitted):
+    """--l past the cap is refused before the tower is searched."""
+    stub = {"n": 1 + 2 * l, "n_tilde": 1, "c": l}
+    monkeypatch.setattr(cli, "first_occurrence", (lambda *args: stub) if admitted else None)
+    code, out, err = run(
+        capsys, "first-occurrence", "--alpha", f"[{l}]", "--beta", "[]", "--l", str(l),
+        "--case", "A", "--dimV0", "0", "--dimVp0", "1",
+    )
+    if admitted:
+        assert code == 0 and err == ""
+        assert (json.loads(out)["n"], json.loads(out)["c"]) == (1 + 2 * l, l)
     else:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err

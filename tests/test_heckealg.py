@@ -48,6 +48,10 @@ def test_quadratic_relations(l, mu):
     params = HeckeParams.signed(l, mu)
     for g in range(1, l + 1):
         assert _gen_quad_holds(params, g)
+    # an explicit check, so it holds under python -O too
+    for g in (0, l + 1):
+        with pytest.raises(ValueError, match=f"no generator {g}"):
+            params.gen_exponent(g)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -108,18 +112,6 @@ def test_basis_product_matches_reference(mu):
     for u in perms:
         for w in perms:
             assert basis_product(params, u, w) == _reference_basis_product(params, u, w)
-
-
-def test_unsigned_subalgebra_rejects_signed_elements():
-    """An explicit check, so it holds under python -O too."""
-    params = HeckeParams.unsigned(2)
-    with pytest.raises(ValueError, match="unsigned subalgebra"):
-        basis_product(params, (1, -2), identity(2))
-    with pytest.raises(ValueError, match="unsigned subalgebra"):
-        he_mul(params, HeckeElem.unit(2), HeckeElem.basis((-1, 2)))
-    assert basis_product(params, (2, 1), (2, 1)) == basis_product(
-        HeckeParams.signed(2, half(1)), (2, 1), (2, 1)
-    )
 
 
 @pytest.mark.parametrize("mu", MUS)
@@ -215,11 +207,3 @@ def test_specialize_nu1_gives_group_algebra():
     s = gen_elem(params, 1)
     st = he_mul(params, s, t)
     assert he_specialize_nu1(st) == {mul(gen_perm(1, 2), gen_perm(2, 2)): 1}
-
-
-def test_unsigned_subalgebra_has_no_flip():
-    params = HeckeParams.unsigned(3)
-    with pytest.raises(ValueError):
-        params.gen_exponent(3)
-    with pytest.raises(ValueError, match="no flip exponent"):
-        params.flip_exponent

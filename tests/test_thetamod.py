@@ -15,7 +15,7 @@ from thetahecke import VerificationError
 from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, _word, grade_dim_formula
-from thetahecke.weylbc import cross_block_cycle, flip_at, gen_perm, identity, inv, reduced_word
+from thetahecke.weylbc import flip_at, gen_perm, identity, inv, reduced_word, swap_range
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -308,7 +308,7 @@ def test_cross_seed_matches_inverted_hecke_element(shape, mu):
         mod.column((0, l), p)
         inner = mod.seed_flip_inner(k)
         want: dict = {}
-        t_inv = he_inv_basis(HeckeParams.unsigned(l), inv(cross_block_cycle(l, k)))
+        t_inv = he_inv_basis(HeckeParams.signed(l, mu), inv(swap_range(l - k, l, l)))
         for u, c in t_inv.terms.items():
             tu = _to_poly_vec(mod, mod.apply_word([(0, g) for g in reduced_word(u)], inner))
             for r, a in tu.items():

@@ -10,7 +10,6 @@ from thetahecke.weylbc import (
     bfs_lengths,
     class_rep,
     conjugacy_classes,
-    cross_block_cycle,
     cycle_type,
     deodhar_transfer,
     distinguished_reps,
@@ -28,6 +27,7 @@ from thetahecke.weylbc import (
     mul,
     num_flips,
     reduced_word,
+    swap_range,
     word_to_perm,
 )
 
@@ -79,11 +79,9 @@ def test_group_ops():
 def test_special_elements():
     assert flip_at(2, 3) == (1, -2, 3)
     assert gen_perm(3, 3) == (1, 2, -3)  # flip sits at the last position
-    assert cross_block_cycle(3, 1) == word_to_perm([2], 3)
-    assert cross_block_cycle(4, 2) == word_to_perm([3, 2], 4)
+    assert swap_range(2, 3, 3) == word_to_perm([2], 3)
+    assert swap_range(2, 4, 4) == word_to_perm([3, 2], 4)
     # swap_range(i, j, l) is the identity when i == j
-    from thetahecke.weylbc import swap_range
-
     assert swap_range(2, 2, 4) == identity(4)
     assert swap_range(1, 3, 4) == word_to_perm([2, 1], 4)
     # explicit checks, so they hold under python -O too
@@ -145,7 +143,7 @@ def test_deodhar_transfer_cases(kind, n, k):
 def test_double_coset_split(n, k):
     """Every plain-block representative either fixes the crossing element or
     factors through it with lengths adding."""
-    w2 = cross_block_cycle(n, k)
+    w2 = swap_range(n - k, n, n)
     for d1 in distinguished_reps(CosetSpec("sym_block", n, k)):
         out = double_coset_split(d1, k)
         if out[0] == "fix":
@@ -161,7 +159,7 @@ def test_double_coset_split_checks_the_cross_branch(monkeypatch):
     with pytest.raises(ValueError, match="unsigned"):
         double_coset_split((-2, 1), 1)
     with monkeypatch.context() as m:
-        m.setattr(weylbc, "cross_block_cycle", lambda l, k: identity(l))
+        m.setattr(weylbc, "swap_range", lambda i, j, l: identity(l))
         with pytest.raises(VerificationError, match="moves the last position"):
             double_coset_split((2, 1), 1)
     monkeypatch.setattr(weylbc, "length", lambda w: 0)
