@@ -20,6 +20,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from itertools import product as iproduct
 
 from . import VerificationError
@@ -326,6 +327,38 @@ def theta_lift(alpha: Partition, beta: Partition, l: int, lp: int) -> dict[Bipar
     if not is_multiplicity_free(out):
         raise VerificationError(f"lift of ({alpha}, {beta}) to rank {lp} is not multiplicity-free")
     return out
+
+
+def _strip_counts(lam: Partition) -> list[int]:
+    """[x^d] of the product over rows j of 1 + x + ... + x^(lam_j - lam_(j+1)),
+    for d up to lam_0: the ways to spread d cells over the rows when row j
+    takes at most lam_j - lam_(j+1) (lam_r = 0 past the last row)."""
+    poly = [1]
+    for w in (a - b for a, b in zip(lam, lam[1:] + (0,))):
+        if w:
+            # times (1 - x^(w+1)) / (1 - x): a running sum over a window of w + 1
+            padded, acc, poly = poly + [0] * w, 0, []
+            for d, c in enumerate(padded):
+                acc += c - (padded[d - w - 1] if d > w else 0)
+                poly.append(acc)
+    return poly
+
+
+def lift_size(alpha: Partition, beta: Partition, l: int, lp: int) -> int:
+    """The number of terms theta_lift enumerates, counted without enumerating
+    them: over k, the removable (l-k)-strips of beta times the addable
+    (l'-k)-strips of alpha.  Removing a strip takes at most beta_j - beta_(j+1)
+    cells from row j; adding one puts at most alpha_(j-1) - alpha_j cells into
+    row j >= 1 (one row more, below the last) and the rest into the first row,
+    so an added i-strip is a spread of at most i cells over rows j >= 1."""
+    if sum(alpha) + sum(beta) != l or lp < 0:
+        raise ValueError(f"cannot lift ({alpha}, {beta}) from rank {l} to rank {lp}")
+    removed = _strip_counts(beta)
+    added = list(accumulate(_strip_counts(alpha)))
+    return sum(
+        removed[l - k] * added[min(lp - k, len(added) - 1)]
+        for k in range(max(0, l - len(removed) + 1), min(l, lp) + 1)
+    )
 
 
 def amr_lift(m: int, l: int, lp: int, alpha: Partition, beta: Partition) -> dict[Bipartition, int]:

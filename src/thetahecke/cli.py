@@ -20,6 +20,7 @@ from .bipartition import (
     check_partition,
     decompose,
     expected_decomposition,
+    lift_size,
     theta_lift,
     vs_to_json,
 )
@@ -35,7 +36,7 @@ from .dualpair import (
 from .heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from .laurent import as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula
-from .weylbc import CosetSpec, distinguished_reps, group_order, length
+from .weylbc import CosetSpec, coset_table, group_order
 
 MAX_VERIFY_DIM = 5000
 # the dimension cap does not bound module-verify's work: the suite has about
@@ -50,10 +51,11 @@ MAX_VERIFY_RANK = 200
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
 # coset prints every representative with its length, an O(rank^2) inversion
-# count, so a request costs representatives x rank^2; on 2 cores with Python
-# 3.11.7 the largest admitted tables, --lprime 10 (59,049 representatives) and
-# --l 15 (32,768), took 2.8 s at 135 MB and 2.0 s at 98 MB peak RSS, where
-# --lprime 11 (177,147) took 9.8 s at 395 MB
+# count taken once per representative, so a request costs representatives x
+# rank^2; on 2 cores with Python 3.11.7 the largest admitted tables, --lprime 10
+# (59,049 representatives) and --l 15 (32,768), took 1.7 s at 129 MB and 1.05 s
+# at 93 MB peak RSS end to end, where --lprime 11 (177,147) took 4.8 s at 372 MB
+# in process
 MAX_COSET_WORK = 2**23
 # conservation-scan checks every bipartition of every rank up to --lmax, and
 # its memory about doubles every two ranks; on 2 cores with Python 3.11.7,
@@ -79,6 +81,22 @@ MAX_OCCURRENCE_RANK = 1000
 # 25-letter words at rank 5, 5.3 s at 46 MB
 MAX_HECKE_WORK = 2**23
 MAX_HECKE_LETTERS = 50
+# theta-lift prints every term of the lift, and the terms grow exponentially
+# with the distinct parts of the label; lift_size counts them in closed form,
+# and each prints a label of up to len(alpha) + len(beta) + 1 parts on top of
+# about eight parts' worth of JSON, so a request costs terms x (parts + 8).  On
+# 2 cores with Python 3.11.7, before the cap, a staircase alpha of n rows with
+# beta [n], l = n(n+1)/2 + n, l' = l + 2n took 1.1 s at 166 MB peak RSS for
+# n = 12 (53,248 terms, cost 1.17M), 6.2 s at 753 MB for n = 14 and 29 s at
+# 3.55 GB for n = 16; the slowest admitted requests found, all near the cap
+# with about 27 MB of stdout, took 1.6-2.2 s at 255-290 MB for labels of 8 to
+# 24 parts and 2.8 s at 370 MB for ([750], [250]) from rank 1000 to 2000
+MAX_LIFT_WORK = 2**21
+# the rank bounds the loop over k and the closed-form count, whose cost is the
+# distinct parts times the first part: at rank 10,000 the worst label found,
+# [5000] over a 99-row staircase, is counted and refused in 0.18 s end to end,
+# and ([], [10000]) to rank 10,000 lifts in 0.27 s at 37 MB
+MAX_LIFT_RANK = 10000
 
 
 def _parse_partition(text: str):
@@ -123,11 +141,16 @@ def cmd_module_verify(args) -> int:
     report = ThetaModule(l, lp, mu).verify_relations()
     report["mode"] = "symbolic"
     elapsed = time.perf_counter() - t0
+    bits, unevaluated = report.pop("point_bits"), report.pop("unevaluated")
 
     for rel in report["relations"]:
         took = rel.pop("elapsed")
         print(f"{rel['name']}: {'PASS' if rel['ok'] else 'FAIL'} ({took:.3f}s)", file=sys.stderr)
-    print(f"module-verify l={l} lprime={lp} mu={format_half(mu)}: {elapsed:.2f}s", file=sys.stderr)
+    print(
+        f"module-verify l={l} lprime={lp} mu={format_half(mu)}: {elapsed:.2f}s, "
+        f"B={bits}, {unevaluated} of {len(report['relations'])} relations unevaluated",
+        file=sys.stderr,
+    )
 
     def render(rep):
         lines = [f"dimension {rep['dimension']}  grades {rep['grades']}  mode {rep['mode']}"]
@@ -143,9 +166,17 @@ def cmd_module_verify(args) -> int:
 
 
 def cmd_theta_lift(args) -> int:
+    if max(args.l, args.lprime) > MAX_LIFT_RANK:
+        raise ValueError(f"rank {max(args.l, args.lprime)} exceeds the theta-lift cap {MAX_LIFT_RANK}")
     alpha, beta = _parse_partition(args.alpha), _parse_partition(args.beta)
     if sum(alpha) + sum(beta) != args.l:
         raise ValueError("label size must equal --l")
+    terms, parts = lift_size(alpha, beta, args.l, args.lprime), len(alpha) + len(beta) + 1
+    if terms * (parts + 8) > MAX_LIFT_WORK:
+        raise ValueError(
+            f"the lift has {terms} terms of up to {parts} parts, past the theta-lift cap: "
+            f"terms x (parts + 8) at most {MAX_LIFT_WORK}"
+        )
     lift = theta_lift(alpha, beta, args.l, args.lprime)
     obj = {
         "l": args.l,
@@ -308,14 +339,14 @@ def cmd_coset(args) -> int:
         )
     tables = []
     for k in ks:
-        reps = distinguished_reps(CosetSpec(kind, n, k))
+        table = coset_table(CosetSpec(kind, n, k))
         tables.append(
             {
                 "kind": kind,
                 "n": n,
                 "k": k,
-                "count": len(reps),
-                "reps": [{"perm": list(w), "length": length(w)} for w in reps],
+                "count": len(table),
+                "reps": [{"perm": list(w), "length": size} for size, w in table],
             }
         )
     obj = {"tables": tables}

@@ -38,15 +38,20 @@ is then the inner seed under T_w^-1, w the inverted cross-block cycle
 s_(l-k) ... s_(l-1): k inverse swap steps, each T_g^-1 = nu^-1 T_g +
 (nu^-1 - 1) by the quadratic relation, built once per grade.
 
-Everything is exact: coefficients are Laurent polynomials in nu**(1/2), and
-the relation suite is checked symbolically, column by column.  On that hot
-path a vector is a dict {e*dim + p: c}, the integer c times nu**(e/2) at
-basis position p (divmod(key, dim) gives (e, p) for either sign of e), and a
-column is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient
-becomes one entry per exponent, all plain ints.  Any specialization (nu = 1,
-nu = q) is the image of this generic module under a ring homomorphism, so
-the symbolic check proves the specialized relations too; at nu = 1 it is
-key -> key mod dim, and the columns keep the same type.
+Everything is exact: coefficients are Laurent polynomials in v = nu**(1/2).
+Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
+position p (divmod(key, dim) gives (e, p) for either sign of e), and a column
+is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient becomes
+one entry per exponent, all plain ints.  The relation suite is proved at one
+integer point (Kronecker substitution): each generator is scaled by v**S, S
+clearing its lowest exponent, and evaluated at v = 2**B, so a column entry is
+one int keyed by its row and every vector is {p: int}.  B is taken from a
+bound on the coefficients, so a row that agrees as an integer agrees in
+Z[v, v**-1].  Any specialization (nu = 1, nu = q) is the image of this
+generic module under a ring homomorphism, so the check proves the
+specialized relations too; nu = 1 is the same evaluation at B = 0.  A
+relation whose exponents span too many bits for one point (a huge mu) runs
+the same loop on the unevaluated columns.
 """
 
 from __future__ import annotations
@@ -123,6 +128,86 @@ def _apply(cols, vec: dict, dim: int) -> dict:
             k = base + off
             out[k] = get(k, 0) + c * a
     return {k: c for k, c in out.items() if c}
+
+
+def _apply_word(mats, vec: dict, dim: int) -> dict:
+    """Apply a sequence of matrices; the rightmost acts first."""
+    for cols in reversed(mats):
+        vec = _apply(cols, vec, dim)
+    return vec
+
+
+def _times(vec: dict, terms: dict, dim: int) -> dict:
+    out: dict = {}
+    _add_scaled(out, vec.items(), terms, dim)
+    return out
+
+
+# -- evaluation at one integer point v = 2^B -----------------------------------
+
+# a relation is checked at v = 2^B while B times the exponent span of its
+# scaled sides stays within this many bits, and on the unevaluated columns past
+# it.  Per relation on 2 cores with Python 3.11.7, (3,3) at mu = 2^j + 1/2 with
+# B = 13: up to 962 bits the point took 0.49-1.03x the unevaluated time, at
+# 1729-1898 bits 0.67-1.59x, at 3393-3562 bits 0.82-2.24x and at 6721-6890 bits
+# 0.94-4.9x; at (2,8), mu = 4 and -4 (B = 16), braid_flip at 1024 and 1216 bits
+# took 0.45x and quad_flip at 960 and 1152 bits 0.6x
+MAX_POINT_BITS = 2048
+
+
+def _at_point(cols, dim: int, bits: int, shift: int) -> list[tuple]:
+    """Columns times v^shift evaluated at v = 2^bits, each a sorted tuple of
+    (r, value) with zeros dropped; bits = 0 is the specialization nu = 1."""
+    out = []
+    for col in cols:
+        acc: dict = {}
+        for off, a in col:
+            f, r = divmod(off, dim)
+            acc[r] = acc.get(r, 0) + (a << bits * (f + shift))
+        out.append(tuple(sorted((r, c) for r, c in acc.items() if c)))
+    return out
+
+
+def _norm_and_range(cols, dim: int) -> tuple[int, int, int]:
+    """A generator's largest column sum of |c| over its (r, e) entries, and the
+    lowest and highest exponent e of v in its columns (each sorted by e)."""
+    norm = max((sum(abs(a) for _, a in col) for col in cols), default=0)
+    lo = min((col[0][0] // dim for col in cols if col), default=0)
+    hi = max((col[-1][0] // dim for col in cols if col), default=0)
+    return norm, lo, hi
+
+
+def _balanced_digits(x: int, bits: int) -> dict:
+    """The {i: d} with x = sum of d 2^(bits i) and -2^(bits-1) <= d < 2^(bits-1):
+    unique, so they are the coefficients of the one polynomial with those
+    bounds whose value at v = 2^bits is x."""
+    out, i, half, base = {}, 0, 1 << (bits - 1), 1 << bits
+    while x:
+        d = (x + half) % base - half
+        if d:
+            out[i] = d
+        x = (x - d) >> bits
+        i += 1
+    return out
+
+
+def _relation_terms(chk: dict) -> list[tuple[dict, tuple]]:
+    """The (scalar terms, word) of one suite entry: lhs, then the rhs terms."""
+    if chk["kind"] == "quad":
+        q, q_minus_one = _quad_terms(chk["par"])
+        g = chk["gen"]
+        return [(_ONE, (g, g)), (q_minus_one, (g,)), (q, ())]  # T^2 = (q - 1) T + q
+    return [(_ONE, tuple(chk["lhs"])), (_ONE, tuple(chk["rhs"]))]
+
+
+def _relation_bound(chk: dict, gens: dict) -> int:
+    """A bound on every coefficient of lhs - rhs on a basis vector, from each
+    generator's (norm, lo, hi): the L1 norm over (r, e) entries is
+    submultiplicative, so a word's norm is at most its letters' product."""
+    return sum(
+        sum(map(abs, terms.values())) * math.prod(gens[k][0] for k in word)
+        for terms, word in _relation_terms(chk)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +306,7 @@ class ThetaModule:
 
     def apply_word(self, keys, vec: dict) -> dict:
         """Apply a sequence of generator keys; the rightmost acts first."""
-        for key in reversed(keys):
-            vec = self.apply_gen(key, vec)
-        return vec
+        return _apply_word([self.matrix(key) for key in keys], vec, self.dim)
 
     # -- the grade-preserving generator actions --
 
@@ -387,45 +470,101 @@ class ThetaModule:
                 equal(f"cross_{an}_{bn}", [a, b], [b, a])
         return checks
 
-    def relation_sides(self, chk: dict, vec: dict) -> tuple[dict, dict]:
-        """Evaluate one suite entry on a vector, returning (lhs, rhs)."""
-        if chk["kind"] == "equal":
-            return self.apply_word(chk["lhs"], vec), self.apply_word(chk["rhs"], vec)
-        par, par_minus_one = _quad_terms(chk["par"])
-        w = self.apply_gen(chk["gen"], vec)
-        lhs = self.apply_gen(chk["gen"], w)
-        rhs: dict = {}
-        _add_scaled(rhs, w.items(), par_minus_one, self.dim)
-        _add_scaled(rhs, vec.items(), par, self.dim)
+    def _plan(self, chk: dict, bits: int, gens: dict, points: dict) -> dict:
+        """One suite entry as relation_sides reads it: the columns of its words
+        and the scalar of each term, every term brought to the one total shift
+        v^shift.  At v = 2^bits each generator and scalar is scaled by v^S, S
+        clearing its lowest exponent; past MAX_POINT_BITS the plan keeps the
+        unevaluated columns and terms (bits None, shift 0)."""
+        terms = _relation_terms(chk)
+        # at the point a word W is times v^(S_W), the sum of its letters' S_g,
+        # so the term t W is times v^(S_t + S_W) and spans span_t + span_W
+        word_shifts, shifts, spans = [], [], []
+        for t, word in terms:
+            lo, hi = (min(t), max(t)) if t else (0, 0)  # q - 1 vanishes at parameter 0
+            word_shifts.append(sum(-gens[k][1] for k in word))
+            shifts.append(word_shifts[-1] - lo)
+            spans.append(sum(gens[k][2] - gens[k][1] for k in word) + hi - lo)
+        shift = max(shifts)
+        if bits * max(shift - s + e for s, e in zip(shifts, spans)) > MAX_POINT_BITS:
+            bits, shift, scales = None, 0, [t for t, _ in terms]
+            matrix = self.matrix
+        else:
+            # each scalar carries the rest of its term's shift: t v^(shift - S_W)
+            scales = [
+                {0: sum(c << bits * (f + shift - s) for f, c in t.items())} if t else {}
+                for (t, _), s in zip(terms, word_shifts)
+            ]
+
+            def matrix(key):
+                cols = points.get(key)
+                if cols is None:
+                    cols = points[key] = _at_point(self.matrix(key), self.dim, bits, -gens[key][1])
+                return cols
+
+        words = [[matrix(k) for k in word] for _, word in terms]
+        return {"kind": chk["kind"], "words": words, "scales": scales, "bits": bits, "shift": shift}
+
+    def relation_sides(self, plan: dict, p: int) -> tuple[dict, dict]:
+        """Evaluate one planned suite entry on the basis vector e_p, returning
+        (lhs, rhs), both times v^shift.  A word's rightmost matrix acts on e_p
+        by its column p, so that factor is read, not applied."""
+        dim = self.dim
+        words, scales = plan["words"], plan["scales"]
+        if plan["kind"] == "quad":
+            gen = words[1][0]
+            w = dict(gen[p])
+            lhs, rhs = _apply(gen, w, dim), {}
+            _add_scaled(rhs, w.items(), scales[1], dim)
+            _add_scaled(rhs, ((p, 1),), scales[2], dim)
+        else:
+            lhs, rhs = (_apply_word(word[:-1], dict(word[-1][p]), dim) for word in words)
+            if scales[1] != _ONE:
+                rhs = _times(rhs, scales[1], dim)
+        if scales[0] != _ONE:
+            lhs = _times(lhs, scales[0], dim)
         return lhs, rhs
 
-    def verify_relations(self) -> dict:
-        """Run every defining relation column by column.
-
-        Returns {"ok": bool, "dimension": ..., "relations": [{name, ok,
-        failure?}...]}; a failure records the first offending basis column,
-        entry, and residual.
-        """
-        report = []
-        all_ok = True
+    def _failure(self, plan: dict, p: int, lhs: dict, rhs: dict) -> dict:
+        """The column, lowest offending entry and residual of a failed relation."""
         dim = self.dim
-        for chk in self.relation_suite():
+        diff = dict(lhs)
+        _add_scaled(diff, rhs.items(), _MINUS_ONE, dim)
+        bad = min(k % dim for k in diff)
+        if plan["bits"] is None:
+            row = {k // dim: c for k, c in diff.items() if k % dim == bad}
+        else:
+            row = _balanced_digits(diff[bad], plan["bits"])
+        residual = LaurentPoly({e - plan["shift"]: c for e, c in row.items()})
+        return {"column": self._index_obj(p), "entry": self._index_obj(bad), "residual": str(residual)}
+
+    def verify_relations(self) -> dict:
+        """Run every defining relation column by column, at one integer point.
+
+        B is the bit length of the largest relation bound plus one, so every
+        coefficient of lhs - rhs lies below 2^(B-1) in absolute value and a
+        row whose sides agree at v = 2^B agrees in Z[v, v^-1].  Returns {"ok":
+        bool, "dimension": ..., "grades": ..., "relations": [{name, ok,
+        failure?, elapsed}...], "point_bits": B, "unevaluated": count}; a
+        failure records the first offending basis column, entry, and
+        residual.
+        """
+        dim = self.dim
+        suite = self.relation_suite()
+        gens = {key: _norm_and_range(self.matrix(key), dim) for key in self.gen_keys()}
+        bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
+        points: dict = {}
+        report = []
+        unevaluated = 0
+        for chk in suite:
             t0 = time.perf_counter()
+            plan = self._plan(chk, bits, gens, points)
+            unevaluated += plan["bits"] is None
             failure = None
             for p in range(dim):
-                v = self.basis_vec(p)
-                lhs, rhs = self.relation_sides(chk, v)
+                lhs, rhs = self.relation_sides(plan, p)
                 if lhs != rhs:
-                    diff: dict = dict(lhs)
-                    _add_scaled(diff, rhs.items(), _MINUS_ONE, dim)
-                    bad = min(k % dim for k in diff)
-                    residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
-                    failure = {
-                        "column": self._index_obj(p),
-                        "entry": self._index_obj(bad),
-                        "residual": str(residual),
-                    }
-                    all_ok = False
+                    failure = self._failure(plan, p, lhs, rhs)
                     break
             report.append(
                 {
@@ -435,7 +574,14 @@ class ThetaModule:
                     "elapsed": time.perf_counter() - t0,
                 }
             )
-        return {"ok": all_ok, "dimension": self.dim, "grades": self.grade_dims(), "relations": report}
+        return {
+            "ok": all(r["ok"] for r in report),
+            "dimension": self.dim,
+            "grades": self.grade_dims(),
+            "relations": report,
+            "point_bits": bits,
+            "unevaluated": unevaluated,
+        }
 
     # -- serialization --
 
@@ -446,16 +592,9 @@ class ThetaModule:
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
-        """Every generator at nu = 1: each key reduced mod dim, so the columns
-        are sorted tuples of (r, c) with the exponents summed out."""
-        mats = {}
-        for key in self.gen_keys():
-            cols = mats[key] = []
-            for col in self.matrix(key):
-                out: dict = {}
-                _add_scaled(out, ((k % self.dim, c) for k, c in col), _ONE, self.dim)
-                cols.append(tuple(sorted(out.items())))
-        return mats
+        """Every generator at nu = 1, the point v = 2^0: each column a sorted
+        tuple of (r, c) with the exponents summed out."""
+        return {key: _at_point(self.matrix(key), self.dim, 0, 0) for key in self.gen_keys()}
 
 
 # -- nu = 1 representation of the product of signed groups -------------------

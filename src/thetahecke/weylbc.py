@@ -252,9 +252,9 @@ def _perm_sort_key(w: SignedPerm):
     return (length(w), w)
 
 
-@lru_cache(maxsize=None)
-def distinguished_reps(spec: CosetSpec) -> tuple[SignedPerm, ...]:
-    """Minimal-length left-coset representatives, sorted by (length, images).
+def coset_table(spec: CosetSpec) -> tuple[tuple[int, SignedPerm], ...]:
+    """Minimal-length left-coset representatives with their lengths, as
+    (length, representative) pairs sorted by (length, images).
 
     sym_block: one representative per k-subset of values routed to the second
     block, increasing within each block.
@@ -282,11 +282,17 @@ def distinguished_reps(spec: CosetSpec) -> tuple[SignedPerm, ...]:
             for signs in itertools.product((1, -1), repeat=k):
                 head = sorted((s * v for s, v in zip(signs, subset)), key=mirror_key)
                 reps.append(tuple(head + rest))
-    reps.sort(key=_perm_sort_key)
-    for d in reps:
+    table = sorted((length(d), d) for d in reps)
+    for _, d in table:
         if not is_distinguished(d, spec):
             raise VerificationError(f"{d} has a right descent in the parabolic of {spec}")
-    return tuple(reps)
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def distinguished_reps(spec: CosetSpec) -> tuple[SignedPerm, ...]:
+    """The representatives of coset_table, without their lengths."""
+    return tuple(d for _, d in coset_table(spec))
 
 
 def distinguished_reps_bruteforce(spec: CosetSpec) -> tuple[SignedPerm, ...]:

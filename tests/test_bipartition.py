@@ -18,6 +18,7 @@ from thetahecke.bipartition import (
     expected_module_character,
     induced_eps_character,
     is_multiplicity_free,
+    lift_size,
     part_splits,
     part_union,
     pieri_add,
@@ -306,6 +307,22 @@ def test_theta_lift_sizes_and_freeness():
                 lift = theta_lift(alpha, beta, l, lp)
                 assert is_multiplicity_free(lift)
                 assert all(sum(a) + sum(b) == lp for a, b in lift)
+
+
+def test_lift_size_counts_the_lift():
+    """The closed-form count is the number of terms the strip enumeration lifts
+    to, for every label up to rank 6 and every target rank up to 8, and for the
+    staircases whose lifts grow exponentially with their rows."""
+    for l in range(7):
+        for alpha, beta in bipartitions(l):
+            for lp in range(9):
+                assert lift_size(alpha, beta, l, lp) == len(theta_lift(alpha, beta, l, lp))
+    for n, terms in [(6, 448), (8, 2304), (10, 11264)]:
+        alpha, l = tuple(range(n, 0, -1)), n * (n + 1) // 2 + n
+        assert lift_size(alpha, (n,), l, l + 2 * n) == terms
+        assert len(theta_lift(alpha, (n,), l, l + 2 * n)) == terms
+    with pytest.raises(ValueError, match="cannot lift"):
+        lift_size((1,), (), 2, 2)
 
 
 def test_theta_lift_checks_its_input_and_result(monkeypatch):

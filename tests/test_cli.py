@@ -172,6 +172,20 @@ def test_module_verify_huge_mu_is_exact(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "mu, unevaluated", [("1/2", 0), ("1000000000000000000000000000001/2", 7)], ids=["1/2", "huge"]
+)
+def test_module_verify_reports_the_point_on_stderr(capsys, mu, unevaluated):
+    """The stderr summary names B and the relations run unevaluated; stdout keeps
+    neither."""
+    code, out, err = run(capsys, "module-verify", "--l", "2", "--lprime", "2", "--mu", mu)
+    assert code == 0
+    summary = err.splitlines()[-1]
+    assert summary.startswith(f"module-verify l=2 lprime=2 mu={mu}: ")
+    assert summary.endswith(f", B=12, {unevaluated} of 10 relations unevaluated")
+    assert "point_bits" not in out and "unevaluated" not in out
+
+
 def test_module_verify_text(capsys):
     code, out, _ = run(
         capsys, "module-verify", "--l", "1", "--lprime", "2", "--mu", "2", "--format", "text"
@@ -277,6 +291,39 @@ def test_first_occurrence_rank_cap(capsys, monkeypatch, l, admitted):
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
 
 
+def _staircase_lift(n: int) -> tuple[str, ...]:
+    """A staircase alpha of n rows with beta [n], lifted 2n ranks up."""
+    l = n * (n + 1) // 2 + n
+    alpha = json.dumps(list(range(n, 0, -1)))
+    return ("--alpha", alpha, "--beta", f"[{n}]", "--l", str(l), "--lprime", str(l + 2 * n))
+
+
+@pytest.mark.parametrize(
+    "argv, admitted",
+    [
+        (_staircase_lift(12), True),
+        (_staircase_lift(13), False),
+        (_staircase_lift(16), False),
+        (("--alpha", "[750]", "--beta", "[250]", "--l", "1000", "--lprime", "2000"), True),
+        (("--alpha", "[1000]", "--beta", "[1000]", "--l", "2000", "--lprime", "2000"), False),
+        (("--alpha", "[]", "--beta", "[10000]", "--l", "10000", "--lprime", "10000"), True),
+        (("--alpha", "[]", "--beta", "[10001]", "--l", "10001", "--lprime", "10001"), False),
+        (("--alpha", "[1]", "--beta", "[]", "--l", "1", "--lprime", str(10**9)), False),
+    ],
+    ids=["stair12", "stair13", "stair16", "750,250", "1000,1000", "rank10000", "rank10001", "lprime"],
+)
+def test_theta_lift_size_caps(capsys, monkeypatch, argv, admitted):
+    """A lift past terms x (parts + 8), counted in closed form, or past the rank
+    cap is refused before it is enumerated."""
+    monkeypatch.setattr(cli, "theta_lift", (lambda *args: {}) if admitted else None)
+    code, out, err = run(capsys, "theta-lift", *argv)
+    if admitted:
+        assert code == 0 and err == "" and json.loads(out)["lift"] == []
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
 def test_tower_flags_are_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conservation-scan", "--lmax", "1", "--case", "A"])
@@ -312,6 +359,24 @@ def test_coset_cli(capsys):
     assert code == 0
     counts = [t["count"] for t in obj["tables"]]
     assert counts == [2**k * math.comb(2, k) for k in range(3)]
+
+
+def test_coset_takes_each_length_once(capsys, monkeypatch):
+    """Each representative's O(rank^2) length is computed once, for the sort
+    and the printed table alike."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = weylbc.length
+    monkeypatch.setattr(weylbc, "length", counted)
+    monkeypatch.setattr(cli, "length", counted, raising=False)
+    code, obj, _ = run_json(capsys, "coset", "--lprime", "3")
+    reps = [tuple(r["perm"]) for t in obj["tables"] for r in t["reps"]]
+    assert code == 0 and len(reps) == 27
+    assert sorted(calls) == sorted(reps)
 
 
 def test_coset_flag_misuse(capsys):
@@ -368,7 +433,7 @@ def test_specialize_decompose_size_cap(capsys, monkeypatch, argv):
 def test_coset_size_cap(capsys, monkeypatch, argv, admitted):
     """Tables past representatives x rank^2 are refused from their closed-form count."""
     # a refused request must not list a representative; an admitted one lists none here
-    monkeypatch.setattr(cli, "distinguished_reps", (lambda spec: ()) if admitted else None)
+    monkeypatch.setattr(cli, "coset_table", (lambda spec: ()) if admitted else None)
     code, out, err = run(capsys, "coset", *argv)
     if admitted:
         assert code == 0 and err == ""

@@ -2,19 +2,30 @@
 
 Vectors and columns hold one integer key per entry: {e*dim + p: c} is the
 integer c times nu^(e/2) at basis position p, and _pe decodes a key to (p, e).
-At nu = 1 a key is reduced mod dim to its position.
+The relation check evaluates them at v = nu^(1/2) = 2^B, where an entry is one
+int keyed by its position; at nu = 1 (B = 0) the exponents are summed out.
 """
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from thetahecke import VerificationError
+from thetahecke import VerificationError, thetamod
 from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
-from thetahecke.thetamod import GroupRepAtOne, ThetaModule, _word, grade_dim_formula
+from thetahecke.thetamod import (
+    GroupRepAtOne,
+    ThetaModule,
+    _apply_word,
+    _at_point,
+    _balanced_digits,
+    _norm_and_range,
+    _word,
+    grade_dim_formula,
+)
 from thetahecke.weylbc import flip_at, gen_perm, identity, inv, reduced_word, swap_range
 
 MU = Fraction(1, 2)
@@ -263,6 +274,86 @@ def test_corrupted_column_is_reported_at_huge_mu():
         "entry": where,
         "residual": "nu^(-1000000000000000000000000000003/2)",
     }
+
+
+# -- the relation check at one integer point -----------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_point_evaluation_decodes_to_apply_word(shape):
+    """On random sparse integer vectors and random words, the word applied at
+    v = 2^B, B from the vector's and the letters' norms, decodes by balanced
+    digits and the shift v^-S to the e*dim + p apply_word result."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, Fraction(-3, 2))
+    gens = {key: _norm_and_range(mod.matrix(key), mod.dim) for key in mod.gen_keys()}
+    vectors = st.dictionaries(
+        st.integers(0, mod.dim - 1), st.integers(-5, 5).filter(bool), min_size=1, max_size=6
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(vec=vectors, word=st.lists(st.sampled_from(mod.gen_keys()), max_size=5))
+    def check(vec, word):
+        bound = sum(map(abs, vec.values())) * math.prod(gens[k][0] for k in word)
+        bits = bound.bit_length() + 1
+        mats = [_at_point(mod.matrix(k), mod.dim, bits, -gens[k][1]) for k in word]
+        shift = sum(-gens[k][1] for k in word)
+        got = {
+            (r, e - shift): d
+            for r, x in _apply_word(mats, vec, mod.dim).items()
+            for e, d in _balanced_digits(x, bits).items()
+        }
+        assert got == _decoded(mod, mod.apply_word(word, vec))
+
+    check()
+
+
+def _reports(rep: dict) -> list:
+    return [{k: v for k, v in r.items() if k != "elapsed"} for r in rep["relations"]]
+
+
+def test_planted_difference_vanishing_at_fixed_point_is_reported(monkeypatch):
+    """2^16 v^j - v^(j+1) added to a flip column is zero at v = 2^16, so a fixed
+    B = 16 would miss it; B comes from the corrupted norm, and the point check
+    reports what the unevaluated columns report."""
+    mod = ThetaModule(2, 2, MU)
+    for g in mod.gen_keys():
+        mod.matrix(g)
+    key, p, dim = (0, 2), mod.unit_pos(1), mod.dim
+    table = mod.matrix(key)
+    clean = table[p]
+    col = dict(clean)
+    r, j = _pe(mod, clean[0][0])
+    for k, c in ((j * dim + r, 2**16), ((j + 1) * dim + r, -1)):
+        col[k] = col.get(k, 0) + c
+    table[p] = tuple(sorted((k, c) for k, c in col.items() if c))
+    shift = -_norm_and_range(table, dim)[1]
+    assert _at_point([table[p]], dim, 16, shift) == _at_point([clean], dim, 16, shift)
+
+    rep = mod.verify_relations()
+    assert not rep["ok"] and rep["unevaluated"] == 0
+    assert 2 ** (rep["point_bits"] - 1) > 2**16
+    failing = [r["name"] for r in rep["relations"] if not r["ok"]]
+    assert failing[0] == "quad_flip"
+    monkeypatch.setattr(thetamod, "MAX_POINT_BITS", -1)
+    unevaluated = mod.verify_relations()
+    assert unevaluated["unevaluated"] == len(rep["relations"])
+    assert _reports(unevaluated) == _reports(rep)
+
+
+def test_huge_mu_relations_run_unevaluated():
+    """At a 31-digit mu every relation with a flip spans too many bits for one
+    point and runs on the unevaluated columns; the swap-only ones stay at the
+    point, and the whole suite passes."""
+    rep = ThetaModule(2, 2, HUGE_MU).verify_relations()
+    assert rep["ok"]
+    suite = ThetaModule(2, 2, HUGE_MU).relation_suite()
+    with_flip = [chk for chk in suite if "flip" in chk["name"]]
+    assert rep["unevaluated"] == len(with_flip) == 7 and len(suite) == 10
+    small = ThetaModule(2, 2, MU).verify_relations()
+    assert small["ok"] and small["unevaluated"] == 0
+    assert small["point_bits"] == rep["point_bits"]
 
 
 def test_grade_count_mismatch_is_a_verification_error(monkeypatch):
