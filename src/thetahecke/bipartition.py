@@ -16,7 +16,6 @@ integer multiplicities; zero entries are dropped.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +23,7 @@ from itertools import accumulate
 from itertools import product as iproduct
 
 from . import VerificationError
-from .weylbc import bipartitions, group_order, partitions, signed_centralizer
+from .weylbc import bipartitions, group_order, signed_centralizer
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -50,14 +49,6 @@ def part_splits(lam: Partition):
         first = tuple(v for v, c in zip(vals, pick) for _ in range(c))
         second = tuple(v for v, c, m in zip(vals, pick, mults) for _ in range(m - c))
         yield first, second
-
-
-def sym_centralizer(rho: Partition) -> int:
-    z = 1
-    for v in set(rho):
-        m = rho.count(v)
-        z *= v**m * math.factorial(m)
-    return z
 
 
 # the classes and the irreducibles of W_m are both indexed by pairs of
@@ -95,19 +86,6 @@ def sn_char(lam: Partition, rho: Partition) -> int:
         newlam = tuple(v for v in newlam if v)
         total += (-1) ** crossed * sn_char(newlam, rest)
     return total
-
-
-def sn_dim(lam: Partition) -> int:
-    """Hook length formula; independent route to sn_char at the identity."""
-    n = sum(lam)
-    if n == 0:
-        return 1
-    cols = [sum(1 for v in lam if v > j) for j in range(lam[0])]
-    hooks = 1
-    for i, v in enumerate(lam):
-        for j in range(v):
-            hooks *= (v - j) + (cols[j] - i) - 1
-    return math.factorial(n) // hooks
 
 
 # -- Pieri operators ----------------------------------------------------------
@@ -189,70 +167,6 @@ def is_multiplicity_free(vs: dict) -> bool:
 def vs_to_json(vs: dict) -> list[dict]:
     items = sorted(vs.items())
     return [{"bipartition": [list(a), list(b)], "mult": m} for (a, b), m in items]
-
-
-# -- products in the two Grothendieck rings -----------------------------------
-
-
-@lru_cache(maxsize=None)
-def sym_product_pair(alpha: Partition, gamma: Partition) -> tuple:
-    """chi_alpha . chi_gamma expanded in irreducibles of the larger group.
-
-    Multiplicities are induction coefficients computed by exact character
-    inner products; when one factor is a single row this reduces to Pieri
-    addition, which serves as an independent check in the tests.
-    """
-    a, c = sum(alpha), sum(gamma)
-    n = a + c
-    out = {}
-    for lam in partitions(n):
-        m = Fraction(0)
-        for rho1 in partitions(a):
-            x1 = sn_char(alpha, rho1)
-            if not x1:
-                continue
-            for rho2 in partitions(c):
-                x2 = sn_char(gamma, rho2)
-                if not x2:
-                    continue
-                m += Fraction(x1 * x2 * sn_char(lam, part_union(rho1, rho2)),
-                              sym_centralizer(rho1) * sym_centralizer(rho2))
-        if m.denominator != 1 or m < 0:
-            raise VerificationError(
-                f"multiplicity of {lam} in {alpha} x {gamma} is {m}, not a nonnegative integer"
-            )
-        if m:
-            out[lam] = int(m)
-    return tuple(sorted(out.items()))
-
-
-def sym_product(alpha: Partition, gamma: Partition) -> dict[Partition, int]:
-    return dict(sym_product_pair(alpha, gamma))
-
-
-def bip_product(a, b) -> dict[Bipartition, int]:
-    """Product of bipartition sums, slot by slot."""
-    if isinstance(a, tuple):
-        a = {a: 1}
-    if isinstance(b, tuple):
-        b = {b: 1}
-    out: dict[Bipartition, int] = {}
-    for (a1, a2), m1 in a.items():
-        for (b1, b2), m2 in b.items():
-            for p1, c1 in sym_product(a1, b1).items():
-                for p2, c2 in sym_product(a2, b2).items():
-                    vs_add(out, (p1, p2), m1 * m2 * c1 * c2)
-    return out
-
-
-def eps_twist(a) -> dict[Bipartition, int]:
-    """Tensoring with the full eps character swaps the two slots."""
-    if isinstance(a, tuple):
-        a = {a: 1}
-    out: dict[Bipartition, int] = {}
-    for (a1, a2), m in a.items():
-        vs_add(out, (a2, a1), m)
-    return out
 
 
 # -- signed-group characters ---------------------------------------------------
@@ -359,18 +273,6 @@ def lift_size(alpha: Partition, beta: Partition, l: int, lp: int) -> int:
         removed[l - k] * added[min(lp - k, len(added) - 1)]
         for k in range(max(0, l - len(removed) + 1), min(l, lp) + 1)
     )
-
-
-def amr_lift(m: int, l: int, lp: int, alpha: Partition, beta: Partition) -> dict[Bipartition, int]:
-    """The lift in the unipotent normalization: the theta lift with its two
-    slots exchanged (add-strips on alpha first, removed strips from beta second).
-
-    The cuspidal-support parameter m fixes the normalization but does not
-    enter the displayed sum.
-    """
-    if m < 0:
-        raise ValueError(f"the cuspidal-support parameter m must be non-negative, got {m}")
-    return eps_twist(theta_lift(alpha, beta, l, lp))
 
 
 # -- nu = 1 module decomposition ----------------------------------------------

@@ -104,7 +104,8 @@ def _parse_partition(text: str):
         obj = json.loads(text) if text.strip() else []
     except json.JSONDecodeError:
         raise ValueError(f"partition must be a JSON array, got {text!r}")
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    # JSON true and false load as bool, a subclass of int
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
         raise ValueError(f"partition must be a JSON array of integers, got {text!r}")
     return check_partition(obj)
 
@@ -132,8 +133,13 @@ def _emit(args, obj, text_renderer):
 
 def cmd_module_verify(args) -> int:
     mu = as_half(args.mu)
+    # formatted before anything is built, since the summary line prints it
+    try:
+        mu_text = format_half(mu)
+    except ValueError:
+        raise ValueError(f"--mu {args.mu} has too many digits to print") from None
     if args.case is not None and not mu_range_check(args.case, mu):
-        raise ValueError(f"mu={format_half(mu)} is out of range for case {args.case}")
+        raise ValueError(f"mu={mu_text} is out of range for case {args.case}")
     l, lp = args.l, args.lprime
     _check_size("module-verify", l, lp, MAX_VERIFY_RANK, MAX_VERIFY_DIM)
 
@@ -147,7 +153,7 @@ def cmd_module_verify(args) -> int:
         took = rel.pop("elapsed")
         print(f"{rel['name']}: {'PASS' if rel['ok'] else 'FAIL'} ({took:.3f}s)", file=sys.stderr)
     print(
-        f"module-verify l={l} lprime={lp} mu={format_half(mu)}: {elapsed:.2f}s, "
+        f"module-verify l={l} lprime={lp} mu={mu_text}: {elapsed:.2f}s, "
         f"B={bits}, {unevaluated} of {len(report['relations'])} relations unevaluated",
         file=sys.stderr,
     )

@@ -27,7 +27,6 @@ from .weylbc import (
     is_right_descent,
     length,
     mul,
-    num_flips,
     reduced_word,
 )
 
@@ -190,49 +189,4 @@ def he_inv_basis(params: HeckeParams, w: SignedPerm) -> HeckeElem:
     out = HeckeElem.unit(params.rank)
     for g in reversed(reduced_word(w)):
         out = he_mul(params, out, _gen_inverse(params, g))
-    return out
-
-
-def flip_twist_iso(a: HeckeElem, mu) -> HeckeElem:
-    """Algebra isomorphism from flip exponent -mu to flip exponent mu.
-
-    On a basis element it multiplies by (-1)**f * nu**(-mu*f) where f counts
-    flip letters of the index; the support is unchanged.
-    """
-    m = as_half(mu)
-    out = {}
-    for w, c in a.terms.items():
-        f = num_flips(w)
-        sign = -1 if f % 2 else 1
-        out[w] = c.scale(sign).shift(-m * f)
-    return HeckeElem(out)
-
-
-def sign_character(params: HeckeParams, a: HeckeElem) -> LaurentPoly:
-    """Swap generators evaluate to nu, the flip to -1; linear in a."""
-    total = LaurentPoly.zero()
-    for w, c in a.terms.items():
-        f = num_flips(w)
-        val = LaurentPoly.nu_power(HalfInt(length(w) - f)).scale(-1 if f % 2 else 1)
-        total = total + c * val
-    return total
-
-
-def index_character(params: HeckeParams, a: HeckeElem) -> LaurentPoly:
-    """Swap generators evaluate to nu, the flip to its own parameter."""
-    total = LaurentPoly.zero()
-    for w, c in a.terms.items():
-        f = num_flips(w)
-        e = HalfInt(length(w) - f) + params.flip_exponent * f if f else HalfInt(length(w))
-        total = total + c * LaurentPoly.nu_power(e)
-    return total
-
-
-def he_specialize_nu1(a: HeckeElem) -> dict[SignedPerm, int]:
-    """Coefficients at nu = 1: an integral group-algebra element."""
-    out = {}
-    for w, c in a.terms.items():
-        v = c.specialize_nu1()
-        if v:
-            out[w] = v
     return out

@@ -5,17 +5,12 @@ A ring element is stored as a sparse map ``{e: c}`` meaning ``sum c * nu**(e/2)`
 with integer coefficients and integer exponent numerators (denominator fixed
 at 2).  ``add_shifted`` and ``add_product`` are the kernels on these term
 dicts: ``LaurentPoly``'s sum and product and the Hecke algebra's basis
-products all run through them.  Two specializations are supported exactly:
-
-* ``nu = 1``  -- the integer obtained by summing all coefficients;
-* ``nu = q``  -- for an integer q >= 2, a value ``a + b*sqrt(q)`` with exact
-  rational ``a``, ``b`` (a plain Fraction when q is a perfect square).
+products all run through them.  The specialization at ``nu = 1`` is the integer
+obtained by summing all coefficients.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,7 +30,10 @@ def as_half(value) -> HalfInt:
     >>> as_half(-2)
     Fraction(-2, 1)
     """
-    f = Fraction(value)
+    try:
+        f = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"not a half-integer: {value!r} has a zero denominator") from None
     if f.denominator not in (1, 2):
         raise ValueError(f"not a half-integer: {value!r}")
     return f
@@ -70,7 +68,7 @@ class LaurentPoly:
 
     Immutable by convention: no method mutates ``self.terms``.
 
-    >>> p = LaurentPoly.nu_power(half(1)) + LaurentPoly.const(2)
+    >>> p = LaurentPoly.nu_power(half(1)) + LaurentPoly({0: 2})
     >>> str(p)
     '2 + nu^(1/2)'
     >>> (p * p).specialize_nu1()
@@ -98,10 +96,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
 
     @classmethod
     def nu_power(cls, e, coeff: int = 1) -> "LaurentPoly":
@@ -132,16 +126,6 @@ class LaurentPoly:
         out: dict[int, int] = {}
         add_product(out, self.terms, other.terms)
         return LaurentPoly(out)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly({e: c * k for e, k in self.terms.items()})
-
-    def shift(self, e) -> "LaurentPoly":
-        """Multiply by nu**e (a monomial shift)."""
-        n = int(as_half(e) * 2)
-        return LaurentPoly({k + n: c for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -189,34 +173,6 @@ class LaurentPoly:
         """Evaluate at nu = 1 (so also v = 1): the coefficient sum."""
         return sum(self.terms.values())
 
-    def specialize_prime_power(self, q: int):
-        """Evaluate at nu = q exactly.
-
-        Returns a Fraction when q is a perfect square, else a QuadExtValue
-        over sqrt(q).
-
-        >>> LaurentPoly.nu_power(half(3)).specialize_prime_power(2)
-        QuadExtValue(0, 2, sqrt(2))
-        >>> p = LaurentPoly.nu_power(-1, 2) + LaurentPoly.nu_power(1)
-        >>> p.specialize_prime_power(4)
-        Fraction(9, 2)
-        """
-        if q < 2:
-            raise ValueError(f"nu = q needs an integer q >= 2, got {q}")
-        rational = Fraction(0)
-        surd = Fraction(0)
-        for e, c in self.terms.items():
-            # nu^(e/2) = q^(e//2) * sqrt(q)^(e%2) with floor division
-            term = c * Fraction(q) ** (e // 2)
-            if e % 2:
-                surd += term
-            else:
-                rational += term
-        r = math.isqrt(q)
-        if r * r == q:
-            return rational + surd * r
-        return QuadExtValue(rational, surd, q)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict[str, int]:
@@ -226,46 +182,3 @@ class LaurentPoly:
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int]) -> "LaurentPoly":
         return cls({int(e): int(c) for e, c in obj.items()})
-
-
-@dataclass(frozen=True)
-class QuadExtValue:
-    """An exact value a + b*sqrt(radicand) with rational a, b.
-
-    The radicand is a fixed non-square integer >= 2; values with different
-    radicands do not mix.
-    """
-
-    rational: Fraction
-    surd: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        r = math.isqrt(self.radicand)
-        if self.radicand < 2 or r * r == self.radicand:
-            raise ValueError(f"the radicand must be a non-square >= 2, got {self.radicand}")
-
-    def _check(self, other: "QuadExtValue"):
-        if self.radicand != other.radicand:
-            raise ValueError(f"mixed radicands {self.radicand} and {other.radicand}")
-
-    def __add__(self, other: "QuadExtValue") -> "QuadExtValue":
-        self._check(other)
-        return QuadExtValue(self.rational + other.rational, self.surd + other.surd, self.radicand)
-
-    def __neg__(self) -> "QuadExtValue":
-        return QuadExtValue(-self.rational, -self.surd, self.radicand)
-
-    def __sub__(self, other: "QuadExtValue") -> "QuadExtValue":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadExtValue") -> "QuadExtValue":
-        self._check(other)
-        a, b, c, d = self.rational, self.surd, other.rational, other.surd
-        return QuadExtValue(a * c + b * d * self.radicand, a * d + b * c, self.radicand)
-
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.surd == 0
-
-    def __repr__(self) -> str:
-        return f"QuadExtValue({self.rational}, {self.surd}, sqrt({self.radicand}))"

@@ -281,9 +281,6 @@ class ThetaModule:
     def unit_pos(self, k: int) -> int:
         return self.pos[(k, identity(self.l), identity(self.lp), identity(k))]
 
-    def basis_vec(self, p: int) -> dict:
-        return {p: 1}
-
     def gen_keys(self) -> list[tuple[int, int]]:
         return [(0, g) for g in range(1, self.l + 1)] + [(1, g) for g in range(1, self.lp + 1)]
 

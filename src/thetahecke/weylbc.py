@@ -82,11 +82,6 @@ def is_unsigned(w: SignedPerm) -> bool:
     return all(v > 0 for v in w)
 
 
-def num_flips(w: SignedPerm) -> int:
-    """Number of sign-flip letters in any reduced word (= negative entries)."""
-    return sum(1 for v in w if v < 0)
-
-
 # -- length ----------------------------------------------------------------
 
 
@@ -136,11 +131,6 @@ def is_right_descent(w, g: int) -> bool:
     return _mirror_value(w[g], l) > _mirror_value(w[g - 1], l)
 
 
-def left_descents(w: SignedPerm) -> list[int]:
-    w_inv = inv(w)
-    return [g for g in range(1, len(w) + 1) if is_right_descent(w_inv, g)]
-
-
 def reduced_word(w: SignedPerm) -> list[int]:
     """A reduced word, deterministic: lowest-index left descent first.
 
@@ -165,24 +155,6 @@ def reduced_word(w: SignedPerm) -> list[int]:
         else:
             cur[g - 1], cur[g] = cur[g], cur[g - 1]
         g = max(g - 1, 1)
-    return word
-
-
-def reduced_word_rightmost(w: SignedPerm) -> list[int]:
-    """An alternative reduced word peeling highest-index right descents."""
-    l = len(w)
-    word = []
-    cur = w
-    lw = length(cur)
-    while cur != identity(l):
-        g = next(
-            g
-            for g in range(l, 0, -1)
-            if length(mul(cur, gen_perm(g, l))) < lw
-        )
-        word.insert(0, g)
-        cur = mul(cur, gen_perm(g, l))
-        lw -= 1
     return word
 
 
@@ -248,10 +220,6 @@ def is_distinguished(w: SignedPerm, spec: CosetSpec) -> bool:
     return not any(is_right_descent(w, g) for g in spec.parabolic_gens())
 
 
-def _perm_sort_key(w: SignedPerm):
-    return (length(w), w)
-
-
 def coset_table(spec: CosetSpec) -> tuple[tuple[int, SignedPerm], ...]:
     """Minimal-length left-coset representatives with their lengths, as
     (length, representative) pairs sorted by (length, images).
@@ -293,27 +261,6 @@ def coset_table(spec: CosetSpec) -> tuple[tuple[int, SignedPerm], ...]:
 def distinguished_reps(spec: CosetSpec) -> tuple[SignedPerm, ...]:
     """The representatives of coset_table, without their lengths."""
     return tuple(d for _, d in coset_table(spec))
-
-
-def distinguished_reps_bruteforce(spec: CosetSpec) -> tuple[SignedPerm, ...]:
-    """Independent route: scan the whole group for coset minima (small n)."""
-    group = (
-        all_unsigned_perms(spec.n) if spec.kind == "sym_block" else all_signed_perms(spec.n)
-    )
-    best: dict[tuple, SignedPerm] = {}
-    for w in group:
-        key = _coset_key(w, spec)
-        cur = best.get(key)
-        if cur is None or _perm_sort_key(w) < _perm_sort_key(cur):
-            best[key] = w
-    return tuple(sorted(best.values(), key=_perm_sort_key))
-
-
-def _coset_key(w: SignedPerm, spec: CosetSpec):
-    n, k = spec.n, spec.k
-    if spec.kind == "sym_block":
-        return (tuple(sorted(w[: n - k])), tuple(sorted(w[n - k :])))
-    return (tuple(sorted(w[:k])), tuple(sorted(abs(v) for v in w[k:])))
 
 
 def deodhar_transfer(d: SignedPerm, g: int, spec: CosetSpec):
@@ -366,47 +313,11 @@ def all_unsigned_perms(l: int) -> list[SignedPerm]:
     return [tuple(p) for p in itertools.permutations(range(1, l + 1))]
 
 
-def all_signed_perms(l: int) -> list[SignedPerm]:
-    out = []
-    for p in itertools.permutations(range(1, l + 1)):
-        for signs in itertools.product((1, -1), repeat=l):
-            out.append(tuple(s * v for s, v in zip(signs, p)))
-    return out
-
-
 def group_order(l: int) -> int:
     out = 1
     for i in range(1, l + 1):
         out *= 2 * i
     return out
-
-
-def cycle_type(w: SignedPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Signed cycle type: (positive-cycle lengths, negative-cycle lengths),
-    each sorted decreasingly.  A cycle is negative when the signs along it
-    multiply to -1.
-
-    >>> cycle_type((1, -2))
-    ((1,), (1,))
-    """
-    l = len(w)
-    seen = [False] * (l + 1)
-    pos, neg = [], []
-    for start in range(1, l + 1):
-        if seen[start]:
-            continue
-        i, sign, size = start, 1, 0
-        while True:
-            seen[i] = True
-            size += 1
-            v = w[i - 1]
-            if v < 0:
-                sign = -sign
-            i = abs(v)
-            if i == start:
-                break
-        (pos if sign > 0 else neg).append(size)
-    return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
 
 
 def _partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -473,24 +384,3 @@ def conjugacy_classes(l: int) -> list[dict]:
         out.append({"type": (lam, mu), "rep": class_rep(lam, mu, l), "size": size})
     out.sort(key=lambda c: c["type"])
     return out
-
-
-# -- BFS oracle (tests) ------------------------------------------------------
-
-
-def bfs_lengths(l: int) -> dict[SignedPerm, int]:
-    """Word lengths by breadth-first search over the Cayley graph."""
-    start = identity(l)
-    dist = {start: 0}
-    frontier = [start]
-    gens = [gen_perm(g, l) for g in range(1, l + 1)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for gp in gens:
-                u = mul(gp, w)
-                if u not in dist:
-                    dist[u] = dist[w] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist

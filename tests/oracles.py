@@ -1,0 +1,221 @@
+"""Independent routes the tests compare the package against: brute-force
+scans of the signed permutation group, and symmetric-group characters and
+products computed by textbook formulas.  The package itself needs none of them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from thetahecke import VerificationError
+from thetahecke.bipartition import Bipartition, Partition, part_union, sn_char, vs_add
+from thetahecke.weylbc import (
+    CosetSpec,
+    SignedPerm,
+    all_unsigned_perms,
+    gen_perm,
+    identity,
+    inv,
+    is_right_descent,
+    length,
+    mul,
+    partitions,
+)
+
+
+# -- signed permutations ---------------------------------------------------
+
+
+def num_flips(w: SignedPerm) -> int:
+    """Number of sign-flip letters in any reduced word (= negative entries)."""
+    return sum(1 for v in w if v < 0)
+
+
+def left_descents(w: SignedPerm) -> list[int]:
+    w_inv = inv(w)
+    return [g for g in range(1, len(w) + 1) if is_right_descent(w_inv, g)]
+
+
+def reduced_word_rightmost(w: SignedPerm) -> list[int]:
+    """An alternative reduced word peeling highest-index right descents."""
+    l = len(w)
+    word = []
+    cur = w
+    lw = length(cur)
+    while cur != identity(l):
+        g = next(
+            g
+            for g in range(l, 0, -1)
+            if length(mul(cur, gen_perm(g, l))) < lw
+        )
+        word.insert(0, g)
+        cur = mul(cur, gen_perm(g, l))
+        lw -= 1
+    return word
+
+
+def _perm_sort_key(w: SignedPerm):
+    return (length(w), w)
+
+
+def distinguished_reps_bruteforce(spec: CosetSpec) -> tuple[SignedPerm, ...]:
+    """Independent route: scan the whole group for coset minima (small n)."""
+    group = (
+        all_unsigned_perms(spec.n) if spec.kind == "sym_block" else all_signed_perms(spec.n)
+    )
+    best: dict[tuple, SignedPerm] = {}
+    for w in group:
+        key = _coset_key(w, spec)
+        cur = best.get(key)
+        if cur is None or _perm_sort_key(w) < _perm_sort_key(cur):
+            best[key] = w
+    return tuple(sorted(best.values(), key=_perm_sort_key))
+
+
+def _coset_key(w: SignedPerm, spec: CosetSpec):
+    n, k = spec.n, spec.k
+    if spec.kind == "sym_block":
+        return (tuple(sorted(w[: n - k])), tuple(sorted(w[n - k :])))
+    return (tuple(sorted(w[:k])), tuple(sorted(abs(v) for v in w[k:])))
+
+
+def all_signed_perms(l: int) -> list[SignedPerm]:
+    out = []
+    for p in itertools.permutations(range(1, l + 1)):
+        for signs in itertools.product((1, -1), repeat=l):
+            out.append(tuple(s * v for s, v in zip(signs, p)))
+    return out
+
+
+def cycle_type(w: SignedPerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Signed cycle type: (positive-cycle lengths, negative-cycle lengths),
+    each sorted decreasingly.  A cycle is negative when the signs along it
+    multiply to -1.
+
+    >>> cycle_type((1, -2))
+    ((1,), (1,))
+    """
+    l = len(w)
+    seen = [False] * (l + 1)
+    pos, neg = [], []
+    for start in range(1, l + 1):
+        if seen[start]:
+            continue
+        i, sign, size = start, 1, 0
+        while True:
+            seen[i] = True
+            size += 1
+            v = w[i - 1]
+            if v < 0:
+                sign = -sign
+            i = abs(v)
+            if i == start:
+                break
+        (pos if sign > 0 else neg).append(size)
+    return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
+
+
+def bfs_lengths(l: int) -> dict[SignedPerm, int]:
+    """Word lengths by breadth-first search over the Cayley graph."""
+    start = identity(l)
+    dist = {start: 0}
+    frontier = [start]
+    gens = [gen_perm(g, l) for g in range(1, l + 1)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for gp in gens:
+                u = mul(gp, w)
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+# -- symmetric-group characters and products -------------------------------
+
+
+def sym_centralizer(rho: Partition) -> int:
+    z = 1
+    for v in set(rho):
+        m = rho.count(v)
+        z *= v**m * math.factorial(m)
+    return z
+
+
+def sn_dim(lam: Partition) -> int:
+    """Hook length formula; independent route to sn_char at the identity."""
+    n = sum(lam)
+    if n == 0:
+        return 1
+    cols = [sum(1 for v in lam if v > j) for j in range(lam[0])]
+    hooks = 1
+    for i, v in enumerate(lam):
+        for j in range(v):
+            hooks *= (v - j) + (cols[j] - i) - 1
+    return math.factorial(n) // hooks
+
+
+@lru_cache(maxsize=None)
+def sym_product_pair(alpha: Partition, gamma: Partition) -> tuple:
+    """chi_alpha . chi_gamma expanded in irreducibles of the larger group.
+
+    Multiplicities are induction coefficients computed by exact character
+    inner products; when one factor is a single row this reduces to Pieri
+    addition, which serves as an independent check in the tests.
+    """
+    a, c = sum(alpha), sum(gamma)
+    n = a + c
+    out = {}
+    for lam in partitions(n):
+        m = Fraction(0)
+        for rho1 in partitions(a):
+            x1 = sn_char(alpha, rho1)
+            if not x1:
+                continue
+            for rho2 in partitions(c):
+                x2 = sn_char(gamma, rho2)
+                if not x2:
+                    continue
+                m += Fraction(x1 * x2 * sn_char(lam, part_union(rho1, rho2)),
+                              sym_centralizer(rho1) * sym_centralizer(rho2))
+        if m.denominator != 1 or m < 0:
+            raise VerificationError(
+                f"multiplicity of {lam} in {alpha} x {gamma} is {m}, not a nonnegative integer"
+            )
+        if m:
+            out[lam] = int(m)
+    return tuple(sorted(out.items()))
+
+
+def sym_product(alpha: Partition, gamma: Partition) -> dict[Partition, int]:
+    return dict(sym_product_pair(alpha, gamma))
+
+
+def bip_product(a, b) -> dict[Bipartition, int]:
+    """Product of bipartition sums, slot by slot."""
+    if isinstance(a, tuple):
+        a = {a: 1}
+    if isinstance(b, tuple):
+        b = {b: 1}
+    out: dict[Bipartition, int] = {}
+    for (a1, a2), m1 in a.items():
+        for (b1, b2), m2 in b.items():
+            for p1, c1 in sym_product(a1, b1).items():
+                for p2, c2 in sym_product(a2, b2).items():
+                    vs_add(out, (p1, p2), m1 * m2 * c1 * c2)
+    return out
+
+
+def eps_twist(a) -> dict[Bipartition, int]:
+    """Tensoring with the full eps character swaps the two slots."""
+    if isinstance(a, tuple):
+        a = {a: 1}
+    out: dict[Bipartition, int] = {}
+    for (a1, a2), m in a.items():
+        vs_add(out, (a2, a1), m)
+    return out

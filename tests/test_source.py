@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +19,56 @@ def test_no_assert_statements():
     ]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+# statements that no package code calls, each checked by the tests
+KEPT = {
+    "bipartition.expected_module_character": "criterion 4: the nu = 1 character, induced grade by grade",
+    "bipartition.wl_char_table": "criterion 9: the signed-group character table is orthonormal",
+    "bipartition.wl_inner": "criterion 9: the class-weighted inner product of that table",
+    "dualpair.TowerConfig.swapped": "test_dualpair: the two companion towers exchange roles",
+    "dualpair.abundance_witness": "test_dualpair: each parameter in a case's range has a tower pair",
+    "dualpair.dimension_grid": "criterion 7: the exhaustive grid of tower pairs",
+    "dualpair.lambda_exponents": "test_dualpair: the scalar data of the two flip normalizations",
+    "dualpair.lusztig_unipotent": "criterion 8: the unipotent tower data",
+    "dualpair.relevance_closure": "test_dualpair: the parameter orbit under the two reflections",
+    "dualpair.unitary2_signed_fixed_space_sum": "criterion 7: the rank-2 unitary oracle",
+    "heckealg.HeckeElem.from_json_obj": "criterion 10: a hecke-mul product parses back from its JSON",
+    "heckealg.HeckeElem.scale_poly": "criterion 1: the right-hand side of the quadratic relations",
+}
+
+
+def _names(node) -> Counter:
+    """Names, attributes and import aliases under node (a doctest is a string)."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else sub.name
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_package_function_is_used():
+    """Every function and method of the package, dunders aside, is named in the
+    package outside its own body, is traced by the bench, or is in KEPT."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    refs = sum(map(_names, trees.values()), Counter())
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner, body = (node.name + ".", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+            for fn in body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    defs[f"{module}.{owner}{fn.name}"] = fn
+    traced = {f"{module}.{attribute}" for _, module, attribute, _ in tracer.TARGETS}
+    # a name used only inside its own body, as a recursion, is not used
+    unused = [n for n, fn in defs.items() if refs[fn.name] == _names(fn)[fn.name] and n not in traced]
+    assert len(defs) > 100
+    # a KEPT name that gains a caller, or goes, leaves KEPT
+    assert sorted(set(KEPT) - set(unused)) == []
+    assert sorted(set(unused) - set(KEPT)) == []
 
 
 def test_traced_names_resolve():

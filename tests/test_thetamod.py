@@ -99,7 +99,7 @@ def test_bottom_grade_eigenvectors():
     primed flip negates it."""
     for l, lp in [(2, 2), (3, 2), (2, 3)]:
         mod = ThetaModule(l, lp, MU)
-        v = mod.basis_vec(mod.unit_pos(0))
+        v = {mod.unit_pos(0): 1}
         for i in range(1, l):
             assert _decoded(mod, mod.apply_gen((0, i), v)) == {(mod.unit_pos(0), 2): 1}
         for i in range(1, lp):
@@ -109,7 +109,7 @@ def test_bottom_grade_eigenvectors():
 
 def test_apply_word_composes_columns():
     mod = ThetaModule(3, 2, MU)
-    v = mod.apply_gen((0, 3), mod.basis_vec(mod.unit_pos(1)))
+    v = mod.apply_gen((0, 3), {mod.unit_pos(1): 1})
     lhs = mod.apply_word([(0, 1), (0, 2)], v)
     rhs = mod.apply_gen((0, 1), mod.apply_gen((0, 2), v))
     assert lhs == rhs
@@ -372,7 +372,7 @@ def test_labels_are_words_of_ascents(mu):
         mod = ThetaModule(l, lp, mu)
         for p, (k, d1, d2, x) in enumerate(mod.basis):
             word = _word(0, d1) + _word(1, d2) + _word(1, x)
-            assert _decoded(mod, mod.apply_word(word, mod.basis_vec(mod.unit_pos(k)))) == {(p, 0): 1}
+            assert _decoded(mod, mod.apply_word(word, {mod.unit_pos(k): 1})) == {(p, 0): 1}
 
 
 def test_flip_seeds_and_columns_check_their_range():
@@ -450,7 +450,7 @@ def test_product_at_one_matches_apply_word(shape):
         cols = rep._product(word)
         for p in range(mod.dim):
             want: dict = {}
-            for (r, _), c in _decoded(mod, mod.apply_word(word, mod.basis_vec(p))).items():
+            for (r, _), c in _decoded(mod, mod.apply_word(word, {p: 1})).items():
                 want[r] = want.get(r, 0) + c
             assert cols[p] == {r: c for r, c in want.items() if c}, (word, p)
 
