@@ -20,7 +20,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from itertools import product as iproduct
 
 from . import VerificationError
 from .weylbc import bipartitions, group_order, signed_centralizer
@@ -41,16 +40,6 @@ def part_union(lam: Partition, mu: Partition) -> Partition:
     return tuple(sorted(lam + mu, reverse=True))
 
 
-def part_splits(lam: Partition):
-    """All ways to split the multiset of parts into an ordered pair."""
-    vals = sorted(set(lam), reverse=True)
-    mults = [lam.count(v) for v in vals]
-    for pick in iproduct(*(range(m + 1) for m in mults)):
-        first = tuple(v for v, c in zip(vals, pick) for _ in range(c))
-        second = tuple(v for v, c, m in zip(vals, pick, mults) for _ in range(m - c))
-        yield first, second
-
-
 # the classes and the irreducibles of W_m are both indexed by pairs of
 # partitions of total size m: (positive type, negative type) for a class
 signed_class_types = bipartitions
@@ -64,28 +53,33 @@ def eps_value(cls: ClassType) -> int:
 # -- symmetric group characters (Murnaghan-Nakayama) --------------------------
 
 
-@lru_cache(maxsize=None)
-def sn_char(lam: Partition, rho: Partition) -> int:
-    """chi_lam evaluated on the class of cycle type rho."""
-    if sum(lam) != sum(rho):
-        raise ValueError(f"chi_{lam} needs a class of size {sum(lam)}, got {rho}")
-    if not rho:
-        return 1
-    r, rest = rho[0], rho[1:]
+def _rim_hooks(lam: Partition, r: int):
+    """Yield (lam minus an r-rim hook, (-1)^height) for every r-rim hook of lam.
+
+    On the beta-numbers lam_i + (rows - 1 - i), removing an r-rim hook moves
+    one bead b to an empty b - r, and its height is the number of beads passed.
+    """
     rows = len(lam)
     betas = [lam[i] + (rows - 1 - i) for i in range(rows)]
-    total = 0
     bset = set(betas)
-    for j, b in enumerate(betas):
+    for b in betas:
         b2 = b - r
         if b2 < 0 or b2 in bset:
             continue
         crossed = sum(1 for c in betas if b2 < c < b)
         newb = sorted((bset - {b}) | {b2}, reverse=True)
-        newlam = tuple(v - (len(newb) - 1 - i) for i, v in enumerate(newb))
-        newlam = tuple(v for v in newlam if v)
-        total += (-1) ** crossed * sn_char(newlam, rest)
-    return total
+        newlam = tuple(v - (rows - 1 - i) for i, v in enumerate(newb))
+        yield tuple(v for v in newlam if v), -1 if crossed % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def sn_char(lam: Partition, rho: Partition) -> int:
+    """chi_lam evaluated on the class of cycle type rho (Murnaghan-Nakayama)."""
+    if sum(lam) != sum(rho):
+        raise ValueError(f"chi_{lam} needs a class of size {sum(lam)}, got {rho}")
+    if not rho:
+        return 1
+    return sum(sign * sn_char(nu, rho[1:]) for nu, sign in _rim_hooks(lam, rho[0]))
 
 
 # -- Pieri operators ----------------------------------------------------------
@@ -176,34 +170,29 @@ def vs_to_json(vs: dict) -> list[dict]:
 def wl_char(bip: Bipartition, cls: ClassType) -> int:
     """Character of the bipartition-labeled irreducible on a class.
 
-    Evaluated by the induced-character sum over the block subgroup
-    W_a x W_b, with conjugacy classes fused by part-multiset union.
+    Evaluated by the type-B Murnaghan-Nakayama rule (Halverson-Ram 1996 at
+    q = 1; Geck-Pfeiffer 2000, 10.3): the class's first positive cycle, or
+    its first negative one when it has none, removes a rim hook of its length
+    from alpha or from beta, signed by the hook's height.  A negative cycle
+    also negates the beta terms, since beta carries eps: () x (1) is -1 on a
+    sign flip.
+
+    >>> wl_char(((), (1,)), ((), (1,)))
+    -1
     """
     alpha, beta = bip
     lam, mu = cls
-    a = sum(alpha)
-    if a + sum(beta) != sum(lam) + sum(mu):
+    if sum(alpha) + sum(beta) != sum(lam) + sum(mu):
         raise ValueError(f"the character of {bip} needs a class of its rank, got {cls}")
-    z = signed_centralizer(cls)
-    total = 0
-    for lam1, lam2 in part_splits(lam):
-        for mu1, mu2 in part_splits(mu):
-            if sum(lam1) + sum(mu1) != a:
-                continue
-            x1 = sn_char(alpha, part_union(lam1, mu1))
-            if not x1:
-                continue
-            x2 = sn_char(beta, part_union(lam2, mu2))
-            if not x2:
-                continue
-            # z / (z1 z2) is the index of the block class's centralizer
-            index, rem = divmod(z, signed_centralizer((lam1, mu1)) * signed_centralizer((lam2, mu2)))
-            if rem:
-                raise VerificationError(
-                    f"character of {bip} on class {cls}: a class index is not an integer")
-            sign = -1 if len(mu2) % 2 else 1
-            total += sign * x1 * x2 * index
-    return total
+    if lam:
+        r, rest, flip = lam[0], (lam[1:], mu), 1
+    elif mu:
+        r, rest, flip = mu[0], (lam, mu[1:]), -1
+    else:
+        return 1
+    from_alpha = sum(s * wl_char((a, beta), rest) for a, s in _rim_hooks(alpha, r))
+    from_beta = sum(s * wl_char((alpha, b), rest) for b, s in _rim_hooks(beta, r))
+    return from_alpha + flip * from_beta
 
 
 def wl_char_table(m: int) -> dict[Bipartition, dict[ClassType, int]]:

@@ -131,13 +131,18 @@ def _emit(args, obj, text_renderer):
 # -- module-verify --------------------------------------------------------------
 
 
-def cmd_module_verify(args) -> int:
+def _printable_mu(args):
+    """--mu as a half-integer and its printed form, taken before any work so
+    that a mu with more digits than Python prints is refused up front."""
     mu = as_half(args.mu)
-    # formatted before anything is built, since the summary line prints it
     try:
-        mu_text = format_half(mu)
+        return mu, format_half(mu)
     except ValueError:
         raise ValueError(f"--mu {args.mu} has too many digits to print") from None
+
+
+def cmd_module_verify(args) -> int:
+    mu, mu_text = _printable_mu(args)
     if args.case is not None and not mu_range_check(args.case, mu):
         raise ValueError(f"mu={mu_text} is out of range for case {args.case}")
     l, lp = args.l, args.lprime
@@ -400,13 +405,14 @@ def cmd_hecke_mul(args) -> int:
             f"hecke-mul at rank {l} with {n} letters exceeds the cap: "
             f"min(|W_l|, 2^letters) x (letters x rank + rank^2) at most {MAX_HECKE_WORK}"
         )
-    params = HeckeParams.signed(l, as_half(args.mu))
+    mu, mu_text = _printable_mu(args)
+    params = HeckeParams.signed(l, mu)
     a = _parse_hecke_word(args.a, params)
     b = _parse_hecke_word(args.b, params)
     prod = he_mul(params, a, b)
     obj = {
         "l": args.l,
-        "mu": format_half(params.flip_exponent),
+        "mu": mu_text,
         "a": args.a,
         "b": args.b,
         "product": prod.to_json_obj(),

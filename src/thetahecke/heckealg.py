@@ -116,15 +116,16 @@ class HeckeElem:
         )
 
 
-def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
-    """T_u * T_w as term dicts {x: {e: c}}, peeling a reduced word of w.
+def _basis_terms(params: HeckeParams, cur: dict, w: SignedPerm) -> dict:
+    """(sum of c_x T_x) * T_w for the term dicts cur = {x: {e: c}}, peeling a
+    reduced word of w.  The peel moves cur's dicts into its result and
+    mutates them.
 
     T_x T_g is T_xg on an ascent, a relabel; on a descent the quadratic
     relation gives nu^(e/2) T_xg + (nu^(e/2) - 1) T_x, with e = 2 for a swap
     and flip_numer for the flip.
     """
     l = params.rank
-    cur = {u: {0: 1}}
     for g in reduced_word(w):
         e = 2 if g < l else params.flip_numer
         gp = gen_perm(g, l)
@@ -147,18 +148,18 @@ def _basis_terms(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> dict:
 
 def basis_product(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> HeckeElem:
     """T_u * T_w, peeling a fixed reduced word of w."""
-    return HeckeElem({x: LaurentPoly(c) for x, c in _basis_terms(params, u, w).items()})
+    return HeckeElem({x: LaurentPoly(c) for x, c in _basis_terms(params, {u: {0: 1}}, w).items()})
 
 
 def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-    """Product in the algebra, extended bilinearly from basis products."""
+    """Product in the algebra: the whole of a times each T_w of b, scaled by
+    its coefficient and summed."""
     acc: dict[SignedPerm, dict[int, int]] = {}
     for w, cb in b.terms.items():
-        for u, ca in a.terms.items():
-            scale: dict[int, int] = {}
-            add_product(scale, ca.terms, cb.terms)
-            for x, c in _basis_terms(params, u, w).items():
-                add_product(acc.setdefault(x, {}), c, scale)
+        # copies, since the peel moves and mutates the dicts it starts from
+        start = {u: dict(ca.terms) for u, ca in a.terms.items()}
+        for x, c in _basis_terms(params, start, w).items():
+            add_product(acc.setdefault(x, {}), c, cb.terms)
     return HeckeElem({x: LaurentPoly(c) for x, c in acc.items() if c})
 
 

@@ -1,6 +1,7 @@
 """Independent routes the tests compare the package against: brute-force
-scans of the signed permutation group, and symmetric-group characters and
-products computed by textbook formulas.  The package itself needs none of them.
+scans of the signed permutation group, symmetric-group characters and
+products computed by textbook formulas, and signed-group characters as
+induced sums.  The package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from thetahecke import VerificationError
-from thetahecke.bipartition import Bipartition, Partition, part_union, sn_char, vs_add
+from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
@@ -23,6 +24,7 @@ from thetahecke.weylbc import (
     length,
     mul,
     partitions,
+    signed_centralizer,
 )
 
 
@@ -219,3 +221,51 @@ def eps_twist(a) -> dict[Bipartition, int]:
     for (a1, a2), m in a.items():
         vs_add(out, (a2, a1), m)
     return out
+
+
+# -- signed-group characters ---------------------------------------------------
+
+
+def part_splits(lam: Partition):
+    """All ways to split the multiset of parts into an ordered pair."""
+    vals = sorted(set(lam), reverse=True)
+    mults = [lam.count(v) for v in vals]
+    for pick in itertools.product(*(range(m + 1) for m in mults)):
+        first = tuple(v for v, c in zip(vals, pick) for _ in range(c))
+        second = tuple(v for v, c, m in zip(vals, pick, mults) for _ in range(m - c))
+        yield first, second
+
+
+@lru_cache(maxsize=None)
+def wl_char_induced(bip: Bipartition, cls: ClassType) -> int:
+    """Character of the bipartition-labeled irreducible on a class; an
+    independent route to wl_char's rim-hook rule.
+
+    Evaluated by the induced-character sum over the block subgroup
+    W_a x W_b, with conjugacy classes fused by part-multiset union.
+    """
+    alpha, beta = bip
+    lam, mu = cls
+    a = sum(alpha)
+    if a + sum(beta) != sum(lam) + sum(mu):
+        raise ValueError(f"the character of {bip} needs a class of its rank, got {cls}")
+    z = signed_centralizer(cls)
+    total = 0
+    for lam1, lam2 in part_splits(lam):
+        for mu1, mu2 in part_splits(mu):
+            if sum(lam1) + sum(mu1) != a:
+                continue
+            x1 = sn_char(alpha, part_union(lam1, mu1))
+            if not x1:
+                continue
+            x2 = sn_char(beta, part_union(lam2, mu2))
+            if not x2:
+                continue
+            # z / (z1 z2) is the index of the block class's centralizer
+            index, rem = divmod(z, signed_centralizer((lam1, mu1)) * signed_centralizer((lam2, mu2)))
+            if rem:
+                raise VerificationError(
+                    f"character of {bip} on class {cls}: a class index is not an integer")
+            sign = -1 if len(mu2) % 2 else 1
+            total += sign * x1 * x2 * index
+    return total

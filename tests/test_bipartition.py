@@ -16,7 +16,6 @@ from thetahecke.bipartition import (
     induced_eps_character,
     is_multiplicity_free,
     lift_size,
-    part_splits,
     part_union,
     pieri_add,
     pieri_remove,
@@ -38,10 +37,12 @@ from oracles import (
     bip_product,
     cycle_type,
     eps_twist,
+    part_splits,
     sn_dim,
     sym_centralizer,
     sym_product,
     sym_product_pair,
+    wl_char_induced,
 )
 
 # -- plain partitions ----------------------------------------------------------
@@ -225,6 +226,14 @@ def test_eps_twist_swaps_slots_classwise():
                 )
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_wl_char_matches_induced_oracle(m):
+    """The rim-hook rule agrees with the induced-character sum on every pair."""
+    for bip in bipartitions(m):
+        for cls in signed_class_types(m):
+            assert wl_char(bip, cls) == wl_char_induced(bip, cls), (bip, cls)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_wl_orthogonality(m):
     table = wl_char_table(m)
@@ -342,15 +351,15 @@ def test_theta_lift_checks_its_input_and_result(monkeypatch):
 
 
 def test_wl_char_checks_integrality(monkeypatch):
-    """A non-integral induced-character sum raises instead of truncating."""
-    real = bipartition.signed_centralizer
-    monkeypatch.setattr(bipartition, "signed_centralizer", lambda cls: real(cls) + 1)
-    wl_char.cache_clear()
+    """A non-integral induced-character sum in the oracle raises instead of truncating."""
+    real = oracles.signed_centralizer
+    monkeypatch.setattr(oracles, "signed_centralizer", lambda cls: real(cls) + 1)
+    wl_char_induced.cache_clear()
     try:
         with pytest.raises(VerificationError, match="not an integer"):
-            wl_char(((1,), ()), ((1,), ()))
+            wl_char_induced(((1,), ()), ((1,), ()))
     finally:
-        wl_char.cache_clear()
+        wl_char_induced.cache_clear()
 
 
 def test_sym_product_checks_its_multiplicities(monkeypatch):

@@ -122,11 +122,15 @@ def test_module_verify_case_range_gate(capsys):
 
 
 def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
-    """A mu with more digits than Python prints is refused before anything is built."""
+    """A mu with more digits than Python prints is refused before anything is
+    built or multiplied, by both subcommands that print mu."""
     monkeypatch.setattr(cli, "ThetaModule", None)
-    code, out, err = run(capsys, "module-verify", "--l", "1", "--lprime", "1", "--mu", "1e5000")
-    assert code == 2 and out == ""
-    assert err == "error: --mu 1e5000 has too many digits to print\n"
+    monkeypatch.setattr(cli, "he_mul", None)
+    for argv in (("module-verify", "--l", "1", "--lprime", "1"),
+                 ("hecke-mul", "--l", "2", "--a", "t", "--b", "t")):
+        code, out, err = run(capsys, *argv, "--mu", "1e5000")
+        assert code == 2 and out == ""
+        assert err == "error: --mu 1e5000 has too many digits to print\n"
 
 
 def test_module_verify_dimension_cap(capsys):

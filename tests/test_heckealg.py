@@ -105,6 +105,30 @@ def test_basis_product_matches_reference(mu):
             assert basis_product(params, u, w) == _reference_basis_product(params, u, w)
 
 
+def _dense_elem(rng, perms, size):
+    return HeckeElem({
+        w: LaurentPoly({rng.randrange(-4, 5): rng.choice((-2, -1, 1, 3)) for _ in range(2)})
+        for w in rng.sample(perms, size)
+    })
+
+
+@pytest.mark.parametrize("mu", [half(1), half(-3)])
+def test_he_mul_of_dense_elements_is_bilinear(mu):
+    """he_mul peels all of a at once per term of b: the result is the sum of
+    the basis products, and a's coefficients are left as they were."""
+    params = HeckeParams.signed(3, mu)
+    rng = random.Random(5)
+    perms = all_signed_perms(3)
+    a, b = _dense_elem(rng, perms, 20), _dense_elem(rng, perms, 12)
+    a_before = {u: dict(ca.terms) for u, ca in a.terms.items()}
+    want = HeckeElem()
+    for u, ca in a.terms.items():
+        for w, cb in b.terms.items():
+            want = want + basis_product(params, u, w).scale_poly(ca * cb)
+    assert he_mul(params, a, b) == want
+    assert {u: ca.terms for u, ca in a.terms.items()} == a_before
+
+
 @pytest.mark.parametrize("mu", MUS)
 def test_inverses(mu):
     params = HeckeParams.signed(3, mu)
