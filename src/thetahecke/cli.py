@@ -45,9 +45,9 @@ MAX_VERIFY_DIM = 5000
 MAX_VERIFY_RANK = 200
 # specialize-decompose holds every generator as sparse integer columns, one
 # product per class representative, and a character over every class pair;
-# on 2 cores with Python 3.11.7, (4,4) (dim 1473) took 1.9 s at 38 MB peak RSS,
-# (5,4) (dim 4361) 9.7 s at 100 MB, and (3,8) (dim 3409, but 185 classes on the
-# rank-8 side) 23 s at 199 MB
+# on 2 cores with Python 3.11.7, end to end, (4,4) (dim 1473) took 0.9-1.5 s at
+# 38 MB peak RSS, (5,4) (dim 4361) 3.5-3.7 s at 109 MB, and (3,8) (dim 3409, but
+# 185 classes on the rank-8 side) 9.4-9.7 s at 214 MB
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
 # coset prints every representative with its length, an O(rank^2) inversion

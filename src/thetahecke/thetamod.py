@@ -30,13 +30,15 @@ Its action is seeded on the grade-k base vector by two explicit expansions
 Each is a sum of labelled basis vectors: a term T_(d1) T'_(d2) T'_x e_k is
 the basis vector of label (k, d1, d2, x), because every letter of those
 reduced words is an ascent (Deodhar's lemma for the distinguished d1 and d2,
-a slot ascent for x), so no seed applies a generator.  The seeds are
-propagated to general labels through the double-coset split of d1: either d1
-fixes the last position and commutes with the flip, or d1 factors through the
-cross-block cycle and the flip conjugates to position l-k.  The crossing seed
-is then the inner seed under T_w^-1, w the inverted cross-block cycle
-s_(l-k) ... s_(l-1): k inverse swap steps, each T_g^-1 = nu^-1 T_g +
-(nu^-1 - 1) by the quadratic relation, built once per grade.
+a slot ascent for x), so no seed applies a generator.  The other flip columns
+follow in position order from the generators that commute with the flip (the
+primed ones and the swaps below l-1): where such a T_g takes e_q to e_r with
+r > q, an ascent, the flip's column r is T_g applied to its column q.  Two
+kinds of labels have no such predecessor: the base vector e_k, whose column
+is the seed at the last position, and the crossing label (k, w^-1, 1, 1), w
+the inverted cross-block cycle s_(l-k) ... s_(l-1), whose column is the inner
+seed under T_w^-1: k inverse swap steps, each T_g^-1 = nu^-1 T_g +
+(nu^-1 - 1) by the quadratic relation.
 
 Everything is exact: coefficients are Laurent polynomials in v = nu**(1/2).
 Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import VerificationError
 from .laurent import HalfInt, LaurentPoly, as_half
@@ -69,7 +71,6 @@ from .weylbc import (
     conjugacy_classes,
     deodhar_transfer,
     distinguished_reps,
-    double_coset_split,
     flip_at,
     gen_perm,
     identity,
@@ -271,7 +272,6 @@ class ThetaModule:
         self.dim = len(self.basis)
 
         self._cols: dict[tuple, list[tuple]] = {}
-        self._seeds: dict[tuple[str, int], dict] = {}
 
     # -- bookkeeping --
 
@@ -291,8 +291,11 @@ class ThetaModule:
         apply the other generators, never the flip)."""
         cols = self._cols.get(key)
         if cols is None:
-            build = self._col_flip if key == (0, self.l) else partial(self._col_transfer, *key)
-            cols = self._cols[key] = [build(p) for p in range(self.dim)]
+            if key == (0, self.l):
+                cols = self._flip_columns()
+            else:
+                cols = [self._col_transfer(*key, p) for p in range(self.dim)]
+            self._cols[key] = cols
         return cols
 
     def column(self, key: tuple, p: int) -> tuple:
@@ -300,10 +303,6 @@ class ThetaModule:
 
     def apply_gen(self, key: tuple, vec: dict) -> dict:
         return _apply(self.matrix(key), vec, self.dim)
-
-    def apply_word(self, keys, vec: dict) -> dict:
-        """Apply a sequence of generator keys; the rightmost acts first."""
-        return _apply_word([self.matrix(key) for key in keys], vec, self.dim)
 
     # -- the grade-preserving generator actions --
 
@@ -397,26 +396,42 @@ class ThetaModule:
             parts.append((p, (scale * (nu(k - i + 1) + nu(k - i, -1))).terms))
         return dict(_column(self.dim, *parts))
 
-    def _col_flip(self, p: int):
+    def _flip_columns(self) -> list[tuple]:
+        """The flip's columns in position order, each a seed or one commuting
+        generator applied to an earlier flip column."""
         if self.l < 1:
             raise ValueError("the rank-0 algebra has no flip generator")
-        k, d1, d2, x = self.basis[p]
-        branch, first = double_coset_split(d1, k)
-        vec = self._seeds.get((branch, k))
-        if vec is None:
-            if branch == "fix":
-                vec = self.seed_flip_top(k)
-            else:
-                # T_w^-1 = T_(l-1)^-1 ... T_(l-k)^-1 on the inner seed, w = s_(l-k) ... s_(l-1)
-                vec = self.seed_flip_inner(k)
-                for g in range(self.l - k, self.l):
-                    out: dict = {}
-                    _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV, self.dim)
-                    _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE, self.dim)
-                    vec = out
-            self._seeds[(branch, k)] = vec
-        vec = self.apply_word(_word(1, d2) + _word(1, x) + _word(0, first), vec)
-        return tuple(sorted(vec.items()))
+        l, lp, dim = self.l, self.lp, self.dim
+        seeds = {self.unit_pos(k): self.seed_flip_top(k) for k in range(self.kmax + 1)}
+        for k in range(1, min(l - 1, lp) + 1):
+            # T_w^-1 = T_(l-1)^-1 ... T_(l-k)^-1 on the inner seed, w = s_(l-k) ... s_(l-1)
+            vec = self.seed_flip_inner(k)
+            for g in range(l - k, l):
+                out: dict = {}
+                _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV, dim)
+                _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE, dim)
+                vec = out
+            seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
+        # for g commuting with the flip, a column q that is exactly e_r, r > q, is
+        # an ascent e_r = T_g e_q (each factor of the basis is listed by length),
+        # so flip column r is T_g on flip column q; r < q is a descent that
+        # relabels, as the primed flip's does at mu = -1
+        ascents: dict[int, tuple] = {}
+        for key in [(0, g) for g in range(1, l - 1)] + [(1, g) for g in range(1, lp + 1)]:
+            gen = self.matrix(key)
+            for q, col in enumerate(gen):
+                if len(col) == 1 and col[0][1] == 1 and q < col[0][0] < dim:
+                    ascents[col[0][0]] = gen, q
+        cols: list[tuple] = []
+        for r in range(dim):
+            vec = seeds.get(r)
+            if vec is None:
+                if r not in ascents:
+                    raise VerificationError(f"no flip seed and no ascent reaches label {self.basis[r]}")
+                gen, q = ascents[r]
+                vec = _apply(gen, dict(cols[q]), dim)
+            cols.append(tuple(sorted(vec.items())))
+        return cols
 
     # -- relation suite --
 

@@ -78,10 +78,6 @@ def word_to_perm(word: list[int], l: int) -> SignedPerm:
     return out
 
 
-def is_unsigned(w: SignedPerm) -> bool:
-    return all(v > 0 for v in w)
-
-
 # -- length ----------------------------------------------------------------
 
 
@@ -282,28 +278,6 @@ def deodhar_transfer(d: SignedPerm, g: int, spec: CosetSpec):
         if h == gen_perm(t, l):
             return ("transfer", t)
     return ("coset", gd, 1)
-
-
-def double_coset_split(d1: SignedPerm, k: int):
-    """Split a representative for the two-block quotient along the extra
-    one-position block at the end.
-
-    Returns ('fix', d1) when d1 fixes the last position, else ('cross', y)
-    with d1 = y * swap_range(l - k, l, l), the cross-block cycle
-    s_(l-1) ... s_(l-k), and lengths adding.
-    """
-    l = len(d1)
-    if not is_unsigned(d1):
-        raise ValueError(f"the two-block split needs an unsigned permutation, got {d1}")
-    if d1[l - 1] == l:
-        return ("fix", d1)
-    w2 = swap_range(l - k, l, l)
-    y = mul(d1, inv(w2))
-    if y[l - 1] != l:
-        raise VerificationError(f"cross-branch remainder moves the last position: {d1}")
-    if length(d1) != length(y) + k:
-        raise VerificationError(f"lengths fail to add for {d1}")
-    return ("cross", y)
 
 
 # -- enumeration and conjugacy ----------------------------------------------

@@ -9,6 +9,7 @@ int keyed by its position; at nu = 1 (B = 0) the exponents are summed out.
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,11 @@ def _pe(mod: ThetaModule, key: int) -> tuple[int, int]:
 def _decoded(mod: ThetaModule, vec) -> dict:
     """A vector or column as {(p, e): c}."""
     return {_pe(mod, key): c for key, c in dict(vec).items()}
+
+
+def _apply_keys(mod: ThetaModule, keys, vec: dict) -> dict:
+    """Apply a sequence of generator keys; the rightmost acts first."""
+    return _apply_word([mod.matrix(key) for key in keys], vec, mod.dim)
 
 
 # -- basis ----------------------------------------------------------------------
@@ -110,10 +116,10 @@ def test_bottom_grade_eigenvectors():
 def test_apply_word_composes_columns():
     mod = ThetaModule(3, 2, MU)
     v = mod.apply_gen((0, 3), {mod.unit_pos(1): 1})
-    lhs = mod.apply_word([(0, 1), (0, 2)], v)
+    lhs = _apply_keys(mod, [(0, 1), (0, 2)], v)
     rhs = mod.apply_gen((0, 1), mod.apply_gen((0, 2), v))
     assert lhs == rhs
-    lhs = mod.apply_word([(1, 1)], v)
+    lhs = _apply_keys(mod, [(1, 1)], v)
     rhs = mod.apply_gen((1, 1), v)
     assert lhs == rhs
 
@@ -163,17 +169,21 @@ def test_apply_word_matches_laurent_reference(shape):
         want = _to_poly_vec(mod, vec)
         for key in reversed(word):
             want = _reference_apply_gen(mod, key, want)
-        assert _to_poly_vec(mod, mod.apply_word(word, vec)) == want
+        assert _to_poly_vec(mod, _apply_keys(mod, word, vec)) == want
 
     check()
 
 
 # sha256 of every column at (3,3) as [key, p, sorted [r, e, c] entries], recorded
-# from the {p: LaurentPoly} columns this representation replaced
+# from the {p: LaurentPoly} columns this representation replaced; mu = -1, where
+# the primed flip's descent is a plain relabel, and mu = 0 were recorded from the
+# flip built by whole double-coset words before the one-generator recursion
 FROZEN_COLUMN_DIGESTS = {
     Fraction(1, 2): "796134564443975a2121651458b2f2ef4cb4478576898f128ccea1cedf9daad4",
     Fraction(-3, 2): "a85c9e365eb0e4a1d6e70bb34484b2992711693401eb245b700a49bcc135aa6a",
     Fraction(2): "7c270b4e62fc4f5eaeb4d4fef42878539ed41c16dd056b71c6e6005cf9010e10",
+    Fraction(-1): "b5e66ae4c5f41fc7bc8bc22e2c9ed35d84b0a9c1fe697cd0bd505e15cc05595c",
+    Fraction(0): "251e3c3eca2198c700b892b45d40a5e621a8b5ba1cd70dbf87b2a6ebe7789be5",
 }
 
 
@@ -304,7 +314,7 @@ def test_point_evaluation_decodes_to_apply_word(shape):
             for r, x in _apply_word(mats, vec, mod.dim).items()
             for e, d in _balanced_digits(x, bits).items()
         }
-        assert got == _decoded(mod, mod.apply_word(word, vec))
+        assert got == _decoded(mod, _apply_keys(mod, word, vec))
 
     check()
 
@@ -372,7 +382,7 @@ def test_labels_are_words_of_ascents(mu):
         mod = ThetaModule(l, lp, mu)
         for p, (k, d1, d2, x) in enumerate(mod.basis):
             word = _word(0, d1) + _word(1, d2) + _word(1, x)
-            assert _decoded(mod, mod.apply_word(word, {mod.unit_pos(k): 1})) == {(p, 0): 1}
+            assert _decoded(mod, _apply_keys(mod, word, {mod.unit_pos(k): 1})) == {(p, 0): 1}
 
 
 def test_flip_seeds_and_columns_check_their_range():
@@ -394,17 +404,32 @@ def test_cross_seed_matches_inverted_hecke_element(shape, mu):
     l, lp = shape
     mod = ThetaModule(l, lp, mu)
     for k in range(1, min(l - 1, lp) + 1):
-        # one flip column on the crossing branch builds and caches the grade's seed
-        p = next(p for p, (j, d1, _, _) in enumerate(mod.basis) if j == k and d1[-1] != l)
-        mod.column((0, l), p)
+        # the seed is the flip column at the crossing label (k, w^-1, 1, 1)
+        p = mod.pos[(k, swap_range(l - k, l, l), identity(lp), identity(k))]
         inner = mod.seed_flip_inner(k)
         want: dict = {}
         t_inv = he_inv_basis(HeckeParams.signed(l, mu), inv(swap_range(l - k, l, l)))
         for u, c in t_inv.terms.items():
-            tu = _to_poly_vec(mod, mod.apply_word([(0, g) for g in reduced_word(u)], inner))
+            tu = _to_poly_vec(mod, _apply_keys(mod, [(0, g) for g in reduced_word(u)], inner))
             for r, a in tu.items():
                 want[r] = want.get(r, LaurentPoly.zero()) + c * a
-        assert _to_poly_vec(mod, mod._seeds[("cross", k)]) == {r: a for r, a in want.items() if a}
+        assert _to_poly_vec(mod, mod.column((0, l), p)) == {r: a for r, a in want.items() if a}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["2,2", "3,3"])
+def test_flip_without_a_predecessor_is_reported(shape):
+    """The primed swap's column at e_1 is the only ascent onto the label with
+    d2 = s_1 above it; corrupted, that label has neither a seed nor an
+    ascent, and building the flip names it."""
+    l, lp = shape
+    mod = ThetaModule(l, lp, MU)
+    q = mod.unit_pos(1)
+    table = mod.matrix((1, 1))
+    label = mod.basis[table[q][0][0]]
+    assert label == (1, identity(l), gen_perm(1, lp), identity(1)) and table[q] == ((mod.pos[label], 1),)
+    table[q] = ((mod.pos[label], 2),)
+    with pytest.raises(VerificationError, match=re.escape(f"no ascent reaches label {label}")):
+        mod.matrix((0, l))
 
 
 def test_negative_rank_is_rejected():
@@ -450,7 +475,7 @@ def test_product_at_one_matches_apply_word(shape):
         cols = rep._product(word)
         for p in range(mod.dim):
             want: dict = {}
-            for (r, _), c in _decoded(mod, mod.apply_word(word, {p: 1})).items():
+            for (r, _), c in _decoded(mod, _apply_keys(mod, word, {p: 1})).items():
                 want[r] = want.get(r, 0) + c
             assert cols[p] == {r: c for r, c in want.items() if c}, (word, p)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from thetahecke import VerificationError, weylbc
 from thetahecke.weylbc import (
     CosetSpec,
     all_unsigned_perms,
@@ -10,7 +9,6 @@ from thetahecke.weylbc import (
     conjugacy_classes,
     deodhar_transfer,
     distinguished_reps,
-    double_coset_split,
     flip_at,
     gen_perm,
     group_order,
@@ -140,34 +138,6 @@ def test_deodhar_transfer_cases(kind, n, k):
                 _, t = out
                 assert mul(gp, d) == mul(d, gen_perm(t, n))
                 assert t in spec.parabolic_gens()
-
-
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
-def test_double_coset_split(n, k):
-    """Every plain-block representative either fixes the crossing element or
-    factors through it with lengths adding."""
-    w2 = swap_range(n - k, n, n)
-    for d1 in distinguished_reps(CosetSpec("sym_block", n, k)):
-        out = double_coset_split(d1, k)
-        if out[0] == "fix":
-            assert out[1] == d1
-        else:
-            _, y = out
-            assert mul(y, w2) == d1
-            assert length(y) + length(w2) == length(d1)
-
-
-def test_double_coset_split_checks_the_cross_branch(monkeypatch):
-    """Explicit checks, so they hold under python -O too."""
-    with pytest.raises(ValueError, match="unsigned"):
-        double_coset_split((-2, 1), 1)
-    with monkeypatch.context() as m:
-        m.setattr(weylbc, "swap_range", lambda i, j, l: identity(l))
-        with pytest.raises(VerificationError, match="moves the last position"):
-            double_coset_split((2, 1), 1)
-    monkeypatch.setattr(weylbc, "length", lambda w: 0)
-    with pytest.raises(VerificationError, match="lengths fail to add"):
-        double_coset_split((2, 1), 1)
 
 
 def test_cycle_type_and_classes():
