@@ -53,8 +53,9 @@ def eps_value(cls: ClassType) -> int:
 # -- symmetric group characters (Murnaghan-Nakayama) --------------------------
 
 
-def _rim_hooks(lam: Partition, r: int):
-    """Yield (lam minus an r-rim hook, (-1)^height) for every r-rim hook of lam.
+@lru_cache(maxsize=None)
+def _rim_hooks(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """The (lam minus an r-rim hook, (-1)^height) of every r-rim hook of lam.
 
     On the beta-numbers lam_i + (rows - 1 - i), removing an r-rim hook moves
     one bead b to an empty b - r, and its height is the number of beads passed.
@@ -62,6 +63,7 @@ def _rim_hooks(lam: Partition, r: int):
     rows = len(lam)
     betas = [lam[i] + (rows - 1 - i) for i in range(rows)]
     bset = set(betas)
+    out = []
     for b in betas:
         b2 = b - r
         if b2 < 0 or b2 in bset:
@@ -69,7 +71,8 @@ def _rim_hooks(lam: Partition, r: int):
         crossed = sum(1 for c in betas if b2 < c < b)
         newb = sorted((bset - {b}) | {b2}, reverse=True)
         newlam = tuple(v - (rows - 1 - i) for i, v in enumerate(newb))
-        yield tuple(v for v in newlam if v), -1 if crossed % 2 else 1
+        out.append((tuple(v for v in newlam if v), -1 if crossed % 2 else 1))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -621,16 +621,18 @@ class GroupRepAtOne:
         self._suite = mod.relation_suite()
         self._mats = mod.matrices_at_one()
         self._identity = [{p: 1} for p in range(self.dim)]
-        self._cache: dict[tuple[int, SignedPerm], list] = {}
 
-    def _product(self, keys) -> list:
-        """The sparse columns of a word's product; the rightmost letter acts
-        first, and the empty word gives the identity."""
-        cols = self._identity
+    def _product(self, keys, cols=None) -> list:
+        """The sparse columns of a word's product times cols (the identity when
+        None); the rightmost letter acts first, on the identity by reading its
+        own columns, and the empty word times the identity is the identity."""
         for key in reversed(keys):
             m = self._mats[key]
-            cols = [_apply(m, col, self.dim) for col in cols]
-        return cols
+            if cols is None:
+                cols = [dict(col) for col in m]
+            else:
+                cols = [_apply(m, col, self.dim) for col in cols]
+        return self._identity if cols is None else cols
 
     def check_group_relations(self) -> None:
         """Every entry of the module's relation suite, evaluated at nu = 1.
@@ -646,31 +648,62 @@ class GroupRepAtOne:
             if lhs != rhs:
                 raise VerificationError(f"group relation {chk['name']} fails at nu = 1")
 
-    def _rep(self, side: int, w: SignedPerm) -> list:
-        got = self._cache.get((side, w))
-        if got is None:
-            got = self._product(_word(side, w))
-            self._cache[(side, w)] = got
-        return got
-
     def rep_left(self, w: SignedPerm) -> list:
-        return self._rep(0, w)
+        return self._product(_word(0, w))
 
     def rep_right(self, w: SignedPerm) -> list:
-        return self._rep(1, w)
+        return self._product(_word(1, w))
+
+    def _walk(self, side: int):
+        """Yield (class type, product) for every class of one side.
+
+        The classes' words, read from the right, key a trie whose node product
+        is its letter times its parent's product.  The walk is depth first and
+        computes a node's product only when it pops the node, so about one
+        product per trie level is alive at a time.
+        """
+        root: tuple = ({}, [])  # (children by letter, class types ending here)
+        for cl in conjugacy_classes(self.l if side == 0 else self.lp):
+            node = root
+            for key in reversed(_word(side, cl["rep"])):
+                node = node[0].setdefault(key, ({}, []))
+            node[1].append(cl["type"])
+        stack = [((), root, None)]  # (letter, node, parent's product; None is the identity)
+        while stack:
+            letter, (children, types), parent = stack.pop()
+            cols = self._product(letter, parent) if letter else parent
+            for t in types:
+                yield t, self._identity if cols is None else cols
+            stack.extend(((key,), child, cols) for key, child in children.items())
 
     def character(self) -> dict:
         """Trace on one representative per conjugacy-class pair.
 
-        Keyed by ((pos_type, neg_type), (pos_type, neg_type)).
+        Keyed by ((pos_type, neg_type), (pos_type, neg_type)).  The side with
+        fewer classes is held, each product flattened once; the other side is
+        streamed from its walk, and each of its products meets every held one.
         """
-        out = {}
-        for cl in conjugacy_classes(self.l):
-            ml = self.rep_left(cl["rep"])
-            for cr in conjugacy_classes(self.lp):
-                mr = self.rep_right(cr["rep"])
-                # trace(ml mr) = sum over p of row p of ml dotted with column p of mr
-                out[(cl["type"], cr["type"])] = sum(
-                    c * ml[r].get(p, 0) for p, col in enumerate(mr) for r, c in col.items()
-                )
-        return out
+        classes = (conjugacy_classes(self.l), conjugacy_classes(self.lp))
+        held = 0 if len(classes[0]) <= len(classes[1]) else 1
+        flats = [(t, _flat(cols, self.dim)) for t, cols in self._walk(held)]
+        traces = {}
+        for t, cols in self._walk(1 - held):
+            fs = _flat(cols, self.dim, transposed=True)
+            for th, fh in flats:
+                traces[(th, t) if held == 0 else (t, th)] = _trace(fh, fs)
+        pairs = [(cl["type"], cr["type"]) for cl in classes[0] for cr in classes[1]]
+        return {pair: traces[pair] for pair in pairs}
+
+
+def _flat(cols, dim: int, transposed: bool = False) -> dict:
+    """A matrix's sparse columns as one dict: entry (r, p) keyed r*dim + p, or
+    p*dim + r when transposed."""
+    if transposed:
+        return {p * dim + r: c for p, col in enumerate(cols) for r, c in col.items()}
+    return {r * dim + p: c for p, col in enumerate(cols) for r, c in col.items()}
+
+
+def _trace(fa: dict, fb_t: dict) -> int:
+    """trace(A B) from A flattened and B flattened transposed: the sum of
+    A[r][p] B[p][r] over the keys r*dim + p where both are nonzero."""
+    return sum(fa[k] * fb_t[k] for k in fa.keys() & fb_t.keys())

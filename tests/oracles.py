@@ -1,7 +1,8 @@
 """Independent routes the tests compare the package against: brute-force
 scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
-induced sums.  The package itself needs none of them.
+induced sums, and the nu = 1 character taken one class pair at a time.
+The package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
     all_unsigned_perms,
+    conjugacy_classes,
     gen_perm,
     identity,
     inv,
@@ -269,3 +271,24 @@ def wl_char_induced(bip: Bipartition, cls: ClassType) -> int:
             sign = -1 if len(mu2) % 2 else 1
             total += sign * x1 * x2 * index
     return total
+
+
+# -- the nu = 1 character ---------------------------------------------------------
+
+
+def character_by_class(rep) -> dict:
+    """The trace of a GroupRepAtOne on one representative per class pair, each
+    class product built on its own from its word.
+
+    Keyed by ((pos_type, neg_type), (pos_type, neg_type)).
+    """
+    out = {}
+    for cl in conjugacy_classes(rep.l):
+        ml = rep.rep_left(cl["rep"])
+        for cr in conjugacy_classes(rep.lp):
+            mr = rep.rep_right(cr["rep"])
+            # trace(ml mr) = sum over p of row p of ml dotted with column p of mr
+            out[(cl["type"], cr["type"])] = sum(
+                c * ml[r].get(p, 0) for p, col in enumerate(mr) for r, c in col.items()
+            )
+    return out

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from thetahecke import VerificationError, thetamod
+from thetahecke.bipartition import decompose, expected_decomposition
 from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import (
@@ -23,11 +24,23 @@ from thetahecke.thetamod import (
     _apply_word,
     _at_point,
     _balanced_digits,
+    _flat,
     _norm_and_range,
+    _trace,
     _word,
     grade_dim_formula,
 )
-from thetahecke.weylbc import flip_at, gen_perm, identity, inv, reduced_word, swap_range
+from thetahecke.weylbc import (
+    conjugacy_classes,
+    flip_at,
+    gen_perm,
+    identity,
+    inv,
+    reduced_word,
+    swap_range,
+)
+
+from oracles import character_by_class
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -486,3 +499,74 @@ def test_character_is_mu_independent_at_one():
     a = GroupRepAtOne(ThetaModule(2, 1, Fraction(1, 2))).character()
     b = GroupRepAtOne(ThetaModule(2, 1, Fraction(-5, 2))).character()
     assert a == b
+
+
+# l, l' <= 3, then the rank-4 and rank-5 sides against a smaller one: the held
+# side is the one with fewer classes, so these stream the left side, the right
+# side, and (at l = l') break the tie
+CHARACTER_SHAPES = [(l, lp) for l in range(4) for lp in range(4)] + [(4, 2), (2, 4), (5, 1), (1, 5)]
+
+
+@pytest.mark.parametrize("shape", CHARACTER_SHAPES, ids=[f"{l},{lp}" for l, lp in CHARACTER_SHAPES])
+def test_character_matches_per_class_oracle(shape):
+    """The streamed trie walk gives the per-class loop's traces, in its key order."""
+    rep = GroupRepAtOne(ThetaModule(*shape, MU))
+    want = character_by_class(rep)
+    got = rep.character()
+    assert got == want
+    assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 4)], ids=["3,2", "2,4"])
+def test_walk_yields_each_class_product_once(shape):
+    """Each side's walk yields every class type once, with the product of its
+    representative's word."""
+    rep = GroupRepAtOne(ThetaModule(*shape, MU))
+    for side, n in enumerate(shape):
+        reps = {cl["type"]: cl["rep"] for cl in conjugacy_classes(n)}
+        seen = []
+        for t, cols in rep._walk(side):
+            seen.append(t)
+            assert cols == rep._product(_word(side, reps[t])), (side, t)
+        assert sorted(seen) == sorted(reps)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_trace_matches_dense_sum(shape):
+    """_trace of a product flattened and one flattened transposed is the dense
+    trace(A B), on words mixing both sides, whose products are not symmetric."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    rep = GroupRepAtOne(mod)
+    dim = mod.dim
+    words = st.lists(st.sampled_from(mod.gen_keys()), max_size=6)
+
+    def dense(cols):
+        return [[cols[p].get(r, 0) for p in range(dim)] for r in range(dim)]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(a=words, b=words)
+    def check(a, b):
+        ca, cb = rep._product(a), rep._product(b)
+        da, db = dense(ca), dense(cb)
+        want = sum(da[r][p] * db[p][r] for r in range(dim) for p in range(dim))
+        assert _trace(_flat(ca, dim), _flat(cb, dim, transposed=True)) == want, (a, b)
+
+    check()
+
+
+@pytest.mark.parametrize("key", [(0, 1), (0, 2), (1, 1), (1, 2)], ids=lambda k: f"{k[0]},{k[1]}")
+def test_corrupted_generator_at_one_breaks_the_decomposition(key):
+    """One entry added to a generator's nu = 1 column after the group relations
+    passed: the character no longer decomposes as the lifts predict."""
+    rep = GroupRepAtOne(ThetaModule(2, 2, MU))
+    rep.check_group_relations()
+    col = dict(rep._mats[key][0])
+    col[0] = col.get(0, 0) + 1
+    rep._mats[key][0] = tuple(sorted(col.items()))
+    try:
+        mults = decompose(rep.character(), 2, 2)
+    except VerificationError:
+        return
+    assert mults != expected_decomposition(2, 2)
