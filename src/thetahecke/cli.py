@@ -43,12 +43,13 @@ MAX_VERIFY_DIM = 5000
 # rank^2 / 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and
 # 0.29 s end to end on 2 cores with Python 3.11.7
 MAX_VERIFY_RANK = 200
-# specialize-decompose holds every generator as sparse integer columns, the
-# class products of the side with fewer classes, about one product per level of
-# the other side's suffix trie, and a character over every class pair; on 2
-# cores with Python 3.11.7, end to end, (4,4) (dim 1473) took 1.1 s at 30 MB
-# peak RSS, (5,4) (dim 4361) 3.5-4.6 s at 58 MB, and (3,8) (dim 3409, but 185
-# classes on the rank-8 side) 7.9-8.1 s at 52 MB
+# specialize-decompose holds every generator as sparse integer columns (and,
+# while it runs, each signed-permutation generator as two lists), the class
+# products of the side with fewer classes, about one product per level of the
+# other side's suffix trie, and a character over every class pair; on 2 cores
+# with Python 3.11.7, end to end, (4,4) (dim 1473) took 0.6 s at 29 MB peak
+# RSS, (5,4) (dim 4361) 1.2-2.1 s at 54 MB, and (3,8) (dim 3409, but 185
+# classes on the rank-8 side) 1.7-2.6 s at 47 MB
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
 # coset prints every representative with its length, an O(rank^2) inversion

@@ -53,7 +53,10 @@ Z[v, v**-1].  Any specialization (nu = 1, nu = q) is the image of this
 generic module under a ring homomorphism, so the check proves the
 specialized relations too; nu = 1 is the same evaluation at B = 0.  A
 relation whose exponents span too many bits for one point (a huge mu) runs
-the same loop on the unevaluated columns.
+the same loop on the unevaluated columns.  At nu = 1 every nu - 1 term
+vanishes, so every generator but the unprimed flip is a signed permutation,
+and GroupRepAtOne applies such a letter by relabelling rows, never by
+accumulating sums.
 """
 
 from __future__ import annotations
@@ -613,26 +616,44 @@ class ThetaModule:
 
 
 class GroupRepAtOne:
-    """The pair of commuting signed-group representations cut out at nu = 1."""
+    """The pair of commuting signed-group representations cut out at nu = 1.
+
+    A product is held as a signed permutation (perm, signs), column p being
+    signs[p] e_perm[p], or as sparse columns {row: c}.  A generator each of
+    whose columns is one entry +-1 on distinct rows is a signed-permutation
+    letter and relabels; any other letter is applied column by column.
+    """
 
     def __init__(self, mod: ThetaModule):
         self.l, self.lp = mod.l, mod.lp
         self.dim = mod.dim
         self._suite = mod.relation_suite()
         self._mats = mod.matrices_at_one()
-        self._identity = [{p: 1} for p in range(self.dim)]
+        self._one = (list(range(self.dim)), [1] * self.dim)
 
-    def _product(self, keys, cols=None) -> list:
-        """The sparse columns of a word's product times cols (the identity when
-        None); the rightmost letter acts first, on the identity by reading its
-        own columns, and the empty word times the identity is the identity."""
-        for key in reversed(keys):
-            m = self._mats[key]
-            if cols is None:
-                cols = [dict(col) for col in m]
+    def _letters(self) -> dict:
+        """Every generator as a letter, (perm, signs) where its nu = 1 columns
+        are a signed permutation and those columns otherwise.  Read from the
+        columns on each call, so a changed column is never missed."""
+        letters = {}
+        for key, m in self._mats.items():
+            perm = [col[0][0] for col in m if len(col) == 1 and col[0][1] in (1, -1)]
+            if len(perm) == self.dim and len(set(perm)) == self.dim:
+                letters[key] = (perm, [col[0][1] for col in m])
             else:
-                cols = [_apply(m, col, self.dim) for col in cols]
-        return self._identity if cols is None else cols
+                letters[key] = m
+        return letters
+
+    def _compose(self, letters: dict, keys):
+        """The product of a word, the rightmost letter acting first."""
+        prod = self._one
+        for key in reversed(keys):
+            prod = _step(letters[key], prod, self.dim)
+        return prod
+
+    def _product(self, keys) -> list:
+        """The sparse columns of a word's product; the empty word is the identity."""
+        return _columns(self._compose(self._letters(), keys))
 
     def check_group_relations(self) -> None:
         """Every entry of the module's relation suite, evaluated at nu = 1.
@@ -640,12 +661,14 @@ class GroupRepAtOne:
         At nu = 1 a quadratic relation says M M is the identity.  Raises
         VerificationError naming the first relation that fails.
         """
+        letters = self._letters()
         for chk in self._suite:
             if chk["kind"] == "quad":
-                lhs, rhs = self._product([chk["gen"]] * 2), self._identity
+                lhs, rhs = self._compose(letters, [chk["gen"]] * 2), self._one
             else:
-                lhs, rhs = self._product(chk["lhs"]), self._product(chk["rhs"])
-            if lhs != rhs:
+                lhs, rhs = self._compose(letters, chk["lhs"]), self._compose(letters, chk["rhs"])
+            # two signed permutations compare as lists; any other pair as columns
+            if lhs != rhs and _columns(lhs) != _columns(rhs):
                 raise VerificationError(f"group relation {chk['name']} fails at nu = 1")
 
     def rep_left(self, w: SignedPerm) -> list:
@@ -654,7 +677,7 @@ class GroupRepAtOne:
     def rep_right(self, w: SignedPerm) -> list:
         return self._product(_word(1, w))
 
-    def _walk(self, side: int):
+    def _walk(self, side: int, letters: dict):
         """Yield (class type, product) for every class of one side.
 
         The classes' words, read from the right, key a trie whose node product
@@ -668,13 +691,14 @@ class GroupRepAtOne:
             for key in reversed(_word(side, cl["rep"])):
                 node = node[0].setdefault(key, ({}, []))
             node[1].append(cl["type"])
-        stack = [((), root, None)]  # (letter, node, parent's product; None is the identity)
+        stack = [(None, root, self._one)]  # (letter, node, parent's product)
         while stack:
-            letter, (children, types), parent = stack.pop()
-            cols = self._product(letter, parent) if letter else parent
+            key, (children, types), prod = stack.pop()
+            if key is not None:
+                prod = _step(letters[key], prod, self.dim)
             for t in types:
-                yield t, self._identity if cols is None else cols
-            stack.extend(((key,), child, cols) for key, child in children.items())
+                yield t, prod
+            stack.extend((key, child, prod) for key, child in children.items())
 
     def character(self) -> dict:
         """Trace on one representative per conjugacy-class pair.
@@ -683,24 +707,49 @@ class GroupRepAtOne:
         fewer classes is held, each product flattened once; the other side is
         streamed from its walk, and each of its products meets every held one.
         """
+        letters = self._letters()
         classes = (conjugacy_classes(self.l), conjugacy_classes(self.lp))
         held = 0 if len(classes[0]) <= len(classes[1]) else 1
-        flats = [(t, _flat(cols, self.dim)) for t, cols in self._walk(held)]
+        flats = [(t, _flat(prod, self.dim)) for t, prod in self._walk(held, letters)]
         traces = {}
-        for t, cols in self._walk(1 - held):
-            fs = _flat(cols, self.dim, transposed=True)
+        for t, prod in self._walk(1 - held, letters):
+            fs = _flat(prod, self.dim, transposed=True)
             for th, fh in flats:
                 traces[(th, t) if held == 0 else (t, th)] = _trace(fh, fs)
         pairs = [(cl["type"], cr["type"]) for cl in classes[0] for cr in classes[1]]
         return {pair: traces[pair] for pair in pairs}
 
 
-def _flat(cols, dim: int, transposed: bool = False) -> dict:
-    """A matrix's sparse columns as one dict: entry (r, p) keyed r*dim + p, or
+def _step(letter, prod, dim: int):
+    """letter times prod, each a signed permutation (a tuple) or columns (a list).
+    A relabel of a column cannot cancel, so it drops no zeros."""
+    if isinstance(letter, tuple):
+        perm, signs = letter
+        if isinstance(prod, tuple):
+            return [perm[r] for r in prod[0]], [signs[r] * s for r, s in zip(*prod)]
+        return [{perm[r]: signs[r] * c for r, c in col.items()} for col in prod]
+    if isinstance(prod, tuple):
+        return [{r: s * a for r, a in letter[q]} for q, s in zip(*prod)]
+    return [_apply(letter, col, dim) for col in prod]
+
+
+def _columns(prod) -> list:
+    """A product as sparse columns {row: c}."""
+    if isinstance(prod, tuple):
+        return [{r: s} for r, s in zip(*prod)]
+    return prod
+
+
+def _flat(prod, dim: int, transposed: bool = False) -> dict:
+    """A product's entries as one dict: entry (r, p) keyed r*dim + p, or
     p*dim + r when transposed."""
+    if isinstance(prod, tuple):
+        if transposed:
+            return {p * dim + r: s for p, (r, s) in enumerate(zip(*prod))}
+        return {r * dim + p: s for p, (r, s) in enumerate(zip(*prod))}
     if transposed:
-        return {p * dim + r: c for p, col in enumerate(cols) for r, c in col.items()}
-    return {r * dim + p: c for p, col in enumerate(cols) for r, c in col.items()}
+        return {p * dim + r: c for p, col in enumerate(prod) for r, c in col.items()}
+    return {r * dim + p: c for p, col in enumerate(prod) for r, c in col.items()}
 
 
 def _trace(fa: dict, fb_t: dict) -> int:

@@ -1,7 +1,8 @@
 """Independent routes the tests compare the package against: brute-force
 scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
-induced sums, and the nu = 1 character taken one class pair at a time.
+induced sums, the nu = 1 character taken one class pair at a time, and a
+word's nu = 1 product composed column by column.
 The package itself needs none of them.
 """
 
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 from thetahecke import VerificationError
 from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
+from thetahecke.thetamod import _apply
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
@@ -292,3 +294,18 @@ def character_by_class(rep) -> dict:
                 c * ml[r].get(p, 0) for p, col in enumerate(mr) for r, c in col.items()
             )
     return out
+
+
+def product_by_columns(rep, keys) -> list:
+    """The sparse columns of a word's product at nu = 1, every letter applied
+    to every column with the general _apply; the rightmost letter acts first,
+    on the identity by reading its own columns, and the empty word is the
+    identity."""
+    cols = None
+    for key in reversed(keys):
+        m = rep._mats[key]
+        if cols is None:
+            cols = [dict(col) for col in m]
+        else:
+            cols = [_apply(m, col, rep.dim) for col in cols]
+    return [{p: 1} for p in range(rep.dim)] if cols is None else cols

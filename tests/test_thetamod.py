@@ -24,6 +24,7 @@ from thetahecke.thetamod import (
     _apply_word,
     _at_point,
     _balanced_digits,
+    _columns,
     _flat,
     _norm_and_range,
     _trace,
@@ -40,7 +41,7 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import character_by_class
+from oracles import character_by_class, product_by_columns
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -495,6 +496,74 @@ def test_product_at_one_matches_apply_word(shape):
     check()
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_product_matches_column_oracle(shape):
+    """A word's product, read through its signed-permutation letters as
+    relabels, has the columns of the letter-by-letter _apply oracle, on words
+    mixing both sides and the unprimed flip."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    rep = GroupRepAtOne(mod)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(word=st.lists(st.sampled_from(mod.gen_keys()), max_size=6))
+    def check(word):
+        assert rep._product(word) == product_by_columns(rep, word), word
+
+    check()
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 2), -1, 0, 3], ids=str)
+def test_every_letter_but_the_flip_is_a_signed_permutation(mu):
+    """At nu = 1 every generator but the unprimed flip (0, l) is classified a
+    signed permutation, and the flip joins them only on a one-dimensional
+    module.  A classification that quietly failed would send every letter to
+    _apply with the same results, so only this pins the relabel path."""
+    for l in range(5):
+        for lp in range(5):
+            rep = GroupRepAtOne(ThetaModule(l, lp, mu))
+            perms = {key for key, letter in rep._letters().items() if isinstance(letter, tuple)}
+            keys = set(rep._mats)
+            assert perms == keys - {(0, l)} or (rep.dim == 1 and perms == keys), (l, lp, sorted(perms))
+
+
+@pytest.mark.parametrize("key", [(0, 1), (1, 1), (1, 2)], ids=lambda k: f"{k[0]},{k[1]}")
+def test_negated_signed_permutation_entry_is_caught(key):
+    """The one entry of column 0 negated keeps the generator a signed
+    permutation, so the relabel path reads the corruption: before the group
+    relations it fails one, and after they passed the decomposition breaks."""
+
+    def corrupt(rep):
+        ((r, c),) = rep._mats[key][0]
+        rep._mats[key][0] = ((r, -c),)
+        assert isinstance(rep._letters()[key], tuple)
+
+    rep = GroupRepAtOne(ThetaModule(2, 2, MU))
+    corrupt(rep)
+    with pytest.raises(VerificationError, match=r"group relation \w+ fails at nu = 1"):
+        rep.check_group_relations()
+    rep = GroupRepAtOne(ThetaModule(2, 2, MU))
+    rep.check_group_relations()
+    corrupt(rep)
+    try:
+        mults = decompose(rep.character(), 2, 2)
+    except VerificationError:
+        return
+    assert mults != expected_decomposition(2, 2)
+
+
+def test_letter_with_a_repeated_row_is_applied_as_columns():
+    """Columns of one entry +-1 that share a row are no permutation, so the
+    letter is applied with _apply, which sums them, and the relations fail."""
+    rep = GroupRepAtOne(ThetaModule(2, 2, MU))
+    key = (0, 1)
+    rep._mats[key][0] = rep._mats[key][1]
+    assert isinstance(rep._letters()[key], list)
+    with pytest.raises(VerificationError, match=r"group relation \w+ fails at nu = 1"):
+        rep.check_group_relations()
+
+
 def test_character_is_mu_independent_at_one():
     a = GroupRepAtOne(ThetaModule(2, 1, Fraction(1, 2))).character()
     b = GroupRepAtOne(ThetaModule(2, 1, Fraction(-5, 2))).character()
@@ -525,30 +594,33 @@ def test_walk_yields_each_class_product_once(shape):
     for side, n in enumerate(shape):
         reps = {cl["type"]: cl["rep"] for cl in conjugacy_classes(n)}
         seen = []
-        for t, cols in rep._walk(side):
+        for t, prod in rep._walk(side, rep._letters()):
             seen.append(t)
-            assert cols == rep._product(_word(side, reps[t])), (side, t)
+            assert _columns(prod) == rep._product(_word(side, reps[t])), (side, t)
         assert sorted(seen) == sorted(reps)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
 def test_trace_matches_dense_sum(shape):
     """_trace of a product flattened and one flattened transposed is the dense
-    trace(A B), on words mixing both sides, whose products are not symmetric."""
+    trace(A B), on words mixing both sides, whose products are not symmetric,
+    with each product in its held form: a signed permutation or columns."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     mod = ThetaModule(*shape, MU)
     rep = GroupRepAtOne(mod)
+    letters = rep._letters()
     dim = mod.dim
     words = st.lists(st.sampled_from(mod.gen_keys()), max_size=6)
 
-    def dense(cols):
+    def dense(prod):
+        cols = _columns(prod)
         return [[cols[p].get(r, 0) for p in range(dim)] for r in range(dim)]
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @hypothesis.given(a=words, b=words)
     def check(a, b):
-        ca, cb = rep._product(a), rep._product(b)
+        ca, cb = rep._compose(letters, a), rep._compose(letters, b)
         da, db = dense(ca), dense(cb)
         want = sum(da[r][p] * db[p][r] for r in range(dim) for p in range(dim))
         assert _trace(_flat(ca, dim), _flat(cb, dim, transposed=True)) == want, (a, b)
