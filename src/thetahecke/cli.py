@@ -33,7 +33,7 @@ from .dualpair import (
     mu_range_check,
     mu_sigma,
 )
-from .heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
+from .heckealg import HeckeParams, word_product
 from .laurent import as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula
 from .weylbc import CosetSpec, coset_table, group_order
@@ -74,13 +74,14 @@ MAX_OCCURRENCE_RANK = 1000
 # terms, each costing O(l) per letter and O(l^2) for its printed length, so a
 # request costs min(|W_l|, 2^n) x (n l + l^2); a rank with rank^2 past the cap
 # is refused uncounted.  That count leaves out the coefficients, whose monomials
-# grow with the letters, and the pairwise product of two dense elements, so the
-# letters are capped too.  On 2 cores with Python 3.11.7, before the caps,
-# --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6 longest
-# element squared (72 letters) 7.7 s at 565 MB, and two random 35-letter words
-# at rank 4 17 s; under them, the rank-5 longest element squared (50 letters)
-# takes 0.41 s at 49 MB, and the slowest admitted request found, two random
-# 25-letter words at rank 5, 5.3 s at 46 MB
+# grow with the letters, so the letters are capped too.  The product a b is one
+# peeled word, a's letters and then b's.  On 2 cores with Python 3.11.7, before
+# the caps, --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6
+# longest element squared (72 letters) 7.7 s at 565 MB, and two random
+# 35-letter words at rank 4 17 s; under them, end to end, the rank-5 longest
+# element squared (50 letters) takes 0.6-0.7 s at 50 MB, and the slowest
+# admitted request found, two random 25-letter words at rank 5 and
+# mu = 1001/2, 1.6-2.3 s at 132 MB
 MAX_HECKE_WORK = 2**23
 MAX_HECKE_LETTERS = 50
 # theta-lift prints every term of the lift, and the terms grow exponentially
@@ -214,18 +215,27 @@ def _tower_config(args) -> TowerConfig:
     return TowerConfig(args.case, args.dimV0, args.dimVp0, args.chi_minus_one)
 
 
+def _tower_header(cfg: TowerConfig) -> tuple[dict, str]:
+    """The tower fields that open a tower report, and their text line."""
+    head = {
+        "case": cfg.case.tag,
+        "dimV0": cfg.dimV0,
+        "dimVp0": cfg.dimVp0,
+        "dimVt0": cfg.dimVt0,
+        "mu": format_half(mu_of(cfg)),
+    }
+    return head, "case {case} towers ({dimV0}; {dimVp0}, {dimVt0}), mu={mu}".format(**head)
+
+
 def cmd_first_occurrence(args) -> int:
     if args.l > MAX_OCCURRENCE_RANK:
         raise ValueError(f"--l {args.l} exceeds the first-occurrence cap {MAX_OCCURRENCE_RANK}")
     alpha, beta = _parse_partition(args.alpha), _parse_partition(args.beta)
     cfg = _tower_config(args)
     occ = first_occurrence(alpha, beta, args.l, cfg)
+    head, head_line = _tower_header(cfg)
     obj = {
-        "case": cfg.case.tag,
-        "dimV0": cfg.dimV0,
-        "dimVp0": cfg.dimVp0,
-        "dimVt0": cfg.dimVt0,
-        "mu": format_half(mu_of(cfg)),
+        **head,
         "l": args.l,
         "alpha": list(alpha),
         "beta": list(beta),
@@ -237,7 +247,7 @@ def cmd_first_occurrence(args) -> int:
 
     def render(o):
         return (
-            f"case {o['case']} towers ({o['dimV0']}; {o['dimVp0']}, {o['dimVt0']}), mu={o['mu']}\n"
+            f"{head_line}\n"
             f"label ({o['alpha']}, {o['beta']}) of rank {o['l']}: "
             f"n={o['n']}  n_tilde={o['n_tilde']}  c={o['c']}  mu_sigma={o['mu_sigma']}"
         )
@@ -256,32 +266,17 @@ def cmd_conservation_scan(args) -> int:
         for alpha, beta in bipartitions(l):
             rep = conservation_check(alpha, beta, l, cfg)
             all_zero = all_zero and rep["residual_double_c"] == 0
-            rows.append(
-                {
-                    "l": l,
-                    "alpha": list(alpha),
-                    "beta": list(beta),
-                    "n": rep["n"],
-                    "n_tilde": rep["n_tilde"],
-                    "c": rep["c"],
-                    "rhs": rep["rhs"],
-                    "residual_double_c": rep["residual_double_c"],
-                    "residual_single_c": rep["residual_single_c"],
-                }
-            )
+            rows.append({"l": l, "alpha": list(alpha), "beta": list(beta), **rep})
+    head, head_line = _tower_header(cfg)
     obj = {
-        "case": cfg.case.tag,
-        "dimV0": cfg.dimV0,
-        "dimVp0": cfg.dimVp0,
-        "dimVt0": cfg.dimVt0,
-        "mu": format_half(mu_of(cfg)),
+        **head,
         "rows": rows,
         "all_double_c_residuals_zero": all_zero,
     }
 
     def render(o):
         lines = [
-            f"case {o['case']} towers ({o['dimV0']}; {o['dimVp0']}, {o['dimVt0']}), mu={o['mu']}",
+            head_line,
             f"{'l':>2} {'alpha':<12} {'beta':<12} {'n':>3} {'nt':>3} {'c':>3} {'rhs':>4} {'r2c':>4} {'r1c':>4}",
         ]
         for r in o["rows"]:
@@ -380,8 +375,9 @@ def _letters(text: str) -> list[str]:
     return [token for token in text.replace(",", " ").split() if token != "e"]
 
 
-def _parse_hecke_word(text: str, params: HeckeParams) -> HeckeElem:
-    elem = HeckeElem.unit(params.rank)
+def _parse_hecke_word(text: str, params: HeckeParams) -> list[int]:
+    """The generator indices of a word's tokens, in order."""
+    gens = []
     for token in _letters(text):
         if token == "t":
             if params.rank < 1:
@@ -393,8 +389,8 @@ def _parse_hecke_word(text: str, params: HeckeParams) -> HeckeElem:
                 raise ValueError(f"swap index out of range in token {token!r}")
         else:
             raise ValueError(f"bad generator token {token!r} (expected s<i>, t or e)")
-        elem = he_mul(params, elem, gen_elem(params, g))
-    return elem
+        gens.append(g)
+    return gens
 
 
 def cmd_hecke_mul(args) -> int:
@@ -409,9 +405,9 @@ def cmd_hecke_mul(args) -> int:
         )
     mu, mu_text = _printable_mu(args)
     params = HeckeParams.signed(l, mu)
-    a = _parse_hecke_word(args.a, params)
-    b = _parse_hecke_word(args.b, params)
-    prod = he_mul(params, a, b)
+    # a's element times b's is the word of a's letters and then b's
+    letters = _parse_hecke_word(args.a, params) + _parse_hecke_word(args.b, params)
+    prod = word_product(params, letters)
     obj = {
         "l": args.l,
         "mu": mu_text,

@@ -116,9 +116,10 @@ class HeckeElem:
         )
 
 
-def _basis_terms(params: HeckeParams, cur: dict, w: SignedPerm) -> dict:
-    """(sum of c_x T_x) * T_w for the term dicts cur = {x: {e: c}}, peeling a
-    reduced word of w.  The peel moves cur's dicts into its result and
+def _basis_terms(params: HeckeParams, cur: dict, gens) -> dict:
+    """(sum of c_x T_x) * T_g1 ... T_gn for the term dicts cur = {x: {e: c}},
+    peeling the generator indices gens = g1 .. gn left to right; a reduced
+    word of w gives T_w.  The peel moves cur's dicts into its result and
     mutates them.
 
     T_x T_g is T_xg on an ascent, a relabel; on a descent the quadratic
@@ -126,7 +127,7 @@ def _basis_terms(params: HeckeParams, cur: dict, w: SignedPerm) -> dict:
     and flip_numer for the flip.
     """
     l = params.rank
-    for g in reduced_word(w):
+    for g in gens:
         e = 2 if g < l else params.flip_numer
         gp = gen_perm(g, l)
         nxt: dict[SignedPerm, dict[int, int]] = {}
@@ -146,9 +147,20 @@ def _basis_terms(params: HeckeParams, cur: dict, w: SignedPerm) -> dict:
     return cur
 
 
+def _elem(terms: dict) -> HeckeElem:
+    """The element of the term dicts {x: {e: c}}."""
+    return HeckeElem({x: LaurentPoly(c) for x, c in terms.items()})
+
+
 def basis_product(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> HeckeElem:
     """T_u * T_w, peeling a fixed reduced word of w."""
-    return HeckeElem({x: LaurentPoly(c) for x, c in _basis_terms(params, {u: {0: 1}}, w).items()})
+    return _elem(_basis_terms(params, {u: {0: 1}}, reduced_word(w)))
+
+
+def word_product(params: HeckeParams, gens) -> HeckeElem:
+    """T_g1 ... T_gn for the generator indices gens, peeled from the unit, so
+    a product of words is the word of their letters, peeled once."""
+    return _elem(_basis_terms(params, {identity(params.rank): {0: 1}}, gens))
 
 
 def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:
@@ -158,13 +170,9 @@ def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:
     for w, cb in b.terms.items():
         # copies, since the peel moves and mutates the dicts it starts from
         start = {u: dict(ca.terms) for u, ca in a.terms.items()}
-        for x, c in _basis_terms(params, start, w).items():
+        for x, c in _basis_terms(params, start, reduced_word(w)).items():
             add_product(acc.setdefault(x, {}), c, cb.terms)
-    return HeckeElem({x: LaurentPoly(c) for x, c in acc.items() if c})
-
-
-def gen_elem(params: HeckeParams, g: int) -> HeckeElem:
-    return HeckeElem.basis(gen_perm(g, params.rank))
+    return _elem(acc)
 
 
 @lru_cache(maxsize=None)

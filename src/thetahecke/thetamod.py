@@ -40,6 +40,10 @@ the inverted cross-block cycle s_(l-k) ... s_(l-1), whose column is the inner
 seed under T_w^-1: k inverse swap steps, each T_g^-1 = nu^-1 T_g +
 (nu^-1 - 1) by the quadratic relation.
 
+Every relation of the suite is one form, lhs = rhs with each side a sum of
+scalar * word, T^2 = (q - 1) T + q included; at nu = 1 a scalar is its
+coefficient sum and each side is its one term with a nonzero scalar.
+
 Everything is exact: coefficients are Laurent polynomials in v = nu**(1/2).
 Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
 position p (divmod(key, dim) gives (e, p) for either sign of e), and a column
@@ -90,13 +94,9 @@ BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 # -- sparse vectors keyed by e*dim + p: exponent e of nu^(1/2), position p ---
 
-# coefficients as {e: c} term dicts: 1, -1, nu, nu - 1, nu^-1 and nu^-1 - 1
+# coefficients as {e: c} term dicts: 1 and -1
 _ONE = {0: 1}
 _MINUS_ONE = {0: -1}
-_NU = {2: 1}
-_NU_MINUS_ONE = {2: 1, 0: -1}
-_NU_INV = {-2: 1}
-_NU_INV_MINUS_ONE = {-2: 1, 0: -1}
 
 
 def _add_scaled(out: dict, pairs, terms: dict, dim: int) -> None:
@@ -139,12 +139,6 @@ def _apply_word(mats, vec: dict, dim: int) -> dict:
     for cols in reversed(mats):
         vec = _apply(cols, vec, dim)
     return vec
-
-
-def _times(vec: dict, terms: dict, dim: int) -> dict:
-    out: dict = {}
-    _add_scaled(out, vec.items(), terms, dim)
-    return out
 
 
 # -- evaluation at one integer point v = 2^B -----------------------------------
@@ -195,22 +189,13 @@ def _balanced_digits(x: int, bits: int) -> dict:
     return out
 
 
-def _relation_terms(chk: dict) -> list[tuple[dict, tuple]]:
-    """The (scalar terms, word) of one suite entry: lhs, then the rhs terms."""
-    if chk["kind"] == "quad":
-        q, q_minus_one = _quad_terms(chk["par"])
-        g = chk["gen"]
-        return [(_ONE, (g, g)), (q_minus_one, (g,)), (q, ())]  # T^2 = (q - 1) T + q
-    return [(_ONE, tuple(chk["lhs"])), (_ONE, tuple(chk["rhs"]))]
-
-
 def _relation_bound(chk: dict, gens: dict) -> int:
     """A bound on every coefficient of lhs - rhs on a basis vector, from each
     generator's (norm, lo, hi): the L1 norm over (r, e) entries is
     submultiplicative, so a word's norm is at most its letters' product."""
     return sum(
         sum(map(abs, terms.values())) * math.prod(gens[k][0] for k in word)
-        for terms, word in _relation_terms(chk)
+        for terms, word in chk["lhs"] + chk["rhs"]
     )
 
 
@@ -297,7 +282,8 @@ class ThetaModule:
             if key == (0, self.l):
                 cols = self._flip_columns()
             else:
-                cols = [self._col_transfer(*key, p) for p in range(self.dim)]
+                quad = _quad_terms(-1 - self.mu if key == (1, self.lp) else 1)
+                cols = [self._col_transfer(*key, quad, p) for p in range(self.dim)]
             self._cols[key] = cols
         return cols
 
@@ -309,9 +295,13 @@ class ThetaModule:
 
     # -- the grade-preserving generator actions --
 
-    def _col_transfer(self, side: int, g: int, p: int):
-        """Every generator but the flip, through the transfer lemma on d1 or d2."""
+    def _col_transfer(self, side: int, g: int, quad: tuple[dict, dict], p: int):
+        """Every generator but the flip, through the transfer lemma on d1 or d2;
+        quad is the term dicts (q, q - 1) of the generator's parameter q, which
+        a descent spends.  A transfer keeps the kind of generator, so a slot
+        descent or a scalar q entry is a swap's, at q = nu."""
         k, d1, d2, x = self.basis[p]
+        q, q_minus_one = quad
         if side == 0:
             res = deodhar_transfer(d1, g, CosetSpec("sym_block", self.l, k))
         else:
@@ -320,15 +310,12 @@ class ThetaModule:
             np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
             if res[2] > 0:
                 return _column(self.dim, (np_, _ONE))
-            if side == 1 and g == self.lp:
-                par, par_minus_one = _quad_terms(-1 - self.mu)
-                return _column(self.dim, (np_, par), (p, par_minus_one))
-            return _column(self.dim, (np_, _NU), (p, _NU_MINUS_ONE))
+            return _column(self.dim, (np_, q), (p, q_minus_one))
         # the transfer lands on parabolic generator h; only h decides the action
         h = res[1]
         if side == 0:
             if h < self.l - k:
-                return _column(self.dim, (p, _NU))
+                return _column(self.dim, (p, q))
             h -= self.l - k
             y = mul(x, gen_perm(h, k))
             descent = is_right_descent(x, h)
@@ -336,13 +323,13 @@ class ThetaModule:
             if h == self.lp:
                 return _column(self.dim, (p, _MINUS_ONE))
             if h > k:
-                return _column(self.dim, (p, _NU))
+                return _column(self.dim, (p, q))
             y = mul(gen_perm(h, k), x)
             descent = is_right_descent(inv(x), h)
         yp = self.pos[(k, d1, d2, y)]
         if not descent:
             return _column(self.dim, (yp, _ONE))
-        return _column(self.dim, (yp, _NU), (p, _NU_MINUS_ONE))
+        return _column(self.dim, (yp, q), (p, q_minus_one))
 
     # -- seeded flip action --
 
@@ -406,13 +393,14 @@ class ThetaModule:
             raise ValueError("the rank-0 algebra has no flip generator")
         l, lp, dim = self.l, self.lp, self.dim
         seeds = {self.unit_pos(k): self.seed_flip_top(k) for k in range(self.kmax + 1)}
+        nu_inv, nu_inv_minus_one = _quad_terms(-1)
         for k in range(1, min(l - 1, lp) + 1):
             # T_w^-1 = T_(l-1)^-1 ... T_(l-k)^-1 on the inner seed, w = s_(l-k) ... s_(l-1)
             vec = self.seed_flip_inner(k)
             for g in range(l - k, l):
                 out: dict = {}
-                _add_scaled(out, self.apply_gen((0, g), vec).items(), _NU_INV, dim)
-                _add_scaled(out, vec.items(), _NU_INV_MINUS_ONE, dim)
+                _add_scaled(out, self.apply_gen((0, g), vec).items(), nu_inv, dim)
+                _add_scaled(out, vec.items(), nu_inv_minus_one, dim)
                 vec = out
             seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
         # for g commuting with the flip, a column q that is exactly e_r, r > q, is
@@ -441,18 +429,21 @@ class ThetaModule:
     def relation_suite(self) -> list[dict]:
         """Every defining relation of the bimodule presentation, as data.
 
-        Quadratic entries carry the nu-exponent of the non-unipotent
-        eigenvalue; word entries compare two operator products (rightmost
-        factor acts first).  Each section is written once and built for
-        both sides from (name prefix, side, rank, flip exponent).
+        An entry is {name, lhs, rhs}, each side a list of (scalar terms,
+        word): the {e: c} dict of a Laurent polynomial and a tuple of
+        generator keys, the rightmost acting first.  A quadratic entry is
+        [(1, (g, g))] = [(q - 1, (g,)), (q, ())], any other [(1, W1)] =
+        [(1, W2)]; at nu = 1 each side has one term whose coefficients do not
+        sum to 0, and they sum to 1.  Each section is written once and built
+        for both sides from (name prefix, side, rank, flip exponent).
         """
         checks: list[dict] = []
 
-        def quad(name, gen, par):
-            checks.append({"name": name, "kind": "quad", "gen": gen, "par": as_half(par)})
+        def entry(name, lhs, rhs):
+            checks.append({"name": name, "lhs": lhs, "rhs": rhs})
 
         def equal(name, lhs, rhs):
-            checks.append({"name": name, "kind": "equal", "lhs": lhs, "rhs": rhs})
+            entry(name, [(_ONE, tuple(lhs))], [(_ONE, tuple(rhs))])
 
         sides = (("", 0, self.l, self.mu), ("prime_", 1, self.lp, -1 - self.mu))
         # (name, key, quadratic exponent) of every generator, per side
@@ -464,7 +455,8 @@ class ThetaModule:
 
         for side_gens in gens:
             for name, g, par in side_gens:
-                quad(f"quad_{name}", g, par)
+                q, q_minus_one = _quad_terms(as_half(par))  # T^2 = (q - 1) T + q
+                entry(f"quad_{name}", [(_ONE, (g, g))], [(q_minus_one, (g,)), (q, ())])
         for pre, s, n, _ in sides:
             for i in range(1, n):
                 a = (s, i)
@@ -491,7 +483,7 @@ class ThetaModule:
         v^shift.  At v = 2^bits each generator and scalar is scaled by v^S, S
         clearing its lowest exponent; past MAX_POINT_BITS the plan keeps the
         unevaluated columns and terms (bits None, shift 0)."""
-        terms = _relation_terms(chk)
+        terms = chk["lhs"] + chk["rhs"]
         # at the point a word W is times v^(S_W), the sum of its letters' S_g,
         # so the term t W is times v^(S_t + S_W) and spans span_t + span_W
         word_shifts, shifts, spans = [], [], []
@@ -517,28 +509,27 @@ class ThetaModule:
                     cols = points[key] = _at_point(self.matrix(key), self.dim, bits, -gens[key][1])
                 return cols
 
-        words = [[matrix(k) for k in word] for _, word in terms]
-        return {"kind": chk["kind"], "words": words, "scales": scales, "bits": bits, "shift": shift}
+        planned = [(scale, [matrix(k) for k in word]) for scale, (_, word) in zip(scales, terms)]
+        cut = len(chk["lhs"])
+        return {"sides": (planned[:cut], planned[cut:]), "bits": bits, "shift": shift}
 
     def relation_sides(self, plan: dict, p: int) -> tuple[dict, dict]:
         """Evaluate one planned suite entry on the basis vector e_p, returning
         (lhs, rhs), both times v^shift.  A word's rightmost matrix acts on e_p
-        by its column p, so that factor is read, not applied."""
+        by its column p, so that factor is read, not applied; the empty word
+        is e_p."""
         dim = self.dim
-        words, scales = plan["words"], plan["scales"]
-        if plan["kind"] == "quad":
-            gen = words[1][0]
-            w = dict(gen[p])
-            lhs, rhs = _apply(gen, w, dim), {}
-            _add_scaled(rhs, w.items(), scales[1], dim)
-            _add_scaled(rhs, ((p, 1),), scales[2], dim)
-        else:
-            lhs, rhs = (_apply_word(word[:-1], dict(word[-1][p]), dim) for word in words)
-            if scales[1] != _ONE:
-                rhs = _times(rhs, scales[1], dim)
-        if scales[0] != _ONE:
-            lhs = _times(lhs, scales[0], dim)
-        return lhs, rhs
+        out = []
+        for side in plan["sides"]:
+            vec: dict = {}
+            for scale, word in side:
+                w = _apply_word(word[:-1], dict(word[-1][p]), dim) if word else {p: 1}
+                if not vec and scale == _ONE:
+                    vec = w  # w added to nothing, without a dict pass
+                else:
+                    _add_scaled(vec, w.items(), scale, dim)
+            out.append(vec)
+        return out[0], out[1]
 
     def _failure(self, plan: dict, p: int, lhs: dict, rhs: dict) -> dict:
         """The column, lowest offending entry and residual of a failed relation."""
@@ -658,15 +649,17 @@ class GroupRepAtOne:
     def check_group_relations(self) -> None:
         """Every entry of the module's relation suite, evaluated at nu = 1.
 
-        At nu = 1 a quadratic relation says M M is the identity.  Raises
-        VerificationError naming the first relation that fails.
+        At nu = 1 a term's scalar is its coefficient sum, so each side is its
+        one term with a nonzero scalar, whose scalar is 1: a quadratic
+        relation says M M is the identity.  Raises VerificationError naming
+        the first relation that fails.
         """
         letters = self._letters()
         for chk in self._suite:
-            if chk["kind"] == "quad":
-                lhs, rhs = self._compose(letters, [chk["gen"]] * 2), self._one
-            else:
-                lhs, rhs = self._compose(letters, chk["lhs"]), self._compose(letters, chk["rhs"])
+            lhs, rhs = (
+                self._compose(letters, next(word for t, word in side if sum(t.values())))
+                for side in (chk["lhs"], chk["rhs"])
+            )
             # two signed permutations compare as lists; any other pair as columns
             if lhs != rhs and _columns(lhs) != _columns(rhs):
                 raise VerificationError(f"group relation {chk['name']} fails at nu = 1")

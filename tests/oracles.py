@@ -1,8 +1,9 @@
 """Independent routes the tests compare the package against: brute-force
 scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
-induced sums, the nu = 1 character taken one class pair at a time, and a
-word's nu = 1 product composed column by column.
+induced sums, the nu = 1 character taken one class pair at a time, a
+word's nu = 1 product composed column by column, and a product of two Hecke
+words taken element by element.
 The package itself needs none of them.
 """
 
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 from thetahecke import VerificationError
 from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
+from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
 from thetahecke.thetamod import _apply
 from thetahecke.weylbc import (
     CosetSpec,
@@ -309,3 +311,17 @@ def product_by_columns(rep, keys) -> list:
         else:
             cols = [_apply(m, col, rep.dim) for col in cols]
     return [{p: 1} for p in range(rep.dim)] if cols is None else cols
+
+
+def hecke_words_product(params: HeckeParams, a: list[int], b: list[int]) -> HeckeElem:
+    """T_a T_b for two words of generator indices: each word's element built
+    from the unit by one he_mul per letter, then the two dense elements
+    multiplied."""
+
+    def elem(gens):
+        out = HeckeElem.unit(params.rank)
+        for g in gens:
+            out = he_mul(params, out, HeckeElem.basis(gen_perm(g, params.rank)))
+        return out
+
+    return he_mul(params, elem(a), elem(b))

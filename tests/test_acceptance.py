@@ -36,7 +36,7 @@ from thetahecke.dualpair import (
     mu_sigma,
     unitary2_signed_fixed_space_sum,
 )
-from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
+from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul, word_product
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
 from thetahecke.weylbc import partitions
@@ -85,11 +85,11 @@ def test_criterion_01_hecke_relations():
             def word(gs):
                 out = HeckeElem.unit(l)
                 for g in gs:
-                    out = he_mul(params, out, gen_elem(params, g))
+                    out = he_mul(params, out, word_product(params, [g]))
                 return out
 
             for g in range(1, l + 1):
-                t = gen_elem(params, g)
+                t = word_product(params, [g])
                 par = LaurentPoly.nu_power(params.gen_exponent(g))
                 rhs = t.scale_poly(par - LaurentPoly.one()) + HeckeElem.unit(l).scale_poly(par)
                 assert he_mul(params, t, t) == rhs, (l, mu, g)

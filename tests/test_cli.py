@@ -14,9 +14,11 @@ import pytest
 
 from thetahecke import bipartition, cli, dualpair, thetamod, weylbc
 from thetahecke.cli import main
-from thetahecke.heckealg import HeckeElem, HeckeParams, gen_elem, he_mul
+from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul, word_product
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule
+
+from oracles import hecke_words_product
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,7 +45,7 @@ def test_hecke_mul_round_trip(capsys):
     assert obj["mu"] == "-3/2"
     got = HeckeElem.from_json_obj(obj["product"])
     params = HeckeParams.signed(2, Fraction(-3, 2))
-    s1, t = gen_elem(params, 1), gen_elem(params, 2)
+    s1, t = word_product(params, [1]), word_product(params, [2])
     want = he_mul(params, he_mul(params, he_mul(params, s1, t), t), s1)
     assert got == want
 
@@ -54,8 +56,33 @@ def test_hecke_mul_identity_words(capsys):
     got = HeckeElem.from_json_obj(obj["product"])
     # t*t = (nu^mu - 1) t + nu^mu
     params = HeckeParams.signed(1, Fraction(1, 2))
-    t = gen_elem(params, 1)
+    t = word_product(params, [1])
     assert got == he_mul(params, t, t)
+
+
+@pytest.mark.parametrize("mu", ["1/2", "0", "-1", "3"])
+def test_hecke_mul_matches_element_by_element_oracle(capsys, mu):
+    """The product of a and b peeled as one word of their letters equals each
+    word built letter by letter and the two elements multiplied, on
+    non-reduced words of up to 8 letters at ranks 1 to 3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), l=st.integers(1, 3))
+    def check(data, l):
+        a, b = (data.draw(st.lists(st.integers(1, l), max_size=8)) for _ in range(2))
+
+        def text(gens):
+            return " ".join("t" if g == l else f"s{g}" for g in gens) or "e"
+
+        argv = ["hecke-mul", "--l", str(l), "--mu", mu, "--a", text(a), "--b", text(b)]
+        code, obj, _ = run_json(capsys, *argv)
+        assert code == 0
+        want = hecke_words_product(HeckeParams.signed(l, Fraction(mu)), a, b)
+        assert obj["product"] == want.to_json_obj(), (l, a, b)
+
+    check()
 
 
 def test_hecke_mul_rejects_bad_tokens(capsys):
@@ -81,7 +108,7 @@ def test_hecke_mul_size_caps(capsys, monkeypatch, l, letters, admitted):
     """Too many letters or too much work is refused before either word is parsed."""
     a = " ".join(["s1"] * (letters // 2)) or "e"
     b = " ".join(["s1"] * (letters - letters // 2)) or "e"
-    monkeypatch.setattr(cli, "he_mul", (lambda params, x, y: HeckeElem()) if admitted else None)
+    monkeypatch.setattr(cli, "word_product", (lambda params, gens: HeckeElem()) if admitted else None)
     if not admitted:
         monkeypatch.setattr(cli, "_parse_hecke_word", None)
     code, out, err = run(capsys, "hecke-mul", "--l", str(l), "--mu", "1/2", "--a", a, "--b", b)
@@ -125,7 +152,7 @@ def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
     """A mu with more digits than Python prints is refused before anything is
     built or multiplied, by both subcommands that print mu."""
     monkeypatch.setattr(cli, "ThetaModule", None)
-    monkeypatch.setattr(cli, "he_mul", None)
+    monkeypatch.setattr(cli, "word_product", None)
     for argv in (("module-verify", "--l", "1", "--lprime", "1"),
                  ("hecke-mul", "--l", "2", "--a", "t", "--b", "t")):
         code, out, err = run(capsys, *argv, "--mu", "1e5000")

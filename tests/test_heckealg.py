@@ -9,9 +9,9 @@ from thetahecke.heckealg import (
     HeckeElem,
     HeckeParams,
     basis_product,
-    gen_elem,
     he_inv_basis,
     he_mul,
+    word_product,
 )
 from thetahecke.laurent import LaurentPoly, half
 from thetahecke.weylbc import gen_perm, length, mul, reduced_word
@@ -26,7 +26,7 @@ def nu(e):
 
 
 def _gen_quad_holds(params, g):
-    t = gen_elem(params, g)
+    t = word_product(params, [g])
     lhs = he_mul(params, t, t)
     par = nu(params.gen_exponent(g))
     rhs = t.scale_poly(par - LaurentPoly.one()) + HeckeElem.unit(params.rank).scale_poly(par)
@@ -52,7 +52,7 @@ def test_braid_relations(l):
     def word(gs):
         out = HeckeElem.unit(l)
         for g in gs:
-            out = he_mul(params, out, gen_elem(params, g))
+            out = he_mul(params, out, word_product(params, [g]))
         return out
 
     for i in range(1, l - 1):
@@ -143,7 +143,7 @@ def test_inverses(mu):
 def test_contract_example_flip_square():
     # rank 1, mu = 1/2: T_t * T_t = (nu^(1/2) - 1) T_t + nu^(1/2) T_e
     params = HeckeParams.signed(1, half(1))
-    t = gen_elem(params, 1)
+    t = word_product(params, [1])
     prod = he_mul(params, t, t)
     expect = t.scale_poly(nu(half(1)) - LaurentPoly.one()) + HeckeElem.unit(1).scale_poly(
         nu(half(1))

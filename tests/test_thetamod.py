@@ -27,6 +27,7 @@ from thetahecke.thetamod import (
     _columns,
     _flat,
     _norm_and_range,
+    _relation_bound,
     _trace,
     _word,
     grade_dim_formula,
@@ -223,6 +224,67 @@ def test_suite_shape():
     names = [chk["name"] for chk in suite]
     assert len(set(names)) == 21
     assert "quad_flip" in names and "cross_flip_prime_flip" in names
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 2), -1, 0, 3], ids=str)
+def test_each_side_has_one_term_at_one(mu):
+    """At nu = 1 a term's scalar is its coefficient sum; each side of every
+    suite entry has exactly one term whose sum is nonzero, and the sum is 1,
+    so the nu = 1 check may read a side as that one word."""
+    for l in range(5):
+        for lp in range(5):
+            for chk in ThetaModule(l, lp, mu).relation_suite():
+                for side in (chk["lhs"], chk["rhs"]):
+                    sums = [sum(t.values()) for t, _ in side]
+                    assert [c for c in sums if c] == [1], (l, lp, chk["name"], sums)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_point_sides_decode_to_unevaluated_sides(shape):
+    """With +-v^j added to one column entry, every suite entry on every column
+    gives at v = 2^B, decoded by balanced digits and shifted back, the lhs -
+    rhs that the same entry gives on the unevaluated columns."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    dim, keys, suite = mod.dim, mod.gen_keys(), mod.relation_suite()
+    clean = {key: list(mod.matrix(key)) for key in keys}
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        key=st.sampled_from(keys),
+        p=st.integers(0, dim - 1),
+        r=st.integers(0, dim - 1),
+        j=st.integers(-4, 4),
+        sign=st.sampled_from([1, -1]),
+    )
+    def check(key, p, r, j, sign):
+        for g, cols in clean.items():
+            mod._cols[g] = list(cols)
+        col = dict(clean[key][p])
+        col[j * dim + r] = col.get(j * dim + r, 0) + sign
+        mod._cols[key][p] = tuple(sorted((k, c) for k, c in col.items() if c))
+        gens = {g: _norm_and_range(mod.matrix(g), dim) for g in keys}
+        bits = max(_relation_bound(chk, gens) for chk in suite).bit_length() + 1
+        points: dict = {}
+        for chk in suite:
+            at_point = mod._plan(chk, bits, gens, points)
+            assert at_point["bits"] == bits, chk["name"]
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(thetamod, "MAX_POINT_BITS", -1)
+                unevaluated = mod._plan(chk, bits, gens, {})
+            for q in range(dim):
+                lhs, rhs = mod.relation_sides(at_point, q)
+                got: dict = {}
+                for row in lhs.keys() | rhs.keys():
+                    x = lhs.get(row, 0) - rhs.get(row, 0)
+                    for e, d in _balanced_digits(x, bits).items():
+                        got[(row, e - at_point["shift"])] = d
+                lhs, rhs = mod.relation_sides(unevaluated, q)
+                want = _decoded(mod, {k: lhs.get(k, 0) - rhs.get(k, 0) for k in lhs.keys() | rhs.keys()})
+                assert got == {pe: c for pe, c in want.items() if c}, (chk["name"], q)
+
+    check()
 
 
 @pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), 2])
@@ -470,7 +532,7 @@ def test_generator_keys_follow_weylbc_numbering():
         assert rep.rep_right(gen_perm(g, 3)) == [dict(col) for col in mats[(1, g)]]
     keys = set(mod.gen_keys())
     for chk in mod.relation_suite():
-        used = [chk["gen"]] if chk["kind"] == "quad" else chk["lhs"] + chk["rhs"]
+        used = [k for _, word in chk["lhs"] + chk["rhs"] for k in word]
         assert set(used) <= keys
 
 
