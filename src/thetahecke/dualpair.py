@@ -59,15 +59,17 @@ def get_case(case) -> DualPairCase:
 
 
 def mu_range_check(case, mu) -> bool:
-    """Whether mu lies in the parameter range of the given case: strict
+    """Whether mu lies in the parameter range of the given case.  A tower
+    pair has mu = dimVp0 - dimV0 - delta/2, so x = mu + delta/2 is an integer,
+    and x = parity_p - parity0 mod 2 where both parities are set: strict
     half-integers for A, odd integers for B and C, even for Ct and D."""
     case = get_case(case)
-    mu = Fraction(mu)
-    if case.tag == "A":
-        return mu.denominator == 2
-    if mu.denominator != 1:
+    x = Fraction(mu) + Fraction(case.delta, 2)
+    if x.denominator != 1:
         return False
-    return mu.numerator % 2 == (1 if case.tag in ("B", "C") else 0)
+    if case.parity0 is None or case.parity_p is None:
+        return True
+    return (x - case.parity_p + case.parity0) % 2 == 0
 
 
 class TowerConfig:
@@ -180,8 +182,8 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
     beta = check_partition(beta)
     if sum(alpha) + sum(beta) != l:
         raise ValueError("label size must equal the rank")
-    steps = max(0, l - r1(beta))
-    steps_t = max(0, l - r1(alpha))
+    steps = l - r1(beta)
+    steps_t = l - r1(alpha)
     # the search ends by lp = l, where the k = l term lifts (alpha, beta) to (beta, alpha)
     least = next(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
     least_t = next(lp for lp in range(l + 1) if theta_lift(beta, alpha, l, lp))
@@ -251,22 +253,13 @@ def abundance_witness(mu, case) -> TowerConfig:
     mu = as_half(mu)
     if not mu_range_check(case, mu):
         raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
-    if case.tag == "A":
-        m = int(mu + Fraction(1, 2))
-        v0 = max(0, m - 1, -m)
-        vp = v0 + m
-    elif case.tag in ("B", "D"):
-        m = int(mu)
-        v0 = abs(m)
-        vp = v0 + m
-    elif case.tag == "C":
-        m = int(mu)
-        v0 = max(0, m - 1, -m - 1)
-        vp = v0 + m + 1
-    else:  # Ct
-        m = int(mu)
-        v0 = abs(m)
-        vp = v0 + m + 1
+    # the least v0 with both companion towers starting at dimension >= 0:
+    # dimVp0 = v0 + x and dimVt0 = v0 + delta - x
+    x = int(mu + Fraction(case.delta, 2))
+    v0 = max(0, -x, x - case.delta)
+    if case.parity0 is not None:
+        v0 += (v0 - case.parity0) % 2
+    vp = v0 + x
     cfg = TowerConfig(case, v0, vp, chi_minus_one=1)
     if mu_of(cfg) != mu:
         raise VerificationError(f"{cfg} has mu={format_half(mu_of(cfg))}, not {format_half(mu)}")

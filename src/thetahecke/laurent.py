@@ -17,11 +17,6 @@ from typing import Mapping
 HalfInt = Fraction  # values with denominator 1 or 2
 
 
-def half(numerator: int) -> HalfInt:
-    """The half-integer numerator/2."""
-    return Fraction(numerator, 2)
-
-
 def as_half(value) -> HalfInt:
     """Coerce an int, Fraction or 'p/q' string to a half-integer.
 
@@ -68,7 +63,7 @@ class LaurentPoly:
 
     Immutable by convention: no method mutates ``self.terms``.
 
-    >>> p = LaurentPoly.nu_power(half(1)) + LaurentPoly({0: 2})
+    >>> p = LaurentPoly.nu_power(Fraction(1, 2)) + LaurentPoly({0: 2})
     >>> str(p)
     '2 + nu^(1/2)'
     >>> (p * p).specialize_nu1()

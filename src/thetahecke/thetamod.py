@@ -57,10 +57,11 @@ Z[v, v**-1].  Any specialization (nu = 1, nu = q) is the image of this
 generic module under a ring homomorphism, so the check proves the
 specialized relations too; nu = 1 is the same evaluation at B = 0.  A
 relation whose exponents span too many bits for one point (a huge mu) runs
-the same loop on the unevaluated columns.  At nu = 1 every nu - 1 term
-vanishes, so every generator but the unprimed flip is a signed permutation,
-and GroupRepAtOne applies such a letter by relabelling rows, never by
-accumulating sums.
+the same loop on the unevaluated columns.  The point decides; a failing
+column is re-read on the exact columns, whose lowest offending row is the
+residual.  At nu = 1 every nu - 1 term vanishes, so every generator but the
+unprimed flip is a signed permutation, and GroupRepAtOne applies such a
+letter by relabelling rows, never by accumulating sums.
 """
 
 from __future__ import annotations
@@ -173,20 +174,6 @@ def _norm_and_range(cols, dim: int) -> tuple[int, int, int]:
     lo = min((col[0][0] // dim for col in cols if col), default=0)
     hi = max((col[-1][0] // dim for col in cols if col), default=0)
     return norm, lo, hi
-
-
-def _balanced_digits(x: int, bits: int) -> dict:
-    """The {i: d} with x = sum of d 2^(bits i) and -2^(bits-1) <= d < 2^(bits-1):
-    unique, so they are the coefficients of the one polynomial with those
-    bounds whose value at v = 2^bits is x."""
-    out, i, half, base = {}, 0, 1 << (bits - 1), 1 << bits
-    while x:
-        d = (x + half) % base - half
-        if d:
-            out[i] = d
-        x = (x - d) >> bits
-        i += 1
-    return out
 
 
 def _relation_bound(chk: dict, gens: dict) -> int:
@@ -481,8 +468,8 @@ class ThetaModule:
         """One suite entry as relation_sides reads it: the columns of its words
         and the scalar of each term, every term brought to the one total shift
         v^shift.  At v = 2^bits each generator and scalar is scaled by v^S, S
-        clearing its lowest exponent; past MAX_POINT_BITS the plan keeps the
-        unevaluated columns and terms (bits None, shift 0)."""
+        clearing its lowest exponent; past MAX_POINT_BITS, or for bits None,
+        the plan keeps the unevaluated columns and terms (bits None, shift 0)."""
         terms = chk["lhs"] + chk["rhs"]
         # at the point a word W is times v^(S_W), the sum of its letters' S_g,
         # so the term t W is times v^(S_t + S_W) and spans span_t + span_W
@@ -493,7 +480,7 @@ class ThetaModule:
             shifts.append(word_shifts[-1] - lo)
             spans.append(sum(gens[k][2] - gens[k][1] for k in word) + hi - lo)
         shift = max(shifts)
-        if bits * max(shift - s + e for s, e in zip(shifts, spans)) > MAX_POINT_BITS:
+        if bits is None or bits * max(shift - s + e for s, e in zip(shifts, spans)) > MAX_POINT_BITS:
             bits, shift, scales = None, 0, [t for t, _ in terms]
             matrix = self.matrix
         else:
@@ -531,17 +518,14 @@ class ThetaModule:
             out.append(vec)
         return out[0], out[1]
 
-    def _failure(self, plan: dict, p: int, lhs: dict, rhs: dict) -> dict:
-        """The column, lowest offending entry and residual of a failed relation."""
+    def _failure(self, chk: dict, p: int, gens: dict) -> dict:
+        """The column, lowest offending entry and residual of a relation that
+        fails on e_p, read from that column on the unevaluated columns."""
         dim = self.dim
-        diff = dict(lhs)
+        diff, rhs = self.relation_sides(self._plan(chk, None, gens, {}), p)
         _add_scaled(diff, rhs.items(), _MINUS_ONE, dim)
         bad = min(k % dim for k in diff)
-        if plan["bits"] is None:
-            row = {k // dim: c for k, c in diff.items() if k % dim == bad}
-        else:
-            row = _balanced_digits(diff[bad], plan["bits"])
-        residual = LaurentPoly({e - plan["shift"]: c for e, c in row.items()})
+        residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
         return {"column": self._index_obj(p), "entry": self._index_obj(bad), "residual": str(residual)}
 
     def verify_relations(self) -> dict:
@@ -553,7 +537,7 @@ class ThetaModule:
         bool, "dimension": ..., "grades": ..., "relations": [{name, ok,
         failure?, elapsed}...], "point_bits": B, "unevaluated": count}; a
         failure records the first offending basis column, entry, and
-        residual.
+        residual, the residual read on the unevaluated columns.
         """
         dim = self.dim
         suite = self.relation_suite()
@@ -570,7 +554,7 @@ class ThetaModule:
             for p in range(dim):
                 lhs, rhs = self.relation_sides(plan, p)
                 if lhs != rhs:
-                    failure = self._failure(plan, p, lhs, rhs)
+                    failure = self._failure(chk, p, gens)
                     break
             report.append(
                 {

@@ -237,14 +237,12 @@ def coset_table(spec: CosetSpec) -> tuple[tuple[int, SignedPerm], ...]:
             rest = [v for v in range(1, n + 1) if v not in chosen]
             reps.append(tuple(rest + sorted(subset)))
     else:
-        def mirror_key(v: int) -> int:
-            return -(n + 1 - abs(v)) if v > 0 else (n + 1 - abs(v))
-
         for subset in itertools.combinations(range(1, n + 1), k):
             chosen = set(subset)
             rest = [v for v in range(1, n + 1) if v not in chosen]
             for signs in itertools.product((1, -1), repeat=k):
-                head = sorted((s * v for s, v in zip(signs, subset)), key=mirror_key)
+                head = [s * v for s, v in zip(signs, subset)]
+                head.sort(key=lambda v: -_mirror_value(v, n))
                 reps.append(tuple(head + rest))
     table = sorted((length(d), d) for d in reps)
     for _, d in table:

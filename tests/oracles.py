@@ -2,8 +2,9 @@
 scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
 induced sums, the nu = 1 character taken one class pair at a time, a
-word's nu = 1 product composed column by column, and a product of two Hecke
-words taken element by element.
+word's nu = 1 product composed column by column, a product of two Hecke
+words taken element by element, and an integer at v = 2^B read back as the
+Laurent polynomial it encodes.
 The package itself needs none of them.
 """
 
@@ -311,6 +312,23 @@ def product_by_columns(rep, keys) -> list:
         else:
             cols = [_apply(m, col, rep.dim) for col in cols]
     return [{p: 1} for p in range(rep.dim)] if cols is None else cols
+
+
+# -- the integer point v = 2^B -----------------------------------------------------
+
+
+def balanced_digits(x: int, bits: int) -> dict:
+    """The {i: d} with x = sum of d 2^(bits i) and -2^(bits-1) <= d < 2^(bits-1):
+    unique, so they are the coefficients of the one polynomial with those
+    bounds whose value at v = 2^bits is x (Kronecker substitution read back)."""
+    out, i, half, base = {}, 0, 1 << (bits - 1), 1 << bits
+    while x:
+        d = (x + half) % base - half
+        if d:
+            out[i] = d
+        x = (x - d) >> bits
+        i += 1
+    return out
 
 
 def hecke_words_product(params: HeckeParams, a: list[int], b: list[int]) -> HeckeElem:

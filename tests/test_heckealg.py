@@ -1,6 +1,7 @@
 """Generic signed Hecke algebra: products, inverses, reduced words."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -13,12 +14,12 @@ from thetahecke.heckealg import (
     he_mul,
     word_product,
 )
-from thetahecke.laurent import LaurentPoly, half
+from thetahecke.laurent import LaurentPoly
 from thetahecke.weylbc import gen_perm, length, mul, reduced_word
 
 from oracles import all_signed_perms, num_flips, reduced_word_rightmost
 
-MUS = [half(1), half(-3), half(4), half(0)]
+MUS = [Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), Fraction(0, 2)]
 
 
 def nu(e):
@@ -47,7 +48,7 @@ def test_quadratic_relations(l, mu):
 
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_braid_relations(l):
-    params = HeckeParams.signed(l, half(1))
+    params = HeckeParams.signed(l, Fraction(1, 2))
 
     def word(gs):
         out = HeckeElem.unit(l)
@@ -67,7 +68,7 @@ def test_braid_relations(l):
 
 
 def test_basis_product_matches_length_additivity():
-    params = HeckeParams.signed(2, half(1))
+    params = HeckeParams.signed(2, Fraction(1, 2))
     for u in all_signed_perms(2):
         for w in all_signed_perms(2):
             prod = basis_product(params, u, w)
@@ -96,7 +97,7 @@ def _reference_basis_product(params, u, w):
     return HeckeElem(cur)
 
 
-@pytest.mark.parametrize("mu", [half(1), half(-3), half(0)])
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), Fraction(0, 2)])
 def test_basis_product_matches_reference(mu):
     params = HeckeParams.signed(3, mu)
     perms = all_signed_perms(3)
@@ -112,7 +113,7 @@ def _dense_elem(rng, perms, size):
     })
 
 
-@pytest.mark.parametrize("mu", [half(1), half(-3)])
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2)])
 def test_he_mul_of_dense_elements_is_bilinear(mu):
     """he_mul peels all of a at once per term of b: the result is the sum of
     the basis products, and a's coefficients are left as they were."""
@@ -142,11 +143,11 @@ def test_inverses(mu):
 
 def test_contract_example_flip_square():
     # rank 1, mu = 1/2: T_t * T_t = (nu^(1/2) - 1) T_t + nu^(1/2) T_e
-    params = HeckeParams.signed(1, half(1))
+    params = HeckeParams.signed(1, Fraction(1, 2))
     t = word_product(params, [1])
     prod = he_mul(params, t, t)
-    expect = t.scale_poly(nu(half(1)) - LaurentPoly.one()) + HeckeElem.unit(1).scale_poly(
-        nu(half(1))
+    expect = t.scale_poly(nu(Fraction(1, 2)) - LaurentPoly.one()) + HeckeElem.unit(1).scale_poly(
+        nu(Fraction(1, 2))
     )
     assert prod == expect
 

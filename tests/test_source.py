@@ -38,13 +38,51 @@ KEPT = {
 }
 
 
-def _names(node) -> Counter:
-    """Names, attributes and import aliases under node (a doctest is a string)."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else sub.name
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(fn) -> set:
+    """The names a function binds: its parameters, the names it assigns and
+    the functions and classes it defines; a nested function's own are its own."""
+    bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _names(node, local: frozenset = frozenset()) -> Counter:
+    """References under node: names, attributes and import aliases, a name
+    local to its enclosing function aside (a doctest is a string)."""
+    if isinstance(node, _SCOPES):
+        local = local | _locals(node)
+    found = Counter()
+    if isinstance(node, ast.Name):
+        if node.id not in local:
+            found[node.id] += 1
+    elif isinstance(node, (ast.Attribute, ast.alias)):
+        found[node.attr if isinstance(node, ast.Attribute) else node.name] += 1
+    for child in ast.iter_child_nodes(node):
+        found.update(_names(child, local))
+    return found
+
+
+def test_a_function_local_is_no_reference():
+    """A parameter or an assigned name that shares a package function's name
+    does not use that function; a call from another function does."""
+    source = (
+        "def half(n):\n    return n\n"
+        "def digits(x, half=2):\n    return x // half\n"
+        "def bits(x):\n    half = x >> 1\n    return [half for half in (half,)]\n"
     )
+    assert _names(ast.parse(source))["half"] == 0
+    assert _names(ast.parse(source + "def caller():\n    return half(1)\n"))["half"] == 1
 
 
 def test_every_package_function_is_used():

@@ -23,7 +23,6 @@ from thetahecke.thetamod import (
     ThetaModule,
     _apply_word,
     _at_point,
-    _balanced_digits,
     _columns,
     _flat,
     _norm_and_range,
@@ -42,7 +41,7 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import character_by_class, product_by_columns
+from oracles import balanced_digits, character_by_class, product_by_columns
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -278,7 +277,7 @@ def test_point_sides_decode_to_unevaluated_sides(shape):
                 got: dict = {}
                 for row in lhs.keys() | rhs.keys():
                     x = lhs.get(row, 0) - rhs.get(row, 0)
-                    for e, d in _balanced_digits(x, bits).items():
+                    for e, d in balanced_digits(x, bits).items():
                         got[(row, e - at_point["shift"])] = d
                 lhs, rhs = mod.relation_sides(unevaluated, q)
                 want = _decoded(mod, {k: lhs.get(k, 0) - rhs.get(k, 0) for k in lhs.keys() | rhs.keys()})
@@ -362,6 +361,18 @@ def test_corrupted_column_is_reported_at_huge_mu():
     }
 
 
+def test_corrupted_swap_column_is_reported_at_huge_mu():
+    """A swap's relations stay at the point at a 31-digit mu; the report of a
+    corrupted swap column is pinned to the one the decoded point gave."""
+    mod = ThetaModule(2, 2, HUGE_MU)
+    _corrupt(mod, (0, 1), mod.unit_pos(0), 3)
+    rep = mod.verify_relations()
+    assert rep["unevaluated"] == 7
+    bad = [r for r in rep["relations"] if not r["ok"]]
+    assert [r["name"] for r in bad] == ["quad_swap_1", "braid_flip"]
+    assert bad[0]["failure"] == {"column": BOTTOM, "entry": BOTTOM, "residual": "nu^(3/2) + nu^(5/2) + nu^3"}
+
+
 # -- the relation check at one integer point -----------------------------------------
 
 
@@ -388,7 +399,7 @@ def test_point_evaluation_decodes_to_apply_word(shape):
         got = {
             (r, e - shift): d
             for r, x in _apply_word(mats, vec, mod.dim).items()
-            for e, d in _balanced_digits(x, bits).items()
+            for e, d in balanced_digits(x, bits).items()
         }
         assert got == _decoded(mod, _apply_keys(mod, word, vec))
 
