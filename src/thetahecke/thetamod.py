@@ -59,9 +59,24 @@ specialized relations too; nu = 1 is the same evaluation at B = 0.  A
 relation whose exponents span too many bits for one point (a huge mu) runs
 the same loop on the unevaluated columns.  The point decides; a failing
 column is re-read on the exact columns, whose lowest offending row is the
-residual.  At nu = 1 every nu - 1 term vanishes, so every generator but the
-unprimed flip is a signed permutation, and GroupRepAtOne applies such a
-letter by relabelling rows, never by accumulating sums.
+residual.
+
+The cross relations say that the two actions commute.  They are checked
+first, on every column; once they hold, a relation among one side's
+generators commutes with each generator T'_b of the other side, so if it
+holds on e_q and e_r = T'_b e_q is an exact ascent (a column that is e_r
+alone, r > q, the test the flip build uses), it holds on e_r.  By induction
+on position it holds on every column once it holds on the seeds, the
+positions no ascent of the other side reaches: the labels (k, d1, 1, 1) for a
+relation among the unprimed generators and (k, 1, d2, 1) for one among the
+primed, read from the columns each time.  When a cross relation fails the
+argument is void, and every side relation runs on every column; a side
+relation that fails on a seed is rescanned from column 0, so a report names
+the first failing column either way.
+
+At nu = 1 every nu - 1 term vanishes, so every generator but the unprimed
+flip is a signed permutation, and GroupRepAtOne applies such a letter by
+relabelling rows, never by accumulating sums.
 """
 
 from __future__ import annotations
@@ -373,6 +388,26 @@ class ThetaModule:
             parts.append((p, (scale * (nu(k - i + 1) + nu(k - i, -1))).terms))
         return dict(_column(self.dim, *parts))
 
+    def _ascents(self, keys):
+        """Yield (r, columns, q) for every exact ascent e_r = T_g e_q of the
+        given generators, read from their columns: column q is e_r alone, with
+        coefficient 1, exponent 0 and r > q (each factor of the basis is listed
+        by length).  r < q is a descent that relabels, as the primed flip's
+        does at mu = -1, and no ascent."""
+        dim = self.dim
+        for key in keys:
+            gen = self.matrix(key)
+            for q, col in enumerate(gen):
+                if len(col) == 1 and col[0][1] == 1 and q < col[0][0] < dim:
+                    yield col[0][0], gen, q
+
+    def seed_columns(self, side: int) -> list[int]:
+        """The positions that no exact ascent of the other side's generators
+        reaches, in order: once the cross relations hold, a relation among one
+        side's generators that holds on these holds on every column."""
+        reached = {r for r, _, _ in self._ascents(key for key in self.gen_keys() if key[0] != side)}
+        return [p for p in range(self.dim) if p not in reached]
+
     def _flip_columns(self) -> list[tuple]:
         """The flip's columns in position order, each a seed or one commuting
         generator applied to an earlier flip column."""
@@ -390,16 +425,10 @@ class ThetaModule:
                 _add_scaled(out, vec.items(), nu_inv_minus_one, dim)
                 vec = out
             seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
-        # for g commuting with the flip, a column q that is exactly e_r, r > q, is
-        # an ascent e_r = T_g e_q (each factor of the basis is listed by length),
-        # so flip column r is T_g on flip column q; r < q is a descent that
-        # relabels, as the primed flip's does at mu = -1
-        ascents: dict[int, tuple] = {}
-        for key in [(0, g) for g in range(1, l - 1)] + [(1, g) for g in range(1, lp + 1)]:
-            gen = self.matrix(key)
-            for q, col in enumerate(gen):
-                if len(col) == 1 and col[0][1] == 1 and q < col[0][0] < dim:
-                    ascents[col[0][0]] = gen, q
+        # for g commuting with the flip, an ascent e_r = T_g e_q makes flip
+        # column r T_g on flip column q
+        keys = [(0, g) for g in range(1, l - 1)] + [(1, g) for g in range(1, lp + 1)]
+        ascents = {r: (gen, q) for r, gen, q in self._ascents(keys)}
         cols: list[tuple] = []
         for r in range(dim):
             vec = seeds.get(r)
@@ -533,37 +562,70 @@ class ThetaModule:
 
         B is the bit length of the largest relation bound plus one, so every
         coefficient of lhs - rhs lies below 2^(B-1) in absolute value and a
-        row whose sides agree at v = 2^B agrees in Z[v, v^-1].  Returns {"ok":
-        bool, "dimension": ..., "grades": ..., "relations": [{name, ok,
-        failure?, elapsed}...], "point_bits": B, "unevaluated": count}; a
-        failure records the first offending basis column, entry, and
-        residual, the residual read on the unevaluated columns.
+        row whose sides agree at v = 2^B agrees in Z[v, v^-1].
+
+        The cross relations run first, on every column.  If they all hold,
+        each side's generators commute with the other side's, so a relation
+        R among one side's generators commutes with every T'_b of the other;
+        where R e_q = 0 and e_r = T'_b e_q is an exact ascent (r > q), R e_r =
+        T'_b R e_q = 0.  By induction on position, R then holds on every
+        column once it holds on the seeds, the positions no ascent of the
+        other side reaches (seed_columns, read from the columns on each
+        call), and only those are checked.  If a cross relation fails, the
+        argument is void and every side relation runs on every column.  A
+        side relation that fails on a seed is rescanned from column 0, so its
+        report is the every-column check's; by the same induction its lowest
+        failing column is a seed.
+
+        Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
+        [{name, ok, failure?, elapsed}...] in relation_suite order,
+        "point_bits": B, "unevaluated": count, "seeds": the seed counts of
+        the side-0 and the side-1 relations, or None when they ran on every
+        column}; a failure records the first offending basis column, entry,
+        and residual, the residual read on the unevaluated columns.
         """
         dim = self.dim
         suite = self.relation_suite()
         gens = {key: _norm_and_range(self.matrix(key), dim) for key in self.gen_keys()}
         bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
         points: dict = {}
-        report = []
+        every = range(dim)
         unevaluated = 0
-        for chk in suite:
+
+        def run(chk, columns) -> dict:
+            nonlocal unevaluated
             t0 = time.perf_counter()
             plan = self._plan(chk, bits, gens, points)
             unevaluated += plan["bits"] is None
-            failure = None
-            for p in range(dim):
+
+            def fails(p):
                 lhs, rhs = self.relation_sides(plan, p)
-                if lhs != rhs:
-                    failure = self._failure(chk, p, gens)
-                    break
-            report.append(
-                {
-                    "name": chk["name"],
-                    "ok": failure is None,
-                    **({"failure": failure} if failure else {}),
-                    "elapsed": time.perf_counter() - t0,
-                }
-            )
+                return lhs != rhs
+
+            p = next(filter(fails, columns), None)
+            if p is not None and columns is not every:
+                p = next(filter(fails, range(p + 1)))
+            return {
+                "name": chk["name"],
+                "ok": p is None,
+                **({"failure": self._failure(chk, p, gens)} if p is not None else {}),
+                "elapsed": time.perf_counter() - t0,
+            }
+
+        def side_of(chk):
+            """The one side of a relation's generators, None for a cross relation."""
+            sides = {key[0] for _, word in chk["lhs"] + chk["rhs"] for key in word}
+            return sides.pop() if len(sides) == 1 else None
+
+        sides = [side_of(chk) for chk in suite]
+        done = {i: run(chk, every) for i, chk in enumerate(suite) if sides[i] is None}
+        seeds = None
+        if all(rel["ok"] for rel in done.values()):
+            seeds = [self.seed_columns(side) for side in (0, 1)]
+        for i, chk in enumerate(suite):
+            if i not in done:
+                done[i] = run(chk, every if seeds is None else seeds[sides[i]])
+        report = [done[i] for i in range(len(suite))]
         return {
             "ok": all(r["ok"] for r in report),
             "dimension": self.dim,
@@ -571,6 +633,7 @@ class ThetaModule:
             "relations": report,
             "point_bits": bits,
             "unevaluated": unevaluated,
+            "seeds": None if seeds is None else [len(s) for s in seeds],
         }
 
     # -- serialization --

@@ -3,8 +3,9 @@ scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
 induced sums, the nu = 1 character taken one class pair at a time, a
 word's nu = 1 product composed column by column, a product of two Hecke
-words taken element by element, and an integer at v = 2^B read back as the
-Laurent polynomial it encodes.
+words taken element by element, an integer at v = 2^B read back as the
+Laurent polynomial it encodes, and the relation suite checked on every
+column.
 The package itself needs none of them.
 """
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 from thetahecke import VerificationError
 from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
-from thetahecke.thetamod import _apply
+from thetahecke.thetamod import ThetaModule, _apply, _norm_and_range, _relation_bound
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
@@ -329,6 +330,28 @@ def balanced_digits(x: int, bits: int) -> dict:
         x = (x - d) >> bits
         i += 1
     return out
+
+
+def verify_every_column(mod: ThetaModule) -> dict:
+    """The relation suite checked on every column in suite order, with no
+    appeal to the cross relations: {"ok": bool, "relations": [{name, ok,
+    failure?}...]}, each failure the first failing column's."""
+    dim, suite = mod.dim, mod.relation_suite()
+    gens = {key: _norm_and_range(mod.matrix(key), dim) for key in mod.gen_keys()}
+    bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
+    points: dict = {}
+    report = []
+    for chk in suite:
+        plan = mod._plan(chk, bits, gens, points)
+        failure = None
+        for p in range(dim):
+            lhs, rhs = mod.relation_sides(plan, p)
+            if lhs != rhs:
+                failure = mod._failure(chk, p, gens)
+                break
+        entry = {"name": chk["name"], "ok": failure is None}
+        report.append({**entry, "failure": failure} if failure else entry)
+    return {"ok": all(r["ok"] for r in report), "relations": report}
 
 
 def hecke_words_product(params: HeckeParams, a: list[int], b: list[int]) -> HeckeElem:

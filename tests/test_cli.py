@@ -165,6 +165,19 @@ def test_module_verify_dimension_cap(capsys):
     assert code == 2 and out == "" and "exceeds" in err
 
 
+def test_module_verify_admits_five_five_and_refuses_four_seven(capsys, monkeypatch):
+    """(5,5) (dimension 19,091) is under the dimension cap; (4,7) (21,225) is
+    refused before anything is built, with one line."""
+    assert cli._check_size("module-verify", 5, 5, cli.MAX_VERIFY_RANK, cli.MAX_VERIFY_DIM) is None
+    monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
+    code, out, err = run(capsys, "module-verify", "--l", "4", "--lprime", "7", "--mu", "1/2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: shape (4,7) with dimension 21225 exceeds the module-verify caps: "
+        "rank 200, dimension 20000\n"
+    )
+
+
 @pytest.mark.parametrize("shape", [("0", "201"), ("201", "0")], ids=["0,201", "201,0"])
 def test_module_verify_rank_cap(capsys, monkeypatch, shape):
     """A rank past the cap is refused before anything is built, whatever the dimension."""
@@ -223,6 +236,29 @@ def test_module_verify_reports_the_point_on_stderr(capsys, mu, unevaluated):
     assert summary.startswith(f"module-verify l=2 lprime=2 mu={mu}: ")
     assert summary.endswith(f", B=12, {unevaluated} of 10 relations unevaluated")
     assert "point_bits" not in out and "unevaluated" not in out
+
+
+def test_module_verify_names_the_seed_columns_on_stderr(capsys, monkeypatch):
+    """The stderr summary names the seed counts of the side-0 and side-1
+    relations, or every column once a cross relation fails; stdout keeps
+    neither."""
+    argv = ("module-verify", "--l", "3", "--lprime", "3", "--mu", "1/2")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "seeds" not in out
+    assert ", side relations on 8 + 27 seed columns, B=13, " in err.splitlines()[-1]
+
+    class Corrupted(ThetaModule):
+        def verify_relations(self):
+            for key in self.gen_keys():
+                self.matrix(key)
+            table, p = self.matrix((0, 1)), self.pos[(2, (2, 1, 3), (2, 3, 1), (2, 1))]
+            table[p] = tuple((k, 2 * c) for k, c in table[p])
+            return super().verify_relations()
+
+    monkeypatch.setattr(cli, "ThetaModule", Corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "seeds" not in out
+    assert ", side relations on every column, B=" in err.splitlines()[-1]
 
 
 def test_module_verify_text(capsys):

@@ -41,7 +41,7 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import balanced_digits, character_by_class, product_by_columns
+from oracles import balanced_digits, character_by_class, product_by_columns, verify_every_column
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -371,6 +371,127 @@ def test_corrupted_swap_column_is_reported_at_huge_mu():
     bad = [r for r in rep["relations"] if not r["ok"]]
     assert [r["name"] for r in bad] == ["quad_swap_1", "braid_flip"]
     assert bad[0]["failure"] == {"column": BOTTOM, "entry": BOTTOM, "residual": "nu^(3/2) + nu^(5/2) + nu^3"}
+
+
+def _label_obj(k, d1, d2, x) -> dict:
+    return {"k": k, "d1": list(d1), "d2": list(d2), "x": list(x)}
+
+
+def _failures(rep: dict) -> dict:
+    return {r["name"]: r["failure"] for r in rep["relations"] if not r["ok"]}
+
+
+def test_corrupted_swap_column_off_the_seeds_is_reported():
+    """A side-0 swap corrupted at a label with d2 and x not the identity, no
+    seed of the side-0 relations, breaks cross relations too, so every side
+    relation runs on every column; each report is pinned to the one the
+    every-column check gave."""
+    mod = ThetaModule(3, 3, MU)
+    label = (2, (2, 1, 3), (2, 3, 1), (2, 1))
+    _corrupt(mod, (0, 1), mod.pos[label], 1)
+    rep = mod.verify_relations()
+    assert rep["seeds"] is None
+    here = _label_obj(*label)
+    low = _label_obj(2, (1, 2, 3), (2, 3, 1), (2, 1))
+    assert _failures(rep) == {
+        "quad_swap_1": {"column": low, "entry": low, "residual": "nu^(1/2)"},
+        "braid_swap_1": {
+            "column": here,
+            "entry": _label_obj(2, (2, 1, 3), (2, 3, 1), (1, 2)),
+            "residual": "nu^(3/2)",
+        },
+        "comm_flip_swap_1": {
+            "column": _label_obj(1, (2, 3, 1), (3, 1, 2), (1,)),
+            "entry": low,
+            "residual": "nu^(-3/2)",
+        },
+        "cross_swap_1_prime_swap_1": {
+            "column": _label_obj(2, (2, 1, 3), (1, 3, 2), (2, 1)),
+            "entry": low,
+            "residual": "nu^(1/2)",
+        },
+        "cross_swap_1_prime_swap_2": {
+            "column": _label_obj(2, (2, 1, 3), (2, 3, 1), (1, 2)),
+            "entry": low,
+            "residual": "nu^(1/2)",
+        },
+        "cross_swap_1_prime_flip": {
+            "column": here,
+            "entry": _label_obj(2, (1, 2, 3), (2, -3, 1), (2, 1)),
+            "residual": "-nu^(1/2)",
+        },
+    }
+
+
+def test_corrupted_swap_column_on_a_seed_is_reported():
+    """A side-0 swap corrupted at the grade-0 unit, a seed of the side-0
+    relations and a common eigenvector of the primed generators: every cross
+    relation passes, so the side relations run on the seeds alone, and each
+    report is pinned to the one the every-column check gave."""
+    mod = ThetaModule(3, 3, MU)
+    _corrupt(mod, (0, 2), mod.unit_pos(0), 3)
+    rep = mod.verify_relations()
+    assert rep["seeds"] == [8, 27]
+    unit = _label_obj(0, (1, 2, 3), (1, 2, 3), ())
+    assert _failures(rep) == {
+        "quad_swap_2": {"column": unit, "entry": unit, "residual": "nu^(3/2) + nu^(5/2) + nu^3"},
+        "braid_swap_1": {"column": unit, "entry": unit, "residual": "-nu^(7/2) - nu^4"},
+        "braid_flip": {
+            "column": unit,
+            "entry": _label_obj(1, (1, 2, 3), (1, 2, 3), (1,)),
+            "residual": "2*nu^(-7/2) + nu^-3",
+        },
+    }
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+def test_seed_check_matches_every_column_oracle(shape):
+    """With one entry of one generator column added or changed, both flips
+    included, the check on the seeds gives the every-column check's verdict,
+    per-relation verdicts and failure reports."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    dim, keys = mod.dim, mod.gen_keys()
+    clean = {key: list(mod.matrix(key)) for key in keys}
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        key=st.sampled_from(keys),
+        p=st.integers(0, dim - 1),
+        r=st.integers(0, dim - 1),
+        j=st.integers(-4, 4),
+        c=st.integers(-2, 2),
+    )
+    def check(key, p, r, j, c):
+        for g, cols in clean.items():
+            mod._cols[g] = list(cols)
+        col = dict(clean[key][p])
+        col[j * dim + r] = c
+        mod._cols[key][p] = tuple(sorted((k, a) for k, a in col.items() if a))
+        rep = mod.verify_relations()
+        want = verify_every_column(mod)
+        assert rep["ok"] == want["ok"]
+        assert _reports(rep) == want["relations"]
+
+    check()
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 2), -1, 0, 3], ids=str)
+def test_seed_columns_are_the_other_sides_unit_labels(mu):
+    """The side-0 relations' seeds, read from the primed generators' ascents,
+    are the labels (k, d1, 1, 1); the side-1 relations' seeds, read from the
+    unprimed ones' with the flip, are (k, 1, d2, 1).  At mu = -1 the primed
+    flip's descent relabel is no ascent.  With one side of rank 0 every
+    position is a seed."""
+    for l, lp in [(2, 2), (3, 3), (4, 4), (2, 8), (8, 2)]:
+        mod = ThetaModule(l, lp, mu)
+        labels = [[mod.basis[p] for p in mod.seed_columns(side)] for side in (0, 1)]
+        assert labels[0] == [b for b in mod.basis if b[2] == identity(lp) and b[3] == identity(b[0])]
+        assert labels[1] == [b for b in mod.basis if b[1] == identity(l) and b[3] == identity(b[0])]
+    for shape in [(0, 3), (3, 0)]:
+        mod = ThetaModule(*shape, mu)
+        assert mod.seed_columns(0) == mod.seed_columns(1) == list(range(mod.dim))
 
 
 # -- the relation check at one integer point -----------------------------------------
