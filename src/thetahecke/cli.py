@@ -35,18 +35,25 @@ from .dualpair import (
 )
 from .heckealg import HeckeParams, word_product
 from .laurent import as_half, format_half
-from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula
+from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order
 
-# module-verify holds every generator's columns, generic and at the point, and
-# checks the side relations on the ascent seeds alone; on 2 cores with Python
-# 3.11.7, end to end at mu = 1/2, (4,6) (dim 10,369) took 2.8-3.6 s at 82 MB
-# peak RSS and (5,5) (dim 19,091) 4.8-4.9 s at 128 MB, and (5,5) at the 31-digit
-# mu, 19 relations unevaluated, 5.6 s at 112 MB; (4,7) (dim 21,225) is refused
+# module-verify holds every generator's columns, generic and at the point; on 2
+# cores with Python 3.11.7, end to end at mu = 1/2, (4,6) (dim 10,369) took
+# 2.8-3.8 s at 82 MB peak RSS and (5,5) (dim 19,091) 4.8-8.1 s at 126 MB;
+# (4,7) (dim 21,225) is refused
 MAX_VERIFY_DIM = 20000
-# the dimension cap does not bound module-verify's work: the suite has about
-# rank^2 / 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and
-# 0.29 s end to end on 2 cores with Python 3.11.7
+# the dimension does not bound the relation column checks (verify_work_formula),
+# each about 10-17 us: before this cap, (2,70) (dim 19,601, 27.1M checks) took
+# 422 s at 805 MB, (1,200) (dim 401, 8.1M) 91 s and (3,14) (1.2M) 19.5 s end to
+# end.  Under it, the largest admitted shapes by checks, (1,79), (99,1), (31,2),
+# (5,5), (12,3), (2,24) and (3,11) (410k-515k), took 6.2-8.8 s at mu = 1/2 and
+# 28-126 MB, and the slowest admitted request found, (2,24) at mu = (10^30 +
+# 1)/2 with 51 of 351 relations unevaluated, 8.1-9.3 s at 51 MB
+MAX_VERIFY_WORK = 2**19
+# the rank is checked before the dimension and the work are counted: the suite
+# has about rank^2 / 2 relations; (0, 200) (dimension 1) takes 0.15 s in process
+# and 0.29 s end to end on 2 cores with Python 3.11.7
 MAX_VERIFY_RANK = 200
 # specialize-decompose holds every generator as sparse integer columns (and,
 # while it runs, each signed-permutation generator as two lists), the class
@@ -118,7 +125,9 @@ def _parse_partition(text: str):
     return check_partition(obj)
 
 
-def _check_size(subcommand: str, l: int, lp: int, max_rank: int, max_dim: int) -> None:
+def _check_size(
+    subcommand: str, l: int, lp: int, max_rank: int, max_dim: int, max_work: int | None = None
+) -> None:
     """Refuse a shape past a subcommand's caps before anything is built."""
     # the rank is checked first: the dimension of a huge rank is itself costly
     dim = module_dim_formula(l, lp) if max(l, lp) <= max_rank else None
@@ -126,6 +135,11 @@ def _check_size(subcommand: str, l: int, lp: int, max_rank: int, max_dim: int) -
         shape = f"shape ({l},{lp})" if dim is None else f"shape ({l},{lp}) with dimension {dim}"
         raise ValueError(
             f"{shape} exceeds the {subcommand} caps: rank {max_rank}, dimension {max_dim}"
+        )
+    if max_work is not None and (work := verify_work_formula(l, lp)) > max_work:
+        raise ValueError(
+            f"shape ({l},{lp}) with dimension {dim} needs {work} relation column checks, "
+            f"past the {subcommand} cap of {max_work}"
         )
 
 
@@ -154,7 +168,7 @@ def cmd_module_verify(args) -> int:
     if args.case is not None and not mu_range_check(args.case, mu):
         raise ValueError(f"mu={mu_text} is out of range for case {args.case}")
     l, lp = args.l, args.lprime
-    _check_size("module-verify", l, lp, MAX_VERIFY_RANK, MAX_VERIFY_DIM)
+    _check_size("module-verify", l, lp, MAX_VERIFY_RANK, MAX_VERIFY_DIM, MAX_VERIFY_WORK)
 
     t0 = time.perf_counter()
     report = ThetaModule(l, lp, mu).verify_relations()

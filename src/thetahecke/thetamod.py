@@ -70,9 +70,9 @@ on position it holds on every column once it holds on the seeds, the
 positions no ascent of the other side reaches: the labels (k, d1, 1, 1) for a
 relation among the unprimed generators and (k, 1, d2, 1) for one among the
 primed, read from the columns each time.  When a cross relation fails the
-argument is void, and every side relation runs on every column; a side
-relation that fails on a seed is rescanned from column 0, so a report names
-the first failing column either way.
+argument is void, and every side relation runs on every column.  By the
+same induction a side relation's lowest failing column is a seed, so a
+report names the first failing column either way.
 
 At nu = 1 every nu - 1 term vanishes, so every generator but the unprimed
 flip is a signed permutation, and GroupRepAtOne applies such a letter by
@@ -228,6 +228,18 @@ def grade_dim_formula(l: int, lp: int, k: int) -> int:
 def module_dim_formula(l: int, lp: int) -> int:
     """The total dimension: the grade dimensions summed over k = 0..min(l, l')."""
     return sum(grade_dim_formula(l, lp, k) for k in range(min(l, lp) + 1))
+
+
+def verify_work_formula(l: int, lp: int) -> int:
+    """The relation column checks of verify_relations once the cross relations
+    hold: the l l' cross relations on every column, the l(l+1)/2 unprimed
+    relations on the sum_k C(l, k) seeds (k, d1, 1, 1) and the l'(l'+1)/2
+    primed ones on the sum_k C(l', k) 2^k seeds (k, 1, d2, 1), k <= min(l, l')."""
+    grades = range(min(l, lp) + 1)
+    seeds0 = sum(math.comb(l, k) for k in grades)
+    seeds1 = sum(math.comb(lp, k) << k for k in grades)
+    side_checks = l * (l + 1) // 2 * seeds0 + lp * (lp + 1) // 2 * seeds1
+    return l * lp * module_dim_formula(l, lp) + side_checks
 
 
 class ThetaModule:
@@ -572,10 +584,10 @@ class ThetaModule:
         column once it holds on the seeds, the positions no ascent of the
         other side reaches (seed_columns, read from the columns on each
         call), and only those are checked.  If a cross relation fails, the
-        argument is void and every side relation runs on every column.  A
-        side relation that fails on a seed is rescanned from column 0, so its
-        report is the every-column check's; by the same induction its lowest
-        failing column is a seed.
+        argument is void and every side relation runs on every column.  By
+        the same induction a failing side relation's lowest failing column
+        is a seed, so the first failing seed is the every-column check's
+        report.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
         [{name, ok, failure?, elapsed}...] in relation_suite order,
@@ -589,7 +601,6 @@ class ThetaModule:
         gens = {key: _norm_and_range(self.matrix(key), dim) for key in self.gen_keys()}
         bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
         points: dict = {}
-        every = range(dim)
         unevaluated = 0
 
         def run(chk, columns) -> dict:
@@ -603,8 +614,6 @@ class ThetaModule:
                 return lhs != rhs
 
             p = next(filter(fails, columns), None)
-            if p is not None and columns is not every:
-                p = next(filter(fails, range(p + 1)))
             return {
                 "name": chk["name"],
                 "ok": p is None,
@@ -618,13 +627,13 @@ class ThetaModule:
             return sides.pop() if len(sides) == 1 else None
 
         sides = [side_of(chk) for chk in suite]
-        done = {i: run(chk, every) for i, chk in enumerate(suite) if sides[i] is None}
+        done = {i: run(chk, range(dim)) for i, chk in enumerate(suite) if sides[i] is None}
         seeds = None
         if all(rel["ok"] for rel in done.values()):
             seeds = [self.seed_columns(side) for side in (0, 1)]
         for i, chk in enumerate(suite):
             if i not in done:
-                done[i] = run(chk, every if seeds is None else seeds[sides[i]])
+                done[i] = run(chk, range(dim) if seeds is None else seeds[sides[i]])
         report = [done[i] for i in range(len(suite))]
         return {
             "ok": all(r["ok"] for r in report),

@@ -166,15 +166,31 @@ def test_module_verify_dimension_cap(capsys):
 
 
 def test_module_verify_admits_five_five_and_refuses_four_seven(capsys, monkeypatch):
-    """(5,5) (dimension 19,091) is under the dimension cap; (4,7) (21,225) is
-    refused before anything is built, with one line."""
-    assert cli._check_size("module-verify", 5, 5, cli.MAX_VERIFY_RANK, cli.MAX_VERIFY_DIM) is None
+    """(5,5) (dimension 19,091) is under the dimension and work caps; (4,7)
+    (21,225) is refused before anything is built, with one line."""
+    caps = (cli.MAX_VERIFY_RANK, cli.MAX_VERIFY_DIM, cli.MAX_VERIFY_WORK)
+    assert cli._check_size("module-verify", 5, 5, *caps) is None
     monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
     code, out, err = run(capsys, "module-verify", "--l", "4", "--lprime", "7", "--mu", "1/2")
     assert code == 2 and out == ""
     assert err == (
         "error: shape (4,7) with dimension 21225 exceeds the module-verify caps: "
         "rank 200, dimension 20000\n"
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 14), (2, 70), (1, 200), (200, 1)])
+def test_module_verify_work_cap(capsys, monkeypatch, shape):
+    """A shape under the rank and dimension caps whose relation column checks
+    pass the work cap is refused before anything is built, with one line."""
+    l, lp = shape
+    monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
+    code, out, err = run(capsys, "module-verify", "--l", str(l), "--lprime", str(lp), "--mu", "1/2")
+    dim = thetamod.module_dim_formula(l, lp)
+    assert dim <= cli.MAX_VERIFY_DIM and code == 2 and out == ""
+    assert err == (
+        f"error: shape ({l},{lp}) with dimension {dim} needs {thetamod.verify_work_formula(l, lp)} "
+        f"relation column checks, past the module-verify cap of {cli.MAX_VERIFY_WORK}\n"
     )
 
 

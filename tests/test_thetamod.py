@@ -30,6 +30,7 @@ from thetahecke.thetamod import (
     _trace,
     _word,
     grade_dim_formula,
+    verify_work_formula,
 )
 from thetahecke.weylbc import (
     conjugacy_classes,
@@ -492,6 +493,21 @@ def test_seed_columns_are_the_other_sides_unit_labels(mu):
     for shape in [(0, 3), (3, 0)]:
         mod = ThetaModule(*shape, mu)
         assert mod.seed_columns(0) == mod.seed_columns(1) == list(range(mod.dim))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (3, 3), (2, 8), (8, 2)])
+def test_verify_work_counts_the_relation_column_checks(shape):
+    """The closed-form work is the cross relations on every column plus each
+    side's relations on the seeds that verify_relations reports."""
+    mod = ThetaModule(*shape, Fraction(1, 2))
+    report = mod.verify_relations()
+    sides = [{key[0] for _, word in chk["lhs"] + chk["rhs"] for key in word}
+             for chk in mod.relation_suite()]
+    cross = sum(len(s) == 2 for s in sides)
+    per_side = [sum(s == {side} for s in sides) for side in (0, 1)]
+    seeds = report["seeds"]
+    expected = cross * mod.dim + per_side[0] * seeds[0] + per_side[1] * seeds[1]
+    assert report["ok"] and verify_work_formula(*shape) == expected
 
 
 # -- the relation check at one integer point -----------------------------------------
