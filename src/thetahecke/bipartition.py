@@ -314,16 +314,20 @@ def expected_module_character(l: int, lp: int) -> dict[tuple[ClassType, ClassTyp
 
 
 def expected_decomposition(l: int, lp: int) -> dict[tuple[Bipartition, Bipartition], int]:
-    """Irreducible content of the nu=1 module: for each shared grade k and
-    each bipartition (gamma, eta) of k, pair (gamma x add-strips(eta)) with
-    (eta x add-strips(gamma))."""
-    out: dict[tuple[Bipartition, Bipartition], int] = {}
-    for k in range(min(l, lp) + 1):
-        for gamma, eta in bipartitions(k):
-            for left in pieri_add(eta, l - k):
-                for right in pieri_add(gamma, lp - k):
-                    vs_add(out, ((gamma, left), (eta, right)))
-    return out
+    """Irreducible content of the nu=1 module: the graph of the theta lift,
+    each rank-l label paired with every term of its lift to rank l'.
+
+    Grade k's induced character pairs (gamma, beta) with (eta, beta') for
+    each bipartition (gamma, eta) of k, beta an added (l-k)-strip on eta and
+    beta' an added (l'-k)-strip on gamma.  Read from (gamma, beta), eta is
+    beta less a removed strip, so these are the k-th terms of the lift of
+    (gamma, beta).
+    """
+    return {
+        (sigma, rho): m
+        for sigma in bipartitions(l)
+        for rho, m in theta_lift(*sigma, l, lp).items()
+    }
 
 
 def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int

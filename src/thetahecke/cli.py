@@ -38,22 +38,22 @@ from .laurent import as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order
 
-# module-verify holds every generator's columns, generic and at the point; on 2
-# cores with Python 3.11.7, end to end at mu = 1/2, (4,6) (dim 10,369) took
-# 2.8-3.8 s at 82 MB peak RSS and (5,5) (dim 19,091) 4.8-8.1 s at 126 MB;
-# (4,7) (dim 21,225) is refused
-MAX_VERIFY_DIM = 20000
-# the dimension does not bound the relation column checks (verify_work_formula),
-# each about 10-17 us: before this cap, (2,70) (dim 19,601, 27.1M checks) took
-# 422 s at 805 MB, (1,200) (dim 401, 8.1M) 91 s and (3,14) (1.2M) 19.5 s end to
-# end.  Under it, the largest admitted shapes by checks, (1,79), (99,1), (31,2),
-# (5,5), (12,3), (2,24) and (3,11) (410k-515k), took 6.2-8.8 s at mu = 1/2 and
-# 28-126 MB, and the slowest admitted request found, (2,24) at mu = (10^30 +
-# 1)/2 with 51 of 351 relations unevaluated, 8.1-9.3 s at 51 MB
+# module-verify is capped by its relation column checks (verify_work_formula),
+# each about 10-17 us.  The dimension does not bound them: (2,70) (dim 19,601,
+# 27.1M checks) took 422 s at 805 MB, (1,200) (dim 401, 8.1M) 91 s and (3,14)
+# (1.2M) 19.5 s end to end.  They bound the dimension, and with it the memory
+# of every generator's columns, generic and at the point: up to rank 200 the
+# largest admitted is (5,5)'s 19,091 (481,400 checks), while (4,7) (dim
+# 21,225) needs 620,752 and (6,6) 10.5M.  On 2 cores with Python 3.11.7, end to
+# end at mu = 1/2, (4,6) (dim 10,369) took 2.8-3.8 s at 82 MB peak RSS and
+# (5,5) 4.8-8.1 s at 126 MB; the largest admitted shapes by checks, (1,79),
+# (99,1), (31,2), (5,5), (12,3), (2,24) and (3,11) (410k-515k), took 6.2-8.8 s
+# and 28-126 MB, and the slowest admitted request found, (2,24) at mu = (10^30
+# + 1)/2 with 51 of 351 relations unevaluated, 8.1-9.3 s at 51 MB
 MAX_VERIFY_WORK = 2**19
-# the rank is checked before the dimension and the work are counted: the suite
-# has about rank^2 / 2 relations; (0, 200) (dimension 1) takes 0.15 s in process
-# and 0.29 s end to end on 2 cores with Python 3.11.7
+# the rank is checked before the work is counted: the suite has about rank^2 /
+# 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and 0.29 s end
+# to end on 2 cores with Python 3.11.7
 MAX_VERIFY_RANK = 200
 # specialize-decompose holds every generator as sparse integer columns (and,
 # while it runs, each signed-permutation generator as two lists), the class
@@ -125,22 +125,20 @@ def _parse_partition(text: str):
     return check_partition(obj)
 
 
-def _check_size(
-    subcommand: str, l: int, lp: int, max_rank: int, max_dim: int, max_work: int | None = None
-) -> None:
-    """Refuse a shape past a subcommand's caps before anything is built."""
+def _check_size(subcommand: str, l: int, lp: int, max_rank: int, cost: str, max_cost: int) -> None:
+    """Refuse a shape past a subcommand's caps before anything is built: its
+    rank, and then one counted cost, the "dimension" or the "relation column
+    checks" (verify_work_formula)."""
+    caps = f"rank {max_rank}, {cost} {max_cost}"
     # the rank is checked first: the dimension of a huge rank is itself costly
-    dim = module_dim_formula(l, lp) if max(l, lp) <= max_rank else None
-    if dim is None or dim > max_dim:
-        shape = f"shape ({l},{lp})" if dim is None else f"shape ({l},{lp}) with dimension {dim}"
-        raise ValueError(
-            f"{shape} exceeds the {subcommand} caps: rank {max_rank}, dimension {max_dim}"
-        )
-    if max_work is not None and (work := verify_work_formula(l, lp)) > max_work:
-        raise ValueError(
-            f"shape ({l},{lp}) with dimension {dim} needs {work} relation column checks, "
-            f"past the {subcommand} cap of {max_work}"
-        )
+    if max(l, lp) > max_rank:
+        raise ValueError(f"shape ({l},{lp}) exceeds the {subcommand} caps: {caps}")
+    dim = module_dim_formula(l, lp)
+    shape = f"shape ({l},{lp}) with dimension {dim}"
+    if cost == "dimension" and dim > max_cost:
+        raise ValueError(f"{shape} exceeds the {subcommand} caps: {caps}")
+    if cost != "dimension" and (work := verify_work_formula(l, lp)) > max_cost:
+        raise ValueError(f"{shape} needs {work} {cost}, past the {subcommand} cap of {max_cost}")
 
 
 def _emit(args, obj, text_renderer):
@@ -168,7 +166,7 @@ def cmd_module_verify(args) -> int:
     if args.case is not None and not mu_range_check(args.case, mu):
         raise ValueError(f"mu={mu_text} is out of range for case {args.case}")
     l, lp = args.l, args.lprime
-    _check_size("module-verify", l, lp, MAX_VERIFY_RANK, MAX_VERIFY_DIM, MAX_VERIFY_WORK)
+    _check_size("module-verify", l, lp, MAX_VERIFY_RANK, "relation column checks", MAX_VERIFY_WORK)
 
     t0 = time.perf_counter()
     report = ThetaModule(l, lp, mu).verify_relations()
@@ -315,9 +313,8 @@ def cmd_conservation_scan(args) -> int:
 
 
 def cmd_specialize_decompose(args) -> int:
-    _check_size(
-        "specialize-decompose", args.l, args.lprime, MAX_SPECIALIZE_RANK, MAX_SPECIALIZE_DIM
-    )
+    caps = (MAX_SPECIALIZE_RANK, "dimension", MAX_SPECIALIZE_DIM)
+    _check_size("specialize-decompose", args.l, args.lprime, *caps)
     module = ThetaModule(args.l, args.lprime, as_half(args.mu))
     rep = GroupRepAtOne(module)
     rep.check_group_relations()

@@ -92,9 +92,6 @@ class HeckeElem:
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElem) and self.terms == other.terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self) -> list[SignedPerm]:
         return sorted(self.terms, key=lambda w: (length(w), w))
 

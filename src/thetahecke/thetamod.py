@@ -86,7 +86,7 @@ import time
 from functools import lru_cache
 
 from . import VerificationError
-from .laurent import HalfInt, LaurentPoly, as_half
+from .laurent import HalfInt, LaurentPoly, add_product, add_shifted, as_half
 from .weylbc import (
     CosetSpec,
     SignedPerm,
@@ -110,29 +110,24 @@ BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 # -- sparse vectors keyed by e*dim + p: exponent e of nu^(1/2), position p ---
 
-# coefficients as {e: c} term dicts: 1 and -1
+# 1 and -1 as {e: c} term dicts, which _stride leaves as they are
 _ONE = {0: 1}
 _MINUS_ONE = {0: -1}
 
 
-def _add_scaled(out: dict, pairs, terms: dict, dim: int) -> None:
-    """out += terms * v, for v given by its (key, coefficient) pairs and terms
-    the {f: c} dict of a Laurent polynomial: nu^(f/2) adds f*dim to a key."""
-    for key, a in pairs:
-        for f, c in terms.items():
-            k = key + f * dim
-            s = out.get(k, 0) + c * a
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+def _stride(terms: dict, dim: int) -> dict:
+    """The {f: c} dict of a Laurent polynomial as a vector scalar {f*dim: c}:
+    nu^(f/2) adds f*dim to a key, so add_product(out, vec, scalar) is out +=
+    scalar * vec."""
+    return {f * dim: c for f, c in terms.items()}
 
 
-def _column(dim: int, *parts: tuple[int, dict]) -> tuple:
-    """The sorted (key, c) entries of sum terms * e_r over (r, terms) parts."""
+def _column(*parts: tuple[int, dict]) -> tuple:
+    """The sorted (key, c) entries of sum s * e_r over (r, s) parts, each s a
+    strided scalar."""
     out: dict = {}
-    for r, terms in parts:
-        _add_scaled(out, ((r, 1),), terms, dim)
+    for r, s in parts:
+        add_shifted(out, s, r)
     return tuple(sorted(out.items()))
 
 
@@ -296,7 +291,8 @@ class ThetaModule:
             if key == (0, self.l):
                 cols = self._flip_columns()
             else:
-                quad = _quad_terms(-1 - self.mu if key == (1, self.lp) else 1)
+                par = -1 - self.mu if key == (1, self.lp) else 1
+                quad = tuple(_stride(t, self.dim) for t in _quad_terms(par))
                 cols = [self._col_transfer(*key, quad, p) for p in range(self.dim)]
             self._cols[key] = cols
         return cols
@@ -311,9 +307,9 @@ class ThetaModule:
 
     def _col_transfer(self, side: int, g: int, quad: tuple[dict, dict], p: int):
         """Every generator but the flip, through the transfer lemma on d1 or d2;
-        quad is the term dicts (q, q - 1) of the generator's parameter q, which
-        a descent spends.  A transfer keeps the kind of generator, so a slot
-        descent or a scalar q entry is a swap's, at q = nu."""
+        quad is the strided scalars (q, q - 1) of the generator's parameter q,
+        which a descent spends.  A transfer keeps the kind of generator, so a
+        slot descent or a scalar q entry is a swap's, at q = nu."""
         k, d1, d2, x = self.basis[p]
         q, q_minus_one = quad
         if side == 0:
@@ -323,27 +319,27 @@ class ThetaModule:
         if res[0] == "coset":
             np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
             if res[2] > 0:
-                return _column(self.dim, (np_, _ONE))
-            return _column(self.dim, (np_, q), (p, q_minus_one))
+                return _column((np_, _ONE))
+            return _column((np_, q), (p, q_minus_one))
         # the transfer lands on parabolic generator h; only h decides the action
         h = res[1]
         if side == 0:
             if h < self.l - k:
-                return _column(self.dim, (p, q))
+                return _column((p, q))
             h -= self.l - k
             y = mul(x, gen_perm(h, k))
             descent = is_right_descent(x, h)
         else:
             if h == self.lp:
-                return _column(self.dim, (p, _MINUS_ONE))
+                return _column((p, _MINUS_ONE))
             if h > k:
-                return _column(self.dim, (p, q))
+                return _column((p, q))
             y = mul(gen_perm(h, k), x)
             descent = is_right_descent(inv(x), h)
         yp = self.pos[(k, d1, d2, y)]
         if not descent:
-            return _column(self.dim, (yp, _ONE))
-        return _column(self.dim, (yp, q), (p, q_minus_one))
+            return _column((yp, _ONE))
+        return _column((yp, q), (p, q_minus_one))
 
     # -- seeded flip action --
 
@@ -358,21 +354,22 @@ class ThetaModule:
         """The flip generator applied to the grade-k base vector."""
         if k == 0:
             return self.seed_flip_inner(0)  # the inner flip at position l-0 is the flip itself
-        l, lp, mu = self.l, self.lp, self.mu
+        l, lp, mu, dim = self.l, self.lp, self.mu, self.dim
         nu = LaurentPoly.nu_power
         unit, slot = identity(l), identity(k)
-        parts = [(self._label(k, unit, flip_at(k, lp), slot), nu(k - lp + mu, -1).terms)]
+        top = _stride(nu(k - lp + mu, -1).terms, dim)
+        parts = [(self._label(k, unit, flip_at(k, lp), slot), top)]
         # bracket, entering with weight nu^(k-l'+1) - nu^(k-l')
         bracket = nu(k - lp + 1) + nu(k - lp, -1)
-        c = (bracket * nu(mu)).terms
+        c = _stride((bracket * nu(mu)).terms, dim)
         for i in range(k + 1, lp + 1):
             parts.append((self._label(k, unit, mul(flip_at(i, lp), swap_range(k, i, lp)), slot), c))
-        c_low = (bracket * nu(-1, -1)).terms
+        c_low = _stride((bracket * nu(-1, -1)).terms, dim)
         low = self._label(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
         parts.append((low, c_low))
         for i in range(k, lp + 1):
             parts.append((self._label(k, unit, swap_range(k, i, lp), slot), c_low))
-        return dict(_column(self.dim, *parts))
+        return dict(_column(*parts))
 
     def seed_flip_inner(self, k: int) -> dict:
         """The flip at position l-k applied to the grade-k base vector.
@@ -382,23 +379,24 @@ class ThetaModule:
         """
         if not 0 <= k < self.l:
             raise ValueError(f"the inner flip seed needs 0 <= k < l = {self.l}, got k = {k}")
-        l, lp, mu = self.l, self.lp, self.mu
+        l, lp, mu, dim = self.l, self.lp, self.mu, self.dim
         nu = LaurentPoly.nu_power
         unit = identity(l)
-        parts = [(self.unit_pos(k), nu(2 * k - lp, -1).terms)]
+        parts = [(self.unit_pos(k), _stride(nu(2 * k - lp, -1).terms, dim))]
         scale = nu(k - lp, -1)
         if k < lp:
             slot_up = swap_range(1, k + 1, k + 1)
-            flipped_scale = (scale * nu(mu + 1, -1)).terms
+            plain = _stride(scale.terms, dim)
+            flipped_scale = _stride((scale * nu(mu + 1, -1)).terms, dim)
             for i in range(k + 1, lp + 1):
                 cycle = swap_range(k + 1, i, lp)
-                parts.append((self._label(k + 1, unit, cycle, slot_up), scale.terms))
+                parts.append((self._label(k + 1, unit, cycle, slot_up), plain))
                 flipped = mul(flip_at(i, lp), cycle)
                 parts.append((self._label(k + 1, unit, flipped, slot_up), flipped_scale))
         for i in range(1, k + 1):
             p = self._label(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
-            parts.append((p, (scale * (nu(k - i + 1) + nu(k - i, -1))).terms))
-        return dict(_column(self.dim, *parts))
+            parts.append((p, _stride((scale * (nu(k - i + 1) + nu(k - i, -1))).terms, dim)))
+        return dict(_column(*parts))
 
     def _ascents(self, keys):
         """Yield (r, columns, q) for every exact ascent e_r = T_g e_q of the
@@ -427,14 +425,14 @@ class ThetaModule:
             raise ValueError("the rank-0 algebra has no flip generator")
         l, lp, dim = self.l, self.lp, self.dim
         seeds = {self.unit_pos(k): self.seed_flip_top(k) for k in range(self.kmax + 1)}
-        nu_inv, nu_inv_minus_one = _quad_terms(-1)
+        nu_inv, nu_inv_minus_one = (_stride(t, dim) for t in _quad_terms(-1))
         for k in range(1, min(l - 1, lp) + 1):
             # T_w^-1 = T_(l-1)^-1 ... T_(l-k)^-1 on the inner seed, w = s_(l-k) ... s_(l-1)
             vec = self.seed_flip_inner(k)
             for g in range(l - k, l):
                 out: dict = {}
-                _add_scaled(out, self.apply_gen((0, g), vec).items(), nu_inv, dim)
-                _add_scaled(out, vec.items(), nu_inv_minus_one, dim)
+                add_product(out, self.apply_gen((0, g), vec), nu_inv)
+                add_product(out, vec, nu_inv_minus_one)
                 vec = out
             seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
         # for g commuting with the flip, an ascent e_r = T_g e_q makes flip
@@ -457,21 +455,22 @@ class ThetaModule:
     def relation_suite(self) -> list[dict]:
         """Every defining relation of the bimodule presentation, as data.
 
-        An entry is {name, lhs, rhs}, each side a list of (scalar terms,
-        word): the {e: c} dict of a Laurent polynomial and a tuple of
-        generator keys, the rightmost acting first.  A quadratic entry is
-        [(1, (g, g))] = [(q - 1, (g,)), (q, ())], any other [(1, W1)] =
-        [(1, W2)]; at nu = 1 each side has one term whose coefficients do not
+        An entry is {name, side, lhs, rhs}: side is the one side of its
+        generators, or None for a cross relation, and lhs and rhs are each a
+        list of (scalar terms, word), the {e: c} dict of a Laurent polynomial
+        and a tuple of generator keys, the rightmost acting first.  A quadratic
+        entry is [(1, (g, g))] = [(q - 1, (g,)), (q, ())], any other [(1, W1)]
+        = [(1, W2)]; at nu = 1 each side has one term whose coefficients do not
         sum to 0, and they sum to 1.  Each section is written once and built
         for both sides from (name prefix, side, rank, flip exponent).
         """
         checks: list[dict] = []
 
-        def entry(name, lhs, rhs):
-            checks.append({"name": name, "lhs": lhs, "rhs": rhs})
+        def entry(name, side, lhs, rhs):
+            checks.append({"name": name, "side": side, "lhs": lhs, "rhs": rhs})
 
-        def equal(name, lhs, rhs):
-            entry(name, [(_ONE, tuple(lhs))], [(_ONE, tuple(rhs))])
+        def equal(name, side, lhs, rhs):
+            entry(name, side, [(_ONE, tuple(lhs))], [(_ONE, tuple(rhs))])
 
         sides = (("", 0, self.l, self.mu), ("prime_", 1, self.lp, -1 - self.mu))
         # (name, key, quadratic exponent) of every generator, per side
@@ -484,25 +483,25 @@ class ThetaModule:
         for side_gens in gens:
             for name, g, par in side_gens:
                 q, q_minus_one = _quad_terms(as_half(par))  # T^2 = (q - 1) T + q
-                entry(f"quad_{name}", [(_ONE, (g, g))], [(q_minus_one, (g,)), (q, ())])
+                entry(f"quad_{name}", g[0], [(_ONE, (g, g))], [(q_minus_one, (g,)), (q, ())])
         for pre, s, n, _ in sides:
             for i in range(1, n):
                 a = (s, i)
                 for j in range(i + 2, n):
-                    equal(f"comm_{pre}swap_{i}_{j}", [a, (s, j)], [(s, j), a])
+                    equal(f"comm_{pre}swap_{i}_{j}", s, [a, (s, j)], [(s, j), a])
                 if i + 1 < n:
                     b = (s, i + 1)
-                    equal(f"braid_{pre}swap_{i}", [a, b, a], [b, a, b])
+                    equal(f"braid_{pre}swap_{i}", s, [a, b, a], [b, a, b])
         for pre, s, n, _ in sides:
             t = (s, n)
             if n >= 2:
                 a = (s, n - 1)
-                equal(f"braid_{pre}flip", [t, a, t, a], [a, t, a, t])
+                equal(f"braid_{pre}flip", s, [t, a, t, a], [a, t, a, t])
             for i in range(1, n - 1):
-                equal(f"comm_{pre}flip_swap_{i}", [t, (s, i)], [(s, i), t])
+                equal(f"comm_{pre}flip_swap_{i}", s, [t, (s, i)], [(s, i), t])
         for an, a, _ in gens[0]:
             for bn, b, _ in gens[1]:
-                equal(f"cross_{an}_{bn}", [a, b], [b, a])
+                equal(f"cross_{an}_{bn}", None, [a, b], [b, a])
         return checks
 
     def _plan(self, chk: dict, bits: int, gens: dict, points: dict) -> dict:
@@ -522,7 +521,7 @@ class ThetaModule:
             spans.append(sum(gens[k][2] - gens[k][1] for k in word) + hi - lo)
         shift = max(shifts)
         if bits is None or bits * max(shift - s + e for s, e in zip(shifts, spans)) > MAX_POINT_BITS:
-            bits, shift, scales = None, 0, [t for t, _ in terms]
+            bits, shift, scales = None, 0, [_stride(t, self.dim) for t, _ in terms]
             matrix = self.matrix
         else:
             # each scalar carries the rest of its term's shift: t v^(shift - S_W)
@@ -555,7 +554,7 @@ class ThetaModule:
                 if not vec and scale == _ONE:
                     vec = w  # w added to nothing, without a dict pass
                 else:
-                    _add_scaled(vec, w.items(), scale, dim)
+                    add_product(vec, w, scale)
             out.append(vec)
         return out[0], out[1]
 
@@ -564,7 +563,7 @@ class ThetaModule:
         fails on e_p, read from that column on the unevaluated columns."""
         dim = self.dim
         diff, rhs = self.relation_sides(self._plan(chk, None, gens, {}), p)
-        _add_scaled(diff, rhs.items(), _MINUS_ONE, dim)
+        add_shifted(diff, rhs, 0, -1)
         bad = min(k % dim for k in diff)
         residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
         return {"column": self._index_obj(p), "entry": self._index_obj(bad), "residual": str(residual)}
@@ -577,17 +576,9 @@ class ThetaModule:
         row whose sides agree at v = 2^B agrees in Z[v, v^-1].
 
         The cross relations run first, on every column.  If they all hold,
-        each side's generators commute with the other side's, so a relation
-        R among one side's generators commutes with every T'_b of the other;
-        where R e_q = 0 and e_r = T'_b e_q is an exact ascent (r > q), R e_r =
-        T'_b R e_q = 0.  By induction on position, R then holds on every
-        column once it holds on the seeds, the positions no ascent of the
-        other side reaches (seed_columns, read from the columns on each
-        call), and only those are checked.  If a cross relation fails, the
-        argument is void and every side relation runs on every column.  By
-        the same induction a failing side relation's lowest failing column
-        is a seed, so the first failing seed is the every-column check's
-        report.
+        each side relation runs only on its seed_columns, and otherwise on
+        every column; the module docstring gives the induction that makes
+        either report the every-column check's.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
         [{name, ok, failure?, elapsed}...] in relation_suite order,
@@ -621,19 +612,13 @@ class ThetaModule:
                 "elapsed": time.perf_counter() - t0,
             }
 
-        def side_of(chk):
-            """The one side of a relation's generators, None for a cross relation."""
-            sides = {key[0] for _, word in chk["lhs"] + chk["rhs"] for key in word}
-            return sides.pop() if len(sides) == 1 else None
-
-        sides = [side_of(chk) for chk in suite]
-        done = {i: run(chk, range(dim)) for i, chk in enumerate(suite) if sides[i] is None}
+        done = {i: run(chk, range(dim)) for i, chk in enumerate(suite) if chk["side"] is None}
         seeds = None
         if all(rel["ok"] for rel in done.values()):
             seeds = [self.seed_columns(side) for side in (0, 1)]
         for i, chk in enumerate(suite):
             if i not in done:
-                done[i] = run(chk, range(dim) if seeds is None else seeds[sides[i]])
+                done[i] = run(chk, range(dim) if seeds is None else seeds[chk["side"]])
         report = [done[i] for i in range(len(suite))]
         return {
             "ok": all(r["ok"] for r in report),

@@ -160,34 +160,54 @@ def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
         assert err == "error: --mu 1e5000 has too many digits to print\n"
 
 
-def test_module_verify_dimension_cap(capsys):
+def test_module_verify_dimension_cap(capsys, monkeypatch):
+    """(6,6) (dimension 291,793) is refused by the work cap before anything
+    is built, with one line."""
+    monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
     code, out, err = run(capsys, "module-verify", "--l", "6", "--lprime", "6", "--mu", "1")
-    assert code == 2 and out == "" and "exceeds" in err
+    assert code == 2 and out == ""
+    assert err == (
+        "error: shape (6,6) with dimension 291793 needs 10521201 relation column checks, "
+        "past the module-verify cap of 524288\n"
+    )
 
 
 def test_module_verify_admits_five_five_and_refuses_four_seven(capsys, monkeypatch):
-    """(5,5) (dimension 19,091) is under the dimension and work caps; (4,7)
-    (21,225) is refused before anything is built, with one line."""
-    caps = (cli.MAX_VERIFY_RANK, cli.MAX_VERIFY_DIM, cli.MAX_VERIFY_WORK)
+    """(5,5) (dimension 19,091) is under the work cap; (4,7) (21,225) is
+    refused by it before anything is built, with one line."""
+    caps = (cli.MAX_VERIFY_RANK, "relation column checks", cli.MAX_VERIFY_WORK)
     assert cli._check_size("module-verify", 5, 5, *caps) is None
     monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
     code, out, err = run(capsys, "module-verify", "--l", "4", "--lprime", "7", "--mu", "1/2")
     assert code == 2 and out == ""
     assert err == (
-        "error: shape (4,7) with dimension 21225 exceeds the module-verify caps: "
-        "rank 200, dimension 20000\n"
+        "error: shape (4,7) with dimension 21225 needs 620752 relation column checks, "
+        "past the module-verify cap of 524288\n"
     )
+
+
+def test_module_verify_work_cap_bounds_the_dimension():
+    """Over both ranks up to the rank cap, the work cap admits no shape
+    larger than (5,5)'s 19,091.  The work grows with either rank, so each
+    rank's scan stops at the first shape past the cap."""
+    largest = {}
+    for l in range(cli.MAX_VERIFY_RANK + 1):
+        for lp in range(cli.MAX_VERIFY_RANK + 1):
+            if thetamod.verify_work_formula(l, lp) > cli.MAX_VERIFY_WORK:
+                break
+            largest.setdefault(thetamod.module_dim_formula(l, lp), []).append((l, lp))
+    assert max(largest) == 19091 and largest[19091] == [(5, 5)]
 
 
 @pytest.mark.parametrize("shape", [(3, 14), (2, 70), (1, 200), (200, 1)])
 def test_module_verify_work_cap(capsys, monkeypatch, shape):
-    """A shape under the rank and dimension caps whose relation column checks
-    pass the work cap is refused before anything is built, with one line."""
+    """A shape under the rank cap whose relation column checks pass the work
+    cap is refused before anything is built, with one line."""
     l, lp = shape
     monkeypatch.setattr(cli, "ThetaModule", None)  # building would fail fast, not run for long
     code, out, err = run(capsys, "module-verify", "--l", str(l), "--lprime", str(lp), "--mu", "1/2")
     dim = thetamod.module_dim_formula(l, lp)
-    assert dim <= cli.MAX_VERIFY_DIM and code == 2 and out == ""
+    assert code == 2 and out == ""
     assert err == (
         f"error: shape ({l},{lp}) with dimension {dim} needs {thetamod.verify_work_formula(l, lp)} "
         f"relation column checks, past the module-verify cap of {cli.MAX_VERIFY_WORK}\n"
@@ -283,6 +303,57 @@ def test_module_verify_text(capsys):
     )
     assert code == 0
     assert "all relations hold" in out and "PASS" in out
+
+
+TOWER_A = ("--case", "A", "--dimV0", "0", "--dimVp0", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ("first-occurrence", "--alpha", "[1]", "--beta", "[]", "--l", "1", *TOWER_A),
+            "case A towers (0; 1, 0), mu=1/2\n"
+            "label ([1], []) of rank 1: n=3  n_tilde=0  c=1  mu_sigma=3/2\n",
+        ),
+        (
+            ("conservation-scan", "--lmax", "1", *TOWER_A),
+            "case A towers (0; 1, 0), mu=1/2\n"
+            " l alpha        beta           n  nt   c  rhs  r2c  r1c\n"
+            " 0 []           []             1   0   0    1    0    0\n"
+            " 1 []           [1]            1   2   1    5    0   -1\n"
+            " 1 [1]          []             3   0   1    5    0   -1\n"
+            "all double-c residuals zero\n",
+        ),
+        (
+            ("specialize-decompose", "--l", "1", "--lprime", "1"),
+            "specialized module at ranks (1,1), dimension 3\n"
+            "  [[], [1]] (x) [[], [1]]  x1\n"
+            "  [[], [1]] (x) [[1], []]  x1\n"
+            "  [[1], []] (x) [[], [1]]  x1\n"
+            "matches predicted decomposition\n",
+        ),
+        (
+            ("coset", "--l", "3", "--k", "1"),
+            "sym_block n=3 k=1: 3 representatives\n"
+            "  [1, 2, 3]  length 0\n"
+            "  [1, 3, 2]  length 1\n"
+            "  [2, 3, 1]  length 2\n",
+        ),
+        (
+            # T_t T_t = (nu^(1/2) - 1) T_t + nu^(1/2), each poly as its {e: c} JSON object
+            ("hecke-mul", "--l", "1", "--mu", "1/2", "--a", "t", "--b", "t"),
+            "product in the rank-1 algebra at mu=1/2:\n"
+            "  [1]: {'1': 1}\n"
+            "  [-1]: {'0': -1, '1': 1}\n",
+        ),
+    ],
+    ids=["first-occurrence", "conservation-scan", "specialize-decompose", "coset", "hecke-mul"],
+)
+def test_text_renderers(capsys, argv, text):
+    """--format text prints each subcommand's whole report as pinned here."""
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out == text
 
 
 # -- combinatorial subcommands ----------------------------------------------------

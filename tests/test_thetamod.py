@@ -501,8 +501,10 @@ def test_verify_work_counts_the_relation_column_checks(shape):
     side's relations on the seeds that verify_relations reports."""
     mod = ThetaModule(*shape, Fraction(1, 2))
     report = mod.verify_relations()
-    sides = [{key[0] for _, word in chk["lhs"] + chk["rhs"] for key in word}
-             for chk in mod.relation_suite()]
+    suite = mod.relation_suite()
+    sides = [{key[0] for _, word in chk["lhs"] + chk["rhs"] for key in word} for chk in suite]
+    # each entry's side tag is the one side of its words, None for a cross relation
+    assert [chk["side"] for chk in suite] == [next(iter(s)) if len(s) == 1 else None for s in sides]
     cross = sum(len(s) == 2 for s in sides)
     per_side = [sum(s == {side} for s in sides) for side in (0, 1)]
     seeds = report["seeds"]
