@@ -42,14 +42,14 @@ from .weylbc import CosetSpec, coset_table, group_order
 # each about 10-17 us.  The dimension does not bound them: (2,70) (dim 19,601,
 # 27.1M checks) took 422 s at 805 MB, (1,200) (dim 401, 8.1M) 91 s and (3,14)
 # (1.2M) 19.5 s end to end.  They bound the dimension, and with it the memory
-# of every generator's columns, generic and at the point: up to rank 200 the
-# largest admitted is (5,5)'s 19,091 (481,400 checks), while (4,7) (dim
-# 21,225) needs 620,752 and (6,6) 10.5M.  On 2 cores with Python 3.11.7, end to
-# end at mu = 1/2, (4,6) (dim 10,369) took 2.8-3.8 s at 82 MB peak RSS and
-# (5,5) 4.8-8.1 s at 126 MB; the largest admitted shapes by checks, (1,79),
-# (99,1), (31,2), (5,5), (12,3), (2,24) and (3,11) (410k-515k), took 6.2-8.8 s
-# and 28-126 MB, and the slowest admitted request found, (2,24) at mu = (10^30
-# + 1)/2 with 51 of 351 relations unevaluated, 8.1-9.3 s at 51 MB
+# of every generator's columns: up to rank 200 the largest admitted is (5,5)'s
+# 19,091 (481,400 checks), while (4,7) (dim 21,225) needs 620,752 and (6,6)
+# 10.5M.  On 2 cores with Python 3.11.7, end to end at mu = 1/2, (4,6) (dim
+# 10,369) took 3.8-4.6 s at 51 MB peak RSS and (5,5) 7.7-9.0 s at 75 MB; the
+# largest admitted shapes by checks, (1,79), (99,1), (31,2), (5,5), (12,3),
+# (2,24) and (3,11) (410k-515k), took 5.7-9.6 s at 25-75 MB, and (2,24) at
+# mu = (10^30 + 1)/2 8.1-9.6 s at 41 MB; the slowest admitted request found,
+# (3,11) at mu = -1, took 9.7-10.2 s at 63 MB
 MAX_VERIFY_WORK = 2**19
 # the rank is checked before the work is counted: the suite has about rank^2 /
 # 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and 0.29 s end
@@ -172,7 +172,6 @@ def cmd_module_verify(args) -> int:
     report = ThetaModule(l, lp, mu).verify_relations()
     report["mode"] = "symbolic"
     elapsed = time.perf_counter() - t0
-    bits, unevaluated = report.pop("point_bits"), report.pop("unevaluated")
     seeds = report.pop("seeds")
     columns = "every column" if seeds is None else f"{seeds[0]} + {seeds[1]} seed columns"
 
@@ -180,9 +179,7 @@ def cmd_module_verify(args) -> int:
         took = rel.pop("elapsed")
         print(f"{rel['name']}: {'PASS' if rel['ok'] else 'FAIL'} ({took:.3f}s)", file=sys.stderr)
     print(
-        f"module-verify l={l} lprime={lp} mu={mu_text}: {elapsed:.2f}s, "
-        f"side relations on {columns}, "
-        f"B={bits}, {unevaluated} of {len(report['relations'])} relations unevaluated",
+        f"module-verify l={l} lprime={lp} mu={mu_text}: {elapsed:.2f}s, side relations on {columns}",
         file=sys.stderr,
     )
 
@@ -389,7 +386,7 @@ def cmd_coset(args) -> int:
     return 0
 
 
-def _letters(text: str) -> list[str]:
+def _word_tokens(text: str) -> list[str]:
     """The generator tokens of a word; e stands for the empty word."""
     return [token for token in text.replace(",", " ").split() if token != "e"]
 
@@ -397,7 +394,7 @@ def _letters(text: str) -> list[str]:
 def _parse_hecke_word(text: str, params: HeckeParams) -> list[int]:
     """The generator indices of a word's tokens, in order."""
     gens = []
-    for token in _letters(text):
+    for token in _word_tokens(text):
         if token == "t":
             if params.rank < 1:
                 raise ValueError("the rank-0 algebra has no flip generator t")
@@ -413,7 +410,7 @@ def _parse_hecke_word(text: str, params: HeckeParams) -> list[int]:
 
 
 def cmd_hecke_mul(args) -> int:
-    l, n = args.l, len(_letters(args.a)) + len(_letters(args.b))
+    l, n = args.l, len(_word_tokens(args.a)) + len(_word_tokens(args.b))
     if n > MAX_HECKE_LETTERS:
         raise ValueError(f"the words have {n} letters in all, past the hecke-mul cap {MAX_HECKE_LETTERS}")
     work = min(group_order(l), 2**n) * (n * l + l * l) if l * l <= MAX_HECKE_WORK else None
@@ -437,7 +434,7 @@ def cmd_hecke_mul(args) -> int:
 
     def render(o):
         lines = [f"product in the rank-{o['l']} algebra at mu={o['mu']}:"]
-        lines += [f"  {t['perm']}: {t['poly']}" for t in o["product"]] or ["  0"]
+        lines += [f"  {list(w)}: {prod.terms[w]}" for w in prod.support()] or ["  0"]
         return "\n".join(lines)
 
     _emit(args, obj, render)

@@ -48,18 +48,13 @@ Everything is exact: coefficients are Laurent polynomials in v = nu**(1/2).
 Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
 position p (divmod(key, dim) gives (e, p) for either sign of e), and a column
 is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient becomes
-one entry per exponent, all plain ints.  The relation suite is proved at one
-integer point (Kronecker substitution): each generator is scaled by v**S, S
-clearing its lowest exponent, and evaluated at v = 2**B, so a column entry is
-one int keyed by its row and every vector is {p: int}.  B is taken from a
-bound on the coefficients, so a row that agrees as an integer agrees in
-Z[v, v**-1].  Any specialization (nu = 1, nu = q) is the image of this
-generic module under a ring homomorphism, so the check proves the
-specialized relations too; nu = 1 is the same evaluation at B = 0.  A
-relation whose exponents span too many bits for one point (a huge mu) runs
-the same loop on the unevaluated columns.  The point decides; a failing
-column is re-read on the exact columns, whose lowest offending row is the
-residual.
+one entry per exponent, all plain ints.  The relation suite is checked on
+these generic columns: on each basis vector the two sides of a relation are
+compared as {e*dim + r: c} dicts, which agree exactly when the sides agree in
+Z[v, v**-1], and a failure's residual is their difference at its lowest row.
+Any specialization (nu = 1, nu = q) is the image of this generic module under
+a ring homomorphism, so the check proves the specialized relations too; nu = 1
+sums the exponents out.
 
 The cross relations say that the two actions commute.  They are checked
 first, on every column; once they hold, a relation among one side's
@@ -152,48 +147,17 @@ def _apply_word(mats, vec: dict, dim: int) -> dict:
     return vec
 
 
-# -- evaluation at one integer point v = 2^B -----------------------------------
-
-# a relation is checked at v = 2^B while B times the exponent span of its
-# scaled sides stays within this many bits, and on the unevaluated columns past
-# it.  Per relation on 2 cores with Python 3.11.7, (3,3) at mu = 2^j + 1/2 with
-# B = 13: up to 962 bits the point took 0.49-1.03x the unevaluated time, at
-# 1729-1898 bits 0.67-1.59x, at 3393-3562 bits 0.82-2.24x and at 6721-6890 bits
-# 0.94-4.9x; at (2,8), mu = 4 and -4 (B = 16), braid_flip at 1024 and 1216 bits
-# took 0.45x and quad_flip at 960 and 1152 bits 0.6x
-MAX_POINT_BITS = 2048
-
-
-def _at_point(cols, dim: int, bits: int, shift: int) -> list[tuple]:
-    """Columns times v^shift evaluated at v = 2^bits, each a sorted tuple of
-    (r, value) with zeros dropped; bits = 0 is the specialization nu = 1."""
+def _at_one(cols, dim: int) -> list[tuple]:
+    """Columns at nu = 1, each a sorted tuple of (r, c): the exponents of an
+    entry's row summed out, zeros dropped."""
     out = []
     for col in cols:
         acc: dict = {}
         for off, a in col:
-            f, r = divmod(off, dim)
-            acc[r] = acc.get(r, 0) + (a << bits * (f + shift))
+            r = off % dim
+            acc[r] = acc.get(r, 0) + a
         out.append(tuple(sorted((r, c) for r, c in acc.items() if c)))
     return out
-
-
-def _norm_and_range(cols, dim: int) -> tuple[int, int, int]:
-    """A generator's largest column sum of |c| over its (r, e) entries, and the
-    lowest and highest exponent e of v in its columns (each sorted by e)."""
-    norm = max((sum(abs(a) for _, a in col) for col in cols), default=0)
-    lo = min((col[0][0] // dim for col in cols if col), default=0)
-    hi = max((col[-1][0] // dim for col in cols if col), default=0)
-    return norm, lo, hi
-
-
-def _relation_bound(chk: dict, gens: dict) -> int:
-    """A bound on every coefficient of lhs - rhs on a basis vector, from each
-    generator's (norm, lo, hi): the L1 norm over (r, e) entries is
-    submultiplicative, so a word's norm is at most its letters' product."""
-    return sum(
-        sum(map(abs, terms.values())) * math.prod(gens[k][0] for k in word)
-        for terms, word in chk["lhs"] + chk["rhs"]
-    )
 
 
 @lru_cache(maxsize=None)
@@ -504,50 +468,21 @@ class ThetaModule:
                 equal(f"cross_{an}_{bn}", None, [a, b], [b, a])
         return checks
 
-    def _plan(self, chk: dict, bits: int, gens: dict, points: dict) -> dict:
-        """One suite entry as relation_sides reads it: the columns of its words
-        and the scalar of each term, every term brought to the one total shift
-        v^shift.  At v = 2^bits each generator and scalar is scaled by v^S, S
-        clearing its lowest exponent; past MAX_POINT_BITS, or for bits None,
-        the plan keeps the unevaluated columns and terms (bits None, shift 0)."""
-        terms = chk["lhs"] + chk["rhs"]
-        # at the point a word W is times v^(S_W), the sum of its letters' S_g,
-        # so the term t W is times v^(S_t + S_W) and spans span_t + span_W
-        word_shifts, shifts, spans = [], [], []
-        for t, word in terms:
-            lo, hi = (min(t), max(t)) if t else (0, 0)  # q - 1 vanishes at parameter 0
-            word_shifts.append(sum(-gens[k][1] for k in word))
-            shifts.append(word_shifts[-1] - lo)
-            spans.append(sum(gens[k][2] - gens[k][1] for k in word) + hi - lo)
-        shift = max(shifts)
-        if bits is None or bits * max(shift - s + e for s, e in zip(shifts, spans)) > MAX_POINT_BITS:
-            bits, shift, scales = None, 0, [_stride(t, self.dim) for t, _ in terms]
-            matrix = self.matrix
-        else:
-            # each scalar carries the rest of its term's shift: t v^(shift - S_W)
-            scales = [
-                {0: sum(c << bits * (f + shift - s) for f, c in t.items())} if t else {}
-                for (t, _), s in zip(terms, word_shifts)
-            ]
+    def _plan(self, chk: dict) -> tuple[list, list]:
+        """One suite entry as relation_sides reads it: for each side, each
+        term's strided scalar and the columns of its word."""
+        return tuple(
+            [(_stride(t, self.dim), [self.matrix(k) for k in word]) for t, word in side]
+            for side in (chk["lhs"], chk["rhs"])
+        )
 
-            def matrix(key):
-                cols = points.get(key)
-                if cols is None:
-                    cols = points[key] = _at_point(self.matrix(key), self.dim, bits, -gens[key][1])
-                return cols
-
-        planned = [(scale, [matrix(k) for k in word]) for scale, (_, word) in zip(scales, terms)]
-        cut = len(chk["lhs"])
-        return {"sides": (planned[:cut], planned[cut:]), "bits": bits, "shift": shift}
-
-    def relation_sides(self, plan: dict, p: int) -> tuple[dict, dict]:
+    def relation_sides(self, plan: tuple, p: int) -> tuple[dict, dict]:
         """Evaluate one planned suite entry on the basis vector e_p, returning
-        (lhs, rhs), both times v^shift.  A word's rightmost matrix acts on e_p
-        by its column p, so that factor is read, not applied; the empty word
-        is e_p."""
+        (lhs, rhs).  A word's rightmost matrix acts on e_p by its column p, so
+        that factor is read, not applied; the empty word is e_p."""
         dim = self.dim
         out = []
-        for side in plan["sides"]:
+        for side in plan:
             vec: dict = {}
             for scale, word in side:
                 w = _apply_word(word[:-1], dict(word[-1][p]), dim) if word else {p: 1}
@@ -558,22 +493,19 @@ class ThetaModule:
             out.append(vec)
         return out[0], out[1]
 
-    def _failure(self, chk: dict, p: int, gens: dict) -> dict:
-        """The column, lowest offending entry and residual of a relation that
-        fails on e_p, read from that column on the unevaluated columns."""
+    def _failure(self, p: int, lhs: dict, rhs: dict) -> dict:
+        """The column, lowest offending entry and residual of a relation whose
+        sides on e_p are lhs != rhs: the residual is lhs - rhs at that entry."""
         dim = self.dim
-        diff, rhs = self.relation_sides(self._plan(chk, None, gens, {}), p)
+        diff = dict(lhs)
         add_shifted(diff, rhs, 0, -1)
         bad = min(k % dim for k in diff)
         residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
         return {"column": self._index_obj(p), "entry": self._index_obj(bad), "residual": str(residual)}
 
     def verify_relations(self) -> dict:
-        """Run every defining relation column by column, at one integer point.
-
-        B is the bit length of the largest relation bound plus one, so every
-        coefficient of lhs - rhs lies below 2^(B-1) in absolute value and a
-        row whose sides agree at v = 2^B agrees in Z[v, v^-1].
+        """Run every defining relation column by column, each side compared
+        exactly on the generic columns as the module docstring states.
 
         The cross relations run first, on every column.  If they all hold,
         each side relation runs only on its seed_columns, and otherwise on
@@ -581,34 +513,27 @@ class ThetaModule:
         either report the every-column check's.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
-        [{name, ok, failure?, elapsed}...] in relation_suite order,
-        "point_bits": B, "unevaluated": count, "seeds": the seed counts of
-        the side-0 and the side-1 relations, or None when they ran on every
-        column}; a failure records the first offending basis column, entry,
-        and residual, the residual read on the unevaluated columns.
+        [{name, ok, failure?, elapsed}...] in relation_suite order, "seeds":
+        the seed counts of the side-0 and the side-1 relations, or None when
+        they ran on every column}; a failure records the first offending
+        basis column, entry, and residual.
         """
         dim = self.dim
         suite = self.relation_suite()
-        gens = {key: _norm_and_range(self.matrix(key), dim) for key in self.gen_keys()}
-        bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
-        points: dict = {}
-        unevaluated = 0
 
         def run(chk, columns) -> dict:
-            nonlocal unevaluated
             t0 = time.perf_counter()
-            plan = self._plan(chk, bits, gens, points)
-            unevaluated += plan["bits"] is None
-
-            def fails(p):
+            plan = self._plan(chk)
+            failure = None
+            for p in columns:
                 lhs, rhs = self.relation_sides(plan, p)
-                return lhs != rhs
-
-            p = next(filter(fails, columns), None)
+                if lhs != rhs:
+                    failure = self._failure(p, lhs, rhs)
+                    break
             return {
                 "name": chk["name"],
-                "ok": p is None,
-                **({"failure": self._failure(chk, p, gens)} if p is not None else {}),
+                "ok": failure is None,
+                **({"failure": failure} if failure else {}),
                 "elapsed": time.perf_counter() - t0,
             }
 
@@ -625,8 +550,6 @@ class ThetaModule:
             "dimension": self.dim,
             "grades": self.grade_dims(),
             "relations": report,
-            "point_bits": bits,
-            "unevaluated": unevaluated,
             "seeds": None if seeds is None else [len(s) for s in seeds],
         }
 
@@ -639,9 +562,9 @@ class ThetaModule:
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
-        """Every generator at nu = 1, the point v = 2^0: each column a sorted
-        tuple of (r, c) with the exponents summed out."""
-        return {key: _at_point(self.matrix(key), self.dim, 0, 0) for key in self.gen_keys()}
+        """Every generator at nu = 1: each column a sorted tuple of (r, c) with
+        the exponents summed out."""
+        return {key: _at_one(self.matrix(key), self.dim) for key in self.gen_keys()}
 
 
 # -- nu = 1 representation of the product of signed groups -------------------

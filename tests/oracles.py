@@ -3,8 +3,7 @@ scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
 induced sums, the nu = 1 character taken one class pair at a time, a
 word's nu = 1 product composed column by column, a product of two Hecke
-words taken element by element, an integer at v = 2^B read back as the
-Laurent polynomial it encodes, and the relation suite checked on every
+words taken element by element, and the relation suite checked on every
 column.
 The package itself needs none of them.
 """
@@ -19,7 +18,7 @@ from functools import lru_cache
 from thetahecke import VerificationError
 from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
-from thetahecke.thetamod import ThetaModule, _apply, _norm_and_range, _relation_bound
+from thetahecke.thetamod import ThetaModule, _apply
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
@@ -315,39 +314,18 @@ def product_by_columns(rep, keys) -> list:
     return [{p: 1} for p in range(rep.dim)] if cols is None else cols
 
 
-# -- the integer point v = 2^B -----------------------------------------------------
-
-
-def balanced_digits(x: int, bits: int) -> dict:
-    """The {i: d} with x = sum of d 2^(bits i) and -2^(bits-1) <= d < 2^(bits-1):
-    unique, so they are the coefficients of the one polynomial with those
-    bounds whose value at v = 2^bits is x (Kronecker substitution read back)."""
-    out, i, half, base = {}, 0, 1 << (bits - 1), 1 << bits
-    while x:
-        d = (x + half) % base - half
-        if d:
-            out[i] = d
-        x = (x - d) >> bits
-        i += 1
-    return out
-
-
 def verify_every_column(mod: ThetaModule) -> dict:
     """The relation suite checked on every column in suite order, with no
     appeal to the cross relations: {"ok": bool, "relations": [{name, ok,
     failure?}...]}, each failure the first failing column's."""
-    dim, suite = mod.dim, mod.relation_suite()
-    gens = {key: _norm_and_range(mod.matrix(key), dim) for key in mod.gen_keys()}
-    bits = max((_relation_bound(chk, gens) for chk in suite), default=0).bit_length() + 1
-    points: dict = {}
     report = []
-    for chk in suite:
-        plan = mod._plan(chk, bits, gens, points)
+    for chk in mod.relation_suite():
+        plan = mod._plan(chk)
         failure = None
-        for p in range(dim):
+        for p in range(mod.dim):
             lhs, rhs = mod.relation_sides(plan, p)
             if lhs != rhs:
-                failure = mod._failure(chk, p, gens)
+                failure = mod._failure(p, lhs, rhs)
                 break
         entry = {"name": chk["name"], "ok": failure is None}
         report.append({**entry, "failure": failure} if failure else entry)

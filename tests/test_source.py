@@ -85,14 +85,10 @@ def test_a_function_local_is_no_reference():
     assert _names(ast.parse(source + "def caller():\n    return half(1)\n"))["half"] == 1
 
 
-def test_every_package_function_is_used():
-    """Every function and method of the package, dunders aside, is named in the
-    package outside its own body, is traced by the bench, or is in KEPT."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+def _definitions() -> tuple[dict, dict]:
+    """The package's parsed modules by name, and its top-level functions and
+    methods, dunders aside, keyed module.name or module.Class.name."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
-    refs = sum(map(_names, trees.values()), Counter())
     defs = {}
     for module, tree in trees.items():
         for node in tree.body:
@@ -100,6 +96,17 @@ def test_every_package_function_is_used():
             for fn in body:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
                     defs[f"{module}.{owner}{fn.name}"] = fn
+    return trees, defs
+
+
+def test_every_package_function_is_used():
+    """Every function and method of the package, dunders aside, is named in the
+    package outside its own body, is traced by the bench, or is in KEPT."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trees, defs = _definitions()
+    refs = sum(map(_names, trees.values()), Counter())
     traced = {f"{module}.{attribute}" for _, module, attribute, _ in tracer.TARGETS}
     # a name used only inside its own body, as a recursion, is not used
     unused = [n for n, fn in defs.items() if refs[fn.name] == _names(fn)[fn.name] and n not in traced]
@@ -107,6 +114,25 @@ def test_every_package_function_is_used():
     # a KEPT name that gains a caller, or goes, leaves KEPT
     assert sorted(set(KEPT) - set(unused)) == []
     assert sorted(set(unused) - set(KEPT)) == []
+
+
+# names defined more than once in the package, each with its reason.  References
+# are matched by bare name, so test_every_package_function_is_used counts a use
+# of one definition as a use of every definition sharing its name
+SHARED = {
+    "support": "LaurentPoly and HeckeElem each list their terms in print order",
+    "to_json_obj": "LaurentPoly and HeckeElem each serialize; HeckeElem's calls LaurentPoly's per term",
+    "from_json_obj": "LaurentPoly and HeckeElem each parse back; HeckeElem's calls LaurentPoly's per term",
+}
+
+
+def test_shared_names_are_listed():
+    """Every function or method name defined more than once in the package is
+    in SHARED, so a new collision, which could hide an unused definition from
+    test_every_package_function_is_used, fails here; a name no longer shared
+    leaves SHARED."""
+    counts = Counter(fn.name for fn in _definitions()[1].values())
+    assert sorted(name for name, n in counts.items() if n > 1) == sorted(SHARED)
 
 
 def test_traced_names_resolve():

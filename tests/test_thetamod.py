@@ -2,19 +2,18 @@
 
 Vectors and columns hold one integer key per entry: {e*dim + p: c} is the
 integer c times nu^(e/2) at basis position p, and _pe decodes a key to (p, e).
-The relation check evaluates them at v = nu^(1/2) = 2^B, where an entry is one
-int keyed by its position; at nu = 1 (B = 0) the exponents are summed out.
+The relation check compares the two sides of a relation on these keys exactly;
+at nu = 1 the exponents are summed out.
 """
 
 import hashlib
 import json
-import math
 import re
 from fractions import Fraction
 
 import pytest
 
-from thetahecke import VerificationError, thetamod
+from thetahecke import VerificationError
 from thetahecke.bipartition import decompose, expected_decomposition
 from thetahecke.heckealg import HeckeParams, he_inv_basis
 from thetahecke.laurent import LaurentPoly
@@ -22,11 +21,8 @@ from thetahecke.thetamod import (
     GroupRepAtOne,
     ThetaModule,
     _apply_word,
-    _at_point,
     _columns,
     _flat,
-    _norm_and_range,
-    _relation_bound,
     _trace,
     _word,
     grade_dim_formula,
@@ -42,7 +38,7 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import balanced_digits, character_by_class, product_by_columns, verify_every_column
+from oracles import character_by_class, product_by_columns, verify_every_column
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -239,54 +235,6 @@ def test_each_side_has_one_term_at_one(mu):
                     assert [c for c in sums if c] == [1], (l, lp, chk["name"], sums)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
-def test_point_sides_decode_to_unevaluated_sides(shape):
-    """With +-v^j added to one column entry, every suite entry on every column
-    gives at v = 2^B, decoded by balanced digits and shifted back, the lhs -
-    rhs that the same entry gives on the unevaluated columns."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    mod = ThetaModule(*shape, MU)
-    dim, keys, suite = mod.dim, mod.gen_keys(), mod.relation_suite()
-    clean = {key: list(mod.matrix(key)) for key in keys}
-
-    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-    @hypothesis.given(
-        key=st.sampled_from(keys),
-        p=st.integers(0, dim - 1),
-        r=st.integers(0, dim - 1),
-        j=st.integers(-4, 4),
-        sign=st.sampled_from([1, -1]),
-    )
-    def check(key, p, r, j, sign):
-        for g, cols in clean.items():
-            mod._cols[g] = list(cols)
-        col = dict(clean[key][p])
-        col[j * dim + r] = col.get(j * dim + r, 0) + sign
-        mod._cols[key][p] = tuple(sorted((k, c) for k, c in col.items() if c))
-        gens = {g: _norm_and_range(mod.matrix(g), dim) for g in keys}
-        bits = max(_relation_bound(chk, gens) for chk in suite).bit_length() + 1
-        points: dict = {}
-        for chk in suite:
-            at_point = mod._plan(chk, bits, gens, points)
-            assert at_point["bits"] == bits, chk["name"]
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(thetamod, "MAX_POINT_BITS", -1)
-                unevaluated = mod._plan(chk, bits, gens, {})
-            for q in range(dim):
-                lhs, rhs = mod.relation_sides(at_point, q)
-                got: dict = {}
-                for row in lhs.keys() | rhs.keys():
-                    x = lhs.get(row, 0) - rhs.get(row, 0)
-                    for e, d in balanced_digits(x, bits).items():
-                        got[(row, e - at_point["shift"])] = d
-                lhs, rhs = mod.relation_sides(unevaluated, q)
-                want = _decoded(mod, {k: lhs.get(k, 0) - rhs.get(k, 0) for k in lhs.keys() | rhs.keys()})
-                assert got == {pe: c for pe, c in want.items() if c}, (chk["name"], q)
-
-    check()
-
-
 @pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), 2])
 def test_relations_hold_rank_two(mu):
     rep = ThetaModule(2, 2, mu).verify_relations()
@@ -363,12 +311,11 @@ def test_corrupted_column_is_reported_at_huge_mu():
 
 
 def test_corrupted_swap_column_is_reported_at_huge_mu():
-    """A swap's relations stay at the point at a 31-digit mu; the report of a
-    corrupted swap column is pinned to the one the decoded point gave."""
+    """At a 31-digit mu the report of a corrupted swap column is pinned, while
+    the relations with a flip carry exponents near 10^30."""
     mod = ThetaModule(2, 2, HUGE_MU)
     _corrupt(mod, (0, 1), mod.unit_pos(0), 3)
     rep = mod.verify_relations()
-    assert rep["unevaluated"] == 7
     bad = [r for r in rep["relations"] if not r["ok"]]
     assert [r["name"] for r in bad] == ["quad_swap_1", "braid_flip"]
     assert bad[0]["failure"] == {"column": BOTTOM, "entry": BOTTOM, "residual": "nu^(3/2) + nu^(5/2) + nu^3"}
@@ -512,84 +459,49 @@ def test_verify_work_counts_the_relation_column_checks(shape):
     assert report["ok"] and verify_work_formula(*shape) == expected
 
 
-# -- the relation check at one integer point -----------------------------------------
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
-def test_point_evaluation_decodes_to_apply_word(shape):
-    """On random sparse integer vectors and random words, the word applied at
-    v = 2^B, B from the vector's and the letters' norms, decodes by balanced
-    digits and the shift v^-S to the e*dim + p apply_word result."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    mod = ThetaModule(*shape, Fraction(-3, 2))
-    gens = {key: _norm_and_range(mod.matrix(key), mod.dim) for key in mod.gen_keys()}
-    vectors = st.dictionaries(
-        st.integers(0, mod.dim - 1), st.integers(-5, 5).filter(bool), min_size=1, max_size=6
-    )
-
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
-    @hypothesis.given(vec=vectors, word=st.lists(st.sampled_from(mod.gen_keys()), max_size=5))
-    def check(vec, word):
-        bound = sum(map(abs, vec.values())) * math.prod(gens[k][0] for k in word)
-        bits = bound.bit_length() + 1
-        mats = [_at_point(mod.matrix(k), mod.dim, bits, -gens[k][1]) for k in word]
-        shift = sum(-gens[k][1] for k in word)
-        got = {
-            (r, e - shift): d
-            for r, x in _apply_word(mats, vec, mod.dim).items()
-            for e, d in balanced_digits(x, bits).items()
-        }
-        assert got == _decoded(mod, _apply_keys(mod, word, vec))
-
-    check()
-
-
 def _reports(rep: dict) -> list:
     return [{k: v for k, v in r.items() if k != "elapsed"} for r in rep["relations"]]
 
 
-def test_planted_difference_vanishing_at_fixed_point_is_reported(monkeypatch):
-    """2^16 v^j - v^(j+1) added to a flip column is zero at v = 2^16, so a fixed
-    B = 16 would miss it; B comes from the corrupted norm, and the point check
-    reports what the unevaluated columns report."""
+def test_planted_difference_vanishing_at_fixed_point_is_reported():
+    """2^16 v^j - v^(j+1) added to a flip column is zero at v = 2^16, so a check
+    at that one point would miss it; the exact check reports quad_flip first,
+    with the planted difference as its residual."""
     mod = ThetaModule(2, 2, MU)
     for g in mod.gen_keys():
         mod.matrix(g)
     key, p, dim = (0, 2), mod.unit_pos(1), mod.dim
     table = mod.matrix(key)
-    clean = table[p]
-    col = dict(clean)
-    r, j = _pe(mod, clean[0][0])
+    col = dict(table[p])
+    r, j = _pe(mod, table[p][0][0])
     for k, c in ((j * dim + r, 2**16), ((j + 1) * dim + r, -1)):
         col[k] = col.get(k, 0) + c
     table[p] = tuple(sorted((k, c) for k, c in col.items() if c))
-    shift = -_norm_and_range(table, dim)[1]
-    assert _at_point([table[p]], dim, 16, shift) == _at_point([clean], dim, 16, shift)
 
     rep = mod.verify_relations()
-    assert not rep["ok"] and rep["unevaluated"] == 0
-    assert 2 ** (rep["point_bits"] - 1) > 2**16
-    failing = [r["name"] for r in rep["relations"] if not r["ok"]]
-    assert failing[0] == "quad_flip"
-    monkeypatch.setattr(thetamod, "MAX_POINT_BITS", -1)
-    unevaluated = mod.verify_relations()
-    assert unevaluated["unevaluated"] == len(rep["relations"])
-    assert _reports(unevaluated) == _reports(rep)
+    assert not rep["ok"] and rep["seeds"] is None
+    assert [r["name"] for r in rep["relations"] if not r["ok"]][0] == "quad_flip"
+    unit = _label_obj(1, (1, 2), (1, 2), (1,))
+    assert _failures(rep) == {
+        "quad_flip": {"column": BOTTOM, "entry": BOTTOM, "residual": "-65536*nu^-4 + nu^(-7/2)"},
+        "braid_flip": {
+            "column": unit,
+            "entry": _label_obj(1, (2, 1), (1, 2), (1,)),
+            "residual": "65536*nu^-3 - nu^(-5/2)",
+        },
+        "cross_flip_prime_swap_1": {"column": unit, "entry": BOTTOM, "residual": "-65536*nu^-1 + nu^(-1/2)"},
+    }
 
 
 def test_huge_mu_relations_run_unevaluated():
-    """At a 31-digit mu every relation with a flip spans too many bits for one
-    point and runs on the unevaluated columns; the swap-only ones stay at the
-    point, and the whole suite passes."""
+    """At a 31-digit mu the relations with a flip carry exponents near 10^30;
+    every relation runs on the unevaluated generic columns and the whole
+    suite passes, on the seeds as at a small mu."""
     rep = ThetaModule(2, 2, HUGE_MU).verify_relations()
-    assert rep["ok"]
     suite = ThetaModule(2, 2, HUGE_MU).relation_suite()
-    with_flip = [chk for chk in suite if "flip" in chk["name"]]
-    assert rep["unevaluated"] == len(with_flip) == 7 and len(suite) == 10
-    small = ThetaModule(2, 2, MU).verify_relations()
-    assert small["ok"] and small["unevaluated"] == 0
-    assert small["point_bits"] == rep["point_bits"]
+    assert rep["ok"] and len(suite) == 10
+    assert [(r["name"], r["ok"]) for r in rep["relations"]] == [(chk["name"], True) for chk in suite]
+    assert rep["seeds"] == ThetaModule(2, 2, MU).verify_relations()["seeds"]
 
 
 def test_grade_count_mismatch_is_a_verification_error(monkeypatch):
