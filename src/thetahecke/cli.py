@@ -39,29 +39,32 @@ from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_wor
 from .weylbc import CosetSpec, coset_table, group_order
 
 # module-verify is capped by its relation column checks (verify_work_formula),
-# each about 10-17 us.  The dimension does not bound them: (2,70) (dim 19,601,
-# 27.1M checks) took 422 s at 805 MB, (1,200) (dim 401, 8.1M) 91 s and (3,14)
-# (1.2M) 19.5 s end to end.  They bound the dimension, and with it the memory
-# of every generator's columns: up to rank 200 the largest admitted is (5,5)'s
-# 19,091 (481,400 checks), while (4,7) (dim 21,225) needs 620,752 and (6,6)
-# 10.5M.  On 2 cores with Python 3.11.7, end to end at mu = 1/2, (4,6) (dim
-# 10,369) took 3.8-4.6 s at 51 MB peak RSS and (5,5) 7.7-9.0 s at 75 MB; the
-# largest admitted shapes by checks, (1,79), (99,1), (31,2), (5,5), (12,3),
-# (2,24) and (3,11) (410k-515k), took 5.7-9.6 s at 25-75 MB, and (2,24) at
-# mu = (10^30 + 1)/2 8.1-9.6 s at 41 MB; the slowest admitted request found,
-# (3,11) at mu = -1, took 9.7-10.2 s at 63 MB
+# each about 10-15 us.  The dimension does not bound them: (1,200) (dim 401,
+# 8.1M checks) took 78 s and (3,14) (dim 19,741, 1.2M) 17.7 s in process, and
+# (2,70) (dim 19,601, 27.1M) 422 s at 805 MB end to end before the columns
+# were built from each grade's tensor layout.  They bound the dimension, and
+# with it the memory of every generator's columns: up to rank 200 the largest
+# admitted is (5,5)'s 19,091 (481,400 checks), while (4,7) (dim 21,225) needs
+# 620,752 and (6,6) 10.5M.  On 2 cores with Python 3.11.7, end to end at
+# mu = 1/2, two runs each, (4,6) (dim 10,369) took 2.2-2.7 s at 52 MB peak RSS
+# and (5,5) 2.8-4.1 s at 75-77 MB; the largest admitted shapes by checks,
+# (1,79), (99,1), (31,2), (5,5), (12,3), (2,24) and (3,11) (410k-515k), took
+# 1.8-5.5 s at 25-77 MB; the two slowest admitted requests found, (2,24) at
+# mu = (10^30 + 1)/2 and (3,11) at mu = -1, took 3.8-6.1 s at 41 MB and
+# 4.0-5.9 s at 63 MB
 MAX_VERIFY_WORK = 2**19
 # the rank is checked before the work is counted: the suite has about rank^2 /
 # 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and 0.29 s end
 # to end on 2 cores with Python 3.11.7
 MAX_VERIFY_RANK = 200
-# specialize-decompose holds every generator as sparse integer columns (and,
-# while it runs, each signed-permutation generator as two lists), the class
-# products of the side with fewer classes, about one product per level of the
-# other side's suffix trie, and a character over every class pair; on 2 cores
-# with Python 3.11.7, end to end, (4,4) (dim 1473) took 0.6 s at 29 MB peak
-# RSS, (5,4) (dim 4361) 1.2-2.1 s at 54 MB, and (3,8) (dim 3409, but 185
-# classes on the rank-8 side) 1.7-2.6 s at 47 MB
+# specialize-decompose holds every generator as sparse integer columns at
+# nu = 1, the generic columns freed once those are read (and, while it runs,
+# each signed-permutation generator as two lists), the class products of the
+# side with fewer classes, about one product per level of the other side's
+# suffix trie, and a character over every class pair; on 2 cores with Python
+# 3.11.7, end to end, two runs each, (4,4) (dim 1473) took 0.4 s at 26 MB
+# peak RSS, (5,4) (dim 4361) 1.4-1.6 s at 47 MB, and (3,8) (dim 3409, but 185
+# classes on the rank-8 side) 1.7-2.0 s at 42 MB
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
 # coset prints every representative with its length, an O(rank^2) inversion
@@ -313,7 +316,9 @@ def cmd_specialize_decompose(args) -> int:
     caps = (MAX_SPECIALIZE_RANK, "dimension", MAX_SPECIALIZE_DIM)
     _check_size("specialize-decompose", args.l, args.lprime, *caps)
     module = ThetaModule(args.l, args.lprime, as_half(args.mu))
+    dim, grades = module.dim, module.grade_dims()
     rep = GroupRepAtOne(module)
+    del module  # frees the generic columns before the character walk
     rep.check_group_relations()
     mults = decompose(rep.character(), args.l, args.lprime)
     expected = expected_decomposition(args.l, args.lprime)
@@ -321,8 +326,8 @@ def cmd_specialize_decompose(args) -> int:
     obj = {
         "l": args.l,
         "lprime": args.lprime,
-        "dimension": module.dim,
-        "grades": module.grade_dims(),
+        "dimension": dim,
+        "grades": grades,
         "multiplicities": [
             {
                 "left": [list(ab[0]), list(ab[1])],

@@ -42,14 +42,15 @@ def format_half(value: HalfInt) -> str:
 
 
 def add_shifted(out: dict[int, int], p: dict[int, int], e: int, k: int = 1) -> None:
-    """out += k * nu^(e/2) * p for Laurent term dicts {e: c}, zeros dropped."""
+    """out += k * nu^(e/2) * p for Laurent term dicts {e: c}, zeros dropped
+    from out; p may hold zeros, and a zero product leaves out as it is."""
     get = out.get
     for f, c in p.items():
         f += e
         s = get(f, 0) + k * c
         if s:
             out[f] = s
-        else:
+        elif f in out:
             del out[f]
 
 

@@ -24,6 +24,14 @@ the signed tail by the sign character, or on the shared slot by genuine Hecke
 multiplication (right multiplication from the unsigned side, left from the
 signed side).
 
+Within grade k the labels are the product of three factor lists, each listed
+by length: label (d1, d2, x) sits at position start_k + (i1*n2 + i2)*n3 + i3
+for the indices i1, i2, i3 of its factors.  A generator other than the
+unprimed flip reads one factor, d1 on side 0 and d2 on side 1, so Deodhar's
+case is decided once per factor and the slot action once per (k, h), never
+once per label; each column is one of a few templates of (offset, c)
+entries, placed at its position by index arithmetic.
+
 The unprimed flip generator is the one operator that moves between grades.
 Its action is seeded on the grade-k base vector by two explicit expansions
 (one for the flip at the last position, one for the flip at position l-k).
@@ -49,9 +57,15 @@ Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
 position p (divmod(key, dim) gives (e, p) for either sign of e), and a column
 is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient becomes
 one entry per exponent, all plain ints.  The relation suite is checked on
-these generic columns: on each basis vector the two sides of a relation are
-compared as {e*dim + r: c} dicts, which agree exactly when the sides agree in
-Z[v, v**-1], and a failure's residual is their difference at its lowest row.
+these generic columns: on each basis vector each side of a relation is a raw
+sum, its words' rightmost columns read as stored and every other letter
+applied by the one kernel _apply, which keeps an entry that cancels as a 0.
+Two equal raw sums are equal in Z[v, v**-1].  Only when the raw sums differ
+are their zeros dropped and the sides compared again, as canonical
+{e*dim + r: c} dicts, which agree exactly when the sides agree, so the
+decision stays exact; a failure's residual is their difference at its
+lowest row.  Zeros are otherwise dropped only where a vector is stored (the
+flip's columns) and in the products at nu = 1.
 Any specialization (nu = 1, nu = q) is the image of this generic module under
 a ring homomorphism, so the check proves the specialized relations too; nu = 1
 sums the exponents out.
@@ -105,9 +119,8 @@ BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
 
 # -- sparse vectors keyed by e*dim + p: exponent e of nu^(1/2), position p ---
 
-# 1 and -1 as {e: c} term dicts, which _stride leaves as they are
+# 1 as an {e: c} term dict, which _stride leaves as it is
 _ONE = {0: 1}
-_MINUS_ONE = {0: -1}
 
 
 def _stride(terms: dict, dim: int) -> dict:
@@ -126,25 +139,38 @@ def _column(*parts: tuple[int, dict]) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _apply(cols, vec: dict, dim: int) -> dict:
-    """The matrix with the given columns applied to a vector: the entry at
-    key e*dim + p meets column p, whose entry f*dim + r lands at (e+f)*dim + r."""
+def _apply(cols, pairs, dim: int) -> dict:
+    """The matrix with the given columns applied to a vector given as (key, c)
+    pairs, a stored column as it is or a dict's items(): the entry at key
+    e*dim + p meets column p, whose entry f*dim + r lands at (e+f)*dim + r.
+    The sum is raw: an entry that cancels stays, as 0."""
     out: dict = {}
-    get = out.get
-    for key, c in vec.items():
+    for key, c in pairs:
         p = key % dim
         base = key - p
         for off, a in cols[p]:
             k = base + off
-            out[k] = get(k, 0) + c * a
-    return {k: c for k, c in out.items() if c}
+            if k in out:
+                out[k] += c * a
+            else:
+                out[k] = c * a
+    return out
 
 
-def _apply_word(mats, vec: dict, dim: int) -> dict:
-    """Apply a sequence of matrices; the rightmost acts first."""
+def _apply_word(mats, pairs, dim: int) -> dict:
+    """Apply a sequence of matrices to (key, c) pairs, the rightmost first, as
+    a raw sum; the empty sequence gives the pairs as a dict."""
+    vec = None
     for cols in reversed(mats):
-        vec = _apply(cols, vec, dim)
-    return vec
+        vec = _apply(cols, pairs, dim)
+        pairs = vec.items()
+    return dict(pairs) if vec is None else vec
+
+
+def _nonzero(vec: dict) -> dict:
+    """A raw sum with its zero entries dropped: the canonical form, in which
+    two vectors are equal exactly when their entries are."""
+    return {k: c for k, c in vec.items() if c}
 
 
 def _at_one(cols, dim: int) -> list[tuple]:
@@ -172,6 +198,25 @@ def _quad_terms(par: HalfInt) -> tuple[dict, dict]:
 def _word(side: int, w: SignedPerm) -> tuple[tuple[int, int], ...]:
     """The generator keys of a reduced word for w, acting on the given side."""
     return tuple((side, g) for g in reduced_word(w))
+
+
+@lru_cache(maxsize=None)
+def _slots(k: int) -> tuple[SignedPerm, ...]:
+    """The unsigned permutations of the shared k-slot, listed by length."""
+    return tuple(sorted(all_unsigned_perms(k), key=lambda w: (length(w), w)))
+
+
+@lru_cache(maxsize=None)
+def _slot_action(side: int, k: int, h: int) -> tuple[tuple[int, bool], ...]:
+    """For each slot x in _slots(k) order, (the index of y, whether it is a
+    descent): y = x s_h from the right on side 0, y = s_h x from the left on
+    side 1."""
+    slots = _slots(k)
+    index = {x: i for i, x in enumerate(slots)}
+    s = gen_perm(h, k)
+    if side == 0:
+        return tuple((index[mul(x, s)], is_right_descent(x, h)) for x in slots)
+    return tuple((index[mul(s, x)], is_right_descent(inv(x), h)) for x in slots)
 
 
 def grade_dim_formula(l: int, lp: int, k: int) -> int:
@@ -214,10 +259,13 @@ class ThetaModule:
 
         self.basis: list[BasisIndex] = []
         self.grade_range: dict[int, tuple[int, int]] = {}
+        # the (d1, d2, x) factor lists of each grade, whose product is its labels
+        self._factors: list[tuple] = []
         for k in range(self.kmax + 1):
             d1s = distinguished_reps(CosetSpec("sym_block", l, k))
             d2s = distinguished_reps(CosetSpec("mixed_block", lp, k))
-            slots = sorted(all_unsigned_perms(k), key=lambda w: (length(w), w))
+            slots = _slots(k)
+            self._factors.append((d1s, d2s, slots))
             start = len(self.basis)
             for d1 in d1s:
                 for d2 in d2s:
@@ -252,12 +300,7 @@ class ThetaModule:
         apply the other generators, never the flip)."""
         cols = self._cols.get(key)
         if cols is None:
-            if key == (0, self.l):
-                cols = self._flip_columns()
-            else:
-                par = -1 - self.mu if key == (1, self.lp) else 1
-                quad = tuple(_stride(t, self.dim) for t in _quad_terms(par))
-                cols = [self._col_transfer(*key, quad, p) for p in range(self.dim)]
+            cols = self._flip_columns() if key == (0, self.l) else self._transfer_columns(*key)
             self._cols[key] = cols
         return cols
 
@@ -265,45 +308,73 @@ class ThetaModule:
         return self.matrix(key)[p]
 
     def apply_gen(self, key: tuple, vec: dict) -> dict:
-        return _apply(self.matrix(key), vec, self.dim)
+        """A generator applied to a vector, as a raw sum."""
+        return _apply(self.matrix(key), vec.items(), self.dim)
 
     # -- the grade-preserving generator actions --
 
-    def _col_transfer(self, side: int, g: int, quad: tuple[dict, dict], p: int):
-        """Every generator but the flip, through the transfer lemma on d1 or d2;
-        quad is the strided scalars (q, q - 1) of the generator's parameter q,
-        which a descent spends.  A transfer keeps the kind of generator, so a
-        slot descent or a scalar q entry is a swap's, at q = nu."""
-        k, d1, d2, x = self.basis[p]
-        q, q_minus_one = quad
-        if side == 0:
-            res = deodhar_transfer(d1, g, CosetSpec("sym_block", self.l, k))
-        else:
-            res = deodhar_transfer(d2, g, CosetSpec("mixed_block", self.lp, k))
-        if res[0] == "coset":
-            np_ = self.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
-            if res[2] > 0:
-                return _column((np_, _ONE))
-            return _column((np_, q), (p, q_minus_one))
-        # the transfer lands on parabolic generator h; only h decides the action
-        h = res[1]
-        if side == 0:
-            if h < self.l - k:
-                return _column((p, q))
-            h -= self.l - k
-            y = mul(x, gen_perm(h, k))
-            descent = is_right_descent(x, h)
-        else:
-            if h == self.lp:
-                return _column((p, _MINUS_ONE))
-            if h > k:
-                return _column((p, q))
-            y = mul(gen_perm(h, k), x)
-            descent = is_right_descent(inv(x), h)
-        yp = self.pos[(k, d1, d2, y)]
-        if not descent:
-            return _column((yp, _ONE))
-        return _column((yp, q), (p, q_minus_one))
+    def _transfer_columns(self, side: int, g: int) -> list[tuple]:
+        """Every column of a generator but the unprimed flip, built grade by
+        grade from the tensor layout of the labels.
+
+        The generator reads one factor of a label: d1 on side 0, d2 on side 1.
+        Deodhar's lemma is decided once per factor; a transfer into the
+        parabolic lands on generator h, which acts by a scalar (the index
+        value q on the trivial block, -1 on the signed tail) or on the slot
+        x, tabulated once per (k, h).  Each case is a column template of
+        (offset from p, c) entries, emitted at every position p with that
+        factor; a descent spends the generator's parameter q, T e_p =
+        q e_p' + (q - 1) e_p.  A transfer keeps the kind of generator, so a
+        slot descent or a scalar q entry is a swap's, at q = nu.
+        """
+        l, lp, dim = self.l, self.lp, self.dim
+        par = -1 - self.mu if (side, g) == (1, lp) else 1
+        q, q_minus_one = (_stride(t, dim) for t in _quad_terms(par))
+        scalar, sign = tuple(sorted(q.items())), ((0, -1),)
+
+        def moved(delta: int, descent: bool) -> tuple:
+            """T e_p = e_(p+delta), or q e_(p+delta) + (q - 1) e_p at a descent."""
+            if not descent:
+                return ((delta, 1),)
+            return tuple(sorted([(f + delta, c) for f, c in q.items()] + list(q_minus_one.items())))
+
+        cols: list[tuple] = []
+        for k, (d1s, d2s, slots) in enumerate(self._factors):
+            n2, n3 = len(d2s), len(slots)
+            # the factor read, the position step between two of its labels, and
+            # the parabolic generators below the slot's first, s_(before+1)
+            if side == 0:
+                spec, ds, stride, before = CosetSpec("sym_block", l, k), d1s, n2 * n3, l - k
+            else:
+                spec, ds, stride, before = CosetSpec("mixed_block", lp, k), d2s, n3, 0
+            index = {d: i for i, d in enumerate(ds)}
+            rows = []  # the templates of one factor, one per slot index
+            for i, d in enumerate(ds):
+                res = deodhar_transfer(d, g, spec)
+                if res[0] == "coset":
+                    j = index.get(res[1])
+                    if j is None:
+                        raise VerificationError(
+                            f"{res[1]} is not a {spec.kind} factor of grade {k} of ({l},{lp})"
+                        )
+                    rows.append((moved((j - i) * stride, res[2] < 0),) * n3)
+                    continue
+                h = res[1] - before
+                if side == 1 and h == lp:
+                    rows.append((sign,) * n3)
+                elif not 1 <= h < k:
+                    rows.append((scalar,) * n3)
+                else:
+                    action = _slot_action(side, k, h)
+                    rows.append(tuple(moved(y - i3, descent) for i3, (y, descent) in enumerate(action)))
+            # position start + (i1*n2 + i2)*n3 + i3 takes template i3 of its factor's row
+            order = [rows[i1] for i1 in range(len(d1s)) for _ in range(n2)] if side == 0 else rows * len(d1s)
+            p = self.grade_range[k][0]
+            for row in order:
+                for t in row:
+                    cols.append(tuple([(off + p, c) for off, c in t]))
+                    p += 1
+        return cols
 
     # -- seeded flip action --
 
@@ -395,7 +466,7 @@ class ThetaModule:
             vec = self.seed_flip_inner(k)
             for g in range(l - k, l):
                 out: dict = {}
-                add_product(out, self.apply_gen((0, g), vec), nu_inv)
+                add_product(out, self.apply_gen((0, g), vec), nu_inv)  # zeros drop here
                 add_product(out, vec, nu_inv_minus_one)
                 vec = out
             seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
@@ -410,8 +481,8 @@ class ThetaModule:
                 if r not in ascents:
                     raise VerificationError(f"no flip seed and no ascent reaches label {self.basis[r]}")
                 gen, q = ascents[r]
-                vec = _apply(gen, dict(cols[q]), dim)
-            cols.append(tuple(sorted(vec.items())))
+                vec = _apply(gen, cols[q], dim)
+            cols.append(tuple(sorted((k, c) for k, c in vec.items() if c)))
         return cols
 
     # -- relation suite --
@@ -470,26 +541,34 @@ class ThetaModule:
 
     def _plan(self, chk: dict) -> tuple[list, list]:
         """One suite entry as relation_sides reads it: for each side, each
-        term's strided scalar and the columns of its word."""
+        term's strided scalar, None for 1, the columns of its word but the
+        rightmost letter, and that letter's columns, None for the empty word."""
         return tuple(
-            [(_stride(t, self.dim), [self.matrix(k) for k in word]) for t, word in side]
+            [
+                (
+                    None if t == _ONE else _stride(t, self.dim),
+                    tuple(self.matrix(k) for k in word[:-1]),
+                    self.matrix(word[-1]) if word else None,
+                )
+                for t, word in side
+            ]
             for side in (chk["lhs"], chk["rhs"])
         )
 
     def relation_sides(self, plan: tuple, p: int) -> tuple[dict, dict]:
         """Evaluate one planned suite entry on the basis vector e_p, returning
-        (lhs, rhs).  A word's rightmost matrix acts on e_p by its column p, so
-        that factor is read, not applied; the empty word is e_p."""
+        the raw sums (lhs, rhs).  A word's rightmost matrix acts on e_p by its
+        stored column p, read as it is, not applied; the empty word is e_p."""
         dim = self.dim
         out = []
         for side in plan:
             vec: dict = {}
-            for scale, word in side:
-                w = _apply_word(word[:-1], dict(word[-1][p]), dim) if word else {p: 1}
-                if not vec and scale == _ONE:
+            for scale, head, last in side:
+                w = {p: 1} if last is None else _apply_word(head, last[p], dim)
+                if scale is None and not vec:
                     vec = w  # w added to nothing, without a dict pass
                 else:
-                    add_product(vec, w, scale)
+                    add_product(vec, w, _ONE if scale is None else scale)
             out.append(vec)
         return out[0], out[1]
 
@@ -527,9 +606,12 @@ class ThetaModule:
             failure = None
             for p in columns:
                 lhs, rhs = self.relation_sides(plan, p)
+                # raw sums that agree are equal; others are compared canonical
                 if lhs != rhs:
-                    failure = self._failure(p, lhs, rhs)
-                    break
+                    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+                    if lhs != rhs:
+                        failure = self._failure(p, lhs, rhs)
+                        break
             return {
                 "name": chk["name"],
                 "ok": failure is None,
@@ -679,7 +761,7 @@ class GroupRepAtOne:
 
 def _step(letter, prod, dim: int):
     """letter times prod, each a signed permutation (a tuple) or columns (a list).
-    A relabel of a column cannot cancel, so it drops no zeros."""
+    A relabel of a column cannot cancel, so it drops no zeros; a sum does."""
     if isinstance(letter, tuple):
         perm, signs = letter
         if isinstance(prod, tuple):
@@ -687,7 +769,7 @@ def _step(letter, prod, dim: int):
         return [{perm[r]: signs[r] * c for r, c in col.items()} for col in prod]
     if isinstance(prod, tuple):
         return [{r: s * a for r, a in letter[q]} for q, s in zip(*prod)]
-    return [_apply(letter, col, dim) for col in prod]
+    return [_nonzero(_apply(letter, col.items(), dim)) for col in prod]
 
 
 def _columns(prod) -> list:

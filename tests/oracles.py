@@ -3,8 +3,9 @@ scans of the signed permutation group, symmetric-group characters and
 products computed by textbook formulas, and signed-group characters as
 induced sums, the nu = 1 character taken one class pair at a time, a
 word's nu = 1 product composed column by column, a product of two Hecke
-words taken element by element, and the relation suite checked on every
-column.
+words taken element by element, the transfer generators' columns built
+label by label, and the relation suite checked on every column, letter by
+letter.
 The package itself needs none of them.
 """
 
@@ -18,12 +19,13 @@ from functools import lru_cache
 from thetahecke import VerificationError
 from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
-from thetahecke.thetamod import ThetaModule, _apply
+from thetahecke.thetamod import ThetaModule, _apply, _column, _quad_terms, _stride
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
     all_unsigned_perms,
     conjugacy_classes,
+    deodhar_transfer,
     gen_perm,
     identity,
     inv,
@@ -301,29 +303,93 @@ def character_by_class(rep) -> dict:
 
 def product_by_columns(rep, keys) -> list:
     """The sparse columns of a word's product at nu = 1, every letter applied
-    to every column with the general _apply; the rightmost letter acts first,
-    on the identity by reading its own columns, and the empty word is the
-    identity."""
+    to every column with the general _apply, zeros dropped; the rightmost
+    letter acts first, on the identity by reading its own columns, and the
+    empty word is the identity."""
     cols = None
     for key in reversed(keys):
         m = rep._mats[key]
         if cols is None:
             cols = [dict(col) for col in m]
         else:
-            cols = [_apply(m, col, rep.dim) for col in cols]
+            cols = [{r: c for r, c in _apply(m, col.items(), rep.dim).items() if c} for col in cols]
     return [{p: 1} for p in range(rep.dim)] if cols is None else cols
+
+
+# -- the generic module, label by label ---------------------------------------------
+
+
+def transfer_column(mod: ThetaModule, side: int, g: int, p: int) -> tuple:
+    """Column p of a generator but the unprimed flip, decided for its own
+    label through Deodhar's lemma on d1 or d2 and looked up by label: a
+    descent spends the generator's parameter q, and a transfer acts on the
+    label's slot or by a scalar.  A transfer keeps the kind of generator, so a
+    slot descent or a scalar q entry is a swap's, at q = nu."""
+    k, d1, d2, x = mod.basis[p]
+    par = -1 - mod.mu if (side, g) == (1, mod.lp) else 1
+    q, q_minus_one = (_stride(t, mod.dim) for t in _quad_terms(par))
+    if side == 0:
+        res = deodhar_transfer(d1, g, CosetSpec("sym_block", mod.l, k))
+    else:
+        res = deodhar_transfer(d2, g, CosetSpec("mixed_block", mod.lp, k))
+    if res[0] == "coset":
+        np_ = mod.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
+        if res[2] > 0:
+            return _column((np_, {0: 1}))
+        return _column((np_, q), (p, q_minus_one))
+    h = res[1]
+    if side == 0:
+        if h < mod.l - k:
+            return _column((p, q))
+        h -= mod.l - k
+        y = mul(x, gen_perm(h, k))
+        descent = is_right_descent(x, h)
+    else:
+        if h == mod.lp:
+            return _column((p, {0: -1}))
+        if h > k:
+            return _column((p, q))
+        y = mul(gen_perm(h, k), x)
+        descent = is_right_descent(inv(x), h)
+    yp = mod.pos[(k, d1, d2, y)]
+    if not descent:
+        return _column((yp, {0: 1}))
+    return _column((yp, q), (p, q_minus_one))
+
+
+def _letter_by_letter(mats: dict, dim: int, side: list, p: int) -> dict:
+    """One side of a suite entry on e_p: each word applied to e_p one letter
+    at a time over the dict columns mats[key], zeros dropped after every
+    letter, and its scalar multiplied in term by term."""
+    total: dict = {}
+    for scale, word in side:
+        vec = {p: 1}
+        for key in reversed(word):
+            cols = mats[key]
+            nxt: dict = {}
+            for k, c in vec.items():
+                e, q = divmod(k, dim)
+                for off, a in cols[q].items():
+                    nxt[off + e * dim] = nxt.get(off + e * dim, 0) + c * a
+            vec = {k: c for k, c in nxt.items() if c}
+        for f, s in scale.items():
+            for k, c in vec.items():
+                total[k + f * dim] = total.get(k + f * dim, 0) + s * c
+        total = {k: c for k, c in total.items() if c}
+    return total
 
 
 def verify_every_column(mod: ThetaModule) -> dict:
     """The relation suite checked on every column in suite order, with no
-    appeal to the cross relations: {"ok": bool, "relations": [{name, ok,
-    failure?}...]}, each failure the first failing column's."""
+    appeal to the cross relations and with none of the package's relation
+    kernels: {"ok": bool, "relations": [{name, ok, failure?}...]}, each
+    failure the first failing column's, formatted by the package."""
+    mats = {key: [dict(col) for col in mod.matrix(key)] for key in mod.gen_keys()}
     report = []
     for chk in mod.relation_suite():
-        plan = mod._plan(chk)
         failure = None
         for p in range(mod.dim):
-            lhs, rhs = mod.relation_sides(plan, p)
+            lhs, rhs = (_letter_by_letter(mats, mod.dim, chk[s], p) for s in ("lhs", "rhs"))
             if lhs != rhs:
                 failure = mod._failure(p, lhs, rhs)
                 break

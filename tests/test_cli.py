@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -511,6 +512,29 @@ def test_specialize_decompose_cli(capsys):
     assert obj["matches_expected"]
     assert len(obj["multiplicities"]) == 3
     assert obj["dimension"] == 3
+
+
+def test_specialize_frees_the_module_before_the_character(capsys, monkeypatch):
+    """specialize-decompose reads what it prints of the module first, so the
+    module and its generic columns are freed before the character walk, and
+    stdout is as before."""
+    modules, alive = [], []
+    init, character = ThetaModule.__init__, GroupRepAtOne.character
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        modules.append(weakref.ref(self))
+
+    def watched_character(self):
+        alive.append([ref() is not None for ref in modules])
+        return character(self)
+
+    monkeypatch.setattr(ThetaModule, "__init__", tracked_init)
+    monkeypatch.setattr(GroupRepAtOne, "character", watched_character)
+    code, out, _ = run(capsys, "specialize-decompose", "--l", "2", "--lprime", "2")
+    assert code == 0 and alive == [[False]]
+    obj = json.loads(out)
+    assert obj["dimension"] == 17 and obj["grades"] == [1, 8, 8] and obj["matches_expected"]
 
 
 def test_coset_cli(capsys):

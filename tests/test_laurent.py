@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetahecke.laurent import LaurentPoly, as_half, format_half
+from thetahecke.laurent import LaurentPoly, add_product, add_shifted, as_half, format_half
 
 
 def rand_poly(rng, terms=4, espan=6, cmax=9):
@@ -75,3 +75,16 @@ def test_zero_terms_dropped():
     assert LaurentPoly({2: 0}) == LaurentPoly.zero()
     assert not LaurentPoly.zero()
     assert (LaurentPoly.one() - LaurentPoly.one()).is_zero()
+
+
+def test_zero_product_on_an_absent_term_is_a_no_op():
+    """A raw sum may hold a stored zero; adding it, or anything times zero,
+    leaves the target as it is, and a sum that cancels is still dropped."""
+    out: dict = {}
+    add_shifted(out, {3: 0}, 0)
+    assert out == {}
+    out = {5: 2}
+    add_product(out, {3: 0, 4: 1}, {1: 2})
+    assert out == {5: 4}
+    add_shifted(out, {5: 2, 1: 0}, 0, -2)
+    assert out == {}

@@ -23,6 +23,7 @@ from thetahecke.thetamod import (
     _apply_word,
     _columns,
     _flat,
+    _nonzero,
     _trace,
     _word,
     grade_dim_formula,
@@ -38,7 +39,7 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import character_by_class, product_by_columns, verify_every_column
+from oracles import character_by_class, product_by_columns, transfer_column, verify_every_column
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -57,8 +58,8 @@ def _decoded(mod: ThetaModule, vec) -> dict:
 
 
 def _apply_keys(mod: ThetaModule, keys, vec: dict) -> dict:
-    """Apply a sequence of generator keys; the rightmost acts first."""
-    return _apply_word([mod.matrix(key) for key in keys], vec, mod.dim)
+    """Apply a sequence of generator keys, the rightmost first, zeros dropped."""
+    return _nonzero(_apply_word([mod.matrix(key) for key in keys], vec.items(), mod.dim))
 
 
 # -- basis ----------------------------------------------------------------------
@@ -129,10 +130,10 @@ def test_apply_word_composes_columns():
     v = mod.apply_gen((0, 3), {mod.unit_pos(1): 1})
     lhs = _apply_keys(mod, [(0, 1), (0, 2)], v)
     rhs = mod.apply_gen((0, 1), mod.apply_gen((0, 2), v))
-    assert lhs == rhs
+    assert lhs == _nonzero(rhs)
     lhs = _apply_keys(mod, [(1, 1)], v)
     rhs = mod.apply_gen((1, 1), v)
-    assert lhs == rhs
+    assert lhs == _nonzero(rhs)
 
 
 # a {p: LaurentPoly} reference of one generator application, with LaurentPoly arithmetic
@@ -208,6 +209,35 @@ def test_columns_frozen_rank_three(mu):
     ]
     assert all(c for _, _, entries in doc for _, _, c in entries)
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == FROZEN_COLUMN_DIGESTS[mu]
+
+
+TRANSFER_SHAPES = [(l, lp, mu) for mu in (MU, -1, 3) for l in range(5) for lp in range(5)]
+TRANSFER_SHAPES += [(5, 4, MU), (2, 8, MU)]
+
+
+@pytest.mark.parametrize(
+    "l, lp, mu", TRANSFER_SHAPES, ids=[f"{l},{lp},{mu}" for l, lp, mu in TRANSFER_SHAPES]
+)
+def test_transfer_columns_match_label_by_label_reference(l, lp, mu):
+    """Every generator but the unprimed flip, built from the grade's tensor
+    layout, has the columns the label-by-label reference gives, tuple for
+    tuple.  At mu = -1 the primed flip's parameter is 1, so its descent
+    column is one plain relabel."""
+    mod = ThetaModule(l, lp, mu)
+    for side, g in mod.gen_keys():
+        if (side, g) != (0, l):
+            want = [transfer_column(mod, side, g, p) for p in range(mod.dim)]
+            assert mod.matrix((side, g)) == want, (side, g)
+
+
+def test_coset_image_outside_the_factors_is_a_verification_error(monkeypatch):
+    """A coset image missing from its grade's factor list is named, as a
+    missing label is."""
+    mod = ThetaModule(2, 2, MU)
+    monkeypatch.setattr("thetahecke.thetamod.deodhar_transfer", lambda d, g, spec: ("coset", (9, 9), 1))
+    message = "(9, 9) is not a sym_block factor of grade 0 of (2,2)"
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        mod.matrix((0, 1))
 
 
 # -- relation suite ----------------------------------------------------------------
