@@ -169,7 +169,6 @@ def vs_to_json(vs: dict) -> list[dict]:
 # -- signed-group characters ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def wl_char(bip: Bipartition, cls: ClassType) -> int:
     """Character of the bipartition-labeled irreducible on a class.
 
@@ -187,27 +186,40 @@ def wl_char(bip: Bipartition, cls: ClassType) -> int:
     lam, mu = cls
     if sum(alpha) + sum(beta) != sum(lam) + sum(mu):
         raise ValueError(f"the character of {bip} needs a class of its rank, got {cls}")
+    return _wl_char(alpha, beta, lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _wl_char(alpha: Partition, beta: Partition, lam: Partition, mu: Partition) -> int:
+    """wl_char's recursion, on arguments of equal rank: removing a rim hook
+    keeps them equal, so no call checks them."""
     if lam:
-        r, rest, flip = lam[0], (lam[1:], mu), 1
+        r, lam, flip = lam[0], lam[1:], 1
     elif mu:
-        r, rest, flip = mu[0], (lam, mu[1:]), -1
+        r, mu, flip = mu[0], mu[1:], -1
     else:
         return 1
-    from_alpha = sum(s * wl_char((a, beta), rest) for a, s in _rim_hooks(alpha, r))
-    from_beta = sum(s * wl_char((alpha, b), rest) for b, s in _rim_hooks(beta, r))
-    return from_alpha + flip * from_beta
+    total = 0
+    for a, s in _rim_hooks(alpha, r):
+        total += s * _wl_char(a, beta, lam, mu)
+    for b, s in _rim_hooks(beta, r):
+        total += flip * s * _wl_char(alpha, b, lam, mu)
+    return total
 
 
-def wl_char_table(m: int) -> dict[Bipartition, dict[ClassType, int]]:
+def wl_char_table(m: int) -> dict[Bipartition, list[int]]:
+    """Each rank-m irreducible's character as one row, in signed_class_types order."""
     classes = signed_class_types(m)
-    return {bip: {cls: wl_char(bip, cls) for cls in classes} for bip in bipartitions(m)}
+    return {(alpha, beta): [_wl_char(alpha, beta, lam, mu) for lam, mu in classes]
+            for alpha, beta in bipartitions(m)}
 
 
-def wl_inner(table_row_a: dict, table_row_b: dict, m: int) -> Fraction:
-    """Class-weighted inner product of two rank-m class functions."""
+def wl_inner(row_a: list[int], row_b: list[int], m: int) -> Fraction:
+    """Class-weighted inner product of two rank-m class functions, given as
+    rows in signed_class_types order."""
     total = Fraction(0)
-    for cls in signed_class_types(m):
-        total += Fraction(table_row_a[cls] * table_row_b[cls], signed_centralizer(cls))
+    for cls, a, b in zip(signed_class_types(m), row_a, row_b, strict=True):
+        total += Fraction(a * b, signed_centralizer(cls))
     return total
 
 
@@ -334,25 +346,30 @@ def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
               ) -> dict[tuple[Bipartition, Bipartition], int]:
     """Multiplicities of product-group irreducibles in an exact character.
 
-    Raises VerificationError if any inner product fails to be a nonnegative
+    Works on rows in signed_class_types order: the character as one row per
+    left class, each irreducible's character table row.  Raises
+    VerificationError if any inner product fails to be a nonnegative
     integer, or if the multiplicities fail to reconstruct the input classwise.
     """
     classes_l = signed_class_types(l)
     classes_lp = signed_class_types(lp)
+    rows_l = wl_char_table(l)
+    rows_lp = wl_char_table(lp)
+    char_rows = [[charfn.get((cl, cr), 0) for cr in classes_lp] for cl in classes_l]
     # each class weighted by its size |W_m| / z, so the sums stay in integers
-    size_l = {cl: group_order(l) // signed_centralizer(cl) for cl in classes_l}
-    size_lp = {cr: group_order(lp) // signed_centralizer(cr) for cr in classes_lp}
+    size_l = [group_order(l) // signed_centralizer(cl) for cl in classes_l]
+    size_lp = [group_order(lp) // signed_centralizer(cr) for cr in classes_lp]
     order = group_order(l) * group_order(lp)
     mults: dict[tuple[Bipartition, Bipartition], int] = {}
-    for bl in bipartitions(l):
-        u = {cr: 0 for cr in classes_lp}
-        for cl in classes_l:
-            xl = size_l[cl] * wl_char(bl, cl)
-            if xl:
-                for cr in classes_lp:
-                    u[cr] += xl * charfn.get((cl, cr), 0)
-        for br in bipartitions(lp):
-            total = sum(v * size_lp[cr] * wl_char(br, cr) for cr, v in u.items() if v)
+    for bl, row_bl in rows_l.items():
+        u = [0] * len(classes_lp)
+        for x, size, row in zip(row_bl, size_l, char_rows):
+            if x:
+                xl = x * size
+                u = [a + xl * c for a, c in zip(u, row)]
+        w = list(map(operator.mul, u, size_lp))
+        for br, row_br in rows_lp.items():
+            total = sum(map(operator.mul, w, row_br))
             m, rem = divmod(total, order)
             if rem or m < 0:
                 raise VerificationError(
@@ -360,9 +377,18 @@ def decompose(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
                 )
             if m:
                 mults[(bl, br)] = m
-    for cl in classes_l:
-        for cr in classes_lp:
-            rec = sum(m * wl_char(bl, cl) * wl_char(br, cr) for (bl, br), m in mults.items())
-            if rec != charfn.get((cl, cr), 0):
-                raise VerificationError(f"multiplicities fail to reconstruct the class {(cl, cr)}")
+    # per left irreducible, the sum of its right partners' rows times their counts
+    partners: dict[Bipartition, list[int]] = {}
+    for (bl, br), m in mults.items():
+        acc = partners.get(bl, [0] * len(classes_lp))
+        partners[bl] = [a + m * x for a, x in zip(acc, rows_lp[br])]
+    for i, (cl, row) in enumerate(zip(classes_l, char_rows)):
+        rec = [0] * len(classes_lp)
+        for bl, prow in partners.items():
+            x = rows_l[bl][i]
+            if x:
+                rec = [a + x * p for a, p in zip(rec, prow)]
+        if rec != row:
+            cr = next(cr for cr, a, b in zip(classes_lp, rec, row) if a != b)
+            raise VerificationError(f"multiplicities fail to reconstruct the class {(cl, cr)}")
     return mults

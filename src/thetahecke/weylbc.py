@@ -265,17 +265,26 @@ def deodhar_transfer(d: SignedPerm, g: int, spec: CosetSpec):
     shorter and distinguished, returned as ('coset', g*d, -1); g*d = d*h for a
     parabolic generator h, returned as ('transfer', h); or g*d is longer and
     distinguished, returned as ('coset', g*d, +1).
+
+    h = d^-1 s_g d moves the positions that hold the values s_g moves.  For a
+    swap those are the positions of g and g + 1, read signed from inv(d): h is
+    the swap of two adjacent positions when they are adjacent with equal
+    signs.  For the flip it is the position of l: h is the flip generator when
+    that is the last position.
     """
     l = len(d)
-    gd = mul(gen_perm(g, l), d)
     d_inv = inv(d)
     if is_right_descent(d_inv, g):
-        return ("coset", gd, -1)
-    h = mul(d_inv, gd)
-    for t in spec.parabolic_gens():
-        if h == gen_perm(t, l):
-            return ("transfer", t)
-    return ("coset", gd, 1)
+        return ("coset", mul(gen_perm(g, l), d), -1)
+    if g == l:
+        t = l if abs(d_inv[l - 1]) == l else None
+    else:
+        p, q = d_inv[g - 1], d_inv[g]
+        # |p - q| = 1 only for equal signs: opposite ones differ by at least 3
+        t = min(abs(p), abs(q)) if abs(p - q) == 1 else None
+    if t in spec.parabolic_gens():
+        return ("transfer", t)
+    return ("coset", mul(gen_perm(g, l), d), 1)
 
 
 # -- enumeration and conjugacy ----------------------------------------------

@@ -1,11 +1,11 @@
 """Independent routes the tests compare the package against: brute-force
-scans of the signed permutation group, symmetric-group characters and
-products computed by textbook formulas, and signed-group characters as
-induced sums, the nu = 1 character taken one class pair at a time, a
-word's nu = 1 product composed column by column, a product of two Hecke
-words taken element by element, the transfer generators' columns built
-label by label, and the relation suite checked on every column, letter by
-letter.
+scans of the signed permutation group, the transfer across a coset by a
+full product, symmetric-group characters and products computed by textbook
+formulas, and signed-group characters as induced sums, the nu = 1
+character and its decomposition taken one class pair at a time, a word's
+nu = 1 product composed column by column, a product of two Hecke words
+taken element by element, the transfer generators' columns built label by
+label, and the relation suite checked on every column, letter by letter.
 The package itself needs none of them.
 """
 
@@ -17,16 +17,27 @@ from fractions import Fraction
 from functools import lru_cache
 
 from thetahecke import VerificationError
-from thetahecke.bipartition import Bipartition, ClassType, Partition, part_union, sn_char, vs_add
+from thetahecke.bipartition import (
+    Bipartition,
+    ClassType,
+    Partition,
+    part_union,
+    signed_class_types,
+    sn_char,
+    vs_add,
+    wl_char,
+)
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
 from thetahecke.thetamod import ThetaModule, _apply, _column, _quad_terms, _stride
 from thetahecke.weylbc import (
     CosetSpec,
     SignedPerm,
     all_unsigned_perms,
+    bipartitions,
     conjugacy_classes,
     deodhar_transfer,
     gen_perm,
+    group_order,
     identity,
     inv,
     is_right_descent,
@@ -38,6 +49,21 @@ from thetahecke.weylbc import (
 
 
 # -- signed permutations ---------------------------------------------------
+
+
+def deodhar_transfer_by_product(d: SignedPerm, g: int, spec: CosetSpec):
+    """deodhar_transfer by composing h = d^-1 (g d) in full and comparing it
+    with every parabolic generator's permutation: O(l^2) a call."""
+    l = len(d)
+    gd = mul(gen_perm(g, l), d)
+    d_inv = inv(d)
+    if is_right_descent(d_inv, g):
+        return ("coset", gd, -1)
+    h = mul(d_inv, gd)
+    for t in spec.parabolic_gens():
+        if h == gen_perm(t, l):
+            return ("transfer", t)
+    return ("coset", gd, 1)
 
 
 def num_flips(w: SignedPerm) -> int:
@@ -299,6 +325,42 @@ def character_by_class(rep) -> dict:
                 c * ml[r].get(p, 0) for p, col in enumerate(mr) for r, c in col.items()
             )
     return out
+
+
+def decompose_by_classes(charfn: dict[tuple[ClassType, ClassType], int], l: int, lp: int
+                         ) -> dict[tuple[Bipartition, Bipartition], int]:
+    """decompose one class pair at a time: each inner product sums over class
+    dicts with one wl_char call per term, and the reconstruction sums over
+    every multiplicity for each class pair.  The same errors, word for word.
+    """
+    classes_l = signed_class_types(l)
+    classes_lp = signed_class_types(lp)
+    size_l = {cl: group_order(l) // signed_centralizer(cl) for cl in classes_l}
+    size_lp = {cr: group_order(lp) // signed_centralizer(cr) for cr in classes_lp}
+    order = group_order(l) * group_order(lp)
+    mults: dict[tuple[Bipartition, Bipartition], int] = {}
+    for bl in bipartitions(l):
+        u = {cr: 0 for cr in classes_lp}
+        for cl in classes_l:
+            xl = size_l[cl] * wl_char(bl, cl)
+            if xl:
+                for cr in classes_lp:
+                    u[cr] += xl * charfn.get((cl, cr), 0)
+        for br in bipartitions(lp):
+            total = sum(v * size_lp[cr] * wl_char(br, cr) for cr, v in u.items() if v)
+            m, rem = divmod(total, order)
+            if rem or m < 0:
+                raise VerificationError(
+                    f"multiplicity of {(bl, br)} is {Fraction(total, order)}, not a count"
+                )
+            if m:
+                mults[(bl, br)] = m
+    for cl in classes_l:
+        for cr in classes_lp:
+            rec = sum(m * wl_char(bl, cl) * wl_char(br, cr) for (bl, br), m in mults.items())
+            if rec != charfn.get((cl, cr), 0):
+                raise VerificationError(f"multiplicities fail to reconstruct the class {(cl, cr)}")
+    return mults
 
 
 def product_by_columns(rep, keys) -> list:

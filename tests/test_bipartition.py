@@ -24,6 +24,7 @@ from thetahecke.bipartition import (
     signed_class_types,
     sn_char,
     theta_lift,
+    vs_add,
     wl_char,
     wl_char_table,
     wl_inner,
@@ -36,6 +37,7 @@ from oracles import (
     all_signed_perms,
     bip_product,
     cycle_type,
+    decompose_by_classes,
     eps_twist,
     part_splits,
     sn_dim,
@@ -350,6 +352,15 @@ def test_theta_lift_checks_its_input_and_result(monkeypatch):
         theta_lift((1,), (), 1, 2)
 
 
+def test_wl_char_checks_the_class_rank():
+    """wl_char refuses a class of another rank; its memoised recursion,
+    which only ever sees equal ranks, checks nothing."""
+    with pytest.raises(ValueError, match="needs a class of its rank"):
+        wl_char(((1,), ()), ((), ()))
+    with pytest.raises(ValueError, match="needs a class of its rank"):
+        wl_char(((), ()), ((1,), ()))
+
+
 def test_wl_char_checks_integrality(monkeypatch):
     """A non-integral induced-character sum in the oracle raises instead of truncating."""
     real = oracles.signed_centralizer
@@ -414,3 +425,75 @@ def test_predicted_character_decomposes_consistently():
     for l, lp in [(1, 1), (2, 1), (2, 2)]:
         char = expected_module_character(l, lp)
         assert decompose(char, l, lp) == expected_decomposition(l, lp)
+
+
+def _character_of(mults: dict, l: int, lp: int) -> dict:
+    """sum of m chi_bl (x) chi_br over the multiplicities, zero entries dropped."""
+    out: dict = {}
+    for (bl, br), m in mults.items():
+        for cl in signed_class_types(l):
+            xl = m * wl_char(bl, cl)
+            if xl:
+                for cr in signed_class_types(lp):
+                    vs_add(out, (cl, cr), xl * wl_char(br, cr))
+    return out
+
+
+def test_decompose_inverts_synthetic_characters():
+    """A character built from random nonnegative multiplicities decomposes back
+    to them, as the per-class-pair oracle does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def shapes_and_mults(draw):
+        l, lp = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        pairs = [(bl, br) for bl in bipartitions(l) for br in bipartitions(lp)]
+        mults = draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 4), max_size=8))
+        return l, lp, mults
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(case=shapes_and_mults())
+    def check(case):
+        l, lp, mults = case
+        char = _character_of(mults, l, lp)
+        got = decompose(char, l, lp)
+        want = decompose_by_classes(char, l, lp)
+        assert got == want == {key: m for key, m in mults.items() if m}
+        assert list(got) == list(want)
+
+    check()
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["every label", "first label dropped"])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2)], ids=lambda s: f"{s[0]},{s[1]}")
+def test_decompose_fails_as_the_oracle_does(monkeypatch, shape, dropped):
+    """The predicted character, and each of its entries raised by one in turn:
+    decompose raises the per-class-pair oracle's message, word for word,
+    naming the same first pair.  With every label a corrupted character has a
+    multiplicity that is no count; with the first label dropped, as a broken
+    label list would, the others fail to reconstruct the true character."""
+    l, lp = shape
+    char = expected_module_character(l, lp)
+    if dropped:
+        real = bipartition.bipartitions
+        monkeypatch.setattr(bipartition, "bipartitions", lambda m: real(m)[1:])
+        monkeypatch.setattr(oracles, "bipartitions", lambda m: real(m)[1:])
+    entries = [(cl, cr) for cl in signed_class_types(l) for cr in signed_class_types(lp)]
+    kinds = Counter()
+    for entry in [None] + entries:
+        bad = dict(char)
+        if entry is not None:
+            bad[entry] = bad.get(entry, 0) + 1
+        try:
+            got = decompose(bad, l, lp)
+        except VerificationError as err:
+            msg = str(err)
+            with pytest.raises(VerificationError) as info:
+                decompose_by_classes(bad, l, lp)
+            assert str(info.value) == msg, entry
+            kinds["not a count" if msg.endswith("not a count") else "reconstruct"] += 1
+        else:
+            assert entry is None and not dropped
+            assert got == decompose_by_classes(bad, l, lp) == expected_decomposition(l, lp)
+    assert kinds == ({"reconstruct": 1, "not a count": len(entries)} if dropped else {"not a count": len(entries)})

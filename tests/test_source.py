@@ -24,8 +24,7 @@ def test_no_assert_statements():
 # statements that no package code calls, each checked by the tests
 KEPT = {
     "bipartition.expected_module_character": "criterion 4: the nu = 1 character, induced grade by grade",
-    "bipartition.wl_char_table": "criterion 9: the signed-group character table is orthonormal",
-    "bipartition.wl_inner": "criterion 9: the class-weighted inner product of that table",
+    "bipartition.wl_inner": "criterion 9: the class-weighted inner product under which the character table is orthonormal",
     "dualpair.TowerConfig.swapped": "test_dualpair: the two companion towers exchange roles",
     "dualpair.abundance_witness": "test_dualpair: each parameter in a case's range has a tower pair",
     "dualpair.dimension_grid": "criterion 7: the exhaustive grid of tower pairs",

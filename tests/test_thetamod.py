@@ -39,7 +39,13 @@ from thetahecke.weylbc import (
     swap_range,
 )
 
-from oracles import character_by_class, product_by_columns, transfer_column, verify_every_column
+from oracles import (
+    character_by_class,
+    decompose_by_classes,
+    product_by_columns,
+    transfer_column,
+    verify_every_column,
+)
 
 MU = Fraction(1, 2)
 # an exponent far past any fixed-width packing of (position, exponent)
@@ -737,6 +743,21 @@ def test_character_matches_per_class_oracle(shape):
     want = character_by_class(rep)
     got = rep.character()
     assert got == want
+    assert list(got) == list(want)
+
+
+# every shape up to (3,3), then the bench's widest: rank 6 on the right, 5 on the left
+DECOMPOSE_SHAPES = [(l, lp) for l in range(4) for lp in range(4)] + [(2, 6), (5, 2)]
+
+
+@pytest.mark.parametrize("shape", DECOMPOSE_SHAPES, ids=[f"{l},{lp}" for l, lp in DECOMPOSE_SHAPES])
+def test_decompose_matches_per_class_oracle(shape):
+    """On the real nu = 1 character, the row sums give the per-class-pair
+    oracle's multiplicities, in its key order, and the predicted ones."""
+    char = GroupRepAtOne(ThetaModule(*shape, MU)).character()
+    got = decompose(char, *shape)
+    want = decompose_by_classes(char, *shape)
+    assert got == want == expected_decomposition(*shape)
     assert list(got) == list(want)
 
 

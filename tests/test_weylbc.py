@@ -27,6 +27,7 @@ from oracles import (
     all_signed_perms,
     bfs_lengths,
     cycle_type,
+    deodhar_transfer_by_product,
     distinguished_reps_bruteforce,
     left_descents,
     num_flips,
@@ -138,6 +139,23 @@ def test_deodhar_transfer_cases(kind, n, k):
                 _, t = out
                 assert mul(gp, d) == mul(d, gen_perm(t, n))
                 assert t in spec.parabolic_gens()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_deodhar_transfer_matches_full_product(n):
+    """Reading h from the positions s_g moves agrees with composing d^-1 s_g d
+    and comparing it with every parabolic generator, for every representative
+    of both coset kinds, every block size and every generator, the flip too."""
+    seen = set()
+    for kind in ("sym_block", "mixed_block"):
+        for k in range(n + 1):
+            spec = CosetSpec(kind, n, k)
+            for d in distinguished_reps(spec):
+                for g in range(1, n + 1):
+                    got = deodhar_transfer(d, g, spec)
+                    assert got == deodhar_transfer_by_product(d, g, spec), (spec, d, g)
+                    seen.add(got[0] if got[0] == "transfer" else got[2])
+    assert seen == {"transfer", -1, 1}
 
 
 def test_cycle_type_and_classes():
