@@ -94,9 +94,9 @@ MAX_OCCURRENCE_RANK = 1000
 # the caps, --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6
 # longest element squared (72 letters) 7.7 s at 565 MB, and two random
 # 35-letter words at rank 4 17 s; under them, end to end, the rank-5 longest
-# element squared (50 letters) takes 0.6-0.7 s at 50 MB, and the slowest
+# element squared (50 letters) takes 0.36-0.47 s at 28 MB, and the slowest
 # admitted request found, two random 25-letter words at rank 5 and
-# mu = 1001/2, 1.6-2.3 s at 132 MB
+# mu = 1001/2 (the pair CI runs), 1.26-1.79 s at 97 MB
 MAX_HECKE_WORK = 2**23
 MAX_HECKE_LETTERS = 50
 # theta-lift prints every term of the lift, and the terms grow exponentially
@@ -429,21 +429,35 @@ def cmd_hecke_mul(args) -> int:
     # a's element times b's is the word of a's letters and then b's
     letters = _parse_hecke_word(args.a, params) + _parse_hecke_word(args.b, params)
     prod = word_product(params, letters)
-    obj = {
-        "l": args.l,
-        "mu": mu_text,
-        "a": args.a,
-        "b": args.b,
-        "product": prod.to_json_obj(),
-    }
-
-    def render(o):
-        lines = [f"product in the rank-{o['l']} algebra at mu={o['mu']}:"]
+    if args.format == "text":
+        lines = [f"product in the rank-{l} algebra at mu={mu_text}:"]
         lines += [f"  {list(w)}: {prod.terms[w]}" for w in prod.support()] or ["  0"]
-        return "\n".join(lines)
-
-    _emit(args, obj, render)
+        print("\n".join(lines))
+    else:
+        print(_hecke_json({"l": l, "mu": mu_text, "a": args.a, "b": args.b}, prod))
     return 0
+
+
+def _hecke_json(header: dict, prod) -> str:
+    """The text of json.dumps({**header, "product": terms}, indent=2), the
+    terms {"perm": [...], "poly": {"e": c, ...}} in support order.  With
+    indent set, json.dumps runs its pure Python encoder, which for a dense
+    product joins hundreds of thousands of small chunks, so each term is
+    written from a template at the depth json.dumps gives it (an int prints
+    as its repr in both); the header, whose strings may need escaping, goes
+    through json.dumps."""
+    head = json.dumps(header, indent=2)[:-2]  # drop the closing "\n}"
+    if not prod.terms:
+        return head + ',\n  "product": []\n}'
+    rank = header["l"]
+    perm = "[\n" + ",\n".join(["        {}"] * rank) + "\n      ]" if rank else "[]"
+    term = '    {{\n      "perm": ' + perm + ',\n      "poly": {{\n{}\n      }}\n    }}'
+    items = []
+    for w in prod.support():
+        c = prod.terms[w].terms
+        poly = ",\n".join([f'        "{e}": {c[e]}' for e in sorted(c)])
+        items.append(term.format(*w, poly))
+    return head + ',\n  "product": [\n' + ",\n".join(items) + "\n  ]\n}"
 
 
 # -- parser ----------------------------------------------------------------------

@@ -19,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import HalfInt, LaurentPoly, add_product, add_shifted, as_half
-from .weylbc import (
-    SignedPerm,
-    gen_perm,
-    identity,
-    is_right_descent,
-    length,
-    mul,
-    reduced_word,
-)
+from .laurent import HalfInt, LaurentPoly, add_product, as_half
+from .weylbc import SignedPerm, gen_perm, identity, length, reduced_word
 
 
 @dataclass(frozen=True)
@@ -99,19 +91,6 @@ class HeckeElem:
         inner = ", ".join(f"{w}: {self.terms[w]}" for w in self.support())
         return f"HeckeElem({{{inner}}})"
 
-    # -- serialization --
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"perm": list(w), "poly": self.terms[w].to_json_obj()} for w in self.support()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "HeckeElem":
-        return cls(
-            {tuple(item["perm"]): LaurentPoly.from_json_obj(item["poly"]) for item in obj}
-        )
-
 
 def _basis_terms(params: HeckeParams, cur: dict, gens) -> dict:
     """(sum of c_x T_x) * T_g1 ... T_gn for the term dicts cur = {x: {e: c}},
@@ -121,26 +100,49 @@ def _basis_terms(params: HeckeParams, cur: dict, gens) -> dict:
 
     T_x T_g is T_xg on an ascent, a relabel; on a descent the quadratic
     relation gives nu^(e/2) T_xg + (nu^(e/2) - 1) T_x, with e = 2 for a swap
-    and flip_numer for the flip.
+    and flip_numer for the flip, both added in one pass over c_x.  Each step
+    acts on x's tuple directly: a swap exchanges entries g - 1 and g, read as
+    a descent when m(x[g]) > m(x[g - 1]) for the mirrored value
+    m(v) = sign(v) (l + 1 - |v|) (see weylbc.is_right_descent), and the flip
+    negates the last entry, a descent when that entry is negative.
+    Cancelled entries stay as 0 until the end: _elem drops them.
     """
     l = params.rank
+    # m(v) indexed by v itself, a negative v reading from the end
+    m = [0] * (2 * l + 1)
+    for v in range(1, l + 1):
+        m[v], m[-v] = l + 1 - v, v - l - 1
     for g in gens:
-        e = 2 if g < l else params.flip_numer
-        gp = gen_perm(g, l)
+        e = int(2 * params.gen_exponent(g))  # checks g
+        flip, i = g == l, g - 1
         nxt: dict[SignedPerm, dict[int, int]] = {}
+        get = nxt.get
         for x, c in cur.items():
-            xg = mul(x, gp)
-            if is_right_descent(x, g):
-                add_shifted(nxt.setdefault(xg, {}), c, e)
-                at_x = nxt.setdefault(x, {})
-                add_shifted(at_x, c, e)
-                add_shifted(at_x, c, 0, -1)
-            elif xg in nxt:
-                add_shifted(nxt[xg], c, 0)
+            a = x[i]
+            if flip:
+                xg, descent = x[:i] + (-a,), a < 0
             else:
+                b = x[g]
+                xg, descent = x[:i] + (b, a) + x[g + 1 :], m[b] > m[a]
+            to = get(xg)
+            if descent:
+                if to is None:
+                    to = nxt[xg] = {}
+                at = get(x)
+                if at is None:
+                    at = nxt[x] = {}
+                for f, k in c.items():
+                    h = f + e
+                    to[h] = to.get(h, 0) + k
+                    at[h] = at.get(h, 0) + k
+                    at[f] = at.get(f, 0) - k
+            elif to is None:
                 # cur is dropped after this step, so its dicts can move
                 nxt[xg] = c
-        cur = {x: c for x, c in nxt.items() if c}
+            else:
+                for f, k in c.items():
+                    to[f] = to.get(f, 0) + k
+        cur = nxt
     return cur
 
 

@@ -169,13 +169,3 @@ class LaurentPoly:
     def specialize_nu1(self) -> int:
         """Evaluate at nu = 1 (so also v = 1): the coefficient sum."""
         return sum(self.terms.values())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> dict[str, int]:
-        """Map exponent numerator -> coefficient, keys sorted numerically."""
-        return {str(e): self.terms[e] for e in self.support()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj.items()})

@@ -5,8 +5,9 @@ formulas, and signed-group characters as induced sums, the nu = 1
 character and its decomposition taken one class pair at a time, a word's
 nu = 1 product composed column by column, a product of two Hecke words
 taken element by element, the transfer generators' columns built label by
-label, and the relation suite checked on every column, letter by letter.
-The package itself needs none of them.
+label, the relation suite checked on every column, letter by letter, and
+a hecke-mul product as JSON objects, for json.dumps to write and to parse
+back.  The package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from thetahecke.bipartition import (
     wl_char,
 )
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
+from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import ThetaModule, _apply, _column, _quad_terms, _stride
 from thetahecke.weylbc import (
     CosetSpec,
@@ -472,3 +474,21 @@ def hecke_words_product(params: HeckeParams, a: list[int], b: list[int]) -> Heck
         return out
 
     return he_mul(params, elem(a), elem(b))
+
+
+def poly_to_json_obj(p: LaurentPoly) -> dict[str, int]:
+    """Map exponent numerator -> coefficient, keys sorted numerically."""
+    return {str(e): p.terms[e] for e in p.support()}
+
+
+def poly_from_json_obj(obj) -> LaurentPoly:
+    return LaurentPoly({int(e): int(c) for e, c in obj.items()})
+
+
+def hecke_to_json_obj(h: HeckeElem) -> list[dict]:
+    """The product list hecke-mul prints, built as objects for json.dumps."""
+    return [{"perm": list(w), "poly": poly_to_json_obj(h.terms[w])} for w in h.support()]
+
+
+def hecke_from_json_obj(obj) -> HeckeElem:
+    return HeckeElem({tuple(item["perm"]): poly_from_json_obj(item["poly"]) for item in obj})

@@ -41,7 +41,7 @@ from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule, grade_dim_formula
 from thetahecke.weylbc import partitions
 
-from oracles import eps_twist, sym_centralizer
+from oracles import eps_twist, hecke_from_json_obj, hecke_to_json_obj, sym_centralizer
 
 
 def criterion(n, label):
@@ -276,5 +276,5 @@ def test_criterion_10_cli_determinism():
         capture_output=True,
         check=True,
     ).stdout
-    prod = HeckeElem.from_json_obj(json.loads(out)["product"])
-    assert prod.to_json_obj() == json.loads(out)["product"]
+    prod = hecke_from_json_obj(json.loads(out)["product"])
+    assert hecke_to_json_obj(prod) == json.loads(out)["product"]

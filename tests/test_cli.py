@@ -20,7 +20,7 @@ from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul, word_product
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule
 
-from oracles import hecke_words_product
+from oracles import hecke_from_json_obj, hecke_to_json_obj, hecke_words_product
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,7 +45,7 @@ def test_hecke_mul_round_trip(capsys):
     )
     assert code == 0
     assert obj["mu"] == "-3/2"
-    got = HeckeElem.from_json_obj(obj["product"])
+    got = hecke_from_json_obj(obj["product"])
     params = HeckeParams.signed(2, Fraction(-3, 2))
     s1, t = word_product(params, [1]), word_product(params, [2])
     want = he_mul(params, he_mul(params, he_mul(params, s1, t), t), s1)
@@ -55,7 +55,7 @@ def test_hecke_mul_round_trip(capsys):
 def test_hecke_mul_identity_words(capsys):
     code, obj, _ = run_json(capsys, "hecke-mul", "--l", "1", "--mu", "1/2", "--a", "e", "--b", "t t")
     assert code == 0
-    got = HeckeElem.from_json_obj(obj["product"])
+    got = hecke_from_json_obj(obj["product"])
     # t*t = (nu^mu - 1) t + nu^mu
     params = HeckeParams.signed(1, Fraction(1, 2))
     t = word_product(params, [1])
@@ -82,7 +82,9 @@ def test_hecke_mul_matches_element_by_element_oracle(capsys, mu):
         code, obj, _ = run_json(capsys, *argv)
         assert code == 0
         want = hecke_words_product(HeckeParams.signed(l, Fraction(mu)), a, b)
-        assert obj["product"] == want.to_json_obj(), (l, a, b)
+        assert obj["product"] == hecke_to_json_obj(want), (l, a, b)
+        # the peel keeps cancelled coefficients as 0; none is printed
+        assert all(t["poly"] and 0 not in t["poly"].values() for t in obj["product"]), (l, a, b)
 
     check()
 
@@ -116,10 +118,64 @@ def test_hecke_mul_size_caps(capsys, monkeypatch, l, letters, admitted):
     code, out, err = run(capsys, "hecke-mul", "--l", str(l), "--mu", "1/2", "--a", a, "--b", b)
     if admitted:
         assert code == 0 and err == ""
-        assert json.loads(out)["product"] == []
+        ref = {"l": l, "mu": "1/2", "a": a, "b": b, "product": []}
+        assert out == json.dumps(ref, indent=2) + "\n"
     else:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
+LONGEST_RANK5 = "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 t s4 s3 s2 s1 t s4 s3 s2 t s4 s3 t s4 t"
+
+
+@pytest.mark.parametrize(
+    "l, mu, a, b",
+    [
+        (0, "1", "e", "e"),
+        (1, "1/2", "t", "t"),
+        (2, "-3/2", "s1,t", "t,s1"),
+        (3, "-3/2", "t s2 t s1", "s2 t s1 t s2"),
+        (2, "1000000000000000000000000000001/2", "t s1 t", "s1 t"),
+        (5, "1/2", LONGEST_RANK5, LONGEST_RANK5),
+    ],
+    ids=["rank-0", "flip-squared", "negative-flip", "rank-3", "31-digit-mu", "longest-rank-5-squared"],
+)
+def test_hecke_mul_json_is_json_dumps_of_the_product(capsys, l, mu, a, b):
+    """hecke-mul writes its JSON from the term dicts; the text is byte for
+    byte json.dumps(indent=2) of the product as objects (tests/oracles.py),
+    at rank 0 ("perm": []), at a negative flip exponent and at exponents
+    near 10^30."""
+    code, out, err = run(capsys, "hecke-mul", "--l", str(l), "--mu", mu, "--a", a, "--b", b)
+    assert code == 0 and err == ""
+    params = HeckeParams.signed(l, Fraction(mu))
+    prod = word_product(params, cli._parse_hecke_word(a, params) + cli._parse_hecke_word(b, params))
+    ref = {"l": l, "mu": mu, "a": a, "b": b, "product": hecke_to_json_obj(prod)}
+    assert out == json.dumps(ref, indent=2) + "\n"
+
+
+def test_hecke_mul_text_format(capsys):
+    code, out, _ = run(
+        capsys, "hecke-mul", "--l", "2", "--mu", "-3/2", "--a", "s1,t", "--b", "t,s1", "--format", "text"
+    )
+    assert code == 0
+    assert out == (
+        "product in the rank-2 algebra at mu=-3/2:\n"
+        "  [1, 2]: nu^(-1/2)\n"
+        "  [2, 1]: -nu^(-3/2) + nu^(-1/2)\n"
+        "  [-1, 2]: nu^(-3/2) - 1\n"
+    )
+
+
+def test_hecke_mul_leaves_out_a_cancelled_term(capsys):
+    """At mu = 0 the flip's parameter is nu^0, so T_t^2 = T_e + 0 T_t: the
+    peel keeps the cancelled coefficient as a 0, and the product drops it."""
+    code, out, _ = run(capsys, "hecke-mul", "--l", "1", "--mu", "0", "--a", "t", "--b", "t")
+    assert code == 0
+    assert out == (
+        '{\n  "l": 1,\n  "mu": "0",\n  "a": "t",\n  "b": "t",\n  "product": [\n'
+        '    {\n      "perm": [\n        1\n      ],\n      "poly": {\n        "0": 1\n      }\n    }\n'
+        "  ]\n}\n"
+    )
 
 
 # -- module-verify -------------------------------------------------------------

@@ -44,6 +44,8 @@ def test_quadratic_relations(l, mu):
     for g in (0, l + 1):
         with pytest.raises(ValueError, match=f"no generator {g}"):
             params.gen_exponent(g)
+        with pytest.raises(ValueError, match=f"no generator {g}"):
+            word_product(params, [1, g])
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -113,10 +115,11 @@ def _dense_elem(rng, perms, size):
     })
 
 
-@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2)])
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), Fraction(0, 2)])
 def test_he_mul_of_dense_elements_is_bilinear(mu):
     """he_mul peels all of a at once per term of b: the result is the sum of
-    the basis products, and a's coefficients are left as they were."""
+    the basis products, and a's coefficients are left as they were; at
+    mu = 0 the flip's descents cancel."""
     params = HeckeParams.signed(3, mu)
     rng = random.Random(5)
     perms = all_signed_perms(3)

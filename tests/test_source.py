@@ -32,7 +32,6 @@ KEPT = {
     "dualpair.lusztig_unipotent": "criterion 8: the unipotent tower data",
     "dualpair.relevance_closure": "test_dualpair: the parameter orbit under the two reflections",
     "dualpair.unitary2_signed_fixed_space_sum": "criterion 7: the rank-2 unitary oracle",
-    "heckealg.HeckeElem.from_json_obj": "criterion 10: a hecke-mul product parses back from its JSON",
     "heckealg.HeckeElem.scale_poly": "criterion 1: the right-hand side of the quadratic relations",
 }
 
@@ -120,8 +119,6 @@ def test_every_package_function_is_used():
 # of one definition as a use of every definition sharing its name
 SHARED = {
     "support": "LaurentPoly and HeckeElem each list their terms in print order",
-    "to_json_obj": "LaurentPoly and HeckeElem each serialize; HeckeElem's calls LaurentPoly's per term",
-    "from_json_obj": "LaurentPoly and HeckeElem each parse back; HeckeElem's calls LaurentPoly's per term",
 }
 
 
