@@ -33,10 +33,10 @@ from .dualpair import (
     mu_range_check,
     mu_sigma,
 )
-from .heckealg import HeckeParams, word_product
+from .heckealg import HeckeParams, word_product, word_terms
 from .laurent import as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
-from .weylbc import CosetSpec, coset_table, group_order
+from .weylbc import CosetSpec, coset_table, group_order, length
 
 # module-verify is capped by its relation column checks (verify_work_formula),
 # each about 10-15 us.  The dimension does not bound them: (1,200) (dim 401,
@@ -74,11 +74,13 @@ MAX_SPECIALIZE_DIM = 5000
 # at 93 MB peak RSS end to end, where --lprime 11 (177,147) took 4.8 s at 372 MB
 # in process
 MAX_COSET_WORK = 2**23
-# conservation-scan checks every bipartition of every rank up to --lmax, and
-# its memory about doubles every two ranks; on 2 cores with Python 3.11.7,
-# --lmax 16 (17,345 labels) took 5.6 s at 73 MB peak RSS, --lmax 18 (38,045)
-# 15 s at 142 MB, and --lmax 20 (80,377) 39 s at 285 MB
-MAX_SCAN_LMAX = 18
+# conservation-scan checks every bipartition of every rank up to --lmax; on 2
+# cores with Python 3.11.7, end to end, two runs each, --lmax 16 (17,345
+# labels) took 1.4-1.8 s at 29 MB peak RSS, --lmax 18 (38,045) 4.2-4.7 s at
+# 43 MB and --lmax 20 (80,377) 10.4-11.1 s at 74 MB, within the 15 s and
+# 142 MB of --lmax 18 when the report went through json.dumps and every
+# search ran twice; --lmax 22 (164,389) took 21 s at 134 MB
+MAX_SCAN_LMAX = 20
 # first-occurrence searches the tower one rank at a time, and each rank's lift
 # looks up O(rank) strip removals keyed by the label; on 2 cores with Python
 # 3.11.7, --l 1000 took 0.29 s for the label ([1000], []), 2.4 s for
@@ -94,9 +96,9 @@ MAX_OCCURRENCE_RANK = 1000
 # the caps, --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6
 # longest element squared (72 letters) 7.7 s at 565 MB, and two random
 # 35-letter words at rank 4 17 s; under them, end to end, the rank-5 longest
-# element squared (50 letters) takes 0.36-0.47 s at 28 MB, and the slowest
+# element squared (50 letters) takes 0.23-0.33 s at 23 MB, and the slowest
 # admitted request found, two random 25-letter words at rank 5 and
-# mu = 1001/2 (the pair CI runs), 1.26-1.79 s at 97 MB
+# mu = 1001/2 (the pair CI runs), 1.03-1.27 s at 75 MB
 MAX_HECKE_WORK = 2**23
 MAX_HECKE_LETTERS = 50
 # theta-lift prints every term of the lift, and the terms grow exponentially
@@ -149,6 +151,19 @@ def _emit(args, obj, text_renderer):
         print(text_renderer(obj))
     else:
         print(json.dumps(obj, indent=2))
+
+
+def _print_json(head: dict, key: str, items, tail: str = "") -> None:
+    """Print json.dumps({**head, key: [...], ...}, indent=2), json.dumps's slow
+    pure Python encoder aside, from the list's items written at their depth
+    (an int prints as its repr in both) and tail, the fields after the list.
+    Each item is written as it comes, never joined into one document."""
+    write, sep = sys.stdout.write, "\n"
+    write(json.dumps(head, indent=2)[:-2] + f',\n  "{key}": [')  # without the closing "\n}"
+    for item in items:
+        write(sep + item)
+        sep = ",\n"
+    write(("]" if sep == "\n" else "\n  ]") + f"{tail}\n}}\n")
 
 
 # -- module-verify --------------------------------------------------------------
@@ -280,36 +295,44 @@ def cmd_conservation_scan(args) -> int:
     if args.lmax > MAX_SCAN_LMAX:
         raise ValueError(f"--lmax {args.lmax} exceeds the conservation-scan cap {MAX_SCAN_LMAX}")
     cfg = _tower_config(args)
-    rows = []
-    all_zero = True
-    for l in range(args.lmax + 1):
-        for alpha, beta in bipartitions(l):
-            rep = conservation_check(alpha, beta, l, cfg)
-            all_zero = all_zero and rep["residual_double_c"] == 0
-            rows.append({"l": l, "alpha": list(alpha), "beta": list(beta), **rep})
+    searches: dict = {}  # each first-occurrence search runs once per scan
+    rows = [
+        (l, alpha, beta, conservation_check(alpha, beta, l, cfg, searches))
+        for l in range(args.lmax + 1)
+        for alpha, beta in bipartitions(l)
+    ]
+    all_zero = all(rep["residual_double_c"] == 0 for *_, rep in rows)
     head, head_line = _tower_header(cfg)
-    obj = {
-        **head,
-        "rows": rows,
-        "all_double_c_residuals_zero": all_zero,
-    }
-
-    def render(o):
+    if args.format == "text":
         lines = [
             head_line,
             f"{'l':>2} {'alpha':<12} {'beta':<12} {'n':>3} {'nt':>3} {'c':>3} {'rhs':>4} {'r2c':>4} {'r1c':>4}",
         ]
-        for r in o["rows"]:
+        for l, alpha, beta, r in rows:
             lines.append(
-                f"{r['l']:>2} {str(r['alpha']):<12} {str(r['beta']):<12} {r['n']:>3} "
+                f"{l:>2} {str(list(alpha)):<12} {str(list(beta)):<12} {r['n']:>3} "
                 f"{r['n_tilde']:>3} {r['c']:>3} {r['rhs']:>4} "
                 f"{r['residual_double_c']:>4} {r['residual_single_c']:>4}"
             )
-        lines.append("all double-c residuals zero" if o["all_double_c_residuals_zero"] else "NONZERO residual found")
-        return "\n".join(lines)
-
-    _emit(args, obj, render)
+        lines.append("all double-c residuals zero" if all_zero else "NONZERO residual found")
+        print("\n".join(lines))
+    else:
+        verdict = f',\n  "all_double_c_residuals_zero": {json.dumps(all_zero)}'
+        items = (_SCAN_ROW.format(l=l, alpha=_ints(a), beta=_ints(b), **r) for l, a, b, r in rows)
+        _print_json(head, "rows", items, verdict)
     return 0 if all_zero else 1
+
+
+# a conservation-scan row at the depth json.dumps(indent=2) gives it
+_SCAN_ROW = "    {{\n" + ",\n".join(
+    f'      "{k}": {{{k}}}'
+    for k in ("l", "alpha", "beta", "n", "n_tilde", "c", "rhs", "residual_double_c", "residual_single_c")
+) + "\n    }}"
+
+
+def _ints(p) -> str:
+    """A list's JSON at the depth of a field of a list's item."""
+    return "[\n" + ",\n".join([f"        {v}" for v in p]) + "\n      ]" if p else "[]"
 
 
 def cmd_specialize_decompose(args) -> int:
@@ -428,36 +451,28 @@ def cmd_hecke_mul(args) -> int:
     params = HeckeParams.signed(l, mu)
     # a's element times b's is the word of a's letters and then b's
     letters = _parse_hecke_word(args.a, params) + _parse_hecke_word(args.b, params)
-    prod = word_product(params, letters)
     if args.format == "text":
+        prod = word_product(params, letters)
         lines = [f"product in the rank-{l} algebra at mu={mu_text}:"]
         lines += [f"  {list(w)}: {prod.terms[w]}" for w in prod.support()] or ["  0"]
         print("\n".join(lines))
     else:
-        print(_hecke_json({"l": l, "mu": mu_text, "a": args.a, "b": args.b}, prod))
+        items = _hecke_items(l, word_terms(params, letters))
+        _print_json({"l": l, "mu": mu_text, "a": args.a, "b": args.b}, "product", items)
     return 0
 
 
-def _hecke_json(header: dict, prod) -> str:
-    """The text of json.dumps({**header, "product": terms}, indent=2), the
-    terms {"perm": [...], "poly": {"e": c, ...}} in support order.  With
-    indent set, json.dumps runs its pure Python encoder, which for a dense
-    product joins hundreds of thousands of small chunks, so each term is
-    written from a template at the depth json.dumps gives it (an int prints
-    as its repr in both); the header, whose strings may need escaping, goes
-    through json.dumps."""
-    head = json.dumps(header, indent=2)[:-2]  # drop the closing "\n}"
-    if not prod.terms:
-        return head + ',\n  "product": []\n}'
-    rank = header["l"]
-    perm = "[\n" + ",\n".join(["        {}"] * rank) + "\n      ]" if rank else "[]"
-    term = '    {{\n      "perm": ' + perm + ',\n      "poly": {{\n{}\n      }}\n    }}'
-    items = []
-    for w in prod.support():
-        c = prod.terms[w].terms
-        poly = ",\n".join([f'        "{e}": {c[e]}' for e in sorted(c)])
-        items.append(term.format(*w, poly))
-    return head + ',\n  "product": [\n' + ",\n".join(items) + "\n  ]\n}"
+def _hecke_items(rank: int, terms: dict):
+    """The "product" items of json.dumps(indent=2) for the peel's term dicts
+    {x: {e: c}}, {"perm": [...], "poly": {"e": c, ...}} in support order, by
+    (length, perm), with cancelled entries, and a term with nothing else,
+    left out; each exponent's key is formatted once."""
+    term = '    {{\n      "perm": ' + _ints(["{}"] * rank) + ',\n      "poly": {{\n{}\n      }}\n    }}'
+    pre: dict[int, str] = {}  # each exponent's key
+    for x in sorted(sorted(x for x, c in terms.items() if any(c.values())), key=length):
+        c = terms[x]
+        lines = [(pre.get(e) or pre.setdefault(e, f'        "{e}": ')) + str(c[e]) for e in sorted(c) if c[e]]
+        yield term.format(*x, ",\n".join(lines))
 
 
 # -- parser ----------------------------------------------------------------------

@@ -169,14 +169,16 @@ def lambda_exponents(cfg: TowerConfig) -> dict:
 # -- first occurrence and conservation ------------------------------------------
 
 
-def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
+def first_occurrence(alpha, beta, l: int, cfg: TowerConfig, searches: dict | None = None) -> dict:
     """First-occurrence dimensions of the (alpha, beta)-labeled
     representation of the rank-l group in both companion towers, plus the
     degree-drop index c.
 
     The closed forms are cross-checked against a direct search along the
     tower (least rank with a nonzero lift; the companion side uses the
-    label with the two slots exchanged).
+    label with the two slots exchanged), each search run once per key
+    (alpha, beta, l) of searches: a scan passes one dict to all its labels,
+    so label (alpha, beta)'s companion search is label (beta, alpha)'s.
     """
     alpha = check_partition(alpha)
     beta = check_partition(beta)
@@ -184,9 +186,12 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
         raise ValueError("label size must equal the rank")
     steps = l - r1(beta)
     steps_t = l - r1(alpha)
-    # the search ends by lp = l, where the k = l term lifts (alpha, beta) to (beta, alpha)
-    least = next(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
-    least_t = next(lp for lp in range(l + 1) if theta_lift(beta, alpha, l, lp))
+    searches = {} if searches is None else searches
+    for key in ((alpha, beta, l), (beta, alpha, l)):
+        if key not in searches:
+            # the search ends by lp = l, where the k = l term lifts (alpha, beta) to (beta, alpha)
+            searches[key] = next(lp for lp in range(l + 1) if theta_lift(*key, lp))
+    least, least_t = searches[alpha, beta, l], searches[beta, alpha, l]
     if (least, least_t) != (steps, steps_t):
         raise VerificationError(
             f"first occurrence of ({list(alpha)}, {list(beta)}) at rank {l}: closed form "
@@ -199,14 +204,14 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig) -> dict:
     }
 
 
-def conservation_check(alpha, beta, l: int, cfg: TowerConfig) -> dict:
+def conservation_check(alpha, beta, l: int, cfg: TowerConfig, searches: dict | None = None) -> dict:
     """Evaluate both weightings of the degree-drop index against the
-    dimension budget 2*dimV_l + delta.
+    dimension budget 2*dimV_l + delta; searches goes to first_occurrence.
 
     The variant counting c twice should vanish identically; its residual
     is reported, not assumed, next to that of the single-c variant.
     """
-    occ = first_occurrence(alpha, beta, l, cfg)
+    occ = first_occurrence(alpha, beta, l, cfg, searches)
     rhs = 2 * (cfg.dimV0 + 2 * l) + cfg.case.delta
     one_c = occ["n"] + occ["n_tilde"] + occ["c"]
     two_c = occ["n"] + occ["n_tilde"] + 2 * occ["c"]

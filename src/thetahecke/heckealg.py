@@ -85,7 +85,8 @@ class HeckeElem:
         return isinstance(other, HeckeElem) and self.terms == other.terms
 
     def support(self) -> list[SignedPerm]:
-        return sorted(self.terms, key=lambda w: (length(w), w))
+        # by (length, w): sorted by w, then stably by length
+        return sorted(sorted(self.terms), key=length)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w}: {self.terms[w]}" for w in self.support())
@@ -156,10 +157,16 @@ def basis_product(params: HeckeParams, u: SignedPerm, w: SignedPerm) -> HeckeEle
     return _elem(_basis_terms(params, {u: {0: 1}}, reduced_word(w)))
 
 
+def word_terms(params: HeckeParams, gens) -> dict:
+    """T_g1 ... T_gn for the generator indices gens as the peel's term dicts
+    {x: {e: c}}, cancelled entries kept as 0; a product of words is the word
+    of their letters, peeled once from the unit."""
+    return _basis_terms(params, {identity(params.rank): {0: 1}}, gens)
+
+
 def word_product(params: HeckeParams, gens) -> HeckeElem:
-    """T_g1 ... T_gn for the generator indices gens, peeled from the unit, so
-    a product of words is the word of their letters, peeled once."""
-    return _elem(_basis_terms(params, {identity(params.rank): {0: 1}}, gens))
+    """T_g1 ... T_gn as an element."""
+    return _elem(word_terms(params, gens))
 
 
 def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:

@@ -85,13 +85,6 @@ def _mirror_value(v: int, l: int) -> int:
     return l + 1 - v if v > 0 else -(l + 1 + v)
 
 
-def _mirror(w: SignedPerm) -> SignedPerm:
-    # conjugate by the position reversal, moving the flip generator from the
-    # last position to the first so the textbook length statistic applies
-    l = len(w)
-    return tuple(_mirror_value(w[i - 1], l) for i in range(l, 0, -1))
-
-
 def length(w: SignedPerm) -> int:
     """Coxeter length.
 
@@ -104,10 +97,10 @@ def length(w: SignedPerm) -> int:
     >>> length((-1, 2))
     3
     """
-    u = _mirror(w)
-    n = len(u)
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
-    return inversions + sum(-v for v in u if v < 0)
+    # w mirrored: positions reversed, each v sent to sign(v) (l + 1 - |v|)
+    m = len(w) + 1
+    u = [m - v if v > 0 else -m - v for v in reversed(w)]
+    return sum([a > b for a, b in itertools.combinations(u, 2)]) - sum([v for v in u if v < 0])
 
 
 def is_right_descent(w, g: int) -> bool:

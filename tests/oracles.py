@@ -7,7 +7,8 @@ nu = 1 product composed column by column, a product of two Hecke words
 taken element by element, the transfer generators' columns built label by
 label, the relation suite checked on every column, letter by letter, and
 a hecke-mul product as JSON objects, for json.dumps to write and to parse
-back.  The package itself needs none of them.
+back, and a conservation-scan report built from each label's own check.
+The package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from thetahecke.bipartition import (
     vs_add,
     wl_char,
 )
+from thetahecke.dualpair import TowerConfig, conservation_check, mu_of
 from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
-from thetahecke.laurent import LaurentPoly
+from thetahecke.laurent import LaurentPoly, format_half
 from thetahecke.thetamod import ThetaModule, _apply, _column, _quad_terms, _stride
 from thetahecke.weylbc import (
     CosetSpec,
@@ -492,3 +494,23 @@ def hecke_to_json_obj(h: HeckeElem) -> list[dict]:
 
 def hecke_from_json_obj(obj) -> HeckeElem:
     return HeckeElem({tuple(item["perm"]): poly_from_json_obj(item["poly"]) for item in obj})
+
+
+def conservation_scan_report(cfg: TowerConfig, lmax: int) -> dict:
+    """The report conservation-scan prints, built as objects for json.dumps,
+    each label's row from its own conservation_check, with no search shared
+    between labels."""
+    rows = [
+        {"l": l, "alpha": list(alpha), "beta": list(beta), **conservation_check(alpha, beta, l, cfg)}
+        for l in range(lmax + 1)
+        for alpha, beta in bipartitions(l)
+    ]
+    return {
+        "case": cfg.case.tag,
+        "dimV0": cfg.dimV0,
+        "dimVp0": cfg.dimVp0,
+        "dimVt0": cfg.dimVt0,
+        "mu": format_half(mu_of(cfg)),
+        "rows": rows,
+        "all_double_c_residuals_zero": all(r["residual_double_c"] == 0 for r in rows),
+    }

@@ -3,24 +3,26 @@
 import hashlib
 import json
 import math
+import random
 import re
 import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
-from thetahecke import bipartition, cli, dualpair, thetamod, weylbc
+from thetahecke import VerificationError, bipartition, cli, dualpair, thetamod, weylbc
 from thetahecke.cli import main
-from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul, word_product
+from thetahecke.heckealg import HeckeParams, he_mul, word_product
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule
 
-from oracles import hecke_from_json_obj, hecke_to_json_obj, hecke_words_product
+from oracles import conservation_scan_report, hecke_from_json_obj, hecke_to_json_obj, hecke_words_product
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,7 +114,7 @@ def test_hecke_mul_size_caps(capsys, monkeypatch, l, letters, admitted):
     """Too many letters or too much work is refused before either word is parsed."""
     a = " ".join(["s1"] * (letters // 2)) or "e"
     b = " ".join(["s1"] * (letters - letters // 2)) or "e"
-    monkeypatch.setattr(cli, "word_product", (lambda params, gens: HeckeElem()) if admitted else None)
+    monkeypatch.setattr(cli, "word_terms", (lambda params, gens: {}) if admitted else None)
     if not admitted:
         monkeypatch.setattr(cli, "_parse_hecke_word", None)
     code, out, err = run(capsys, "hecke-mul", "--l", str(l), "--mu", "1/2", "--a", a, "--b", b)
@@ -178,6 +180,40 @@ def test_hecke_mul_leaves_out_a_cancelled_term(capsys):
     )
 
 
+def assert_support_order(capsys, l, mu, a, b):
+    """hecke-mul of the generator indices a and b prints its terms in the
+    support() order of word_product, with no empty poly and no 0 in one."""
+    params = HeckeParams.signed(l, Fraction(mu))
+
+    def text(gens):
+        return " ".join("t" if g == l else f"s{g}" for g in gens) or "e"
+
+    code, obj, _ = run_json(capsys, "hecke-mul", "--l", str(l), "--mu", mu, "--a", text(a), "--b", text(b))
+    assert code == 0
+    assert [tuple(t["perm"]) for t in obj["product"]] == word_product(params, a + b).support(), (l, a, b)
+    assert all(t["poly"] and 0 not in t["poly"].values() for t in obj["product"]), (l, a, b)
+
+
+@pytest.mark.parametrize("mu", ["1/2", "0", "-1", "1", "-3/2", "4", "1000000000000000000000000000001/2"])
+def test_hecke_mul_prints_terms_in_support_order(capsys, mu):
+    """hecke-mul orders the peel's term dicts by (length, perm) itself and
+    drops their cancelled entries while writing; at mu = 0, 1 and -1 a
+    parameter is nu^0 or the swaps' nu, so entries cancel.  Seeded random
+    words of up to 8 letters each at ranks 1 to 4."""
+    rng = random.Random(29)
+    for _ in range(12):
+        l = rng.randint(1, 4)
+        a, b = ([rng.randint(1, l) for _ in range(rng.randint(0, 8))] for _ in range(2))
+        assert_support_order(capsys, l, mu, a, b)
+
+
+@pytest.mark.parametrize("mu", ["1/2", "0", "-1"])
+def test_hecke_mul_longest_rank_5_squared_in_support_order(capsys, mu):
+    """The rank-5 longest element squared, 3840 terms, in support order."""
+    gens = [5 if token == "t" else int(token[1:]) for token in LONGEST_RANK5.split()]
+    assert_support_order(capsys, 5, mu, gens, gens)
+
+
 # -- module-verify -------------------------------------------------------------
 
 
@@ -210,7 +246,7 @@ def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
     """A mu with more digits than Python prints is refused before anything is
     built or multiplied, by both subcommands that print mu."""
     monkeypatch.setattr(cli, "ThetaModule", None)
-    monkeypatch.setattr(cli, "word_product", None)
+    monkeypatch.setattr(cli, "word_terms", None)
     for argv in (("module-verify", "--l", "1", "--lprime", "1"),
                  ("hecke-mul", "--l", "2", "--a", "t", "--b", "t")):
         code, out, err = run(capsys, *argv, "--mu", "1e5000")
@@ -491,6 +527,111 @@ def test_conservation_scan_size_cap(capsys, monkeypatch, lmax, admitted):
     else:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
+# (case, dimV0, dimVp0, chi(-1)) for the five cases, Ct at both signs
+SCAN_TOWERS = [("A", 0, 1, None), ("B", 1, 0, None), ("C", 0, 0, None), ("Ct", 0, 1, 1), ("Ct", 0, 1, -1),
+               ("D", 0, 0, None)]
+SCAN_IDS = ["A", "B", "C", "Ct+", "Ct-", "D"]
+
+
+def scan_argv(case, dim_v0, dim_vp0, chi, lmax):
+    argv = ["conservation-scan", "--lmax", str(lmax), "--case", case]
+    argv += ["--dimV0", str(dim_v0), "--dimVp0", str(dim_vp0)]
+    return argv + (["--chi-minus-one", str(chi)] if chi else [])
+
+
+@pytest.mark.parametrize("tower", SCAN_TOWERS, ids=SCAN_IDS)
+def test_conservation_scan_json_is_json_dumps_of_per_label_rows(capsys, tower):
+    """conservation-scan writes its JSON rows from one template and shares
+    each first-occurrence search between a label and its swap; at every
+    --lmax up to 6 its stdout is byte for byte json.dumps(indent=2) of the
+    report built from each label's own check (tests/oracles.py)."""
+    cfg = dualpair.TowerConfig(*tower)
+    for lmax in range(7):
+        code, out, err = run(capsys, *scan_argv(*tower, lmax))
+        assert code == 0 and err == ""
+        assert out == json.dumps(conservation_scan_report(cfg, lmax), indent=2) + "\n", lmax
+
+
+@pytest.mark.parametrize(
+    "tower, digest",
+    zip(SCAN_TOWERS, [
+        "d75667475967ebd64a1b00f70a503c8bd709187a7a702fd4a7656794335d5a68",
+        "1e5f7d4f728efa5ad56a39c1ffcacf15cca798b2c80f03dd7474946f1c113d42",
+        "7a5a35f24b32880a9212b64d243fa55b01f5e91bdd310691155e72513120bd78",
+        "a0e6e1d101546cfa9b3ab5b4193290f94df87e66e0e456e1f4127da97c3738ab",
+        "a0e6e1d101546cfa9b3ab5b4193290f94df87e66e0e456e1f4127da97c3738ab",
+        "a72aeaed2d50f1da33d9a60956ee166da2bdee1638add677e0a849478e036f48",
+    ]),
+    ids=SCAN_IDS,
+)
+def test_conservation_scan_text_digests(capsys, tower, digest):
+    """--format text at --lmax 6 prints the recorded bytes (chi(-1) is not printed)."""
+    code, out, _ = run(capsys, *scan_argv(*tower, 6), "--format", "text")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_conservation_scan_runs_each_search_once(capsys, monkeypatch):
+    """A scan runs each (alpha, beta, l) first-occurrence search once, so
+    theta_lift is asked for each lift once, and for the same lifts as when
+    each label searches on its own; first_occurrence is still called once
+    per label, in scan order."""
+    lifts, labels = Counter(), []
+    real_lift, real_occurrence = dualpair.theta_lift, dualpair.first_occurrence
+
+    def lift(*args):
+        lifts[args] += 1
+        return real_lift(*args)
+
+    def occurrence(alpha, beta, l, *rest):
+        labels.append((alpha, beta))
+        return real_occurrence(alpha, beta, l, *rest)
+
+    monkeypatch.setattr(dualpair, "theta_lift", lift)
+    monkeypatch.setattr(dualpair, "first_occurrence", occurrence)
+    code, _, _ = run(capsys, *scan_argv("A", 0, 1, None, 6))
+    scanned = [(alpha, beta, l) for l in range(7) for alpha, beta in weylbc.bipartitions(l)]
+    assert code == 0 and labels == [label[:2] for label in scanned]
+    assert set(lifts.values()) == {1}
+    shared = set(lifts)
+    lifts.clear()
+    cfg = dualpair.TowerConfig("A", 0, 1)
+    for alpha, beta, l in scanned:
+        dualpair.conservation_check(alpha, beta, l, cfg)
+    assert set(lifts) == shared and sum(lifts.values()) > len(shared)
+
+
+def _per_label_failure(tower, lmax):
+    """The first failure of each label checked on its own, as the CLI prints it."""
+    cfg = dualpair.TowerConfig(*tower)
+    try:
+        for l in range(lmax + 1):
+            for alpha, beta in weylbc.bipartitions(l):
+                dualpair.conservation_check(alpha, beta, l, cfg)
+    except VerificationError as exc:
+        return f"FAIL: {exc}\n"
+    raise AssertionError("no label fails")
+
+
+@pytest.mark.parametrize("patch", ["r1", "theta_lift"])
+def test_conservation_scan_fails_as_a_per_label_search(capsys, monkeypatch, patch):
+    """With r1 off by one on three-row partitions, or theta_lift blind below
+    rank 3 to the label ([1], [2]), the scan sees the patch and fails at the
+    label, with the message, that checking each label on its own gives."""
+    if patch == "r1":
+        real_r1 = dualpair.r1
+        monkeypatch.setattr(dualpair, "r1", lambda lam: real_r1(lam) + (len(lam) == 3))
+    else:
+        real_lift = dualpair.theta_lift
+
+        def blind(alpha, beta, l, lp):
+            return {} if (alpha, beta) == ((1,), (2,)) and lp < 3 else real_lift(alpha, beta, l, lp)
+
+        monkeypatch.setattr(dualpair, "theta_lift", blind)
+    code, out, err = run(capsys, *scan_argv("A", 0, 1, None, 4))
+    assert_failed_verification(code, out, err, "disagrees with the tower search")
+    assert err == _per_label_failure(("A", 0, 1, None), 4)
 
 
 @pytest.mark.parametrize(
@@ -777,6 +918,24 @@ def test_conservation_scan_reports_nonzero_residual(capsys, monkeypatch):
     obj = json.loads(out)
     assert not obj["all_double_c_residuals_zero"]
     assert {r["residual_double_c"] for r in obj["rows"]} == {2}
+    # the whole document is printed, every row in
+    assert out == json.dumps(obj, indent=2) + "\n" and len(obj["rows"]) == 3
+
+
+def test_conservation_scan_failure_at_the_last_label_prints_nothing(capsys, monkeypatch):
+    """The document is printed once every row is in, so a check that fails
+    at the scan's last label leaves stdout empty."""
+    real = dualpair.first_occurrence
+    last = weylbc.bipartitions(3)[-1]
+
+    def failing(alpha, beta, l, *rest):
+        if (alpha, beta) == last:
+            raise VerificationError(f"planted failure at ({list(alpha)}, {list(beta)})")
+        return real(alpha, beta, l, *rest)
+
+    monkeypatch.setattr(dualpair, "first_occurrence", failing)
+    code, out, err = run(capsys, *scan_argv("A", 0, 1, None, 3))
+    assert_failed_verification(code, out, err, f"planted failure at ({list(last[0])}, {list(last[1])})")
 
 
 def test_coset_reports_failed_descent_check(capsys, monkeypatch):
