@@ -36,18 +36,9 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def part_union(lam: Partition, mu: Partition) -> Partition:
-    return tuple(sorted(lam + mu, reverse=True))
-
-
 # the classes and the irreducibles of W_m are both indexed by pairs of
 # partitions of total size m: (positive type, negative type) for a class
 signed_class_types = bipartitions
-
-
-def eps_value(cls: ClassType) -> int:
-    """The swap-trivial, flip-negating character on a class."""
-    return -1 if len(cls[1]) % 2 else 1
 
 
 # -- symmetric group characters (Murnaghan-Nakayama) --------------------------
@@ -214,15 +205,6 @@ def wl_char_table(m: int) -> dict[Bipartition, list[int]]:
             for alpha, beta in bipartitions(m)}
 
 
-def wl_inner(row_a: list[int], row_b: list[int], m: int) -> Fraction:
-    """Class-weighted inner product of two rank-m class functions, given as
-    rows in signed_class_types order."""
-    total = Fraction(0)
-    for cls, a, b in zip(signed_class_types(m), row_a, row_b, strict=True):
-        total += Fraction(a * b, signed_centralizer(cls))
-    return total
-
-
 # -- theta lifts ---------------------------------------------------------------
 
 
@@ -280,49 +262,6 @@ def lift_size(alpha: Partition, beta: Partition, l: int, lp: int) -> int:
 
 
 # -- nu = 1 module decomposition ----------------------------------------------
-
-
-def induced_eps_character(l: int, lp: int, k: int) -> dict[tuple[ClassType, ClassType], int]:
-    """Character of the product group induced from the three-block subgroup
-    (first l-k positions) x (diagonal k-block shared by both factors) x
-    (last l'-k positions), with the flip-negating character on every block.
-    """
-    if not 0 <= k <= min(l, lp):
-        raise ValueError(f"grade {k} is outside 0..min({l}, {lp})")
-    out: dict[tuple[ClassType, ClassType], Fraction] = {}
-    for ta in signed_class_types(l - k):
-        za = signed_centralizer(ta)
-        ea = eps_value(ta)
-        for td in signed_class_types(k):
-            zd = signed_centralizer(td)
-            ed = eps_value(td)
-            left = (part_union(ta[0], td[0]), part_union(ta[1], td[1]))
-            for tb in signed_class_types(lp - k):
-                zb = signed_centralizer(tb)
-                eb = eps_value(tb)
-                right = (part_union(td[0], tb[0]), part_union(td[1], tb[1]))
-                key = (left, right)
-                out[key] = out.get(key, Fraction(0)) + Fraction(ea * ed * eb, za * zd * zb)
-    final: dict[tuple[ClassType, ClassType], int] = {}
-    for cl in signed_class_types(l):
-        for cr in signed_class_types(lp):
-            v = out.get((cl, cr), Fraction(0)) * signed_centralizer(cl) * signed_centralizer(cr)
-            if v.denominator != 1:
-                raise VerificationError(
-                    f"induced character of grade {k} on class {(cl, cr)} is {v}, not an integer"
-                )
-            if v:
-                final[(cl, cr)] = int(v)
-    return final
-
-
-def expected_module_character(l: int, lp: int) -> dict[tuple[ClassType, ClassType], int]:
-    """Sum of the induced characters over every grade."""
-    out: dict[tuple[ClassType, ClassType], int] = {}
-    for k in range(min(l, lp) + 1):
-        for key, v in induced_eps_character(l, lp, k).items():
-            vs_add(out, key, v)
-    return out
 
 
 def expected_decomposition(l: int, lp: int) -> dict[tuple[Bipartition, Bipartition], int]:

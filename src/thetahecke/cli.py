@@ -33,8 +33,8 @@ from .dualpair import (
     mu_range_check,
     mu_sigma,
 )
-from .heckealg import HeckeParams, word_product, word_terms
-from .laurent import as_half, format_half
+from .heckealg import HeckeParams, word_terms
+from .laurent import LaurentPoly, as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order, length
 
@@ -427,7 +427,8 @@ def _parse_hecke_word(text: str, params: HeckeParams) -> list[int]:
             if params.rank < 1:
                 raise ValueError("the rank-0 algebra has no flip generator t")
             g = params.rank
-        elif token.startswith("s") and token[1:].isdigit():
+        # ASCII digits only: str.isdigit also takes superscripts and other scripts' digits
+        elif token.startswith("s") and token[1:].isascii() and token[1:].isdigit():
             g = int(token[1:])
             if not 1 <= g < params.rank:
                 raise ValueError(f"swap index out of range in token {token!r}")
@@ -451,26 +452,31 @@ def cmd_hecke_mul(args) -> int:
     params = HeckeParams.signed(l, mu)
     # a's element times b's is the word of a's letters and then b's
     letters = _parse_hecke_word(args.a, params) + _parse_hecke_word(args.b, params)
+    terms = _support_terms(word_terms(params, letters))
     if args.format == "text":
-        prod = word_product(params, letters)
         lines = [f"product in the rank-{l} algebra at mu={mu_text}:"]
-        lines += [f"  {list(w)}: {prod.terms[w]}" for w in prod.support()] or ["  0"]
+        lines += [f"  {list(x)}: {LaurentPoly(c)}" for x, c in terms] or ["  0"]
         print("\n".join(lines))
     else:
-        items = _hecke_items(l, word_terms(params, letters))
-        _print_json({"l": l, "mu": mu_text, "a": args.a, "b": args.b}, "product", items)
+        _print_json({"l": l, "mu": mu_text, "a": args.a, "b": args.b}, "product", _hecke_items(l, terms))
     return 0
 
 
-def _hecke_items(rank: int, terms: dict):
-    """The "product" items of json.dumps(indent=2) for the peel's term dicts
-    {x: {e: c}}, {"perm": [...], "poly": {"e": c, ...}} in support order, by
-    (length, perm), with cancelled entries, and a term with nothing else,
-    left out; each exponent's key is formatted once."""
+def _support_terms(terms: dict):
+    """The peel's term dicts {x: {e: c}} as pairs (x, c) in support order, by
+    (length, perm), a term whose entries all cancelled left out; c may still
+    hold cancelled entries as 0."""
+    for x in sorted(sorted(x for x, c in terms.items() if any(c.values())), key=length):
+        yield x, terms[x]
+
+
+def _hecke_items(rank: int, terms):
+    """The "product" items of json.dumps(indent=2) for the pairs (x, c) of
+    _support_terms, {"perm": [...], "poly": {"e": c, ...}}, cancelled
+    entries left out; each exponent's key is formatted once."""
     term = '    {{\n      "perm": ' + _ints(["{}"] * rank) + ',\n      "poly": {{\n{}\n      }}\n    }}'
     pre: dict[int, str] = {}  # each exponent's key
-    for x in sorted(sorted(x for x, c in terms.items() if any(c.values())), key=length):
-        c = terms[x]
+    for x, c in terms:
         lines = [(pre.get(e) or pre.setdefault(e, f'        "{e}": ')) + str(c[e]) for e in sorted(c) if c[e]]
         yield term.format(*x, ",\n".join(lines))
 

@@ -1,10 +1,9 @@
 """Bookkeeping for the five families of dimension towers behind the
-correspondence: parameter ranges, scalar-normalization exponents,
+correspondence: parameter ranges, the flip's parameter of a tower pair,
 first-occurrence indices, and the conservation identity.
 
 Everything is exact integer / Fraction arithmetic.  No Hecke algebra or
-group computation happens here; the one brute-force oracle at the bottom
-enumerates an 18-element matrix group over the field with four elements.
+group computation happens here.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from fractions import Fraction
 
 from . import VerificationError
 from .bipartition import check_partition, r1, theta_lift
-from .laurent import HalfInt, as_half, format_half
+from .laurent import HalfInt, format_half
 
 
 # -- cases and towers ----------------------------------------------------------
@@ -107,23 +106,6 @@ class TowerConfig:
     def __repr__(self):
         return f"TowerConfig({self.case.tag}, dimV0={self.dimV0}, dimVp0={self.dimVp0})"
 
-    def swapped(self) -> "TowerConfig":
-        """The same data with the roles of the two companion towers exchanged."""
-        return TowerConfig(self.case, self.dimV0, self.dimVt0, self.chi_minus_one)
-
-
-def dimension_grid(case, max_dim: int) -> list[TowerConfig]:
-    """All parity-valid configs with both starting dimensions at most max_dim."""
-    case = get_case(case)
-    out = []
-    for v0 in range(max_dim + 1):
-        for vp in range(max_dim + 1):
-            try:
-                out.append(TowerConfig(case, v0, vp, chi_minus_one=1))
-            except ValueError:
-                continue
-    return out
-
 
 # -- the normalization parameter -----------------------------------------------
 
@@ -139,31 +121,6 @@ def mu_of(cfg: TowerConfig) -> HalfInt:
 def mu_sigma(n, ntilde) -> HalfInt:
     """Parameter read off from a pair of first-occurrence dimensions."""
     return Fraction(n - ntilde, 2)
-
-
-def lambda_exponents(cfg: TowerConfig) -> dict:
-    """Formal scalar data for the two flip normalizations.
-
-    The sign symbols are never evaluated; only their two defining relations
-    enter: the companion sign is the negative of the chosen one, and their
-    product is -chi(-1).  Exponents are half-integers (powers of q).
-    """
-    d = Fraction(cfg.case.delta, 2)
-    e = cfg.dimV0 - Fraction(cfg.dimVp0, 2) + d
-    et = cfg.dimV0 - Fraction(cfg.dimVt0, 2) + d
-    mu = mu_of(cfg)
-    if et - e != mu or e + et != cfg.dimV0 + d:
-        raise VerificationError(f"the flip normalizations of {cfg} fail their ratio or product")
-    return {
-        "lambda": {"sign": "gamma", "q_exponent": e},
-        "lambda_tilde": {"sign": "-gamma", "q_exponent": et},
-        "ratio": {"sign": -1, "q_exponent": mu},
-        "product": {"sign": -cfg.chi_minus_one, "q_exponent": cfg.dimV0 + d},
-        "normalized_eigenvalues": (
-            {"sign": -1, "q_exponent": Fraction(0)},
-            {"sign": 1, "q_exponent": mu},
-        ),
-    }
 
 
 # -- first occurrence and conservation ------------------------------------------
@@ -223,121 +180,3 @@ def conservation_check(alpha, beta, l: int, cfg: TowerConfig, searches: dict | N
         "residual_double_c": two_c - rhs,
         "residual_single_c": one_c - rhs,
     }
-
-
-# -- relevance of parameters -----------------------------------------------------
-
-
-def relevance_closure(mu, case, bound: int = 8) -> set[HalfInt]:
-    """Orbit of mu under the two reflections x -> -x and x -> -x-2,
-    reported within |x| <= bound.
-
-    The walk explores a slightly wider box so that in-window values whose
-    connecting path briefly overshoots are still found.
-    """
-    case = get_case(case)
-    mu = as_half(mu)
-    if not mu_range_check(case, mu):
-        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
-    bound = max(bound, abs(mu))
-    seen: set[Fraction] = set()
-    frontier = [mu]
-    while frontier:
-        x = frontier.pop()
-        if x in seen or abs(x) > bound + 2:
-            continue
-        seen.add(x)
-        frontier.append(-x)
-        frontier.append(-x - 2)
-    return {x for x in seen if abs(x) <= bound}
-
-
-def abundance_witness(mu, case) -> TowerConfig:
-    """A smallest-dimension tower pair whose parameter equals mu."""
-    case = get_case(case)
-    mu = as_half(mu)
-    if not mu_range_check(case, mu):
-        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
-    # the least v0 with both companion towers starting at dimension >= 0:
-    # dimVp0 = v0 + x and dimVt0 = v0 + delta - x
-    x = int(mu + Fraction(case.delta, 2))
-    v0 = max(0, -x, x - case.delta)
-    if case.parity0 is not None:
-        v0 += (v0 - case.parity0) % 2
-    vp = v0 + x
-    cfg = TowerConfig(case, v0, vp, chi_minus_one=1)
-    if mu_of(cfg) != mu:
-        raise VerificationError(f"{cfg} has mu={format_half(mu_of(cfg))}, not {format_half(mu)}")
-    return cfg
-
-
-# -- the unipotent tower --------------------------------------------------------
-
-
-def lusztig_unipotent(m: int) -> dict:
-    """Dimension data of the m-th special datum in the unitary towers:
-    the space carrying it and its first occurrences one tower down and up."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return {
-        "dimV": m * (m + 1) // 2,
-        "first_occ_low": (m - 1) * m // 2,
-        "first_occ_high": (m + 1) * (m + 2) // 2,
-        "mu": Fraction(2 * m + 1, 2),
-    }
-
-
-# -- brute-force oracle over F_4 --------------------------------------------------
-
-
-def _f4_mul(a: int, b: int) -> int:
-    # bits: 1 = constant term, 2 = generator w with w^2 = w + 1
-    a0, a1 = a & 1, a >> 1
-    b0, b1 = b & 1, b >> 1
-    c0 = (a0 & b0) ^ (a1 & b1)
-    c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
-    return c0 | (c1 << 1)
-
-
-def _f4_conj(a: int) -> int:
-    return _f4_mul(a, a)
-
-
-def _m2_mul(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        _f4_mul(a, e) ^ _f4_mul(b, g),
-        _f4_mul(a, f) ^ _f4_mul(b, h),
-        _f4_mul(c, e) ^ _f4_mul(d, g),
-        _f4_mul(c, f) ^ _f4_mul(d, h),
-    )
-
-
-def unitary2_signed_fixed_space_sum() -> int:
-    """Sum of (-2)^(dim of the 1-eigenspace) over the rank-2 unitary group
-    over the 2-element subfield, enumerated by brute force.
-
-    The group is cut out of the 256 matrices over F_4 by conj(g)^T J g = J
-    with J the antidiagonal form, and has exactly 18 elements.
-    """
-    J = (0, 1, 1, 0)
-    total = 0
-    count = 0
-    for code in range(256):
-        g = (code & 3, (code >> 2) & 3, (code >> 4) & 3, code >> 6)
-        gbar_t = (_f4_conj(g[0]), _f4_conj(g[2]), _f4_conj(g[1]), _f4_conj(g[3]))
-        if _m2_mul(_m2_mul(gbar_t, J), g) != J:
-            continue
-        count += 1
-        a, b, c, d = g[0] ^ 1, g[1], g[2], g[3] ^ 1
-        if a == b == c == d == 0:
-            fixed = 2
-        elif _f4_mul(a, d) ^ _f4_mul(b, c) == 0:
-            fixed = 1
-        else:
-            fixed = 0
-        total += (-2) ** fixed
-    if count != 18:
-        raise VerificationError(f"the rank-2 unitary group has {count} elements, not 18")
-    return total

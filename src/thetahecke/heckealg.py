@@ -76,11 +76,6 @@ class HeckeElem:
                 out[w] = s
         return HeckeElem(out)
 
-    def scale_poly(self, p: LaurentPoly) -> "HeckeElem":
-        if p.is_zero():
-            return HeckeElem()
-        return HeckeElem({w: c * p for w, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeElem) and self.terms == other.terms
 
@@ -106,7 +101,8 @@ def _basis_terms(params: HeckeParams, cur: dict, gens) -> dict:
     a descent when m(x[g]) > m(x[g - 1]) for the mirrored value
     m(v) = sign(v) (l + 1 - |v|) (see weylbc.is_right_descent), and the flip
     negates the last entry, a descent when that entry is negative.
-    Cancelled entries stay as 0 until the end: _elem drops them.
+    Cancelled entries stay as 0 until the end: _elem, or hecke-mul as it
+    prints, drops them.
     """
     l = params.rank
     # m(v) indexed by v itself, a negative v reading from the end
@@ -162,11 +158,6 @@ def word_terms(params: HeckeParams, gens) -> dict:
     {x: {e: c}}, cancelled entries kept as 0; a product of words is the word
     of their letters, peeled once from the unit."""
     return _basis_terms(params, {identity(params.rank): {0: 1}}, gens)
-
-
-def word_product(params: HeckeParams, gens) -> HeckeElem:
-    """T_g1 ... T_gn as an element."""
-    return _elem(word_terms(params, gens))
 
 
 def he_mul(params: HeckeParams, a: HeckeElem, b: HeckeElem) -> HeckeElem:

@@ -5,9 +5,14 @@ formulas, and signed-group characters as induced sums, the nu = 1
 character and its decomposition taken one class pair at a time, a word's
 nu = 1 product composed column by column, a product of two Hecke words
 taken element by element, the transfer generators' columns built label by
-label, the relation suite checked on every column, letter by letter, and
-a hecke-mul product as JSON objects, for json.dumps to write and to parse
+label, the relation suite checked on every column, letter by letter, a
+hecke-mul product as JSON objects, for json.dumps to write and to parse
 back, and a conservation-scan report built from each label's own check.
+Beside them sit the definitions that only the tests call: the nu = 1
+character induced grade by grade and the class-weighted inner product, a
+word's product as an element and an element scaled by a polynomial, and
+the tower data the criteria check, down to a brute-force character sum
+over the 18-element rank-2 unitary group over the field with four elements.
 The package itself needs none of them.
 """
 
@@ -23,15 +28,14 @@ from thetahecke.bipartition import (
     Bipartition,
     ClassType,
     Partition,
-    part_union,
     signed_class_types,
     sn_char,
     vs_add,
     wl_char,
 )
-from thetahecke.dualpair import TowerConfig, conservation_check, mu_of
-from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul
-from thetahecke.laurent import LaurentPoly, format_half
+from thetahecke.dualpair import TowerConfig, conservation_check, get_case, mu_of, mu_range_check
+from thetahecke.heckealg import HeckeElem, HeckeParams, he_mul, word_terms
+from thetahecke.laurent import HalfInt, LaurentPoly, as_half, format_half
 from thetahecke.thetamod import ThetaModule, _apply, _column, _quad_terms, _stride
 from thetahecke.weylbc import (
     CosetSpec,
@@ -265,6 +269,24 @@ def eps_twist(a) -> dict[Bipartition, int]:
 # -- signed-group characters ---------------------------------------------------
 
 
+def part_union(lam: Partition, mu: Partition) -> Partition:
+    return tuple(sorted(lam + mu, reverse=True))
+
+
+def eps_value(cls: ClassType) -> int:
+    """The swap-trivial, flip-negating character on a class."""
+    return -1 if len(cls[1]) % 2 else 1
+
+
+def wl_inner(row_a: list[int], row_b: list[int], m: int) -> Fraction:
+    """Class-weighted inner product of two rank-m class functions, given as
+    rows in signed_class_types order."""
+    total = Fraction(0)
+    for cls, a, b in zip(signed_class_types(m), row_a, row_b, strict=True):
+        total += Fraction(a * b, signed_centralizer(cls))
+    return total
+
+
 def part_splits(lam: Partition):
     """All ways to split the multiset of parts into an ordered pair."""
     vals = sorted(set(lam), reverse=True)
@@ -311,6 +333,49 @@ def wl_char_induced(bip: Bipartition, cls: ClassType) -> int:
 
 
 # -- the nu = 1 character ---------------------------------------------------------
+
+
+def induced_eps_character(l: int, lp: int, k: int) -> dict[tuple[ClassType, ClassType], int]:
+    """Character of the product group induced from the three-block subgroup
+    (first l-k positions) x (diagonal k-block shared by both factors) x
+    (last l'-k positions), with the flip-negating character on every block.
+    """
+    if not 0 <= k <= min(l, lp):
+        raise ValueError(f"grade {k} is outside 0..min({l}, {lp})")
+    out: dict[tuple[ClassType, ClassType], Fraction] = {}
+    for ta in signed_class_types(l - k):
+        za = signed_centralizer(ta)
+        ea = eps_value(ta)
+        for td in signed_class_types(k):
+            zd = signed_centralizer(td)
+            ed = eps_value(td)
+            left = (part_union(ta[0], td[0]), part_union(ta[1], td[1]))
+            for tb in signed_class_types(lp - k):
+                zb = signed_centralizer(tb)
+                eb = eps_value(tb)
+                right = (part_union(td[0], tb[0]), part_union(td[1], tb[1]))
+                key = (left, right)
+                out[key] = out.get(key, Fraction(0)) + Fraction(ea * ed * eb, za * zd * zb)
+    final: dict[tuple[ClassType, ClassType], int] = {}
+    for cl in signed_class_types(l):
+        for cr in signed_class_types(lp):
+            v = out.get((cl, cr), Fraction(0)) * signed_centralizer(cl) * signed_centralizer(cr)
+            if v.denominator != 1:
+                raise VerificationError(
+                    f"induced character of grade {k} on class {(cl, cr)} is {v}, not an integer"
+                )
+            if v:
+                final[(cl, cr)] = int(v)
+    return final
+
+
+def expected_module_character(l: int, lp: int) -> dict[tuple[ClassType, ClassType], int]:
+    """Sum of the induced characters over every grade."""
+    out: dict[tuple[ClassType, ClassType], int] = {}
+    for k in range(min(l, lp) + 1):
+        for key, v in induced_eps_character(l, lp, k).items():
+            vs_add(out, key, v)
+    return out
 
 
 def character_by_class(rep) -> dict:
@@ -464,6 +529,18 @@ def verify_every_column(mod: ThetaModule) -> dict:
     return {"ok": all(r["ok"] for r in report), "relations": report}
 
 
+def word_product(params: HeckeParams, gens) -> HeckeElem:
+    """T_g1 ... T_gn as an element: the peel's term dicts, zeros dropped."""
+    return HeckeElem({x: LaurentPoly(c) for x, c in word_terms(params, gens).items()})
+
+
+def scale_poly(h: HeckeElem, p: LaurentPoly) -> HeckeElem:
+    """p times each coefficient of h."""
+    if p.is_zero():
+        return HeckeElem()
+    return HeckeElem({w: c * p for w, c in h.terms.items()})
+
+
 def hecke_words_product(params: HeckeParams, a: list[int], b: list[int]) -> HeckeElem:
     """T_a T_b for two words of generator indices: each word's element built
     from the unit by one he_mul per letter, then the two dense elements
@@ -514,3 +591,164 @@ def conservation_scan_report(cfg: TowerConfig, lmax: int) -> dict:
         "rows": rows,
         "all_double_c_residuals_zero": all(r["residual_double_c"] == 0 for r in rows),
     }
+
+
+# -- tower bookkeeping ------------------------------------------------------------
+
+
+def swapped(cfg: TowerConfig) -> TowerConfig:
+    """The same data with the roles of the two companion towers exchanged."""
+    return TowerConfig(cfg.case, cfg.dimV0, cfg.dimVt0, cfg.chi_minus_one)
+
+
+def dimension_grid(case, max_dim: int) -> list[TowerConfig]:
+    """All parity-valid configs with both starting dimensions at most max_dim."""
+    case = get_case(case)
+    out = []
+    for v0 in range(max_dim + 1):
+        for vp in range(max_dim + 1):
+            try:
+                out.append(TowerConfig(case, v0, vp, chi_minus_one=1))
+            except ValueError:
+                continue
+    return out
+
+
+def lambda_exponents(cfg: TowerConfig) -> dict:
+    """Formal scalar data for the two flip normalizations.
+
+    The sign symbols are never evaluated; only their two defining relations
+    enter: the companion sign is the negative of the chosen one, and their
+    product is -chi(-1).  Exponents are half-integers (powers of q).
+    """
+    d = Fraction(cfg.case.delta, 2)
+    e = cfg.dimV0 - Fraction(cfg.dimVp0, 2) + d
+    et = cfg.dimV0 - Fraction(cfg.dimVt0, 2) + d
+    mu = mu_of(cfg)
+    if et - e != mu or e + et != cfg.dimV0 + d:
+        raise VerificationError(f"the flip normalizations of {cfg} fail their ratio or product")
+    return {
+        "lambda": {"sign": "gamma", "q_exponent": e},
+        "lambda_tilde": {"sign": "-gamma", "q_exponent": et},
+        "ratio": {"sign": -1, "q_exponent": mu},
+        "product": {"sign": -cfg.chi_minus_one, "q_exponent": cfg.dimV0 + d},
+        "normalized_eigenvalues": (
+            {"sign": -1, "q_exponent": Fraction(0)},
+            {"sign": 1, "q_exponent": mu},
+        ),
+    }
+
+
+def relevance_closure(mu, case, bound: int = 8) -> set[HalfInt]:
+    """Orbit of mu under the two reflections x -> -x and x -> -x-2,
+    reported within |x| <= bound.
+
+    The walk explores a slightly wider box so that in-window values whose
+    connecting path briefly overshoots are still found.
+    """
+    case = get_case(case)
+    mu = as_half(mu)
+    if not mu_range_check(case, mu):
+        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
+    bound = max(bound, abs(mu))
+    seen: set[Fraction] = set()
+    frontier = [mu]
+    while frontier:
+        x = frontier.pop()
+        if x in seen or abs(x) > bound + 2:
+            continue
+        seen.add(x)
+        frontier.append(-x)
+        frontier.append(-x - 2)
+    return {x for x in seen if abs(x) <= bound}
+
+
+def abundance_witness(mu, case) -> TowerConfig:
+    """A smallest-dimension tower pair whose parameter equals mu."""
+    case = get_case(case)
+    mu = as_half(mu)
+    if not mu_range_check(case, mu):
+        raise ValueError(f"mu={format_half(mu)} out of range for case {case.tag}")
+    # the least v0 with both companion towers starting at dimension >= 0:
+    # dimVp0 = v0 + x and dimVt0 = v0 + delta - x
+    x = int(mu + Fraction(case.delta, 2))
+    v0 = max(0, -x, x - case.delta)
+    if case.parity0 is not None:
+        v0 += (v0 - case.parity0) % 2
+    vp = v0 + x
+    cfg = TowerConfig(case, v0, vp, chi_minus_one=1)
+    if mu_of(cfg) != mu:
+        raise VerificationError(f"{cfg} has mu={format_half(mu_of(cfg))}, not {format_half(mu)}")
+    return cfg
+
+
+# -- the unipotent tower --------------------------------------------------------
+
+
+def lusztig_unipotent(m: int) -> dict:
+    """Dimension data of the m-th special datum in the unitary towers:
+    the space carrying it and its first occurrences one tower down and up."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return {
+        "dimV": m * (m + 1) // 2,
+        "first_occ_low": (m - 1) * m // 2,
+        "first_occ_high": (m + 1) * (m + 2) // 2,
+        "mu": Fraction(2 * m + 1, 2),
+    }
+
+
+# -- brute-force oracle over F_4 --------------------------------------------------
+
+
+def _f4_mul(a: int, b: int) -> int:
+    # bits: 1 = constant term, 2 = generator w with w^2 = w + 1
+    a0, a1 = a & 1, a >> 1
+    b0, b1 = b & 1, b >> 1
+    c0 = (a0 & b0) ^ (a1 & b1)
+    c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
+    return c0 | (c1 << 1)
+
+
+def _f4_conj(a: int) -> int:
+    return _f4_mul(a, a)
+
+
+def _m2_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        _f4_mul(a, e) ^ _f4_mul(b, g),
+        _f4_mul(a, f) ^ _f4_mul(b, h),
+        _f4_mul(c, e) ^ _f4_mul(d, g),
+        _f4_mul(c, f) ^ _f4_mul(d, h),
+    )
+
+
+def unitary2_signed_fixed_space_sum() -> int:
+    """Sum of (-2)^(dim of the 1-eigenspace) over the rank-2 unitary group
+    over the 2-element subfield, enumerated by brute force.
+
+    The group is cut out of the 256 matrices over F_4 by conj(g)^T J g = J
+    with J the antidiagonal form, and has exactly 18 elements.
+    """
+    J = (0, 1, 1, 0)
+    total = 0
+    count = 0
+    for code in range(256):
+        g = (code & 3, (code >> 2) & 3, (code >> 4) & 3, code >> 6)
+        gbar_t = (_f4_conj(g[0]), _f4_conj(g[2]), _f4_conj(g[1]), _f4_conj(g[3]))
+        if _m2_mul(_m2_mul(gbar_t, J), g) != J:
+            continue
+        count += 1
+        a, b, c, d = g[0] ^ 1, g[1], g[2], g[3] ^ 1
+        if a == b == c == d == 0:
+            fixed = 2
+        elif _f4_mul(a, d) ^ _f4_mul(b, c) == 0:
+            fixed = 1
+        else:
+            fixed = 0
+        total += (-2) ** fixed
+    if count != 18:
+        raise VerificationError(f"the rank-2 unitary group has {count} elements, not 18")
+    return total

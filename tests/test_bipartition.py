@@ -10,13 +10,9 @@ from thetahecke.bipartition import (
     bipartitions,
     check_partition,
     decompose,
-    eps_value,
     expected_decomposition,
-    expected_module_character,
-    induced_eps_character,
     is_multiplicity_free,
     lift_size,
-    part_union,
     pieri_add,
     pieri_remove,
     r1,
@@ -27,7 +23,6 @@ from thetahecke.bipartition import (
     vs_add,
     wl_char,
     wl_char_table,
-    wl_inner,
 )
 from thetahecke.weylbc import conjugacy_classes, group_order
 from thetahecke.weylbc import partitions as partitions_of
@@ -39,12 +34,17 @@ from oracles import (
     cycle_type,
     decompose_by_classes,
     eps_twist,
+    eps_value,
+    expected_module_character,
+    induced_eps_character,
     part_splits,
+    part_union,
     sn_dim,
     sym_centralizer,
     sym_product,
     sym_product_pair,
     wl_char_induced,
+    wl_inner,
 )
 
 # -- plain partitions ----------------------------------------------------------
@@ -396,8 +396,8 @@ def test_sym_product_checks_its_multiplicities(monkeypatch):
 
 def test_induced_eps_character_checks_integrality(monkeypatch):
     """A non-integral induced character raises instead of truncating."""
-    real = bipartition.signed_centralizer
-    monkeypatch.setattr(bipartition, "signed_centralizer", lambda cls: real(cls) + 1)
+    real = oracles.signed_centralizer
+    monkeypatch.setattr(oracles, "signed_centralizer", lambda cls: real(cls) + 1)
     with pytest.raises(VerificationError, match="not an integer"):
         induced_eps_character(1, 1, 1)
 

@@ -18,11 +18,18 @@ import pytest
 
 from thetahecke import VerificationError, bipartition, cli, dualpair, thetamod, weylbc
 from thetahecke.cli import main
-from thetahecke.heckealg import HeckeParams, he_mul, word_product
+from thetahecke.heckealg import HeckeParams, he_mul
 from thetahecke.laurent import LaurentPoly
 from thetahecke.thetamod import GroupRepAtOne, ThetaModule
 
-from oracles import conservation_scan_report, hecke_from_json_obj, hecke_to_json_obj, hecke_words_product
+from oracles import (
+    conservation_scan_report,
+    hecke_from_json_obj,
+    hecke_to_json_obj,
+    hecke_words_product,
+    poly_from_json_obj,
+    word_product,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,8 +99,15 @@ def test_hecke_mul_matches_element_by_element_oracle(capsys, mu):
 
 
 def test_hecke_mul_rejects_bad_tokens(capsys):
+    """A swap token is s and ASCII digits: a superscript two, which int()
+    rejects, and an Arabic-Indic three, which int() reads as 3, are bad
+    tokens like any other, refused with one line."""
     assert run(capsys, "hecke-mul", "--l", "2", "--mu", "1", "--a", "s9", "--b", "e")[0] == 2
     assert run(capsys, "hecke-mul", "--l", "2", "--mu", "1", "--a", "x", "--b", "e")[0] == 2
+    for token in ("s\u00b2", "s\u0663"):
+        code, out, err = run(capsys, "hecke-mul", "--l", "4", "--mu", "1", "--a", token, "--b", "e")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad generator token {token!r} (expected s<i>, t or e)\n"
 
 
 @pytest.mark.parametrize(
@@ -182,16 +196,23 @@ def test_hecke_mul_leaves_out_a_cancelled_term(capsys):
 
 def assert_support_order(capsys, l, mu, a, b):
     """hecke-mul of the generator indices a and b prints its terms in the
-    support() order of word_product, with no empty poly and no 0 in one."""
+    support() order of word_product, with no empty poly and no 0 in one;
+    --format text lists the same terms in the same order, each poly printed
+    as the LaurentPoly of the JSON's entries."""
     params = HeckeParams.signed(l, Fraction(mu))
 
     def text(gens):
         return " ".join("t" if g == l else f"s{g}" for g in gens) or "e"
 
-    code, obj, _ = run_json(capsys, "hecke-mul", "--l", str(l), "--mu", mu, "--a", text(a), "--b", text(b))
+    argv = ["hecke-mul", "--l", str(l), "--mu", mu, "--a", text(a), "--b", text(b)]
+    code, obj, _ = run_json(capsys, *argv)
     assert code == 0
     assert [tuple(t["perm"]) for t in obj["product"]] == word_product(params, a + b).support(), (l, a, b)
     assert all(t["poly"] and 0 not in t["poly"].values() for t in obj["product"]), (l, a, b)
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    lines = [f"  {t['perm']}: {poly_from_json_obj(t['poly'])}" for t in obj["product"]] or ["  0"]
+    assert out.splitlines() == [f"product in the rank-{l} algebra at mu={mu}:", *lines], (l, a, b)
 
 
 @pytest.mark.parametrize("mu", ["1/2", "0", "-1", "1", "-3/2", "4", "1000000000000000000000000000001/2"])

@@ -9,17 +9,21 @@ from thetahecke.laurent import format_half
 from thetahecke.dualpair import (
     CASES,
     TowerConfig,
-    abundance_witness,
     conservation_check,
-    dimension_grid,
     first_occurrence,
     get_case,
-    lambda_exponents,
-    lusztig_unipotent,
     mu_of,
     mu_range_check,
     mu_sigma,
+)
+
+from oracles import (
+    abundance_witness,
+    dimension_grid,
+    lambda_exponents,
+    lusztig_unipotent,
     relevance_closure,
+    swapped,
     unitary2_signed_fixed_space_sum,
 )
 
@@ -80,10 +84,10 @@ def test_config_validation():
 def test_swapped_negates_mu():
     for tag in CASES:
         cfg = abundance_witness(SAMPLE_MU[tag], tag)
-        sw = cfg.swapped()
+        sw = swapped(cfg)
         assert sw.dimVp0 == cfg.dimVt0 and sw.dimVt0 == cfg.dimVp0
         assert mu_of(sw) == -mu_of(cfg)
-        assert sw.swapped().dimVp0 == cfg.dimVp0
+        assert swapped(sw).dimVp0 == cfg.dimVp0
 
 
 def test_mu_examples():

@@ -21,21 +21,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-# statements that no package code calls, each checked by the tests
-KEPT = {
-    "bipartition.expected_module_character": "criterion 4: the nu = 1 character, induced grade by grade",
-    "bipartition.wl_inner": "criterion 9: the class-weighted inner product under which the character table is orthonormal",
-    "dualpair.TowerConfig.swapped": "test_dualpair: the two companion towers exchange roles",
-    "dualpair.abundance_witness": "test_dualpair: each parameter in a case's range has a tower pair",
-    "dualpair.dimension_grid": "criterion 7: the exhaustive grid of tower pairs",
-    "dualpair.lambda_exponents": "test_dualpair: the scalar data of the two flip normalizations",
-    "dualpair.lusztig_unipotent": "criterion 8: the unipotent tower data",
-    "dualpair.relevance_closure": "test_dualpair: the parameter orbit under the two reflections",
-    "dualpair.unitary2_signed_fixed_space_sum": "criterion 7: the rank-2 unitary oracle",
-    "heckealg.HeckeElem.scale_poly": "criterion 1: the right-hand side of the quadratic relations",
-}
-
-
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -99,7 +84,8 @@ def _definitions() -> tuple[dict, dict]:
 
 def test_every_package_function_is_used():
     """Every function and method of the package, dunders aside, is named in the
-    package outside its own body, is traced by the bench, or is in KEPT."""
+    package outside its own body or is traced by the bench: a definition only
+    the tests call belongs in tests/oracles.py."""
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -109,9 +95,7 @@ def test_every_package_function_is_used():
     # a name used only inside its own body, as a recursion, is not used
     unused = [n for n, fn in defs.items() if refs[fn.name] == _names(fn)[fn.name] and n not in traced]
     assert len(defs) > 100
-    # a KEPT name that gains a caller, or goes, leaves KEPT
-    assert sorted(set(KEPT) - set(unused)) == []
-    assert sorted(set(unused) - set(KEPT)) == []
+    assert unused == []
 
 
 # names defined more than once in the package, each with its reason.  References
