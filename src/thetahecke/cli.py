@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -34,7 +35,7 @@ from .dualpair import (
     mu_sigma,
 )
 from .heckealg import HeckeParams, word_terms
-from .laurent import LaurentPoly, as_half, format_half
+from .laurent import HalfInt, LaurentPoly, as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order, length
 
@@ -46,12 +47,14 @@ from .weylbc import CosetSpec, coset_table, group_order, length
 # with it the memory of every generator's columns: up to rank 200 the largest
 # admitted is (5,5)'s 19,091 (481,400 checks), while (4,7) (dim 21,225) needs
 # 620,752 and (6,6) 10.5M.  On 2 cores with Python 3.11.7, end to end at
-# mu = 1/2, two runs each, (4,6) (dim 10,369) took 2.2-2.7 s at 52 MB peak RSS
-# and (5,5) 2.8-4.1 s at 75-77 MB; the largest admitted shapes by checks,
-# (1,79), (99,1), (31,2), (5,5), (12,3), (2,24) and (3,11) (410k-515k), took
-# 1.8-5.5 s at 25-77 MB; the two slowest admitted requests found, (2,24) at
-# mu = (10^30 + 1)/2 and (3,11) at mu = -1, took 3.8-6.1 s at 41 MB and
-# 4.0-5.9 s at 63 MB
+# mu = 1/2, two runs each, side by side with columns keyed by their absolute
+# rows (no transfer template shared), (4,6) (dim 10,369) took 1.2-1.3 s at
+# 33 MB peak RSS (52 MB before) and (5,5) 1.7-1.9 s at 39 MB (77 MB); the
+# largest admitted shapes by checks, (1,79), (99,1), (31,2), (5,5), (12,3),
+# (2,24) and (3,11) (410k-515k), took 1.1-3.0 s at 20-43 MB (26-77 MB); the
+# two slowest admitted requests found before, (2,24) at mu = (10^30 + 1)/2
+# and (3,11) at mu = -1, took 2.7 s at 33 MB and 2.3-2.5 s at 43 MB (41 and
+# 63 MB)
 MAX_VERIFY_WORK = 2**19
 # the rank is checked before the work is counted: the suite has about rank^2 /
 # 2 relations; (0, 200) (dimension 1) takes 0.15 s in process and 0.29 s end
@@ -62,9 +65,10 @@ MAX_VERIFY_RANK = 200
 # each signed-permutation generator as two lists), the class products of the
 # side with fewer classes, about one product per level of the other side's
 # suffix trie, and a character over every class pair; on 2 cores with Python
-# 3.11.7, end to end, two runs each, (4,4) (dim 1473) took 0.4 s at 26 MB
-# peak RSS, (5,4) (dim 4361) 1.4-1.6 s at 47 MB, and (3,8) (dim 3409, but 185
-# classes on the rank-8 side) 1.7-2.0 s at 42 MB
+# 3.11.7, end to end, two runs each, side by side with columns keyed by their
+# absolute rows, (4,4) (dim 1473) took 0.24-0.29 s at 26 MB peak RSS (26 MB
+# before), (5,4) (dim 4361) 0.72-0.75 s at 44 MB (46-47 MB), and (3,8) (dim
+# 3409, but 185 classes on the rank-8 side) 0.86-0.94 s at 35 MB (42 MB)
 MAX_SPECIALIZE_RANK = 8
 MAX_SPECIALIZE_DIM = 5000
 # coset prints every representative with its length, an O(rank^2) inversion
@@ -169,10 +173,22 @@ def _print_json(head: dict, key: str, items, tail: str = "") -> None:
 # -- module-verify --------------------------------------------------------------
 
 
+def _mu(args) -> HalfInt:
+    """--mu as a half-integer.  Fraction builds a decimal exponent's power of
+    ten in full, seconds of work at 1e10000000, so an exponent past the
+    digits Python converts from a string is refused first, as a literal with
+    that many digits is."""
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", args.mu, re.IGNORECASE)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
+    if exp and limit and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
+        raise ValueError(f"--mu {args.mu} has too many digits to print")
+    return as_half(args.mu)
+
+
 def _printable_mu(args):
     """--mu as a half-integer and its printed form, taken before any work so
     that a mu with more digits than Python prints is refused up front."""
-    mu = as_half(args.mu)
+    mu = _mu(args)
     try:
         return mu, format_half(mu)
     except ValueError:
@@ -338,7 +354,7 @@ def _ints(p) -> str:
 def cmd_specialize_decompose(args) -> int:
     caps = (MAX_SPECIALIZE_RANK, "dimension", MAX_SPECIALIZE_DIM)
     _check_size("specialize-decompose", args.l, args.lprime, *caps)
-    module = ThetaModule(args.l, args.lprime, as_half(args.mu))
+    module = ThetaModule(args.l, args.lprime, _mu(args))
     dim, grades = module.dim, module.grade_dims()
     rep = GroupRepAtOne(module)
     del module  # frees the generic columns before the character walk

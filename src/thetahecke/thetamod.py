@@ -30,7 +30,7 @@ for the indices i1, i2, i3 of its factors.  A generator other than the
 unprimed flip reads one factor, d1 on side 0 and d2 on side 1, so Deodhar's
 case is decided once per factor and the slot action once per (k, h), never
 once per label; each column is one of a few templates of (offset, c)
-entries, placed at its position by index arithmetic.
+entries, stored as it is and shared by every position that uses it.
 
 The unprimed flip generator is the one operator that moves between grades.
 Its action is seeded on the grade-k base vector by two explicit expansions
@@ -53,13 +53,14 @@ scalar * word, T^2 = (q - 1) T + q included; at nu = 1 a scalar is its
 coefficient sum and each side is its one term with a nonzero scalar.
 
 Everything is exact: coefficients are Laurent polynomials in v = nu**(1/2).
-Columns are built on a dict {e*dim + p: c}, the integer c times v**e at basis
-position p (divmod(key, dim) gives (e, p) for either sign of e), and a column
-is a sorted tuple of (f*dim + r, a) pairs: one polynomial coefficient becomes
-one entry per exponent, all plain ints.  The relation suite is checked on
-these generic columns: on each basis vector each side of a relation is a raw
-sum, its words' rightmost columns read as stored and every other letter
-applied by the one kernel _apply, which keeps an entry that cancels as a 0.
+A vector is a dict {e*dim + p: c}, the integer c times v**e at position p
+(divmod(key, dim) gives (e, p) for either sign of e), and column p is a
+sorted tuple of (f*dim + r - p, a) pairs, keyed relative to p: all plain
+ints, one entry per exponent, and one tuple for every position that takes
+its template.  The relation suite is checked on these generic columns: on
+each basis vector each side of a relation is a raw sum, its words'
+rightmost columns read as stored and every other letter applied by the one
+kernel _apply, which keeps an entry that cancels as a 0.
 Two equal raw sums are equal in Z[v, v**-1].  Only when the raw sums differ
 are their zeros dropped and the sides compared again, as canonical
 {e*dim + r: c} dicts, which agree exactly when the sides agree, so the
@@ -139,17 +140,16 @@ def _column(*parts: tuple[int, dict]) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _apply(cols, pairs, dim: int) -> dict:
-    """The matrix with the given columns applied to a vector given as (key, c)
-    pairs, a stored column as it is or a dict's items(): the entry at key
-    e*dim + p meets column p, whose entry f*dim + r lands at (e+f)*dim + r.
-    The sum is raw: an entry that cancels stays, as 0."""
+def _apply(cols, pairs, dim: int, at: int = 0) -> dict:
+    """The matrix with the given columns applied to (key, c) pairs relative
+    to position at, a stored column and its position or a vector's items()
+    and 0: the entry at key e*dim + p meets column p, whose entry f*dim + r -
+    p lands at (e+f)*dim + r.  The sum is raw: an entry that cancels stays."""
     out: dict = {}
     for key, c in pairs:
-        p = key % dim
-        base = key - p
-        for off, a in cols[p]:
-            k = base + off
+        key += at
+        for off, a in cols[key % dim]:
+            k = key + off
             if k in out:
                 out[k] += c * a
             else:
@@ -157,14 +157,14 @@ def _apply(cols, pairs, dim: int) -> dict:
     return out
 
 
-def _apply_word(mats, pairs, dim: int) -> dict:
-    """Apply a sequence of matrices to (key, c) pairs, the rightmost first, as
-    a raw sum; the empty sequence gives the pairs as a dict."""
+def _apply_word(mats, pairs, dim: int, at: int = 0) -> dict:
+    """Apply a sequence of matrices to (key, c) pairs relative to position at,
+    the rightmost first, as a raw sum; the empty sequence gives the pairs."""
     vec = None
     for cols in reversed(mats):
-        vec = _apply(cols, pairs, dim)
-        pairs = vec.items()
-    return dict(pairs) if vec is None else vec
+        vec = _apply(cols, pairs, dim, at)
+        pairs, at = vec.items(), 0
+    return {key + at: c for key, c in pairs} if vec is None else vec
 
 
 def _nonzero(vec: dict) -> dict:
@@ -174,13 +174,13 @@ def _nonzero(vec: dict) -> dict:
 
 
 def _at_one(cols, dim: int) -> list[tuple]:
-    """Columns at nu = 1, each a sorted tuple of (r, c): the exponents of an
-    entry's row summed out, zeros dropped."""
+    """Columns at nu = 1, column p a sorted tuple of (r - p, c): the exponents
+    of an entry's row r summed out, zeros dropped."""
     out = []
-    for col in cols:
+    for p, col in enumerate(cols):
         acc: dict = {}
         for off, a in col:
-            r = off % dim
+            r = (off + p) % dim - p
             acc[r] = acc.get(r, 0) + a
         out.append(tuple(sorted((r, c) for r, c in acc.items() if c)))
     return out
@@ -305,7 +305,8 @@ class ThetaModule:
         return cols
 
     def column(self, key: tuple, p: int) -> tuple:
-        return self.matrix(key)[p]
+        """Column p of a generator keyed absolutely, as sorted (f*dim + r, a)."""
+        return tuple([(off + p, a) for off, a in self.matrix(key)[p]])
 
     def apply_gen(self, key: tuple, vec: dict) -> dict:
         """A generator applied to a vector, as a raw sum."""
@@ -322,7 +323,7 @@ class ThetaModule:
         parabolic lands on generator h, which acts by a scalar (the index
         value q on the trivial block, -1 on the signed tail) or on the slot
         x, tabulated once per (k, h).  Each case is a column template of
-        (offset from p, c) entries, emitted at every position p with that
+        (offset from p, c) entries, shared by every position p with that
         factor; a descent spends the generator's parameter q, T e_p =
         q e_p' + (q - 1) e_p.  A transfer keeps the kind of generator, so a
         slot descent or a scalar q entry is a swap's, at q = nu.
@@ -332,6 +333,7 @@ class ThetaModule:
         q, q_minus_one = (_stride(t, dim) for t in _quad_terms(par))
         scalar, sign = tuple(sorted(q.items())), ((0, -1),)
 
+        @lru_cache(maxsize=None)  # one tuple per template, whichever factor asks
         def moved(delta: int, descent: bool) -> tuple:
             """T e_p = e_(p+delta), or q e_(p+delta) + (q - 1) e_p at a descent."""
             if not descent:
@@ -368,12 +370,9 @@ class ThetaModule:
                     action = _slot_action(side, k, h)
                     rows.append(tuple(moved(y - i3, descent) for i3, (y, descent) in enumerate(action)))
             # position start + (i1*n2 + i2)*n3 + i3 takes template i3 of its factor's row
-            order = [rows[i1] for i1 in range(len(d1s)) for _ in range(n2)] if side == 0 else rows * len(d1s)
-            p = self.grade_range[k][0]
+            order = [row for row in rows for _ in range(n2)] if side == 0 else rows * len(d1s)
             for row in order:
-                for t in row:
-                    cols.append(tuple([(off + p, c) for off, c in t]))
-                    p += 1
+                cols.extend(row)
         return cols
 
     # -- seeded flip action --
@@ -443,8 +442,8 @@ class ThetaModule:
         for key in keys:
             gen = self.matrix(key)
             for q, col in enumerate(gen):
-                if len(col) == 1 and col[0][1] == 1 and q < col[0][0] < dim:
-                    yield col[0][0], gen, q
+                if len(col) == 1 and col[0][1] == 1 and 0 < col[0][0] < dim - q:
+                    yield q + col[0][0], gen, q
 
     def seed_columns(self, side: int) -> list[int]:
         """The positions that no exact ascent of the other side's generators
@@ -481,8 +480,8 @@ class ThetaModule:
                 if r not in ascents:
                     raise VerificationError(f"no flip seed and no ascent reaches label {self.basis[r]}")
                 gen, q = ascents[r]
-                vec = _apply(gen, cols[q], dim)
-            cols.append(tuple(sorted((k, c) for k, c in vec.items() if c)))
+                vec = _apply(gen, cols[q], dim, q)
+            cols.append(tuple(sorted((k - r, c) for k, c in vec.items() if c)))
         return cols
 
     # -- relation suite --
@@ -564,7 +563,7 @@ class ThetaModule:
         for side in plan:
             vec: dict = {}
             for scale, head, last in side:
-                w = {p: 1} if last is None else _apply_word(head, last[p], dim)
+                w = {p: 1} if last is None else _apply_word(head, last[p], dim, p)
                 if scale is None and not vec:
                     vec = w  # w added to nothing, without a dict pass
                 else:
@@ -644,7 +643,7 @@ class ThetaModule:
     # -- specialization at nu = 1 --
 
     def matrices_at_one(self) -> dict:
-        """Every generator at nu = 1: each column a sorted tuple of (r, c) with
+        """Every generator at nu = 1: column p a sorted tuple of (r - p, c) with
         the exponents summed out."""
         return {key: _at_one(self.matrix(key), self.dim) for key in self.gen_keys()}
 
@@ -674,7 +673,7 @@ class GroupRepAtOne:
         columns on each call, so a changed column is never missed."""
         letters = {}
         for key, m in self._mats.items():
-            perm = [col[0][0] for col in m if len(col) == 1 and col[0][1] in (1, -1)]
+            perm = [p + col[0][0] for p, col in enumerate(m) if len(col) == 1 and col[0][1] in (1, -1)]
             if len(perm) == self.dim and len(set(perm)) == self.dim:
                 letters[key] = (perm, [col[0][1] for col in m])
             else:
@@ -768,7 +767,7 @@ def _step(letter, prod, dim: int):
             return [perm[r] for r in prod[0]], [signs[r] * s for r, s in zip(*prod)]
         return [{perm[r]: signs[r] * c for r, c in col.items()} for col in prod]
     if isinstance(prod, tuple):
-        return [{r: s * a for r, a in letter[q]} for q, s in zip(*prod)]
+        return [{q + r: s * a for r, a in letter[q]} for q, s in zip(*prod)]
     return [_nonzero(_apply(letter, col.items(), dim)) for col in prod]
 
 

@@ -435,13 +435,13 @@ def decompose_by_classes(charfn: dict[tuple[ClassType, ClassType], int], l: int,
 def product_by_columns(rep, keys) -> list:
     """The sparse columns of a word's product at nu = 1, every letter applied
     to every column with the general _apply, zeros dropped; the rightmost
-    letter acts first, on the identity by reading its own columns, and the
-    empty word is the identity."""
+    letter acts first, on the identity by reading its own columns, each
+    relative to its position, and the empty word is the identity."""
     cols = None
     for key in reversed(keys):
         m = rep._mats[key]
         if cols is None:
-            cols = [dict(col) for col in m]
+            cols = [{p + r: c for r, c in col} for p, col in enumerate(m)]
         else:
             cols = [{r: c for r, c in _apply(m, col.items(), rep.dim).items() if c} for col in cols]
     return [{p: 1} for p in range(rep.dim)] if cols is None else cols
@@ -515,7 +515,7 @@ def verify_every_column(mod: ThetaModule) -> dict:
     appeal to the cross relations and with none of the package's relation
     kernels: {"ok": bool, "relations": [{name, ok, failure?}...]}, each
     failure the first failing column's, formatted by the package."""
-    mats = {key: [dict(col) for col in mod.matrix(key)] for key in mod.gen_keys()}
+    mats = {key: [dict(mod.column(key, p)) for p in range(mod.dim)] for key in mod.gen_keys()}
     report = []
     for chk in mod.relation_suite():
         failure = None

@@ -275,6 +275,31 @@ def test_module_verify_refuses_unprintable_mu(capsys, monkeypatch):
         assert err == "error: --mu 1e5000 has too many digits to print\n"
 
 
+MU_ARGV = {
+    "module-verify": ("module-verify", "--l", "1", "--lprime", "1"),
+    "hecke-mul": ("hecke-mul", "--l", "1", "--a", "t", "--b", "t"),
+    "specialize-decompose": ("specialize-decompose", "--l", "1", "--lprime", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", MU_ARGV.values(), ids=list(MU_ARGV))
+def test_huge_mu_exponent_is_refused_before_it_is_read(capsys, monkeypatch, argv):
+    """Fraction builds a decimal exponent's power of ten in full, seconds of
+    work at 1e10000000, so every subcommand with --mu refuses an exponent
+    past the digits Python converts, or one with that many digits itself,
+    with one line before as_half sees it; 1e3 and 0.5 are still read."""
+    seen, real = [], cli.as_half
+    monkeypatch.setattr(cli, "as_half", lambda text: seen.append(text) or real(text))
+    limit = sys.get_int_max_str_digits()
+    for mu in ("1e100000000", f"1E-{limit + 1}", "1e" + "9" * (limit + 1)):
+        code, out, err = run(capsys, *argv, "--mu", mu)
+        assert code == 2 and out == "" and seen == []
+        assert err == f"error: --mu {mu} has too many digits to print\n"
+    for mu in ("1e3", "0.5"):
+        code, out, _ = run(capsys, *argv, "--mu", mu)
+        assert code == 0 and out and seen[-1] == mu
+
+
 def test_module_verify_dimension_cap(capsys, monkeypatch):
     """(6,6) (dimension 291,793) is refused by the work cap before anything
     is built, with one line."""

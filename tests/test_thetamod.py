@@ -2,6 +2,8 @@
 
 Vectors and columns hold one integer key per entry: {e*dim + p: c} is the
 integer c times nu^(e/2) at basis position p, and _pe decodes a key to (p, e).
+A stored column p is keyed relative to p; mod.column(key, p) reads it with
+absolute keys, and a test that corrupts a column stores it back relative.
 The relation check compares the two sides of a relation on these keys exactly;
 at nu = 1 the exponents are summed out.
 """
@@ -233,7 +235,33 @@ def test_transfer_columns_match_label_by_label_reference(l, lp, mu):
     for side, g in mod.gen_keys():
         if (side, g) != (0, l):
             want = [transfer_column(mod, side, g, p) for p in range(mod.dim)]
-            assert mod.matrix((side, g)) == want, (side, g)
+            assert [mod.column((side, g), p) for p in range(mod.dim)] == want, (side, g)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 8)], ids=["3,3", "2,8"])
+def test_transfer_letters_share_their_templates(shape):
+    """Each column is stored relative to its position, so the positions that
+    take one template hold the one tuple: every transfer letter holds fewer
+    than dim/2 distinct column objects.  A shared template replaced at one
+    position changes no other position, and the report, the every-column
+    check's, names the corrupted column first."""
+    l, lp = shape
+    mod = ThetaModule(l, lp, MU)
+    for key in mod.gen_keys():
+        if key != (0, l):
+            assert len({id(col) for col in mod.matrix(key)}) < mod.dim / 2, key
+    key, cols = (1, 1), mod.matrix((1, 1))
+    # the lowest position whose template another position holds too
+    p = next(q for q, col in enumerate(cols) if sum(c is col for c in cols) > 1)
+    template, before = cols[p], [mod.column(key, q) for q in range(mod.dim)]
+    sharers = [q for q, col in enumerate(cols) if q != p and col is template]
+    _corrupt(mod, key, p, 1)
+    after = [mod.column(key, q) for q in range(mod.dim)]
+    assert after[p] != before[p] and after[:p] + after[p + 1:] == before[:p] + before[p + 1:]
+    assert sharers and all(cols[q] is template for q in sharers)
+    rep = mod.verify_relations()
+    assert not rep["ok"] and _reports(rep) == verify_every_column(mod)["relations"]
+    assert next(iter(_failures(rep).values()))["column"] == mod._index_obj(p)
 
 
 def test_coset_image_outside_the_factors_is_a_verification_error(monkeypatch):
@@ -290,16 +318,16 @@ def test_relations_hold_asymmetric_shapes():
 
 def _corrupt(mod: ThetaModule, key: tuple, p: int, e: int) -> None:
     """Add nu^(e/2) to the lowest row of a column, once every generator is
-    built, so no other column is built from the corrupted one."""
+    built, so no other column is built from the corrupted one; the column is
+    stored back relative to p."""
     for g in mod.gen_keys():
         mod.matrix(g)
-    table = mod.matrix(key)
-    col = dict(table[p])
+    col = dict(mod.column(key, p))
     # columns sort by (e, r), so the lowest row is not the first entry
     r = min(_pe(mod, k)[0] for k in col)
     k = e * mod.dim + r
     col[k] = col.get(k, 0) + 1
-    table[p] = tuple(sorted((k, c) for k, c in col.items() if c))
+    mod.matrix(key)[p] = tuple(sorted((k - p, c) for k, c in col.items() if c))
 
 
 BOTTOM = {"k": 0, "d1": [1, 2], "d2": [1, 2], "x": []}
@@ -450,9 +478,9 @@ def test_seed_check_matches_every_column_oracle(shape):
     def check(key, p, r, j, c):
         for g, cols in clean.items():
             mod._cols[g] = list(cols)
-        col = dict(clean[key][p])
+        col = dict(mod.column(key, p))
         col[j * dim + r] = c
-        mod._cols[key][p] = tuple(sorted((k, a) for k, a in col.items() if a))
+        mod._cols[key][p] = tuple(sorted((k - p, a) for k, a in col.items() if a))
         rep = mod.verify_relations()
         want = verify_every_column(mod)
         assert rep["ok"] == want["ok"]
@@ -507,12 +535,12 @@ def test_planted_difference_vanishing_at_fixed_point_is_reported():
     for g in mod.gen_keys():
         mod.matrix(g)
     key, p, dim = (0, 2), mod.unit_pos(1), mod.dim
-    table = mod.matrix(key)
-    col = dict(table[p])
-    r, j = _pe(mod, table[p][0][0])
+    col = mod.column(key, p)
+    r, j = _pe(mod, col[0][0])
+    col = dict(col)
     for k, c in ((j * dim + r, 2**16), ((j + 1) * dim + r, -1)):
         col[k] = col.get(k, 0) + c
-    table[p] = tuple(sorted((k, c) for k, c in col.items() if c))
+    mod.matrix(key)[p] = tuple(sorted((k - p, c) for k, c in col.items() if c))
 
     rep = mod.verify_relations()
     assert not rep["ok"] and rep["seeds"] is None
@@ -598,10 +626,10 @@ def test_flip_without_a_predecessor_is_reported(shape):
     l, lp = shape
     mod = ThetaModule(l, lp, MU)
     q = mod.unit_pos(1)
-    table = mod.matrix((1, 1))
-    label = mod.basis[table[q][0][0]]
-    assert label == (1, identity(l), gen_perm(1, lp), identity(1)) and table[q] == ((mod.pos[label], 1),)
-    table[q] = ((mod.pos[label], 2),)
+    label = mod.basis[mod.column((1, 1), q)[0][0]]
+    assert label == (1, identity(l), gen_perm(1, lp), identity(1))
+    assert mod.column((1, 1), q) == ((mod.pos[label], 1),)
+    mod.matrix((1, 1))[q] = ((mod.pos[label] - q, 2),)
     with pytest.raises(VerificationError, match=re.escape(f"no ascent reaches label {label}")):
         mod.matrix((0, l))
 
@@ -624,10 +652,14 @@ def test_generator_keys_follow_weylbc_numbering():
     mod = ThetaModule(2, 3, MU)
     rep = GroupRepAtOne(mod)
     mats = mod.matrices_at_one()
+
+    def absolute(key):
+        return [{p + r: c for r, c in col} for p, col in enumerate(mats[key])]
+
     for g in range(1, 3):
-        assert rep.rep_left(gen_perm(g, 2)) == [dict(col) for col in mats[(0, g)]]
+        assert rep.rep_left(gen_perm(g, 2)) == absolute((0, g))
     for g in range(1, 4):
-        assert rep.rep_right(gen_perm(g, 3)) == [dict(col) for col in mats[(1, g)]]
+        assert rep.rep_right(gen_perm(g, 3)) == absolute((1, g))
     keys = set(mod.gen_keys())
     for chk in mod.relation_suite():
         used = [k for _, word in chk["lhs"] + chk["rhs"] for k in word]
@@ -718,7 +750,8 @@ def test_letter_with_a_repeated_row_is_applied_as_columns():
     letter is applied with _apply, which sums them, and the relations fail."""
     rep = GroupRepAtOne(ThetaModule(2, 2, MU))
     key = (0, 1)
-    rep._mats[key][0] = rep._mats[key][1]
+    # column 1's rows, stored relative to position 0
+    rep._mats[key][0] = tuple((1 + r, c) for r, c in rep._mats[key][1])
     assert isinstance(rep._letters()[key], list)
     with pytest.raises(VerificationError, match=r"group relation \w+ fails at nu = 1"):
         rep.check_group_relations()
