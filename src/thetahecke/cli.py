@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import time
 
@@ -35,7 +34,7 @@ from .dualpair import (
     mu_sigma,
 )
 from .heckealg import HeckeParams, word_terms
-from .laurent import HalfInt, LaurentPoly, as_half, format_half
+from .laurent import LaurentPoly, as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order, length
 
@@ -173,26 +172,19 @@ def _print_json(head: dict, key: str, items, tail: str = "") -> None:
 # -- module-verify --------------------------------------------------------------
 
 
-def _mu(args) -> HalfInt:
-    """--mu as a half-integer.  Fraction builds a decimal exponent's power of
-    ten in full, seconds of work at 1e10000000, so an exponent past the
-    digits Python converts from a string is refused first, as a literal with
-    that many digits is."""
-    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", args.mu, re.IGNORECASE)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
-    if exp and limit and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
-        raise ValueError(f"--mu {args.mu} has too many digits to print")
-    return as_half(args.mu)
-
-
 def _printable_mu(args):
     """--mu as a half-integer and its printed form, taken before any work so
-    that a mu with more digits than Python prints is refused up front."""
-    mu = _mu(args)
+    that a mu with more digits than Python prints is refused up front; as_half
+    refuses a decimal exponent past them before it builds the value."""
+    refused = ValueError(f"--mu {args.mu} has too many digits to print")
+    try:
+        mu = as_half(args.mu)
+    except OverflowError:
+        raise refused from None
     try:
         return mu, format_half(mu)
     except ValueError:
-        raise ValueError(f"--mu {args.mu} has too many digits to print") from None
+        raise refused from None
 
 
 def cmd_module_verify(args) -> int:
@@ -354,7 +346,7 @@ def _ints(p) -> str:
 def cmd_specialize_decompose(args) -> int:
     caps = (MAX_SPECIALIZE_RANK, "dimension", MAX_SPECIALIZE_DIM)
     _check_size("specialize-decompose", args.l, args.lprime, *caps)
-    module = ThetaModule(args.l, args.lprime, _mu(args))
+    module = ThetaModule(args.l, args.lprime, _printable_mu(args)[0])
     dim, grades = module.dim, module.grade_dims()
     rep = GroupRepAtOne(module)
     del module  # frees the generic columns before the character walk

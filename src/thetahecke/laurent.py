@@ -12,6 +12,8 @@ coefficients.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -21,11 +23,21 @@ HalfInt = Fraction  # values with denominator 1 or 2
 def as_half(value) -> HalfInt:
     """Coerce an int, Fraction or 'p/q' string to a half-integer.
 
+    Fraction builds a decimal exponent's power of ten in full, seconds of work
+    at '1e10000000', so a string whose exponent is past the digits Python
+    converts from a string, or has that many digits itself, is refused first
+    with an OverflowError, as a literal with that many digits is.
+
     >>> as_half("3/2")
     Fraction(3, 2)
     >>> as_half(-2)
     Fraction(-2, 1)
     """
+    if isinstance(value, str):
+        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
+        if exp and limit and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
+            raise OverflowError(f"{value} has too many digits to print")
     try:
         f = Fraction(value)
     except ZeroDivisionError:

@@ -26,11 +26,11 @@ signed side).
 
 Within grade k the labels are the product of three factor lists, each listed
 by length: label (d1, d2, x) sits at position start_k + (i1*n2 + i2)*n3 + i3
-for the indices i1, i2, i3 of its factors.  A generator other than the
-unprimed flip reads one factor, d1 on side 0 and d2 on side 1, so Deodhar's
-case is decided once per factor and the slot action once per (k, h), never
-once per label; each column is one of a few templates of (offset, c)
-entries, stored as it is and shared by every position that uses it.
+for the indices i1, i2, i3 of its factors, which label(p) and position()
+compute; no label is stored.  A generator other than the unprimed flip reads
+one factor, d1 on side 0 and d2 on side 1, so Deodhar's case is decided once
+per factor and the slot action once per (k, h), never once per label; each
+column is one of a few templates of (offset, c) entries, shared by reference.
 
 The unprimed flip generator is the one operator that moves between grades.
 Its action is seeded on the grade-k base vector by two explicit expansions
@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from functools import lru_cache
 
 from . import VerificationError
@@ -114,9 +115,6 @@ from .weylbc import (
     reduced_word,
     swap_range,
 )
-
-BasisIndex = tuple[int, SignedPerm, SignedPerm, SignedPerm]
-
 
 # -- sparse vectors keyed by e*dim + p: exponent e of nu^(1/2), position p ---
 
@@ -257,38 +255,53 @@ class ThetaModule:
         self.mu: HalfInt = as_half(mu)
         self.kmax = min(l, lp)
 
-        self.basis: list[BasisIndex] = []
-        self.grade_range: dict[int, tuple[int, int]] = {}
-        # the (d1, d2, x) factor lists of each grade, whose product is its labels
-        self._factors: list[tuple] = []
+        # each grade's (d1, d2, x) factor lists, whose product is its labels,
+        # their {factor: index} dicts, and the position of its first label
+        self._factors, self._factor_index, self._starts, self.dim = [], [], [], 0
         for k in range(self.kmax + 1):
             d1s = distinguished_reps(CosetSpec("sym_block", l, k))
-            d2s = distinguished_reps(CosetSpec("mixed_block", lp, k))
-            slots = _slots(k)
-            self._factors.append((d1s, d2s, slots))
-            start = len(self.basis)
-            for d1 in d1s:
-                for d2 in d2s:
-                    for x in slots:
-                        self.basis.append((k, d1, d2, x))
-            self.grade_range[k] = (start, len(self.basis))
-            if len(self.basis) - start != grade_dim_formula(l, lp, k):
+            lists = (d1s, distinguished_reps(CosetSpec("mixed_block", lp, k)), _slots(k))
+            self._factors.append(lists)
+            self._factor_index.append(tuple({f: i for i, f in enumerate(fs)} for fs in lists))
+            self._starts.append(self.dim)
+            self.dim += math.prod(map(len, lists))
+            if self.dim - self._starts[k] != grade_dim_formula(l, lp, k):
                 raise VerificationError(
-                    f"grade {k} of ({l},{lp}) has {len(self.basis) - start} labels, "
+                    f"grade {k} of ({l},{lp}) has {self.dim - self._starts[k]} labels, "
                     f"the closed form gives {grade_dim_formula(l, lp, k)}"
                 )
-        self.pos: dict[BasisIndex, int] = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
-
         self._cols: dict[tuple, list[tuple]] = {}
 
-    # -- bookkeeping --
+    # -- bookkeeping: a label is index arithmetic on its grade's factor lists --
 
     def grade_dims(self) -> list[int]:
-        return [self.grade_range[k][1] - self.grade_range[k][0] for k in range(self.kmax + 1)]
+        return [b - a for a, b in zip(self._starts, self._starts[1:] + [self.dim])]
 
     def unit_pos(self, k: int) -> int:
-        return self.pos[(k, identity(self.l), identity(self.lp), identity(k))]
+        """The position of e_k, first in grade k: each factor list opens with the identity."""
+        return self._starts[k]
+
+    def label(self, p: int) -> tuple[int, SignedPerm, SignedPerm, SignedPerm]:
+        """The label (k, d1, d2, x) at position p."""
+        if not 0 <= p < self.dim:
+            raise ValueError(f"position {p} is outside range({self.dim})")
+        k = bisect_right(self._starts, p) - 1
+        d1s, d2s, slots = self._factors[k]
+        i12, i3 = divmod(p - self._starts[k], len(slots))
+        return k, d1s[i12 // len(d2s)], d2s[i12 % len(d2s)], slots[i3]
+
+    def position(self, k: int, d1: SignedPerm, d2: SignedPerm, x: SignedPerm) -> int:
+        """The position of e_(k,d1,d2,x) = T_(d1) T'_(d2) T'_x e_k, a word of ascents."""
+        if 0 <= k <= self.kmax:
+            i1, i2, i3 = (index.get(f) for index, f in zip(self._factor_index[k], (d1, d2, x)))
+            if None not in (i1, i2, i3):
+                _, d2s, slots = self._factors[k]
+                return self._starts[k] + (i1 * len(d2s) + i2) * len(slots) + i3
+        raise VerificationError(f"{(k, d1, d2, x)} is not a label of ({self.l},{self.lp})")
+
+    def _index_obj(self, p: int) -> dict:
+        k, d1, d2, x = self.label(p)
+        return {"k": k, "d1": list(d1), "d2": list(d2), "x": list(x)}
 
     def gen_keys(self) -> list[tuple[int, int]]:
         return [(0, g) for g in range(1, self.l + 1)] + [(1, g) for g in range(1, self.lp + 1)]
@@ -349,7 +362,7 @@ class ThetaModule:
                 spec, ds, stride, before = CosetSpec("sym_block", l, k), d1s, n2 * n3, l - k
             else:
                 spec, ds, stride, before = CosetSpec("mixed_block", lp, k), d2s, n3, 0
-            index = {d: i for i, d in enumerate(ds)}
+            index = self._factor_index[k][side]
             rows = []  # the templates of one factor, one per slot index
             for i, d in enumerate(ds):
                 res = deodhar_transfer(d, g, spec)
@@ -377,13 +390,6 @@ class ThetaModule:
 
     # -- seeded flip action --
 
-    def _label(self, k: int, d1: SignedPerm, d2: SignedPerm, x: SignedPerm) -> int:
-        """The position of e_(k,d1,d2,x) = T_(d1) T'_(d2) T'_x e_k, a word of ascents."""
-        p = self.pos.get((k, d1, d2, x))
-        if p is None:
-            raise VerificationError(f"{(k, d1, d2, x)} is not a label of ({self.l},{self.lp})")
-        return p
-
     def seed_flip_top(self, k: int) -> dict:
         """The flip generator applied to the grade-k base vector."""
         if k == 0:
@@ -392,17 +398,17 @@ class ThetaModule:
         nu = LaurentPoly.nu_power
         unit, slot = identity(l), identity(k)
         top = _stride(nu(k - lp + mu, -1).terms, dim)
-        parts = [(self._label(k, unit, flip_at(k, lp), slot), top)]
+        parts = [(self.position(k, unit, flip_at(k, lp), slot), top)]
         # bracket, entering with weight nu^(k-l'+1) - nu^(k-l')
         bracket = nu(k - lp + 1) + nu(k - lp, -1)
         c = _stride((bracket * nu(mu)).terms, dim)
         for i in range(k + 1, lp + 1):
-            parts.append((self._label(k, unit, mul(flip_at(i, lp), swap_range(k, i, lp)), slot), c))
+            parts.append((self.position(k, unit, mul(flip_at(i, lp), swap_range(k, i, lp)), slot), c))
         c_low = _stride((bracket * nu(-1, -1)).terms, dim)
-        low = self._label(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
+        low = self.position(k - 1, swap_range(l - k + 1, l, l), identity(lp), identity(k - 1))
         parts.append((low, c_low))
         for i in range(k, lp + 1):
-            parts.append((self._label(k, unit, swap_range(k, i, lp), slot), c_low))
+            parts.append((self.position(k, unit, swap_range(k, i, lp), slot), c_low))
         return dict(_column(*parts))
 
     def seed_flip_inner(self, k: int) -> dict:
@@ -424,11 +430,11 @@ class ThetaModule:
             flipped_scale = _stride((scale * nu(mu + 1, -1)).terms, dim)
             for i in range(k + 1, lp + 1):
                 cycle = swap_range(k + 1, i, lp)
-                parts.append((self._label(k + 1, unit, cycle, slot_up), plain))
+                parts.append((self.position(k + 1, unit, cycle, slot_up), plain))
                 flipped = mul(flip_at(i, lp), cycle)
-                parts.append((self._label(k + 1, unit, flipped, slot_up), flipped_scale))
+                parts.append((self.position(k + 1, unit, flipped, slot_up), flipped_scale))
         for i in range(1, k + 1):
-            p = self._label(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
+            p = self.position(k, swap_range(l - k, l - k + i, l), identity(lp), swap_range(1, i, k))
             parts.append((p, _stride((scale * (nu(k - i + 1) + nu(k - i, -1))).terms, dim)))
         return dict(_column(*parts))
 
@@ -468,7 +474,7 @@ class ThetaModule:
                 add_product(out, self.apply_gen((0, g), vec), nu_inv)  # zeros drop here
                 add_product(out, vec, nu_inv_minus_one)
                 vec = out
-            seeds[self._label(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
+            seeds[self.position(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
         # for g commuting with the flip, an ascent e_r = T_g e_q makes flip
         # column r T_g on flip column q
         keys = [(0, g) for g in range(1, l - 1)] + [(1, g) for g in range(1, lp + 1)]
@@ -478,7 +484,7 @@ class ThetaModule:
             vec = seeds.get(r)
             if vec is None:
                 if r not in ascents:
-                    raise VerificationError(f"no flip seed and no ascent reaches label {self.basis[r]}")
+                    raise VerificationError(f"no flip seed and no ascent reaches label {self.label(r)}")
                 gen, q = ascents[r]
                 vec = _apply(gen, cols[q], dim, q)
             cols.append(tuple(sorted((k - r, c) for k, c in vec.items() if c)))
@@ -633,12 +639,6 @@ class ThetaModule:
             "relations": report,
             "seeds": None if seeds is None else [len(s) for s in seeds],
         }
-
-    # -- serialization --
-
-    def _index_obj(self, p: int) -> dict:
-        k, d1, d2, x = self.basis[p]
-        return {"k": k, "d1": list(d1), "d2": list(d2), "x": list(x)}
 
     # -- specialization at nu = 1 --
 

@@ -4,7 +4,8 @@ full product, symmetric-group characters and products computed by textbook
 formulas, and signed-group characters as induced sums, the nu = 1
 character and its decomposition taken one class pair at a time, a word's
 nu = 1 product composed column by column, a product of two Hecke words
-taken element by element, the transfer generators' columns built label by
+taken element by element, the module's labels listed by a nested loop over
+each grade's factors, the transfer generators' columns built label by
 label, the relation suite checked on every column, letter by letter, a
 hecke-mul product as JSON objects, for json.dumps to write and to parse
 back, and a conservation-scan report built from each label's own check.
@@ -44,6 +45,7 @@ from thetahecke.weylbc import (
     bipartitions,
     conjugacy_classes,
     deodhar_transfer,
+    distinguished_reps,
     gen_perm,
     group_order,
     identity,
@@ -450,13 +452,27 @@ def product_by_columns(rep, keys) -> list:
 # -- the generic module, label by label ---------------------------------------------
 
 
+def nested_labels(l: int, lp: int) -> list[tuple]:
+    """Every label (k, d1, d2, x) of the (l, l') module in position order:
+    for each grade k, a nested loop over d1, then d2, then the slot x, each
+    factor list in its own order and the slots by (length, permutation)."""
+    labels = []
+    for k in range(min(l, lp) + 1):
+        slots = sorted(all_unsigned_perms(k), key=lambda w: (length(w), w))
+        for d1 in distinguished_reps(CosetSpec("sym_block", l, k)):
+            for d2 in distinguished_reps(CosetSpec("mixed_block", lp, k)):
+                for x in slots:
+                    labels.append((k, d1, d2, x))
+    return labels
+
+
 def transfer_column(mod: ThetaModule, side: int, g: int, p: int) -> tuple:
     """Column p of a generator but the unprimed flip, decided for its own
     label through Deodhar's lemma on d1 or d2 and looked up by label: a
     descent spends the generator's parameter q, and a transfer acts on the
     label's slot or by a scalar.  A transfer keeps the kind of generator, so a
     slot descent or a scalar q entry is a swap's, at q = nu."""
-    k, d1, d2, x = mod.basis[p]
+    k, d1, d2, x = mod.label(p)
     par = -1 - mod.mu if (side, g) == (1, mod.lp) else 1
     q, q_minus_one = (_stride(t, mod.dim) for t in _quad_terms(par))
     if side == 0:
@@ -464,7 +480,7 @@ def transfer_column(mod: ThetaModule, side: int, g: int, p: int) -> tuple:
     else:
         res = deodhar_transfer(d2, g, CosetSpec("mixed_block", mod.lp, k))
     if res[0] == "coset":
-        np_ = mod.pos[(k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)]
+        np_ = mod.position(*((k, res[1], d2, x) if side == 0 else (k, d1, res[1], x)))
         if res[2] > 0:
             return _column((np_, {0: 1}))
         return _column((np_, q), (p, q_minus_one))
@@ -482,7 +498,7 @@ def transfer_column(mod: ThetaModule, side: int, g: int, p: int) -> tuple:
             return _column((p, q))
         y = mul(gen_perm(h, k), x)
         descent = is_right_descent(inv(x), h)
-    yp = mod.pos[(k, d1, d2, y)]
+    yp = mod.position(k, d1, d2, y)
     if not descent:
         return _column((yp, {0: 1}))
     return _column((yp, q), (p, q_minus_one))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from thetahecke import VerificationError, bipartition, cli, dualpair, thetamod, weylbc
+from thetahecke import VerificationError, bipartition, cli, dualpair, laurent, thetamod, weylbc
 from thetahecke.cli import main
 from thetahecke.heckealg import HeckeParams, he_mul
 from thetahecke.laurent import LaurentPoly
@@ -287,9 +287,14 @@ def test_huge_mu_exponent_is_refused_before_it_is_read(capsys, monkeypatch, argv
     """Fraction builds a decimal exponent's power of ten in full, seconds of
     work at 1e10000000, so every subcommand with --mu refuses an exponent
     past the digits Python converts, or one with that many digits itself,
-    with one line before as_half sees it; 1e3 and 0.5 are still read."""
-    seen, real = [], cli.as_half
-    monkeypatch.setattr(cli, "as_half", lambda text: seen.append(text) or real(text))
+    with one line before Fraction sees the text; 1e3 and 0.5 are still read."""
+    seen, real = [], laurent.Fraction
+
+    def fraction(*args):
+        seen.extend(a for a in args if isinstance(a, str))
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "Fraction", fraction)
     limit = sys.get_int_max_str_digits()
     for mu in ("1e100000000", f"1E-{limit + 1}", "1e" + "9" * (limit + 1)):
         code, out, err = run(capsys, *argv, "--mu", mu)
@@ -427,7 +432,7 @@ def test_module_verify_names_the_seed_columns_on_stderr(capsys, monkeypatch):
         def verify_relations(self):
             for key in self.gen_keys():
                 self.matrix(key)
-            table, p = self.matrix((0, 1)), self.pos[(2, (2, 1, 3), (2, 3, 1), (2, 1))]
+            table, p = self.matrix((0, 1)), self.position(2, (2, 1, 3), (2, 3, 1), (2, 1))
             table[p] = tuple((k, 2 * c) for k, c in table[p])
             return super().verify_relations()
 

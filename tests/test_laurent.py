@@ -1,11 +1,15 @@
 """Ground-ring arithmetic: exact Laurent polynomials in nu**(1/2)."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from thetahecke.heckealg import HeckeParams
 from thetahecke.laurent import LaurentPoly, add_product, add_shifted, as_half, format_half
+from thetahecke.thetamod import ThetaModule
 
 from oracles import poly_from_json_obj, poly_to_json_obj
 
@@ -26,6 +30,19 @@ def test_half_coercion():
         as_half("1/3")
     with pytest.raises(ValueError, match="zero denominator"):
         as_half("1/0")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_huge_exponent_is_refused_by_the_library():
+    """as_half refuses a decimal exponent past the digits Python converts
+    before Fraction builds its power of ten, so the library callers that take
+    mu as text refuse 1e10000000 at once; a shorter exponent is still read."""
+    for build in (as_half, lambda mu: ThetaModule(1, 1, mu), lambda mu: HeckeParams.signed(2, mu)):
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError, match="1e10000000 has too many digits to print"):
+            build("1e10000000")
+        assert time.perf_counter() - t0 < 1
+    assert as_half("1e3") == 1000 and as_half("-15e-1") == Fraction(-3, 2)
 
 
 def test_half_power_squares_to_nu():

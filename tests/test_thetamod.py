@@ -44,6 +44,7 @@ from thetahecke.weylbc import (
 from oracles import (
     character_by_class,
     decompose_by_classes,
+    nested_labels,
     product_by_columns,
     transfer_column,
     verify_every_column,
@@ -93,13 +94,41 @@ def test_total_dimensions_frozen():
 
 
 def test_basis_positions_are_consistent():
+    """label(p) lists the labels in the order of the nested loop in
+    tests/oracles.py, position inverts it, and each grade is one run of
+    positions that opens with its unit label (k, 1, 1, 1) at unit_pos(k)."""
+    shapes = [(l, lp) for l in range(4) for lp in range(4)] + [(2, 8), (4, 4)]
+    for l, lp in shapes:
+        mod = ThetaModule(l, lp, MU)
+        assert [mod.label(p) for p in range(mod.dim)] == nested_labels(l, lp)
+        for p in range(mod.dim):
+            assert mod.position(*mod.label(p)) == p
+        lo = 0
+        for k, size in enumerate(mod.grade_dims()):
+            hi = lo + size
+            assert all(mod.label(p)[0] == k for p in range(lo, hi))
+            assert lo == mod.unit_pos(k) < hi
+            assert mod.label(lo) == (k, identity(l), identity(lp), identity(k))
+            lo = hi
+        assert lo == mod.dim
+
+
+def test_non_labels_and_outside_positions_are_refused():
     mod = ThetaModule(2, 3, MU)
-    for p, idx in enumerate(mod.basis):
-        assert mod.pos[idx] == p
-    for k in range(mod.kmax + 1):
-        lo, hi = mod.grade_range[k]
-        assert all(mod.basis[p][0] == k for p in range(lo, hi))
-        assert lo <= mod.unit_pos(k) < hi
+    e2, e3 = identity(2), identity(3)
+    not_labels = [
+        (1, e2, e3, identity(2)),  # a slot of the wrong size
+        (2, (2, 1), e3, identity(2)),  # d1 no grade-2 sym_block factor
+        (1, e2, (1, 3, 2), (1,)),  # d2 no grade-1 mixed_block factor
+        (3, e2, e3, identity(3)),  # past the top grade
+        (-1, e2, e3, identity(2)),  # before grade 0, which a list index would wrap to the top
+    ]
+    for k, d1, d2, x in not_labels:
+        with pytest.raises(VerificationError, match=re.escape(f"{(k, d1, d2, x)} is not a label of (2,3)")):
+            mod.position(k, d1, d2, x)
+    for p in (-1, -mod.dim, mod.dim, mod.dim + 1):
+        with pytest.raises(ValueError, match=re.escape(f"position {p} is outside range({mod.dim})")):
+            mod.label(p)
 
 
 # -- generator columns ------------------------------------------------------------
@@ -109,12 +138,12 @@ def test_rank_one_flip_column_frozen():
     """Hand-checked action of the flip on the bottom grade at (1, 1)."""
     mod = ThetaModule(1, 1, MU)
     e1 = identity(1)
-    p_bottom = mod.pos[(0, e1, e1, ())]
+    p_bottom = mod.position(0, e1, e1, ())
     col = mod.column((0, 1), p_bottom)
     want = {
         (p_bottom, -2): -1,
-        (mod.pos[(1, e1, e1, (1,))], -2): -1,
-        (mod.pos[(1, e1, flip_at(1, 1), (1,))], 1): 1,
+        (mod.position(1, e1, e1, (1,)), -2): -1,
+        (mod.position(1, e1, flip_at(1, 1), (1,)), 1): 1,
     }
     assert _decoded(mod, col) == want
     assert col == tuple(sorted((e * mod.dim + p, c) for (p, e), c in want.items()))
@@ -358,8 +387,8 @@ def test_corrupted_column_is_reported(k, e, residual, failing):
 def test_corrupted_column_is_reported_at_huge_mu():
     """The primed flip's nu^(-1-mu) keeps its exact exponent in the residual."""
     mod = ThetaModule(2, 2, HUGE_MU)
-    p = mod.pos[(1, (1, 2), (-2, 1), (1,))]
-    r = mod.pos[(1, (1, 2), (2, 1), (1,))]
+    p = mod.position(1, (1, 2), (-2, 1), (1,))
+    r = mod.position(1, (1, 2), (2, 1), (1,))
     e = int(2 * (-1 - HUGE_MU))
     assert mod.column((1, 2), p)[0] == (e * mod.dim + r, 1)
     _corrupt(mod, (1, 2), p, e)
@@ -400,7 +429,7 @@ def test_corrupted_swap_column_off_the_seeds_is_reported():
     every-column check gave."""
     mod = ThetaModule(3, 3, MU)
     label = (2, (2, 1, 3), (2, 3, 1), (2, 1))
-    _corrupt(mod, (0, 1), mod.pos[label], 1)
+    _corrupt(mod, (0, 1), mod.position(*label), 1)
     rep = mod.verify_relations()
     assert rep["seeds"] is None
     here = _label_obj(*label)
@@ -498,9 +527,10 @@ def test_seed_columns_are_the_other_sides_unit_labels(mu):
     position is a seed."""
     for l, lp in [(2, 2), (3, 3), (4, 4), (2, 8), (8, 2)]:
         mod = ThetaModule(l, lp, mu)
-        labels = [[mod.basis[p] for p in mod.seed_columns(side)] for side in (0, 1)]
-        assert labels[0] == [b for b in mod.basis if b[2] == identity(lp) and b[3] == identity(b[0])]
-        assert labels[1] == [b for b in mod.basis if b[1] == identity(l) and b[3] == identity(b[0])]
+        labels = [[mod.label(p) for p in mod.seed_columns(side)] for side in (0, 1)]
+        every = [mod.label(p) for p in range(mod.dim)]
+        assert labels[0] == [b for b in every if b[2] == identity(lp) and b[3] == identity(b[0])]
+        assert labels[1] == [b for b in every if b[1] == identity(l) and b[3] == identity(b[0])]
     for shape in [(0, 3), (3, 0)]:
         mod = ThetaModule(*shape, mu)
         assert mod.seed_columns(0) == mod.seed_columns(1) == list(range(mod.dim))
@@ -582,7 +612,8 @@ def test_labels_are_words_of_ascents(mu):
     shapes = [(l, lp) for l in range(4) for lp in range(4)] + [(4, 2), (2, 4)]
     for l, lp in shapes:
         mod = ThetaModule(l, lp, mu)
-        for p, (k, d1, d2, x) in enumerate(mod.basis):
+        for p in range(mod.dim):
+            k, d1, d2, x = mod.label(p)
             word = _word(0, d1) + _word(1, d2) + _word(1, x)
             assert _decoded(mod, _apply_keys(mod, word, {mod.unit_pos(k): 1})) == {(p, 0): 1}
 
@@ -590,7 +621,7 @@ def test_labels_are_words_of_ascents(mu):
 def test_flip_seeds_and_columns_check_their_range():
     mod = ThetaModule(2, 2, MU)
     with pytest.raises(VerificationError, match="not a label"):
-        mod._label(1, identity(2), identity(2), identity(2))
+        mod.position(1, identity(2), identity(2), identity(2))
     for k in (-1, 2):
         with pytest.raises(ValueError, match="inner flip seed"):
             mod.seed_flip_inner(k)
@@ -607,7 +638,7 @@ def test_cross_seed_matches_inverted_hecke_element(shape, mu):
     mod = ThetaModule(l, lp, mu)
     for k in range(1, min(l - 1, lp) + 1):
         # the seed is the flip column at the crossing label (k, w^-1, 1, 1)
-        p = mod.pos[(k, swap_range(l - k, l, l), identity(lp), identity(k))]
+        p = mod.position(k, swap_range(l - k, l, l), identity(lp), identity(k))
         inner = mod.seed_flip_inner(k)
         want: dict = {}
         t_inv = he_inv_basis(HeckeParams.signed(l, mu), inv(swap_range(l - k, l, l)))
@@ -626,10 +657,10 @@ def test_flip_without_a_predecessor_is_reported(shape):
     l, lp = shape
     mod = ThetaModule(l, lp, MU)
     q = mod.unit_pos(1)
-    label = mod.basis[mod.column((1, 1), q)[0][0]]
+    label = mod.label(mod.column((1, 1), q)[0][0])
     assert label == (1, identity(l), gen_perm(1, lp), identity(1))
-    assert mod.column((1, 1), q) == ((mod.pos[label], 1),)
-    mod.matrix((1, 1))[q] = ((mod.pos[label] - q, 2),)
+    assert mod.column((1, 1), q) == ((mod.position(*label), 1),)
+    mod.matrix((1, 1))[q] = ((mod.position(*label) - q, 2),)
     with pytest.raises(VerificationError, match=re.escape(f"no ascent reaches label {label}")):
         mod.matrix((0, l))
 
