@@ -38,11 +38,13 @@ from .laurent import LaurentPoly, as_half, format_half
 from .thetamod import GroupRepAtOne, ThetaModule, module_dim_formula, verify_work_formula
 from .weylbc import CosetSpec, coset_table, group_order, length
 
-# module-verify is capped by its relation column checks (verify_work_formula),
-# each about 10-15 us.  The dimension does not bound them: (1,200) (dim 401,
-# 8.1M checks) took 78 s and (3,14) (dim 19,741, 1.2M) 17.7 s in process, and
-# (2,70) (dim 19,601, 27.1M) 422 s at 805 MB end to end before the columns
-# were built from each grade's tensor layout.  They bound the dimension, and
+# module-verify is capped by its relation column checks in the worst case
+# (verify_work_formula): every cross relation on every column, as a transfer
+# pair runs when it falls back from its blocks, each check about 10-15 us.
+# The dimension does not bound them: (1,200) (dim 401, 8.1M checks) took
+# 78 s and (3,14) (dim 19,741, 1.2M) 17.7 s in process, and (2,70) (dim
+# 19,601, 27.1M) 422 s at 805 MB end to end before the columns were built
+# from each grade's tensor layout.  They bound the dimension, and
 # with it the memory of every generator's columns: up to rank 200 the largest
 # admitted is (5,5)'s 19,091 (481,400 checks), while (4,7) (dim 21,225) needs
 # 620,752 and (6,6) 10.5M.  On 2 cores with Python 3.11.7, end to end at
@@ -198,12 +200,24 @@ def cmd_module_verify(args) -> int:
     report = ThetaModule(l, lp, mu).verify_relations()
     report["mode"] = "symbolic"
     elapsed = time.perf_counter() - t0
-    seeds = report.pop("seeds")
+    seeds, cross = report.pop("seeds"), report.pop("cross")
     columns = "every column" if seeds is None else f"{seeds[0]} + {seeds[1]} seed columns"
+
+    def count(n, what):
+        return f"{n} {what}{'' if n == 1 else 's'}"
+
+    decided = [
+        f"{count(cross['transfer_on_blocks'], 'transfer pair')} on blocks "
+        f"({count(cross['block_products'], 'block product')})"
+    ]
+    if cross["transfer_on_columns"]:
+        decided.append(f"{count(cross['transfer_on_columns'], 'transfer pair')} on every column")
+    decided.append(f"{count(cross['flip_on_columns'], 'flip pair')} on every column")
 
     for rel in report["relations"]:
         took = rel.pop("elapsed")
         print(f"{rel['name']}: {'PASS' if rel['ok'] else 'FAIL'} ({took:.3f}s)", file=sys.stderr)
+    print(f"cross relations: {', '.join(decided)}", file=sys.stderr)
     print(
         f"module-verify l={l} lprime={lp} mu={mu_text}: {elapsed:.2f}s, side relations on {columns}",
         file=sys.stderr,

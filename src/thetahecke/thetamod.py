@@ -71,18 +71,36 @@ Any specialization (nu = 1, nu = q) is the image of this generic module under
 a ring homomorphism, so the check proves the specialized relations too; nu = 1
 sums the exponents out.
 
-The cross relations say that the two actions commute.  They are checked
-first, on every column; once they hold, a relation among one side's
-generators commutes with each generator T'_b of the other side, so if it
-holds on e_q and e_r = T'_b e_q is an exact ascent (a column that is e_r
-alone, r > q, the test the flip build uses), it holds on e_r.  By induction
-on position it holds on every column once it holds on the seeds, the
-positions no ascent of the other side reaches: the labels (k, d1, 1, 1) for a
-relation among the unprimed generators and (k, 1, d2, 1) for one among the
-primed, read from the columns each time.  When a cross relation fails the
-argument is void, and every side relation runs on every column.  By the
-same induction a side relation's lowest failing column is a seed, so a
-report names the first failing column either way.
+The cross relations say that the two actions commute.  They are decided
+first.  One with the unprimed flip runs on every column.  One between two
+transfer letters is decided on blocks: within grade k a side-0 letter is
+A = sum E(j1,i1) (x) I (x) A(j1,i1), E a matrix unit on the d1 factor and
+A(j1,i1) a k!-square block on the slot, and a side-1 letter is B = sum I (x)
+E(j2,i2) (x) B(j2,i2), so AB - BA = sum E(j1,i1) (x) E(j2,i2) (x)
+[A(j1,i1), B(j2,i2)].  The matrix units are independent, so AB = BA exactly
+when every pair of their blocks commutes (right against left multiplication
+in H(S_k), plus scalars).  A block that is a scalar multiple of the identity
+commutes with any; the distinct others are multiplied pairwise, exactly, as
+Laurent matrices.  Each run reads the blocks, and which are scalar, from the
+rows of templates the letter's build recorded, and trusts them only while
+every stored column is the template its layout assigns and every template
+entry stays in its grade, on its label of the factor the letter does not
+read.  When that fails, or a block pair does not commute, the relation runs
+on every column, so its report is the every-column check's.
+
+A cross relation holds on every column when AB = BA as matrices, on every
+basis vector, whichever way it was decided; the seed induction uses no more.
+Once they all hold, a relation among one side's generators commutes with
+each generator T'_b of the other side, so if it holds on e_q and e_r = T'_b
+e_q is an exact ascent (a column that is e_r alone, r > q, the test the flip
+build uses), it holds on e_r.  By induction on position it holds on every
+column once it holds on the seeds, the positions no ascent of the other side
+reaches: the labels (k, d1, 1, 1) for a relation among the unprimed
+generators and (k, 1, d2, 1) for one among the primed, read from the columns
+each time.  When a cross relation fails the argument is void, and every side
+relation runs on every column.  By the same induction a side relation's
+lowest failing column is a seed, so a report names the first failing column
+either way.
 
 At nu = 1 every nu - 1 term vanishes, so every generator but the unprimed
 flip is a signed permutation, and GroupRepAtOne applies such a letter by
@@ -153,6 +171,17 @@ def _apply(cols, pairs, dim: int, at: int = 0) -> dict:
             else:
                 out[k] = c * a
     return out
+
+
+def _commute(a: tuple, b: tuple, n: int) -> bool:
+    """Whether two n-square blocks, stored as columns are, commute: column x
+    of ab is a applied to column x of b, and of ba b applied to a's; raw sums
+    that agree are equal, others are compared canonical."""
+    for x in range(n):
+        ab, ba = _apply(a, b[x], n, x), _apply(b, a[x], n, x)
+        if ab != ba and _nonzero(ab) != _nonzero(ba):
+            return False
+    return True
 
 
 def _apply_word(mats, pairs, dim: int, at: int = 0) -> dict:
@@ -233,10 +262,12 @@ def module_dim_formula(l: int, lp: int) -> int:
 
 
 def verify_work_formula(l: int, lp: int) -> int:
-    """The relation column checks of verify_relations once the cross relations
-    hold: the l l' cross relations on every column, the l(l+1)/2 unprimed
-    relations on the sum_k C(l, k) seeds (k, d1, 1, 1) and the l'(l'+1)/2
-    primed ones on the sum_k C(l', k) 2^k seeds (k, 1, d2, 1), k <= min(l, l')."""
+    """The relation column checks of verify_relations in the worst case in
+    which the cross relations hold: the l l' cross relations on every column,
+    as a transfer pair runs when it falls back from its blocks, the l(l+1)/2
+    unprimed relations on the sum_k C(l, k) seeds (k, d1, 1, 1) and the
+    l'(l'+1)/2 primed ones on the sum_k C(l', k) 2^k seeds (k, 1, d2, 1),
+    k <= min(l, l')."""
     grades = range(min(l, lp) + 1)
     seeds0 = sum(math.comb(l, k) for k in grades)
     seeds1 = sum(math.comb(lp, k) << k for k in grades)
@@ -271,6 +302,8 @@ class ThetaModule:
                     f"the closed form gives {grade_dim_formula(l, lp, k)}"
                 )
         self._cols: dict[tuple, list[tuple]] = {}
+        # each transfer letter's per-grade rows of templates, as its build laid them out
+        self._rows: dict[tuple, list[list[tuple]]] = {}
 
     # -- bookkeeping: a label is index arithmetic on its grade's factor lists --
 
@@ -279,6 +312,8 @@ class ThetaModule:
 
     def unit_pos(self, k: int) -> int:
         """The position of e_k, first in grade k: each factor list opens with the identity."""
+        if not 0 <= k <= self.kmax:
+            raise ValueError(f"grade {k} is outside 0..{self.kmax}")
         return self._starts[k]
 
     def label(self, p: int) -> tuple[int, SignedPerm, SignedPerm, SignedPerm]:
@@ -345,6 +380,7 @@ class ThetaModule:
         par = -1 - self.mu if (side, g) == (1, lp) else 1
         q, q_minus_one = (_stride(t, dim) for t in _quad_terms(par))
         scalar, sign = tuple(sorted(q.items())), ((0, -1),)
+        self._rows[side, g] = grade_rows = []
 
         @lru_cache(maxsize=None)  # one tuple per template, whichever factor asks
         def moved(delta: int, descent: bool) -> tuple:
@@ -364,6 +400,7 @@ class ThetaModule:
                 spec, ds, stride, before = CosetSpec("mixed_block", lp, k), d2s, n3, 0
             index = self._factor_index[k][side]
             rows = []  # the templates of one factor, one per slot index
+            grade_rows.append(rows)
             for i, d in enumerate(ds):
                 res = deodhar_transfer(d, g, spec)
                 if res[0] == "coset":
@@ -577,6 +614,67 @@ class ThetaModule:
             out.append(vec)
         return out[0], out[1]
 
+    def _slot_blocks(self, key: tuple, canon: dict) -> list[list[tuple]] | None:
+        """The distinct slot blocks of a transfer letter that are no scalar
+        multiple of the identity, one list per grade, read from the rows of
+        templates its build recorded; a block is k!-square, stored as columns
+        are, and equal blocks are the one object canon holds.  None when a
+        stored column is not the template its layout assigns, or a template
+        has an entry outside its grade or on another label of the factor the
+        letter does not read: the letter is then no tensor of blocks."""
+        side, cols, dim = key[0], self.matrix(key), self.dim
+        out = []
+        for (d1s, d2s, slots), start, rows in zip(self._factors, self._starts, self._rows[key]):
+            n1, n2, n3 = len(d1s), len(d2s), len(slots)
+            span = n2 * n3  # the positions of one d1
+            # side 0 takes row i1 at every d2 of d1 i1, side 1 every row once per d1
+            if side == 0:
+                layout = (list(row) * n2 for row in rows)
+            else:
+                layout = [[t for row in rows for t in row]] * n1
+            if any(cols[start + i * span:start + (i + 1) * span] != seg for i, seg in enumerate(layout)):
+                return None
+            step, found = span if side == 0 else n3, {}
+
+            def read(template, p: int, x: int):
+                """(target factor index, e*n3 + y - x, c) for each entry of the
+                template at position p, slot x; None if one leaves the tensor form."""
+                entries = []
+                for off, c in template:
+                    e, r = divmod(off + p, dim)
+                    j1, rest = divmod(r - start, span)
+                    j2, y = divmod(rest, n3)
+                    j, other = (j1, j2) if side == 0 else (j2, j1)
+                    if other or not 0 <= j1 < n1:
+                        return None
+                    entries.append((j, e * n3 + y - x, c))
+                return entries
+
+            for i, row in enumerate(rows):
+                base = start + i * step  # factor i's label whose other factor is the first
+                head = read(row[0], base, 0)
+                if head is None:
+                    return None
+                # one template at every slot, each entry on slot x: scalar blocks only
+                if row.count(row[0]) == n3 and not any(k % n3 for _, k, _ in head):
+                    continue
+                blocks: dict = {}  # the target factor index: the block's columns
+                for x, template in enumerate(row):
+                    entries = head if x == 0 else read(template, base + x, x)
+                    if entries is None:
+                        return None
+                    for j, k, c in entries:
+                        if j not in blocks:
+                            blocks[j] = [[] for _ in range(n3)]
+                        blocks[j][x].append((k, c))
+                for block in blocks.values():
+                    block = tuple(tuple(sorted(col)) for col in block)
+                    if block.count(block[0]) < n3 or any(k % n3 for k, _ in block[0]):
+                        block = canon.setdefault(block, block)
+                        found[id(block)] = block
+            out.append(list(found.values()))
+        return out
+
     def _failure(self, p: int, lhs: dict, rhs: dict) -> dict:
         """The column, lowest offending entry and residual of a relation whose
         sides on e_p are lhs != rhs: the residual is lhs - rhs at that entry."""
@@ -591,22 +689,26 @@ class ThetaModule:
         """Run every defining relation column by column, each side compared
         exactly on the generic columns as the module docstring states.
 
-        The cross relations run first, on every column.  If they all hold,
-        each side relation runs only on its seed_columns, and otherwise on
-        every column; the module docstring gives the induction that makes
-        either report the every-column check's.
+        The cross relations run first.  One between two transfer letters is
+        decided on their slot blocks when both letters are laid out as their
+        build recorded and every pair of their blocks commutes; it runs on
+        every column otherwise, as one with the unprimed flip always does.
+        If they all hold, each side relation runs only on its seed_columns,
+        and otherwise on every column; the module docstring gives the
+        arguments that make each report the every-column check's.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
         [{name, ok, failure?, elapsed}...] in relation_suite order, "seeds":
         the seed counts of the side-0 and the side-1 relations, or None when
-        they ran on every column}; a failure records the first offending
+        they ran on every column, "cross": the transfer pairs decided on
+        blocks, the block products that took, and the transfer and the flip
+        pairs run on every column}; a failure records the first offending
         basis column, entry, and residual.
         """
-        dim = self.dim
+        dim, flip = self.dim, (0, self.l)
         suite = self.relation_suite()
 
-        def run(chk, columns) -> dict:
-            t0 = time.perf_counter()
+        def run(chk, columns, t0: float) -> dict:
             plan = self._plan(chk)
             failure = None
             for p in columns:
@@ -624,13 +726,45 @@ class ThetaModule:
                 "elapsed": time.perf_counter() - t0,
             }
 
-        done = {i: run(chk, range(dim)) for i, chk in enumerate(suite) if chk["side"] is None}
+        # within this run: each letter's blocks, each block pair's verdict
+        canon, blocks, commute = {}, {}, {}
+        cross = {"transfer_on_blocks": 0, "block_products": 0, "transfer_on_columns": 0, "flip_on_columns": 0}
+
+        def on_blocks(a: tuple, b: tuple) -> bool:
+            for key in (a, b):
+                if key not in blocks:
+                    blocks[key] = self._slot_blocks(key, canon)
+            if blocks[a] is None or blocks[b] is None:
+                return False
+            for (_, _, slots), a_blocks, b_blocks in zip(self._factors, blocks[a], blocks[b]):
+                for s in a_blocks:
+                    for t in b_blocks:
+                        pair = (id(s), id(t))
+                        if pair not in commute:
+                            commute[pair] = _commute(s, t, len(slots))
+                            cross["block_products"] += 2
+                        if not commute[pair]:
+                            return False
+            return True
+
+        done = {}
+        for i, chk in enumerate(suite):
+            if chk["side"] is None:
+                t0, word = time.perf_counter(), chk["lhs"][0][1]
+                if flip in word:
+                    kind, columns = "flip_on_columns", range(dim)
+                elif on_blocks(*word):
+                    kind, columns = "transfer_on_blocks", ()
+                else:
+                    kind, columns = "transfer_on_columns", range(dim)
+                cross[kind] += 1
+                done[i] = run(chk, columns, t0)
         seeds = None
         if all(rel["ok"] for rel in done.values()):
             seeds = [self.seed_columns(side) for side in (0, 1)]
         for i, chk in enumerate(suite):
             if i not in done:
-                done[i] = run(chk, range(dim) if seeds is None else seeds[chk["side"]])
+                done[i] = run(chk, range(dim) if seeds is None else seeds[chk["side"]], time.perf_counter())
         report = [done[i] for i in range(len(suite))]
         return {
             "ok": all(r["ok"] for r in report),
@@ -638,6 +772,7 @@ class ThetaModule:
             "grades": self.grade_dims(),
             "relations": report,
             "seeds": None if seeds is None else [len(s) for s in seeds],
+            "cross": cross,
         }
 
     # -- specialization at nu = 1 --

@@ -442,6 +442,44 @@ def test_module_verify_names_the_seed_columns_on_stderr(capsys, monkeypatch):
     assert err.splitlines()[-1].endswith(", side relations on every column")
 
 
+CROSS_LINE = re.compile(
+    r"cross relations: (\d+) transfer pairs? on blocks \((\d+) block products?\), "
+    r"(?:(\d+) transfer pairs? on every column, )?(\d+) flip pairs? on every column"
+)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 8)], ids=["3,3", "2,8"])
+def test_module_verify_says_how_the_cross_relations_were_decided(capsys, monkeypatch, shape):
+    """The line before the summary counts the transfer pairs decided on
+    blocks and the block products that took, then the pairs run on every
+    column: none of the (l-1) l' transfer pairs on a clean module, and each
+    pair with a letter whose column was changed after the build, whose
+    blocks are then not read."""
+    l, lp = shape
+    argv = ("module-verify", "--l", str(l), "--lprime", str(lp), "--mu", "1/2")
+    code, _, err = run(capsys, *argv)
+    *_, line, summary = err.splitlines()
+    blocks, products, columns, flips = CROSS_LINE.fullmatch(line).groups()
+    assert code == 0 and summary.startswith(f"module-verify l={l} lprime={lp} ")
+    assert (int(blocks), columns, int(flips)) == ((l - 1) * lp, None, lp) and int(products) > 0
+
+    class Corrupted(ThetaModule):
+        def verify_relations(self):
+            for key in self.gen_keys():
+                self.matrix(key)
+            table, p = self.matrix((1, 1)), self.unit_pos(1)
+            table[p] = tuple((k, 2 * c) for k, c in table[p])
+            return super().verify_relations()
+
+    monkeypatch.setattr(cli, "ThetaModule", Corrupted)
+    code, _, err = run(capsys, *argv)
+    *_, line, summary = err.splitlines()
+    blocks, products, columns, flips = CROSS_LINE.fullmatch(line).groups()
+    assert code == 1 and summary.startswith(f"module-verify l={l} lprime={lp} ")
+    assert (int(blocks), int(columns), int(flips)) == ((l - 1) * (lp - 1), l - 1, lp)
+    assert int(products) > 0
+
+
 def test_module_verify_text(capsys):
     code, out, _ = run(
         capsys, "module-verify", "--l", "1", "--lprime", "2", "--mu", "2", "--format", "text"

@@ -485,11 +485,13 @@ def test_corrupted_swap_column_on_a_seed_is_reported():
     }
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["2,2", "3,2"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3)], ids=["2,2", "3,2", "3,3"])
 def test_seed_check_matches_every_column_oracle(shape):
     """With one entry of one generator column added or changed, both flips
     included, the check on the seeds gives the every-column check's verdict,
-    per-relation verdicts and failure reports."""
+    per-relation verdicts and failure reports; a changed transfer column is
+    no longer its layout's template, so its letter's cross relations run on
+    every column, not on blocks."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     mod = ThetaModule(*shape, MU)
@@ -518,6 +520,95 @@ def test_seed_check_matches_every_column_oracle(shape):
     check()
 
 
+def _corrupt_template(mod: ThetaModule, key: tuple, k: int, i: int, x: int, j: int, y: int, e: int, c: int):
+    """Add c nu^(e/2) to template x of row i of a transfer letter's grade-k
+    rows, the entry on factor index j and slot y with the unread factor
+    unchanged, in the build's record and in every column its layout assigns
+    to that template, so the letter stays a tensor of blocks."""
+    (d1s, d2s, slots), start, dim = mod._factors[k], mod._starts[k], mod.dim
+    n2, n3 = len(d2s), len(slots)
+    rows, cols = mod._rows[key][k], mod.matrix(key)
+    if key[0] == 0:  # side 0 reads d1
+        positions = [start + (i * n2 + i2) * n3 + x for i2 in range(n2)]
+        off = e * dim + (j - i) * n2 * n3 + y - x
+    else:
+        positions = [start + (i1 * n2 + i) * n3 + x for i1 in range(len(d1s))]
+        off = e * dim + (j - i) * n3 + y - x
+    template = dict(rows[i][x])
+    template[off] = template.get(off, 0) + c
+    changed = tuple(sorted((o, a) for o, a in template.items() if a))
+    rows[i] = rows[i][:x] + (changed,) + rows[i][x + 1:]
+    for p in positions:
+        cols[p] = changed
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3)], ids=["2,2", "3,2", "3,3"])
+def test_block_decision_matches_every_column_oracle(shape):
+    """With one transfer template changed in the build's record and in every
+    column that takes it, the letter is still a tensor of blocks, so the
+    block products alone must find a failure: verify_relations gives the
+    every-column check's verdicts and failure reports, and a transfer pair
+    runs on every column exactly when its relation fails."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    transfer = [key for key in mod.gen_keys() if key != (0, mod.l)]
+    clean = {key: list(mod.matrix(key)) for key in mod.gen_keys()}
+    clean_rows = {key: [list(rows) for rows in mod._rows[key]] for key in transfer}
+    suite = mod.relation_suite()
+    pairs = {chk["name"] for chk in suite if chk["side"] is None and (0, mod.l) not in chk["lhs"][0][1]}
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        key=st.sampled_from(transfer),
+        k=st.integers(0, mod.kmax),
+        ij=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+        xy=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+        e=st.integers(-4, 4),
+        c=st.sampled_from([-2, -1, 1, 2]),
+    )
+    def check(key, k, ij, xy, e, c):
+        for g, cols in clean.items():
+            mod._cols[g] = list(cols)
+        for g, grade_rows in clean_rows.items():
+            mod._rows[g] = [list(rows) for rows in grade_rows]
+        n, n3 = len(mod._rows[key][k]), len(mod._factors[k][2])
+        _corrupt_template(mod, key, k, ij[0] % n, xy[0] % n3, ij[1] % n, xy[1] % n3, e, c)
+        rep = mod.verify_relations()
+        want = verify_every_column(mod)
+        assert rep["ok"] == want["ok"]
+        assert _reports(rep) == want["relations"]
+        failing = {r["name"] for r in want["relations"] if not r["ok"]} & pairs
+        decided = (rep["cross"]["transfer_on_blocks"], rep["cross"]["transfer_on_columns"])
+        assert decided == (len(pairs) - len(failing), len(failing))
+
+    check()
+
+
+@pytest.mark.parametrize("mu", [MU, -1], ids=str)
+def test_clean_transfer_pairs_are_decided_on_blocks(mu):
+    """On a clean module every one of the (l-1) l' transfer x transfer cross
+    relations is decided on blocks, up to (4,4), and only the l' flip pairs
+    run on every column: a silent fall back would give the same reports."""
+    for l in range(5):
+        for lp in range(5):
+            rep = ThetaModule(l, lp, mu).verify_relations()
+            cross = rep["cross"]
+            assert rep["ok"] and cross["transfer_on_columns"] == 0, (l, lp)
+            want = (max(l - 1, 0) * lp, lp if l else 0)
+            assert (cross["transfer_on_blocks"], cross["flip_on_columns"]) == want, (l, lp)
+
+
+def test_unit_pos_refuses_a_grade_outside_the_module():
+    """unit_pos(k) is the first position of grade k for 0 <= k <= kmax, and
+    any other k is refused, as label refuses a position outside range(dim)."""
+    mod = ThetaModule(2, 2, MU)
+    assert [mod.unit_pos(k) for k in range(3)] == [0, 1, 9]
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=re.escape(f"grade {k} is outside 0..2")):
+            mod.unit_pos(k)
+
+
 @pytest.mark.parametrize("mu", [Fraction(1, 2), -1, 0, 3], ids=str)
 def test_seed_columns_are_the_other_sides_unit_labels(mu):
     """The side-0 relations' seeds, read from the primed generators' ascents,
@@ -538,8 +629,9 @@ def test_seed_columns_are_the_other_sides_unit_labels(mu):
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (3, 3), (2, 8), (8, 2)])
 def test_verify_work_counts_the_relation_column_checks(shape):
-    """The closed-form work is the cross relations on every column plus each
-    side's relations on the seeds that verify_relations reports."""
+    """The closed-form work is the worst case: the cross relations on every
+    column, as a transfer pair runs when it falls back from its blocks, plus
+    each side's relations on the seeds that verify_relations reports."""
     mod = ThetaModule(*shape, Fraction(1, 2))
     report = mod.verify_relations()
     suite = mod.relation_suite()
