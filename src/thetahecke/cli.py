@@ -40,7 +40,7 @@ from .weylbc import CosetSpec, coset_table, group_order, length
 
 # module-verify is capped by its relation column checks in the worst case
 # (verify_work_formula): every cross relation on every column, as a transfer
-# pair runs when it falls back from its blocks, each check about 10-15 us.
+# or a flip pair runs when it falls back, each check about 10-15 us.
 # The dimension does not bound them: (1,200) (dim 401, 8.1M checks) took
 # 78 s and (3,14) (dim 19,741, 1.2M) 17.7 s in process, and (2,70) (dim
 # 19,601, 27.1M) 422 s at 805 MB end to end before the columns were built
@@ -212,7 +212,13 @@ def cmd_module_verify(args) -> int:
     ]
     if cross["transfer_on_columns"]:
         decided.append(f"{count(cross['transfer_on_columns'], 'transfer pair')} on every column")
-    decided.append(f"{count(cross['flip_on_columns'], 'flip pair')} on every column")
+    if cross["flip_on_ascents"]:
+        decided.append(
+            f"{count(cross['flip_on_ascents'], 'flip pair')} on seeds and ascents "
+            f"({count(cross['ascent_checks'], 'column check')})"
+        )
+    else:
+        decided.append(f"{count(cross['flip_on_columns'], 'flip pair')} on every column")
 
     for rel in report["relations"]:
         took = rel.pop("elapsed")

@@ -72,7 +72,8 @@ a ring homomorphism, so the check proves the specialized relations too; nu = 1
 sums the exponents out.
 
 The cross relations say that the two actions commute.  They are decided
-first.  One with the unprimed flip runs on every column.  One between two
+first, in this order: the transfer pairs, then the flip pairs once the
+relations among the primed generators hold (below).  One between two
 transfer letters is decided on blocks: within grade k a side-0 letter is
 A = sum E(j1,i1) (x) I (x) A(j1,i1), E a matrix unit on the d1 factor and
 A(j1,i1) a k!-square block on the slot, and a side-1 letter is B = sum I (x)
@@ -90,17 +91,46 @@ on every column, so its report is the every-column check's.
 
 A cross relation holds on every column when AB = BA as matrices, on every
 basis vector, whichever way it was decided; the seed induction uses no more.
-Once they all hold, a relation among one side's generators commutes with
-each generator T'_b of the other side, so if it holds on e_q and e_r = T'_b
-e_q is an exact ascent (a column that is e_r alone, r > q, the test the flip
-build uses), it holds on e_r.  By induction on position it holds on every
-column once it holds on the seeds, the positions no ascent of the other side
-reaches: the labels (k, d1, 1, 1) for a relation among the unprimed
-generators and (k, 1, d2, 1) for one among the primed, read from the columns
-each time.  When a cross relation fails the argument is void, and every side
-relation runs on every column.  By the same induction a side relation's
-lowest failing column is a seed, so a report names the first failing column
-either way.
+Once the transfer letters of one side commute with every generator of the
+other, a relation among the other side's generators commutes with each of
+those letters T_b, so if it holds on e_q and e_r = T_b e_q is an exact ascent
+(a column that is e_r alone, r > q, the test the flip build uses), it holds
+on e_r.  By induction on position it holds on every column once it holds on
+the seeds, the positions no such ascent reaches: the labels (k, d1, 1, 1)
+for a relation among the unprimed generators, reached from them by the
+primed letters, and (k, 1, d2, 1) for one among the primed, reached by the
+unprimed swaps alone, all read from the columns each time.  So the primed
+relations need only the transfer pairs, and they run next, on their seeds.
+When a cross relation fails the argument is void, and every side relation
+runs on every column.  By the same induction a side relation's lowest
+failing column is a seed, so a report names the first failing column either
+way.
+
+Once the primed relations hold, the primed letters make the module an
+H'-module, H' the primed algebra, and the flip pairs are decided by
+Frobenius reciprocity for its induced modules (Geck and Pfeiffer,
+Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2000, ch.
+9).  A primed letter reads d2 and x, so take the block V spanned by the
+e_(k,d1,d2,x) of one (k, d1): its size is the index [W' : B_(l'-k)] of the
+parabolic of the tail J = {k+1, ..., l'}, by the closed form.  Suppose the
+letters of J, and no others, act on the block's first vector v0 =
+e_(k,d1,1,1) by scalars, a character chi, and every other e_r in V is an
+exact primed ascent e_r = T'_c e_q from some e_q in V.  Then H' v0 contains
+V and is a quotient of the induced module Ind_J chi, whose dimension is
+that index, so V = H' v0 is Ind_J chi.  An H'-map from Ind_J chi is fixed
+by the image of v0, which may be any vector on which each T'_j, j in J,
+acts by chi_j.  So the flip T commutes with H' on V exactly when every flip
+pair holds on v0, which gives T'_j T v0 = T T'_j v0 = chi_j T v0, and, for
+one chosen ascent e_r = T'_c e_q per other position, the flip's column r is
+T'_c applied to its column q (the map's value at e_r); if T commutes with
+H', that column is T T'_c e_q = T'_c T e_q, so a column that differs is a
+failing relation.  The blocks, their seeds, the scalar letters and the
+ascents are read from the columns before any of these l' checks per block
+and one per other position.  If the transfer pairs or the primed relations
+fail, a block is not as stated, or a check fails, every flip pair runs on
+every column, so its report is the every-column check's.  The relations
+among the unprimed generators run last, on their seeds once every cross
+relation holds.
 
 At nu = 1 every nu - 1 term vanishes, so every generator but the unprimed
 flip is a signed permutation, and GroupRepAtOne applies such a letter by
@@ -264,7 +294,8 @@ def module_dim_formula(l: int, lp: int) -> int:
 def verify_work_formula(l: int, lp: int) -> int:
     """The relation column checks of verify_relations in the worst case in
     which the cross relations hold: the l l' cross relations on every column,
-    as a transfer pair runs when it falls back from its blocks, the l(l+1)/2
+    as a transfer or a flip pair runs when it falls back (a flip pair falls
+    back with no column checked when the relations hold), the l(l+1)/2
     unprimed relations on the sum_k C(l, k) seeds (k, d1, 1, 1) and the
     l'(l'+1)/2 primed ones on the sum_k C(l', k) 2^k seeds (k, 1, d2, 1),
     k <= min(l, l')."""
@@ -475,25 +506,72 @@ class ThetaModule:
             parts.append((p, _stride((scale * (nu(k - i + 1) + nu(k - i, -1))).terms, dim)))
         return dict(_column(*parts))
 
-    def _ascents(self, keys):
+    def _ascents(self, keys, lo: int = 0, hi: int | None = None):
         """Yield (r, columns, q) for every exact ascent e_r = T_g e_q of the
-        given generators, read from their columns: column q is e_r alone, with
-        coefficient 1, exponent 0 and r > q (each factor of the basis is listed
-        by length).  r < q is a descent that relabels, as the primed flip's
-        does at mu = -1, and no ascent."""
-        dim = self.dim
+        given generators with lo <= q < r < hi, hi the dimension by default,
+        read from their columns: column q is e_r alone, with coefficient 1,
+        exponent 0 and r > q (each factor of the basis is listed by length).
+        r < q is a descent that relabels, as the primed flip's does at mu =
+        -1, and no ascent."""
+        hi = self.dim if hi is None else hi
         for key in keys:
             gen = self.matrix(key)
-            for q, col in enumerate(gen):
-                if len(col) == 1 and col[0][1] == 1 and 0 < col[0][0] < dim - q:
+            for q in range(lo, hi):
+                col = gen[q]
+                if len(col) == 1 and col[0][1] == 1 and 0 < col[0][0] < hi - q:
                     yield q + col[0][0], gen, q
 
     def seed_columns(self, side: int) -> list[int]:
-        """The positions that no exact ascent of the other side's generators
-        reaches, in order: once the cross relations hold, a relation among one
-        side's generators that holds on these holds on every column."""
-        reached = {r for r, _, _ in self._ascents(key for key in self.gen_keys() if key[0] != side)}
+        """The positions that no exact ascent of the other side's transfer
+        letters reaches, in order: once those letters commute with this
+        side's, a relation among this side's generators that holds on these
+        holds on every column.  The unprimed flip is never read, so the
+        primed relations' seeds need only the transfer pairs."""
+        keys = [key for key in self.gen_keys() if key[0] != side and key != (0, self.l)]
+        reached = {r for r, _, _ in self._ascents(keys)}
         return [p for p in range(self.dim) if p not in reached]
+
+    def _flip_blocks(self) -> list[tuple[int, list]] | None:
+        """For each (k, d1) block, its first position, the seed, and for
+        every position r of the block, one exact primed ascent e_r = T'_c e_q
+        within it as (columns of T'_c, q), None at the seed; read from the
+        primed columns on each call.  None when the module docstring's block
+        argument does not apply: the block's size is not [W' : B_(l'-k)], a
+        position other than its first has no such ascent, or the primed
+        letters that act on the seed by a scalar are not the tail k+1..l'."""
+        lp, dim = self.lp, self.dim
+        keys = [(1, b) for b in range(1, lp + 1)]
+        blocks = []
+        for k, ((d1s, d2s, slots), start) in enumerate(zip(self._factors, self._starts)):
+            span = len(d2s) * len(slots)
+            if span != math.perm(lp, k) << k:
+                return None
+            tail = list(range(k + 1, lp + 1))
+            for lo in range(start, start + len(d1s) * span, span):
+                via: list = [None] * span
+                for r, gen, q in self._ascents(keys, lo, lo + span):
+                    if via[r - lo] is None:
+                        via[r - lo] = (gen, q)
+                if None in via[1:]:
+                    return None
+                if [b for _, b in keys if all(off % dim == 0 for off, _ in self.matrix((1, b))[lo])] != tail:
+                    return None
+                blocks.append((lo, via))
+        return blocks
+
+    def _flip_follows_ascents(self, blocks: list[tuple[int, list]]) -> bool:
+        """Whether flip column r is T'_c applied to flip column q at every
+        chosen ascent e_r = T'_c e_q of _flip_blocks, one column check each;
+        raw sums that agree are equal, others are compared canonical."""
+        dim, flip = self.dim, self.matrix((0, self.l))
+        for lo, via in blocks:
+            for r in range(lo + 1, lo + len(via)):
+                gen, q = via[r - lo]
+                got = _apply(gen, flip[q], dim, q)
+                want = {off + r: c for off, c in flip[r]}
+                if got != want and _nonzero(got) != _nonzero(want):
+                    return False
+        return True
 
     def _flip_columns(self) -> list[tuple]:
         """The flip's columns in position order, each a seed or one commuting
@@ -689,21 +767,28 @@ class ThetaModule:
         """Run every defining relation column by column, each side compared
         exactly on the generic columns as the module docstring states.
 
-        The cross relations run first.  One between two transfer letters is
-        decided on their slot blocks when both letters are laid out as their
-        build recorded and every pair of their blocks commutes; it runs on
-        every column otherwise, as one with the unprimed flip always does.
-        If they all hold, each side relation runs only on its seed_columns,
-        and otherwise on every column; the module docstring gives the
-        arguments that make each report the every-column check's.
+        The relations run in four steps.  (1) A cross relation between two
+        transfer letters is decided on their slot blocks when both letters
+        are laid out as their build recorded and every pair of their blocks
+        commutes, and runs on every column otherwise.  (2) If those all
+        hold, the primed relations run on their seed_columns.  (3) If those
+        hold too, the flip pairs are decided together on the block seeds
+        and one primed ascent per column; otherwise, or when a block or a
+        check fails, they run on every column.  (4) If every cross relation
+        holds, the unprimed relations run on their seed_columns, and
+        otherwise every side relation runs on every column.  The module
+        docstring gives the arguments that make each report the
+        every-column check's.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
         [{name, ok, failure?, elapsed}...] in relation_suite order, "seeds":
         the seed counts of the side-0 and the side-1 relations, or None when
         they ran on every column, "cross": the transfer pairs decided on
-        blocks, the block products that took, and the transfer and the flip
-        pairs run on every column}; a failure records the first offending
-        basis column, entry, and residual.
+        blocks, the block products that took, the transfer pairs run on
+        every column, the flip pairs decided on seeds and ascents, the
+        column checks that took, and the flip pairs run on every column}; a
+        failure records the first offending basis column, entry, and
+        residual.
         """
         dim, flip = self.dim, (0, self.l)
         suite = self.relation_suite()
@@ -728,7 +813,14 @@ class ThetaModule:
 
         # within this run: each letter's blocks, each block pair's verdict
         canon, blocks, commute = {}, {}, {}
-        cross = {"transfer_on_blocks": 0, "block_products": 0, "transfer_on_columns": 0, "flip_on_columns": 0}
+        cross = {
+            "transfer_on_blocks": 0,
+            "block_products": 0,
+            "transfer_on_columns": 0,
+            "flip_on_ascents": 0,
+            "ascent_checks": 0,
+            "flip_on_columns": 0,
+        }
 
         def on_blocks(a: tuple, b: tuple) -> bool:
             for key in (a, b):
@@ -747,24 +839,61 @@ class ThetaModule:
                             return False
             return True
 
+        def on_ascents() -> bool:
+            """Every flip pair decided on the block seeds and one primed ascent
+            per column, its report in done; False, done untouched, when a
+            precondition or a check fails.  The classification and the ascent
+            checks decide the pairs together, so each pair's elapsed time is
+            its seed checks and an equal share of theirs."""
+            t0 = time.perf_counter()
+            flip_blocks = self._flip_blocks()
+            if flip_blocks is None:
+                return False
+            seeds = [lo for lo, _ in flip_blocks]
+            reports = {i: run(suite[i], seeds, time.perf_counter()) for i in flips}
+            if not (all(rel["ok"] for rel in reports.values()) and self._flip_follows_ascents(flip_blocks)):
+                return False
+            share = (time.perf_counter() - t0 - sum(rel["elapsed"] for rel in reports.values())) / len(flips)
+            for i, rel in reports.items():
+                done[i] = {**rel, "elapsed": rel["elapsed"] + share}
+            cross["flip_on_ascents"] = len(flips)
+            cross["ascent_checks"] = len(flips) * len(seeds) + dim - len(seeds)
+            return True
+
         done = {}
-        for i, chk in enumerate(suite):
-            if chk["side"] is None:
-                t0, word = time.perf_counter(), chk["lhs"][0][1]
-                if flip in word:
-                    kind, columns = "flip_on_columns", range(dim)
-                elif on_blocks(*word):
+        crosses = [i for i, chk in enumerate(suite) if chk["side"] is None]
+        flips = [i for i in crosses if flip in suite[i]["lhs"][0][1]]
+        # 1. the transfer pairs
+        for i in crosses:
+            if i not in flips:
+                t0 = time.perf_counter()
+                if on_blocks(*suite[i]["lhs"][0][1]):
                     kind, columns = "transfer_on_blocks", ()
                 else:
                     kind, columns = "transfer_on_columns", range(dim)
                 cross[kind] += 1
-                done[i] = run(chk, columns, t0)
-        seeds = None
+                done[i] = run(suite[i], columns, t0)
+        # 2. the primed relations on their seeds, which need only the transfer pairs
+        primed_seeds = None
         if all(rel["ok"] for rel in done.values()):
-            seeds = [self.seed_columns(side) for side in (0, 1)]
+            primed_seeds = self.seed_columns(1)
+            for i, chk in enumerate(suite):
+                if chk["side"] == 1:
+                    done[i] = run(chk, primed_seeds, time.perf_counter())
+        # 3. the flip pairs, on seeds and ascents once the primed relations hold
+        ready = primed_seeds is not None and all(rel["ok"] for rel in done.values())
+        if not (flips and ready and on_ascents()):
+            for i in flips:
+                cross["flip_on_columns"] += 1
+                done[i] = run(suite[i], range(dim), time.perf_counter())
+        # 4. the unprimed relations on their seeds, or every side relation on
+        # every column once a cross relation fails
+        seeds = None
+        if all(done[i]["ok"] for i in crosses):
+            seeds = [self.seed_columns(0), primed_seeds]
         for i, chk in enumerate(suite):
-            if i not in done:
-                done[i] = run(chk, range(dim) if seeds is None else seeds[chk["side"]], time.perf_counter())
+            if chk["side"] == 0 or (chk["side"] == 1 and seeds is None):
+                done[i] = run(chk, range(dim) if seeds is None else seeds[0], time.perf_counter())
         report = [done[i] for i in range(len(suite))]
         return {
             "ok": all(r["ok"] for r in report),

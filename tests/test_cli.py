@@ -444,40 +444,57 @@ def test_module_verify_names_the_seed_columns_on_stderr(capsys, monkeypatch):
 
 CROSS_LINE = re.compile(
     r"cross relations: (\d+) transfer pairs? on blocks \((\d+) block products?\), "
-    r"(?:(\d+) transfer pairs? on every column, )?(\d+) flip pairs? on every column"
+    r"(?:(\d+) transfer pairs? on every column, )?"
+    r"(?:(\d+) flip pairs? on seeds and ascents \((\d+) column checks?\)|(\d+) flip pairs? on every column)"
 )
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 8)], ids=["3,3", "2,8"])
 def test_module_verify_says_how_the_cross_relations_were_decided(capsys, monkeypatch, shape):
     """The line before the summary counts the transfer pairs decided on
-    blocks and the block products that took, then the pairs run on every
-    column: none of the (l-1) l' transfer pairs on a clean module, and each
-    pair with a letter whose column was changed after the build, whose
-    blocks are then not read."""
+    blocks and the block products that took, then the transfer pairs run on
+    every column, then the flip pairs decided on seeds and ascents with the
+    column checks that took, or else run on every column.  On a clean module
+    no pair runs on every column: the l' flip pairs take l' checks on each
+    of the sum_k C(l, k) block seeds and one on every other column.  A swap
+    column changed after the build sends each pair of its letter to every
+    column, and the flip pairs with it; a changed flip column sends only the
+    flip pairs."""
     l, lp = shape
     argv = ("module-verify", "--l", str(l), "--lprime", str(lp), "--mu", "1/2")
     code, _, err = run(capsys, *argv)
     *_, line, summary = err.splitlines()
-    blocks, products, columns, flips = CROSS_LINE.fullmatch(line).groups()
+    blocks, products, columns, flips, checks, flips_on_columns = CROSS_LINE.fullmatch(line).groups()
     assert code == 0 and summary.startswith(f"module-verify l={l} lprime={lp} ")
-    assert (int(blocks), columns, int(flips)) == ((l - 1) * lp, None, lp) and int(products) > 0
+    assert (int(blocks), columns, int(flips), flips_on_columns) == ((l - 1) * lp, None, lp, None)
+    seeds = sum(math.comb(l, k) for k in range(min(l, lp) + 1))
+    assert int(products) > 0 and int(checks) == lp * seeds + ThetaModule(l, lp, 0).dim - seeds
 
-    class Corrupted(ThetaModule):
-        def verify_relations(self):
-            for key in self.gen_keys():
-                self.matrix(key)
-            table, p = self.matrix((1, 1)), self.unit_pos(1)
-            table[p] = tuple((k, 2 * c) for k, c in table[p])
-            return super().verify_relations()
+    def corrupted(key, p):
+        class Corrupted(ThetaModule):
+            def verify_relations(self):
+                for g in self.gen_keys():
+                    self.matrix(g)
+                table = self.matrix(key)
+                table[p(self)] = tuple((k, 2 * c) for k, c in table[p(self)])
+                return super().verify_relations()
 
-    monkeypatch.setattr(cli, "ThetaModule", Corrupted)
+        return Corrupted
+
+    monkeypatch.setattr(cli, "ThetaModule", corrupted((1, 1), lambda mod: mod.unit_pos(1)))
     code, _, err = run(capsys, *argv)
     *_, line, summary = err.splitlines()
-    blocks, products, columns, flips = CROSS_LINE.fullmatch(line).groups()
+    blocks, products, columns, flips, checks, flips_on_columns = CROSS_LINE.fullmatch(line).groups()
     assert code == 1 and summary.startswith(f"module-verify l={l} lprime={lp} ")
-    assert (int(blocks), int(columns), int(flips)) == ((l - 1) * (lp - 1), l - 1, lp)
+    assert (int(blocks), int(columns), flips, int(flips_on_columns)) == ((l - 1) * (lp - 1), l - 1, None, lp)
     assert int(products) > 0
+
+    monkeypatch.setattr(cli, "ThetaModule", corrupted((0, l), lambda mod: mod.unit_pos(1)))
+    code, _, err = run(capsys, *argv)
+    *_, line, summary = err.splitlines()
+    blocks, products, columns, flips, checks, flips_on_columns = CROSS_LINE.fullmatch(line).groups()
+    assert code == 1 and summary.startswith(f"module-verify l={l} lprime={lp} ")
+    assert (int(blocks), columns, flips, int(flips_on_columns)) == ((l - 1) * lp, None, None, lp)
 
 
 def test_module_verify_text(capsys):

@@ -10,6 +10,7 @@ at nu = 1 the exponents are summed out.
 
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -588,15 +589,136 @@ def test_block_decision_matches_every_column_oracle(shape):
 @pytest.mark.parametrize("mu", [MU, -1], ids=str)
 def test_clean_transfer_pairs_are_decided_on_blocks(mu):
     """On a clean module every one of the (l-1) l' transfer x transfer cross
-    relations is decided on blocks, up to (4,4), and only the l' flip pairs
-    run on every column: a silent fall back would give the same reports."""
+    relations is decided on blocks, up to (4,4), and each of the l' flip
+    pairs on the block seeds and one primed ascent per column: l' checks on
+    each of the sum_k C(l, k) block seeds and one on every other column.
+    None runs on every column: a silent fall back would give the same
+    reports."""
     for l in range(5):
         for lp in range(5):
-            rep = ThetaModule(l, lp, mu).verify_relations()
+            mod = ThetaModule(l, lp, mu)
+            rep = mod.verify_relations()
             cross = rep["cross"]
-            assert rep["ok"] and cross["transfer_on_columns"] == 0, (l, lp)
-            want = (max(l - 1, 0) * lp, lp if l else 0)
-            assert (cross["transfer_on_blocks"], cross["flip_on_columns"]) == want, (l, lp)
+            assert rep["ok"] and cross["transfer_on_columns"] == cross["flip_on_columns"] == 0, (l, lp)
+            flips = lp if l else 0
+            blocks = sum(math.comb(l, k) for k in range(min(l, lp) + 1))
+            want = (max(l - 1, 0) * lp, flips, flips * blocks + mod.dim - blocks if flips else 0)
+            assert (cross["transfer_on_blocks"], cross["flip_on_ascents"], cross["ascent_checks"]) == want, (l, lp)
+
+
+def _block_seeds(mod: ThetaModule) -> list[tuple[int, int]]:
+    """(k, position) of each block seed (k, d1, 1, 1) whose tail k+1..l' is not empty."""
+    lp = mod.lp
+    return [
+        (k, mod.position(k, d1, identity(lp), identity(k)))
+        for k in range(min(mod.kmax, lp - 1) + 1)
+        for d1 in mod._factors[k][0]
+    ]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3)], ids=["2,2", "3,2", "3,3"])
+def test_flip_decision_matches_every_column_oracle(shape):
+    """With one flip column changed (an entry changed, added or dropped) or
+    one tail letter made non-scalar at a block seed, verify_relations gives
+    the every-column check's verdicts and failure reports.  The flip pairs
+    run on every column exactly when a check or a precondition of the block
+    argument fails: for a changed flip column exactly when a flip pair
+    fails, since a check that fails is a failing relation, and for a tail
+    letter always, since the tail no longer acts on its seed by scalars."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    mod = ThetaModule(*shape, MU)
+    dim, flip, lp = mod.dim, (0, mod.l), mod.lp
+    clean = {key: list(mod.matrix(key)) for key in mod.gen_keys()}
+    seeds = _block_seeds(mod)
+    flips = {chk["name"] for chk in mod.relation_suite() if chk["side"] is None and flip in chk["lhs"][0][1]}
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        how=st.sampled_from(["change", "add", "drop", "tail"]),
+        where=st.integers(0, 10**6),
+        r=st.integers(0, dim - 1),
+        j=st.integers(-4, 4),
+        c=st.sampled_from([-2, -1, 1, 2]),
+    )
+    def check(how, where, r, j, c):
+        for g, cols in clean.items():
+            mod._cols[g] = list(cols)
+        if how == "tail":
+            k, p = seeds[where % len(seeds)]
+            key = (1, k + 1 + where // len(seeds) % (lp - k))
+            r = r if r != p else (p + 1) % dim  # off the seed's row
+        else:
+            key, p = flip, where % dim
+        col = dict(mod.column(key, p))
+        if how in ("tail", "add"):
+            col[j * dim + r] = col.get(j * dim + r, 0) + c
+        else:
+            entry = sorted(col)[where // dim % len(col)]
+            col[entry] = 0 if how == "drop" else col[entry] + c
+        mod._cols[key][p] = tuple(sorted((k - p, a) for k, a in col.items() if a))
+        rep = mod.verify_relations()
+        want = verify_every_column(mod)
+        assert rep["ok"] == want["ok"]
+        assert _reports(rep) == want["relations"]
+        fell_back = how == "tail" or any(not r["ok"] for r in want["relations"] if r["name"] in flips)
+        decided = (rep["cross"]["flip_on_ascents"], rep["cross"]["flip_on_columns"])
+        assert decided == ((0, len(flips)) if fell_back else (len(flips), 0))
+
+    check()
+
+
+def test_flip_blocks_are_read_from_the_primed_columns():
+    """Each (k, d1) block's seed is its first position, (k, d1, 1, 1), and
+    every other position has an exact primed ascent from within the block.
+    The classification refuses the block argument, before any relation
+    check, when a tail letter is no scalar on a seed or a position loses
+    every exact ascent into it."""
+    mod = ThetaModule(3, 3, MU)
+    blocks = mod._flip_blocks()
+    seeds = [lo for lo, _ in blocks]
+    assert seeds == [p for _, p in _block_seeds(mod)] + [mod.unit_pos(3)]
+    assert sum(len(via) for _, via in blocks) == mod.dim
+    for lo, via in blocks:
+        assert via[0] is None and mod.label(lo)[2:] == (identity(3), identity(mod.label(lo)[0]))
+        for r, (gen, q) in enumerate(via[1:], lo + 1):
+            assert lo <= q < r and gen[q] == ((r - q, 1),)
+    clean = {key: list(mod.matrix(key)) for key in mod.gen_keys()}
+
+    # the tail letter s'_2 on the grade-1 seed (1, s_1 s_2, 1, 1) gains an entry off its row
+    p = mod.position(1, (2, 3, 1), identity(3), (1,))
+    mod._cols[1, 2][p] += ((mod.dim - p, 1),)
+    assert mod._flip_blocks() is None
+
+    # no exact ascent reaches (2, 1, s'_2, 1)
+    mod._cols[1, 2] = list(clean[1, 2])
+    r = mod.position(2, identity(3), (1, 3, 2), identity(2))
+    for b in (1, 2, 3):
+        cols = mod._cols[1, b]
+        for q, col in enumerate(cols):
+            if col == ((r - q, 1),):
+                cols[q] = ((r - q, 2),)
+    assert mod._flip_blocks() is None
+
+
+def test_flip_column_turned_into_an_ascent_leaves_the_primed_seeds():
+    """The primed relations' seeds are read from the unprimed swaps alone, as
+    they run before the flip pairs: a flip column changed into an exact
+    ascent onto the primed seed (1, 1, s'_1, 1) leaves that seed in place,
+    and every report is the every-column check's."""
+    mod = ThetaModule(2, 2, MU)
+    for key in mod.gen_keys():
+        mod.matrix(key)
+    seeds = mod.seed_columns(1)
+    r = mod.position(1, identity(2), (2, 1), (1,))
+    assert r in seeds
+    mod._cols[0, 2][0] = ((r, 1),)
+    assert mod.seed_columns(1) == seeds
+    rep = mod.verify_relations()
+    want = verify_every_column(mod)
+    assert not rep["ok"] and not want["ok"]
+    assert _reports(rep) == want["relations"]
+    assert rep["cross"]["flip_on_columns"] == 2
 
 
 def test_unit_pos_refuses_a_grade_outside_the_module():
@@ -613,7 +735,7 @@ def test_unit_pos_refuses_a_grade_outside_the_module():
 def test_seed_columns_are_the_other_sides_unit_labels(mu):
     """The side-0 relations' seeds, read from the primed generators' ascents,
     are the labels (k, d1, 1, 1); the side-1 relations' seeds, read from the
-    unprimed ones' with the flip, are (k, 1, d2, 1).  At mu = -1 the primed
+    unprimed swaps' alone, are (k, 1, d2, 1).  At mu = -1 the primed
     flip's descent relabel is no ascent.  With one side of rank 0 every
     position is a seed."""
     for l, lp in [(2, 2), (3, 3), (4, 4), (2, 8), (8, 2)]:
@@ -630,8 +752,8 @@ def test_seed_columns_are_the_other_sides_unit_labels(mu):
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (3, 3), (2, 8), (8, 2)])
 def test_verify_work_counts_the_relation_column_checks(shape):
     """The closed-form work is the worst case: the cross relations on every
-    column, as a transfer pair runs when it falls back from its blocks, plus
-    each side's relations on the seeds that verify_relations reports."""
+    column, as a transfer or a flip pair runs when it falls back, plus each
+    side's relations on the seeds that verify_relations reports."""
     mod = ThetaModule(*shape, Fraction(1, 2))
     report = mod.verify_relations()
     suite = mod.relation_suite()
