@@ -95,15 +95,15 @@ MAX_OCCURRENCE_RANK = 1000
 # hecke-mul: words with n letters in all multiply out to at most min(|W_l|, 2^n)
 # terms, each costing O(l) per letter and O(l^2) for its printed length, so a
 # request costs min(|W_l|, 2^n) x (n l + l^2); a rank with rank^2 past the cap
-# is refused uncounted.  That count leaves out the coefficients, whose monomials
-# grow with the letters, so the letters are capped too.  The product a b is one
-# peeled word, a's letters and then b's.  On 2 cores with Python 3.11.7, before
-# the caps, --l 3000 --a s1 --b s1 took 0.39 s and --l 10000 3.7 s, the rank-6
-# longest element squared (72 letters) 7.7 s at 565 MB, and two random
-# 35-letter words at rank 4 17 s; under them, end to end, the rank-5 longest
-# element squared (50 letters) takes 0.23-0.33 s at 23 MB, and the slowest
-# admitted request found, two random 25-letter words at rank 5 and
-# mu = 1001/2 (the pair CI runs), 1.03-1.27 s at 75 MB
+# is refused uncounted.  The count leaves out the coefficients, whose monomials
+# grow with the letters, so the letters are capped too.  On 2 cores with Python
+# 3.11.7, before the caps, --l 3000 --a s1 --b s1 took 0.39 s and --l 10000
+# 3.7 s, the rank-6 longest element squared (72 letters) 7.7 s at 565 MB, and
+# two random 35-letter words at rank 4 17 s; under them, end to end, the rank-5
+# longest element squared (50 letters) takes 0.20-0.37 s at 23 MB (0.27-0.44 s
+# with one dict update per monomial), and the slowest admitted request found,
+# the 25 + 25 random letters at rank 5 and mu = 1001/2 that CI runs,
+# 0.81-1.39 s at 45 MB (0.99-1.46 s at 75 MB with one dict update per monomial)
 MAX_HECKE_WORK = 2**23
 MAX_HECKE_LETTERS = 50
 # theta-lift prints every term of the lift, and the terms grow exponentially
@@ -492,20 +492,18 @@ def cmd_hecke_mul(args) -> int:
 
 def _support_terms(terms: dict):
     """The peel's term dicts {x: {e: c}} as pairs (x, c) in support order, by
-    (length, perm), a term whose entries all cancelled left out; c may still
-    hold cancelled entries as 0."""
-    for x in sorted(sorted(x for x, c in terms.items() if any(c.values())), key=length):
-        yield x, terms[x]
+    (length, perm), each popped from terms as it is yielded."""
+    for x in sorted(sorted(terms), key=length):
+        yield x, terms.pop(x)
 
 
 def _hecke_items(rank: int, terms):
-    """The "product" items of json.dumps(indent=2) for the pairs (x, c) of
-    _support_terms, {"perm": [...], "poly": {"e": c, ...}}, cancelled
-    entries left out; each exponent's key is formatted once."""
+    """The "product" items {"perm": [...], "poly": {"e": c, ...}} of json.dumps(indent=2)
+    for the pairs (x, c) of _support_terms, each exponent's key formatted once."""
     term = '    {{\n      "perm": ' + _ints(["{}"] * rank) + ',\n      "poly": {{\n{}\n      }}\n    }}'
     pre: dict[int, str] = {}  # each exponent's key
     for x, c in terms:
-        lines = [(pre.get(e) or pre.setdefault(e, f'        "{e}": ')) + str(c[e]) for e in sorted(c) if c[e]]
+        lines = [(pre.get(e) or pre.setdefault(e, f'        "{e}": ')) + str(c[e]) for e in sorted(c)]
         yield term.format(*x, ",\n".join(lines))
 
 

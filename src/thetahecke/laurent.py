@@ -4,7 +4,7 @@ The ground ring is Z[v, v^-1] where v**2 = nu, the deformation variable.
 A ring element is stored as a sparse map ``{e: c}`` meaning ``sum c * nu**(e/2)``,
 with integer coefficients and integer exponent numerators (denominator fixed
 at 2).  ``add_shifted`` and ``add_product`` are the kernels on these term
-dicts: ``LaurentPoly``'s sum and product, the Hecke algebra's basis products
+dicts: ``LaurentPoly``'s sum and product, the sums of ``heckealg.he_mul``
 and the module's sparse vector sums (keys e*dim + p) all run through them.
 The specialization at ``nu = 1`` is the integer obtained by summing all
 coefficients.

@@ -3,8 +3,9 @@ scans of the signed permutation group, the transfer across a coset by a
 full product, symmetric-group characters and products computed by textbook
 formulas, and signed-group characters as induced sums, the nu = 1
 character and its decomposition taken one class pair at a time, a word's
-nu = 1 product composed column by column, a product of two Hecke words
-taken element by element, the module's labels listed by a nested loop over
+nu = 1 product composed column by column, a Hecke word peeled on dicts
+with one update per monomial, a product of two Hecke words taken element
+by element, the module's labels listed by a nested loop over
 each grade's factors, the transfer generators' columns built label by
 label, the relation suite checked on every column, letter by letter, a
 hecke-mul product as JSON objects, for json.dumps to write and to parse
@@ -543,6 +544,56 @@ def verify_every_column(mod: ThetaModule) -> dict:
         entry = {"name": chk["name"], "ok": failure is None}
         report.append({**entry, "failure": failure} if failure else entry)
     return {"ok": all(r["ok"] for r in report), "relations": report}
+
+
+def peel_reference(params: HeckeParams, u: SignedPerm, gens) -> dict:
+    """T_u T_g1 ... T_gn as term dicts {x: {e: c}}, zeros dropped, with one
+    dict update per monomial: the peel heckealg packs into integers.
+
+    T_x T_g is T_xg on an ascent, a relabel; on a descent the quadratic
+    relation gives nu^(e/2) T_xg + (nu^(e/2) - 1) T_x, with e = 2 for a swap
+    and flip_numer for the flip, both added in one pass over c_x.  A swap
+    exchanges entries g - 1 and g, a descent when m(x[g]) > m(x[g - 1]) for
+    the mirrored value m(v) = sign(v) (l + 1 - |v|), and the flip negates
+    the last entry, a descent when that entry is negative.
+    """
+    l, cur = params.rank, {u: {0: 1}}
+    # m(v) indexed by v itself, a negative v reading from the end
+    m = [0] * (2 * l + 1)
+    for v in range(1, l + 1):
+        m[v], m[-v] = l + 1 - v, v - l - 1
+    for g in gens:
+        e = int(2 * params.gen_exponent(g))  # checks g
+        flip, i = g == l, g - 1
+        nxt: dict[SignedPerm, dict[int, int]] = {}
+        get = nxt.get
+        for x, c in cur.items():
+            a = x[i]
+            if flip:
+                xg, descent = x[:i] + (-a,), a < 0
+            else:
+                b = x[g]
+                xg, descent = x[:i] + (b, a) + x[g + 1 :], m[b] > m[a]
+            to = get(xg)
+            if descent:
+                if to is None:
+                    to = nxt[xg] = {}
+                at = get(x)
+                if at is None:
+                    at = nxt[x] = {}
+                for f, k in c.items():
+                    h = f + e
+                    to[h] = to.get(h, 0) + k
+                    at[h] = at.get(h, 0) + k
+                    at[f] = at.get(f, 0) - k
+            elif to is None:
+                # cur is dropped after this step, so its dicts can move
+                nxt[xg] = c
+            else:
+                for f, k in c.items():
+                    to[f] = to.get(f, 0) + k
+        cur = nxt
+    return {x: poly for x, c in cur.items() if (poly := {f: k for f, k in c.items() if k})}
 
 
 def word_product(params: HeckeParams, gens) -> HeckeElem:

@@ -92,7 +92,7 @@ def test_hecke_mul_matches_element_by_element_oracle(capsys, mu):
         assert code == 0
         want = hecke_words_product(HeckeParams.signed(l, Fraction(mu)), a, b)
         assert obj["product"] == hecke_to_json_obj(want), (l, a, b)
-        # the peel keeps cancelled coefficients as 0; none is printed
+        # the peel drops cancelled coefficients, so none is printed
         assert all(t["poly"] and 0 not in t["poly"].values() for t in obj["product"]), (l, a, b)
 
     check()
@@ -184,7 +184,7 @@ def test_hecke_mul_text_format(capsys):
 
 def test_hecke_mul_leaves_out_a_cancelled_term(capsys):
     """At mu = 0 the flip's parameter is nu^0, so T_t^2 = T_e + 0 T_t: the
-    peel keeps the cancelled coefficient as a 0, and the product drops it."""
+    peel drops the cancelled term, and the product is T_e alone."""
     code, out, _ = run(capsys, "hecke-mul", "--l", "1", "--mu", "0", "--a", "t", "--b", "t")
     assert code == 0
     assert out == (
@@ -218,8 +218,8 @@ def assert_support_order(capsys, l, mu, a, b):
 @pytest.mark.parametrize("mu", ["1/2", "0", "-1", "1", "-3/2", "4", "1000000000000000000000000000001/2"])
 def test_hecke_mul_prints_terms_in_support_order(capsys, mu):
     """hecke-mul orders the peel's term dicts by (length, perm) itself and
-    drops their cancelled entries while writing; at mu = 0, 1 and -1 a
-    parameter is nu^0 or the swaps' nu, so entries cancel.  Seeded random
+    writes no cancelled entry; at mu = 0, 1 and -1 a parameter is nu^0 or
+    the swaps' nu, so entries cancel.  Seeded random
     words of up to 8 letters each at ranks 1 to 4."""
     rng = random.Random(29)
     for _ in range(12):

@@ -12,11 +12,12 @@ from thetahecke.heckealg import (
     basis_product,
     he_inv_basis,
     he_mul,
+    word_terms,
 )
 from thetahecke.laurent import LaurentPoly
-from thetahecke.weylbc import gen_perm, length, mul, reduced_word
+from thetahecke.weylbc import gen_perm, identity, length, mul, reduced_word
 
-from oracles import all_signed_perms, num_flips, reduced_word_rightmost, scale_poly, word_product
+from oracles import all_signed_perms, num_flips, peel_reference, reduced_word_rightmost, scale_poly, word_product
 
 MUS = [Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), Fraction(0, 2)]
 
@@ -45,6 +46,69 @@ def test_quadratic_relations(l, mu):
             params.gen_exponent(g)
         with pytest.raises(ValueError, match=f"no generator {g}"):
             word_product(params, [1, g])
+
+
+def _assert_peels_agree(l, mu, gens):
+    params = HeckeParams.signed(l, Fraction(mu))
+    assert word_terms(params, gens) == peel_reference(params, identity(l), gens), (l, mu, gens)
+
+
+# flip_numer 0 (the flip's parameter is 1), odd and even, equal to the swaps'
+# 2, on both sides of the capped stride, and far past it on both signs
+PEEL_MUS = ["0", "1/2", "-1/2", "1", "-1", "3/2", "-3/2", "2", "19/2", "21/2", "1001/2", "-1001/2"]
+
+
+def test_word_terms_match_the_dict_peel():
+    """The packed peel equals the dict peel, zeros dropped, on words of 0 to
+    50 letters at ranks 1 to 5."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), l=st.integers(1, 5), n=st.integers(0, 50), mu=st.sampled_from(PEEL_MUS))
+    def check(data, l, n, mu):
+        # the length is drawn first, since hypothesis draws mostly short lists
+        _assert_peels_agree(l, mu, data.draw(st.lists(st.integers(1, l), min_size=n, max_size=n)))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "l, mu, gens",
+    [
+        # past the reduced prefix [1], one and two swap letters are left at
+        # flip_numer 2 and 4, the largest at which the flip's exponents meet the swaps'
+        (2, "1", [1, 1, 2, 2]),
+        (2, "2", [1, 1, 1, 2, 2]),
+        # the flip's stride capped: 12 swap letters left, flip_numer 21
+        (3, "21/2", [3, 3, 1, 2, 1, 3, 2, 3, 1, 2, 3] * 2),
+        # capped with a right shift per flip descent; 44 letters left take
+        # two 64-bit limbs a digit
+        (2, "-1001/2", [2, 2, 1] * 15),
+        # the flip's parameter 1, 47 letters left
+        (3, "0", [1, 1, 3, 2] * 12),
+    ],
+)
+def test_word_terms_match_the_dict_peel_in_each_packing(l, mu, gens):
+    _assert_peels_agree(l, mu, gens)
+
+
+def test_word_terms_past_64_bit_coefficients():
+    """160 letters leave coefficients past 2^64, which the digits must hold."""
+    params = HeckeParams.signed(2, Fraction(1))
+    gens = [1, 1, 2, 2] * 40
+    got = word_terms(params, gens)
+    assert max(abs(c) for poly in got.values() for c in poly.values()) >= 2**64
+    assert got == peel_reference(params, identity(2), gens)
+
+
+@pytest.mark.parametrize("gens", [[0], [1, 0], [1, 1, 0], [1, 1, 2, 2, 9]])
+def test_word_terms_rejects_a_bad_generator(gens):
+    """A bad letter is refused inside the reduced prefix and after a
+    descent alike."""
+    params = HeckeParams.signed(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match=f"no generator {gens[-1]} at rank 2"):
+        word_terms(params, gens)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -116,9 +180,9 @@ def _dense_elem(rng, perms, size):
 
 @pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(-3, 2), Fraction(0, 2)])
 def test_he_mul_of_dense_elements_is_bilinear(mu):
-    """he_mul peels all of a at once per term of b: the result is the sum of
-    the basis products, and a's coefficients are left as they were; at
-    mu = 0 the flip's descents cancel."""
+    """he_mul peels each term of a through each term of b: the result is the
+    sum of the basis products, and a's coefficients are left as they were;
+    at mu = 0 the flip's descents cancel."""
     params = HeckeParams.signed(3, mu)
     rng = random.Random(5)
     perms = all_signed_perms(3)
