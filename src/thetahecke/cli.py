@@ -127,7 +127,8 @@ MAX_LIFT_RANK = 10000
 def _parse_partition(text: str):
     try:
         obj = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError:
+    # an array nested past the decoder's recursion limit is no partition either
+    except (json.JSONDecodeError, RecursionError):
         raise ValueError(f"partition must be a JSON array, got {text!r}")
     # JSON true and false load as bool, a subclass of int
     if not isinstance(obj, list) or not all(type(x) is int for x in obj):

@@ -99,8 +99,13 @@ on e_r.  By induction on position it holds on every column once it holds on
 the seeds, the positions no such ascent reaches: the labels (k, d1, 1, 1)
 for a relation among the unprimed generators, reached from them by the
 primed letters, and (k, 1, d2, 1) for one among the primed, reached by the
-unprimed swaps alone, all read from the columns each time.  So the primed
-relations need only the transfer pairs, and they run next, on their seeds.
+unprimed swaps alone.  Each run reads each side's exact ascents once, from
+the columns, into an ascent table: for each position, the first exact
+ascent into it among that side's letters, in key order, or none, and a
+seed is a position with none.  The unprimed swaps' table gives the primed
+seeds and is dropped; the primed letters' table gives the unprimed seeds
+and the flip blocks' ascents below.  So the primed relations need only the
+transfer pairs, and they run next, on their seeds.
 When a cross relation fails the argument is void, and every side relation
 runs on every column.  By the same induction a side relation's lowest
 failing column is a seed, so a report names the first failing column either
@@ -124,13 +129,14 @@ pair holds on v0, which gives T'_j T v0 = T T'_j v0 = chi_j T v0, and, for
 one chosen ascent e_r = T'_c e_q per other position, the flip's column r is
 T'_c applied to its column q (the map's value at e_r); if T commutes with
 H', that column is T T'_c e_q = T'_c T e_q, so a column that differs is a
-failing relation.  The blocks, their seeds, the scalar letters and the
-ascents are read from the columns before any of these l' checks per block
-and one per other position.  If the transfer pairs or the primed relations
-fail, a block is not as stated, or a check fails, every flip pair runs on
-every column, so its report is the every-column check's.  The relations
-among the unprimed generators run last, on their seeds once every cross
-relation holds.
+failing relation.  The chosen ascent is the primed table's, the first in
+key order, and it must start in V.  The blocks, their seeds and the scalar
+letters are read from the columns, and the ascents from that table, before
+any of these l' checks per block and one per other position.  If the
+transfer pairs or the primed relations fail, a block is not as stated, or a
+check fails, every flip pair runs on every column, so its report is the
+every-column check's.  The relations among the unprimed generators run
+last, on their seeds once every cross relation holds.
 
 At nu = 1 every nu - 1 term vanishes, so every generator but the unprimed
 flip is a signed permutation, and GroupRepAtOne applies such a letter by
@@ -205,13 +211,8 @@ def _apply(cols, pairs, dim: int, at: int = 0) -> dict:
 
 def _commute(a: tuple, b: tuple, n: int) -> bool:
     """Whether two n-square blocks, stored as columns are, commute: column x
-    of ab is a applied to column x of b, and of ba b applied to a's; raw sums
-    that agree are equal, others are compared canonical."""
-    for x in range(n):
-        ab, ba = _apply(a, b[x], n, x), _apply(b, a[x], n, x)
-        if ab != ba and _nonzero(ab) != _nonzero(ba):
-            return False
-    return True
+    of ab is a applied to column x of b, and of ba b applied to a's."""
+    return all(_same(_apply(a, b[x], n, x), _apply(b, a[x], n, x)) for x in range(n))
 
 
 def _apply_word(mats, pairs, dim: int, at: int = 0) -> dict:
@@ -228,6 +229,12 @@ def _nonzero(vec: dict) -> dict:
     """A raw sum with its zero entries dropped: the canonical form, in which
     two vectors are equal exactly when their entries are."""
     return {k: c for k, c in vec.items() if c}
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Whether two raw sums are equal: raw sums that agree are, and others
+    are compared canonical."""
+    return a == b or _nonzero(a) == _nonzero(b)
 
 
 def _at_one(cols, dim: int) -> list[tuple]:
@@ -506,70 +513,56 @@ class ThetaModule:
             parts.append((p, _stride((scale * (nu(k - i + 1) + nu(k - i, -1))).terms, dim)))
         return dict(_column(*parts))
 
-    def _ascents(self, keys, lo: int = 0, hi: int | None = None):
-        """Yield (r, columns, q) for every exact ascent e_r = T_g e_q of the
-        given generators with lo <= q < r < hi, hi the dimension by default,
-        read from their columns: column q is e_r alone, with coefficient 1,
-        exponent 0 and r > q (each factor of the basis is listed by length).
-        r < q is a descent that relabels, as the primed flip's does at mu =
-        -1, and no ascent."""
-        hi = self.dim if hi is None else hi
+    def _ascent_table(self, keys) -> list:
+        """For each position r, (columns of T_g, q) for the first exact ascent
+        e_r = T_g e_q among the given generators, in key order, or None where
+        none reaches r; read from their columns on each call.  Column q is an
+        exact ascent when it is e_r alone, with coefficient 1, exponent 0 and
+        r > q (each factor of the basis is listed by length); r < q is a
+        descent that relabels, as the primed flip's does at mu = -1, and no
+        ascent."""
+        dim = self.dim
+        table: list = [None] * dim
         for key in keys:
             gen = self.matrix(key)
-            for q in range(lo, hi):
-                col = gen[q]
-                if len(col) == 1 and col[0][1] == 1 and 0 < col[0][0] < hi - q:
-                    yield q + col[0][0], gen, q
+            for q, col in enumerate(gen):
+                if len(col) == 1 and col[0][1] == 1 and 0 < col[0][0] < dim - q:
+                    r = q + col[0][0]
+                    if table[r] is None:
+                        table[r] = (gen, q)
+        return table
 
-    def seed_columns(self, side: int) -> list[int]:
-        """The positions that no exact ascent of the other side's transfer
-        letters reaches, in order: once those letters commute with this
-        side's, a relation among this side's generators that holds on these
-        holds on every column.  The unprimed flip is never read, so the
-        primed relations' seeds need only the transfer pairs."""
-        keys = [key for key in self.gen_keys() if key[0] != side and key != (0, self.l)]
-        reached = {r for r, _, _ in self._ascents(keys)}
-        return [p for p in range(self.dim) if p not in reached]
-
-    def _flip_blocks(self) -> list[tuple[int, list]] | None:
-        """For each (k, d1) block, its first position, the seed, and for
-        every position r of the block, one exact primed ascent e_r = T'_c e_q
-        within it as (columns of T'_c, q), None at the seed; read from the
-        primed columns on each call.  None when the module docstring's block
-        argument does not apply: the block's size is not [W' : B_(l'-k)], a
-        position other than its first has no such ascent, or the primed
-        letters that act on the seed by a scalar are not the tail k+1..l'."""
+    def _flip_seeds(self, primed: list) -> list[int] | None:
+        """The first position of each (k, d1) block, its seed, given the
+        primed letters' ascent table.  None when the module docstring's block
+        argument does not apply: the block's size is not [W' : B_(l'-k)], the
+        chosen ascent into a position other than its first is missing or
+        starts outside the block, or the primed letters that act on the seed
+        by a scalar are not the tail k+1..l'."""
         lp, dim = self.lp, self.dim
-        keys = [(1, b) for b in range(1, lp + 1)]
-        blocks = []
+        gens, seeds = [self.matrix((1, b)) for b in range(1, lp + 1)], []
         for k, ((d1s, d2s, slots), start) in enumerate(zip(self._factors, self._starts)):
             span = len(d2s) * len(slots)
             if span != math.perm(lp, k) << k:
                 return None
             tail = list(range(k + 1, lp + 1))
             for lo in range(start, start + len(d1s) * span, span):
-                via: list = [None] * span
-                for r, gen, q in self._ascents(keys, lo, lo + span):
-                    if via[r - lo] is None:
-                        via[r - lo] = (gen, q)
-                if None in via[1:]:
+                if any(via is None or via[1] < lo for via in primed[lo + 1:lo + span]):
                     return None
-                if [b for _, b in keys if all(off % dim == 0 for off, _ in self.matrix((1, b))[lo])] != tail:
+                if [b for b, gen in enumerate(gens, 1) if all(off % dim == 0 for off, _ in gen[lo])] != tail:
                     return None
-                blocks.append((lo, via))
-        return blocks
+                seeds.append(lo)
+        return seeds
 
-    def _flip_follows_ascents(self, blocks: list[tuple[int, list]]) -> bool:
-        """Whether flip column r is T'_c applied to flip column q at every
-        chosen ascent e_r = T'_c e_q of _flip_blocks, one column check each;
-        raw sums that agree are equal, others are compared canonical."""
-        dim, flip = self.dim, self.matrix((0, self.l))
-        for lo, via in blocks:
-            for r in range(lo + 1, lo + len(via)):
-                gen, q = via[r - lo]
-                got = _apply(gen, flip[q], dim, q)
-                want = {off + r: c for off, c in flip[r]}
-                if got != want and _nonzero(got) != _nonzero(want):
+    def _flip_follows_ascents(self, primed: list, seeds: list[int]) -> bool:
+        """Whether flip column r is T'_c applied to flip column q at the
+        chosen ascent e_r = T'_c e_q of every position r but the block seeds,
+        one column check each."""
+        dim, flip, seeded = self.dim, self.matrix((0, self.l)), set(seeds)
+        for r, via in enumerate(primed):
+            if r not in seeded:
+                gen, q = via
+                if not _same(_apply(gen, flip[q], dim, q), {off + r: c for off, c in flip[r]}):
                     return False
         return True
 
@@ -592,15 +585,14 @@ class ThetaModule:
             seeds[self.position(k, swap_range(l - k, l, l), identity(lp), identity(k))] = vec
         # for g commuting with the flip, an ascent e_r = T_g e_q makes flip
         # column r T_g on flip column q
-        keys = [(0, g) for g in range(1, l - 1)] + [(1, g) for g in range(1, lp + 1)]
-        ascents = {r: (gen, q) for r, gen, q in self._ascents(keys)}
+        keys = [(1, g) for g in range(1, lp + 1)] + [(0, g) for g in range(1, l - 1)]
         cols: list[tuple] = []
-        for r in range(dim):
+        for r, via in enumerate(self._ascent_table(keys)):
             vec = seeds.get(r)
             if vec is None:
-                if r not in ascents:
+                if via is None:
                     raise VerificationError(f"no flip seed and no ascent reaches label {self.label(r)}")
-                gen, q = ascents[r]
+                gen, q = via
                 vec = _apply(gen, cols[q], dim, q)
             cols.append(tuple(sorted((k - r, c) for k, c in vec.items() if c)))
         return cols
@@ -755,9 +747,10 @@ class ThetaModule:
 
     def _failure(self, p: int, lhs: dict, rhs: dict) -> dict:
         """The column, lowest offending entry and residual of a relation whose
-        sides on e_p are lhs != rhs: the residual is lhs - rhs at that entry."""
+        sides on e_p are the raw sums lhs and rhs, not equal: the residual is
+        lhs - rhs at that entry."""
         dim = self.dim
-        diff = dict(lhs)
+        diff = _nonzero(lhs)
         add_shifted(diff, rhs, 0, -1)
         bad = min(k % dim for k in diff)
         residual = LaurentPoly({k // dim: c for k, c in diff.items() if k % dim == bad})
@@ -771,14 +764,16 @@ class ThetaModule:
         transfer letters is decided on their slot blocks when both letters
         are laid out as their build recorded and every pair of their blocks
         commutes, and runs on every column otherwise.  (2) If those all
-        hold, the primed relations run on their seed_columns.  (3) If those
-        hold too, the flip pairs are decided together on the block seeds
-        and one primed ascent per column; otherwise, or when a block or a
-        check fails, they run on every column.  (4) If every cross relation
-        holds, the unprimed relations run on their seed_columns, and
-        otherwise every side relation runs on every column.  The module
-        docstring gives the arguments that make each report the
-        every-column check's.
+        hold, the primed relations run on their seeds, the positions the
+        unprimed swaps' ascent table leaves empty, and the primed letters'
+        ascent table is read once for the next two steps.  (3) If the
+        primed relations hold too, the flip pairs are decided together on
+        the block seeds and one primed ascent per column; otherwise, or
+        when a block or a check fails, they run on every column.  (4) If
+        every cross relation holds, the unprimed relations run on their
+        seeds, the positions the primed table leaves empty, and otherwise
+        every side relation runs on every column.  The module docstring
+        gives the arguments that make each report the every-column check's.
 
         Returns {"ok": bool, "dimension": ..., "grades": ..., "relations":
         [{name, ok, failure?, elapsed}...] in relation_suite order, "seeds":
@@ -798,12 +793,9 @@ class ThetaModule:
             failure = None
             for p in columns:
                 lhs, rhs = self.relation_sides(plan, p)
-                # raw sums that agree are equal; others are compared canonical
-                if lhs != rhs:
-                    lhs, rhs = _nonzero(lhs), _nonzero(rhs)
-                    if lhs != rhs:
-                        failure = self._failure(p, lhs, rhs)
-                        break
+                if not _same(lhs, rhs):
+                    failure = self._failure(p, lhs, rhs)
+                    break
             return {
                 "name": chk["name"],
                 "ok": failure is None,
@@ -846,12 +838,11 @@ class ThetaModule:
             checks decide the pairs together, so each pair's elapsed time is
             its seed checks and an equal share of theirs."""
             t0 = time.perf_counter()
-            flip_blocks = self._flip_blocks()
-            if flip_blocks is None:
+            seeds = self._flip_seeds(primed)
+            if seeds is None:
                 return False
-            seeds = [lo for lo, _ in flip_blocks]
             reports = {i: run(suite[i], seeds, time.perf_counter()) for i in flips}
-            if not (all(rel["ok"] for rel in reports.values()) and self._flip_follows_ascents(flip_blocks)):
+            if not (all(rel["ok"] for rel in reports.values()) and self._flip_follows_ascents(primed, seeds)):
                 return False
             share = (time.perf_counter() - t0 - sum(rel["elapsed"] for rel in reports.values())) / len(flips)
             for i, rel in reports.items():
@@ -873,15 +864,19 @@ class ThetaModule:
                     kind, columns = "transfer_on_columns", range(dim)
                 cross[kind] += 1
                 done[i] = run(suite[i], columns, t0)
-        # 2. the primed relations on their seeds, which need only the transfer pairs
-        primed_seeds = None
+        # 2. the primed relations on their seeds, which need only the transfer
+        # pairs: the positions no exact ascent of the unprimed swaps reaches
+        primed_seeds = primed = None
         if all(rel["ok"] for rel in done.values()):
-            primed_seeds = self.seed_columns(1)
+            swaps = [(0, g) for g in range(1, self.l)]
+            primed_seeds = [p for p, via in enumerate(self._ascent_table(swaps)) if via is None]
             for i, chk in enumerate(suite):
                 if chk["side"] == 1:
                     done[i] = run(chk, primed_seeds, time.perf_counter())
+            # the primed letters' ascents, for the flip blocks and the unprimed seeds
+            primed = self._ascent_table([(1, g) for g in range(1, self.lp + 1)])
         # 3. the flip pairs, on seeds and ascents once the primed relations hold
-        ready = primed_seeds is not None and all(rel["ok"] for rel in done.values())
+        ready = primed is not None and all(rel["ok"] for rel in done.values())
         if not (flips and ready and on_ascents()):
             for i in flips:
                 cross["flip_on_columns"] += 1
@@ -890,7 +885,7 @@ class ThetaModule:
         # every column once a cross relation fails
         seeds = None
         if all(done[i]["ok"] for i in crosses):
-            seeds = [self.seed_columns(0), primed_seeds]
+            seeds = [[p for p, via in enumerate(primed) if via is None], primed_seeds]
         for i, chk in enumerate(suite):
             if chk["side"] == 0 or (chk["side"] == 1 and seeds is None):
                 done[i] = run(chk, range(dim) if seeds is None else seeds[0], time.perf_counter())

@@ -591,6 +591,25 @@ def test_theta_lift_errors(capsys):
     assert run(capsys, "theta-lift", "--alpha", "[true]", "--beta", "[]", "--l", "1", "--lprime", "1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta-lift", "--l", "0", "--lprime", "1"),
+        ("first-occurrence", "--l", "0", "--case", "A", "--dimV0", "0", "--dimVp0", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_partition_exits_2(capsys, argv):
+    """A partition nested past the JSON decoder's recursion limit is refused
+    as any other text that is no JSON array, with one line and exit 2, never
+    a traceback: exit 1 means only that a verification ran and failed."""
+    nested = "[" * 10**5 + "]" * 10**5
+    for flags in (("--alpha", nested, "--beta", "[]"), ("--alpha", "[]", "--beta", nested)):
+        code, out, err = run(capsys, argv[0], *flags, *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: partition must be a JSON array, got '[[[") and err.count("\n") == 1
+
+
 def test_first_occurrence_cli(capsys):
     code, obj, _ = run_json(
         capsys,

@@ -587,13 +587,14 @@ def test_block_decision_matches_every_column_oracle(shape):
 
 
 @pytest.mark.parametrize("mu", [MU, -1], ids=str)
-def test_clean_transfer_pairs_are_decided_on_blocks(mu):
+def test_clean_transfer_pairs_are_decided_on_blocks(mu, monkeypatch):
     """On a clean module every one of the (l-1) l' transfer x transfer cross
     relations is decided on blocks, up to (4,4), and each of the l' flip
     pairs on the block seeds and one primed ascent per column: l' checks on
     each of the sum_k C(l, k) block seeds and one on every other column.
     None runs on every column: a silent fall back would give the same
-    reports."""
+    reports.  With the flip built, a run reads each side's exact ascents
+    once: one table of the unprimed swaps' and one of the primed letters'."""
     for l in range(5):
         for lp in range(5):
             mod = ThetaModule(l, lp, mu)
@@ -604,6 +605,12 @@ def test_clean_transfer_pairs_are_decided_on_blocks(mu):
             blocks = sum(math.comb(l, k) for k in range(min(l, lp) + 1))
             want = (max(l - 1, 0) * lp, flips, flips * blocks + mod.dim - blocks if flips else 0)
             assert (cross["transfer_on_blocks"], cross["flip_on_ascents"], cross["ascent_checks"]) == want, (l, lp)
+    mod = ThetaModule(3, 3, mu)
+    mod.matrix((0, 3))
+    scans, real = [], ThetaModule._ascent_table
+    monkeypatch.setattr(ThetaModule, "_ascent_table", lambda self, keys: scans.append(keys) or real(self, keys))
+    assert mod.verify_relations()["ok"]
+    assert scans == [[(0, 1), (0, 2)], [(1, 1), (1, 2), (1, 3)]]
 
 
 def _block_seeds(mod: ThetaModule) -> list[tuple[int, int]]:
@@ -618,13 +625,17 @@ def _block_seeds(mod: ThetaModule) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3)], ids=["2,2", "3,2", "3,3"])
 def test_flip_decision_matches_every_column_oracle(shape):
-    """With one flip column changed (an entry changed, added or dropped) or
-    one tail letter made non-scalar at a block seed, verify_relations gives
-    the every-column check's verdicts and failure reports.  The flip pairs
-    run on every column exactly when a check or a precondition of the block
-    argument fails: for a changed flip column exactly when a flip pair
-    fails, since a check that fails is a failing relation, and for a tail
-    letter always, since the tail no longer acts on its seed by scalars."""
+    """With one flip column changed (an entry changed, added or dropped), one
+    tail letter made non-scalar at a block seed, or one primed column turned
+    into an exact ascent onto another position, possibly in another block,
+    verify_relations gives the every-column check's verdicts and failure
+    reports.  The flip pairs run on every column exactly when a check or a
+    precondition of the block argument fails: for a changed flip column
+    exactly when a flip pair fails, since a check that fails is a failing
+    relation, and for a tail letter always, since the tail no longer acts on
+    its seed by scalars.  A new primed ascent may win its position's first
+    ascent from another block, which the block argument must refuse; the
+    flip pairs then run on every column, as they must whenever one fails."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     mod = ThetaModule(*shape, MU)
@@ -635,7 +646,7 @@ def test_flip_decision_matches_every_column_oracle(shape):
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @hypothesis.given(
-        how=st.sampled_from(["change", "add", "drop", "tail"]),
+        how=st.sampled_from(["change", "add", "drop", "tail", "ascent"]),
         where=st.integers(0, 10**6),
         r=st.integers(0, dim - 1),
         j=st.integers(-4, 4),
@@ -648,10 +659,15 @@ def test_flip_decision_matches_every_column_oracle(shape):
             k, p = seeds[where % len(seeds)]
             key = (1, k + 1 + where // len(seeds) % (lp - k))
             r = r if r != p else (p + 1) % dim  # off the seed's row
+        elif how == "ascent":
+            key, p = (1, 1 + where % lp), where // lp % (dim - 1)
+            r = p + 1 + r % (dim - 1 - p)  # any later position
         else:
             key, p = flip, where % dim
         col = dict(mod.column(key, p))
-        if how in ("tail", "add"):
+        if how == "ascent":
+            col = {r: 1}  # e_r alone: T'_b e_p = e_r, an exact ascent
+        elif how in ("tail", "add"):
             col[j * dim + r] = col.get(j * dim + r, 0) + c
         else:
             entry = sorted(col)[where // dim % len(col)]
@@ -661,34 +677,43 @@ def test_flip_decision_matches_every_column_oracle(shape):
         want = verify_every_column(mod)
         assert rep["ok"] == want["ok"]
         assert _reports(rep) == want["relations"]
-        fell_back = how == "tail" or any(not r["ok"] for r in want["relations"] if r["name"] in flips)
+        flip_fails = any(not r["ok"] for r in want["relations"] if r["name"] in flips)
         decided = (rep["cross"]["flip_on_ascents"], rep["cross"]["flip_on_columns"])
-        assert decided == ((0, len(flips)) if fell_back else (len(flips), 0))
+        if how == "ascent":
+            assert decided in ((0, len(flips)), (len(flips), 0)) and not (flip_fails and decided[0])
+        else:
+            fell_back = how == "tail" or flip_fails
+            assert decided == ((0, len(flips)) if fell_back else (len(flips), 0))
 
     check()
 
 
 def test_flip_blocks_are_read_from_the_primed_columns():
-    """Each (k, d1) block's seed is its first position, (k, d1, 1, 1), and
-    every other position has an exact primed ascent from within the block.
-    The classification refuses the block argument, before any relation
-    check, when a tail letter is no scalar on a seed or a position loses
-    every exact ascent into it."""
+    """Each (k, d1) block's seed is its first position, (k, d1, 1, 1), the
+    block runs to the next seed, [W' : B_(l'-k)] positions, and the primed
+    letters' first exact ascent into every other position starts within its
+    block.  The classification refuses the block argument, before any
+    relation check, when a tail letter is no scalar on a seed, a position
+    loses every exact ascent into it, or a position's first exact ascent
+    starts in another block."""
     mod = ThetaModule(3, 3, MU)
-    blocks = mod._flip_blocks()
-    seeds = [lo for lo, _ in blocks]
+    primed = [(1, b) for b in (1, 2, 3)]
+    table = mod._ascent_table(primed)
+    seeds = mod._flip_seeds(table)
     assert seeds == [p for _, p in _block_seeds(mod)] + [mod.unit_pos(3)]
-    assert sum(len(via) for _, via in blocks) == mod.dim
-    for lo, via in blocks:
-        assert via[0] is None and mod.label(lo)[2:] == (identity(3), identity(mod.label(lo)[0]))
-        for r, (gen, q) in enumerate(via[1:], lo + 1):
+    for lo, hi in zip(seeds, seeds[1:] + [mod.dim]):
+        k = mod.label(lo)[0]
+        assert table[lo] is None and mod.label(lo)[2:] == (identity(3), identity(k))
+        assert seeds[0] == 0 and hi - lo == math.perm(3, k) << k
+        for r in range(lo + 1, hi):
+            gen, q = table[r]
             assert lo <= q < r and gen[q] == ((r - q, 1),)
     clean = {key: list(mod.matrix(key)) for key in mod.gen_keys()}
 
     # the tail letter s'_2 on the grade-1 seed (1, s_1 s_2, 1, 1) gains an entry off its row
     p = mod.position(1, (2, 3, 1), identity(3), (1,))
     mod._cols[1, 2][p] += ((mod.dim - p, 1),)
-    assert mod._flip_blocks() is None
+    assert mod._flip_seeds(mod._ascent_table(primed)) is None
 
     # no exact ascent reaches (2, 1, s'_2, 1)
     mod._cols[1, 2] = list(clean[1, 2])
@@ -698,10 +723,21 @@ def test_flip_blocks_are_read_from_the_primed_columns():
         for q, col in enumerate(cols):
             if col == ((r - q, 1),):
                 cols[q] = ((r - q, 2),)
-    assert mod._flip_blocks() is None
+    assert mod._flip_seeds(mod._ascent_table(primed)) is None
+
+    # s'_1's first descent column, off the seeds and in grade 1, becomes an
+    # exact ascent onto (2, 1, s'_2, 1): the first ascent into it in key
+    # order now starts outside its block, and no other ascent is lost
+    for b in (1, 2, 3):
+        mod._cols[1, b] = list(clean[1, b])
+    q = next(q for q, col in enumerate(clean[1, 1]) if len(col) > 1)
+    assert q not in seeds and mod.label(q)[0] == 1
+    mod._cols[1, 1][q] = ((r - q, 1),)
+    assert mod._ascent_table(primed)[r] == (mod._cols[1, 1], q)
+    assert mod._flip_seeds(mod._ascent_table(primed)) is None
 
 
-def test_flip_column_turned_into_an_ascent_leaves_the_primed_seeds():
+def test_flip_column_turned_into_an_ascent_leaves_the_primed_seeds(monkeypatch):
     """The primed relations' seeds are read from the unprimed swaps alone, as
     they run before the flip pairs: a flip column changed into an exact
     ascent onto the primed seed (1, 1, s'_1, 1) leaves that seed in place,
@@ -709,12 +745,16 @@ def test_flip_column_turned_into_an_ascent_leaves_the_primed_seeds():
     mod = ThetaModule(2, 2, MU)
     for key in mod.gen_keys():
         mod.matrix(key)
-    seeds = mod.seed_columns(1)
+    seeds = _seeds(mod, 1)
     r = mod.position(1, identity(2), (2, 1), (1,))
     assert r in seeds
     mod._cols[0, 2][0] = ((r, 1),)
-    assert mod.seed_columns(1) == seeds
+    assert _seeds(mod, 1) == seeds
+    # the one scan verify_relations takes the primed seeds from reads no flip column
+    scans, real = [], ThetaModule._ascent_table
+    monkeypatch.setattr(ThetaModule, "_ascent_table", lambda self, keys: scans.append(keys) or real(self, keys))
     rep = mod.verify_relations()
+    assert scans[0] == [(0, 1)]
     want = verify_every_column(mod)
     assert not rep["ok"] and not want["ok"]
     assert _reports(rep) == want["relations"]
@@ -731,22 +771,31 @@ def test_unit_pos_refuses_a_grade_outside_the_module():
             mod.unit_pos(k)
 
 
+def _seeds(mod: ThetaModule, side: int) -> list[int]:
+    """The seeds of one side's relations: the positions that no exact ascent
+    of the other side's transfer letters reaches, the unprimed flip never
+    read."""
+    keys = [(1, g) for g in range(1, mod.lp + 1)] if side == 0 else [(0, g) for g in range(1, mod.l)]
+    return [p for p, via in enumerate(mod._ascent_table(keys)) if via is None]
+
+
 @pytest.mark.parametrize("mu", [Fraction(1, 2), -1, 0, 3], ids=str)
 def test_seed_columns_are_the_other_sides_unit_labels(mu):
     """The side-0 relations' seeds, read from the primed generators' ascents,
     are the labels (k, d1, 1, 1); the side-1 relations' seeds, read from the
-    unprimed swaps' alone, are (k, 1, d2, 1).  At mu = -1 the primed
-    flip's descent relabel is no ascent.  With one side of rank 0 every
-    position is a seed."""
+    unprimed swaps' alone, are (k, 1, d2, 1), and verify_relations reports
+    their counts.  At mu = -1 the primed flip's descent relabel is no
+    ascent.  With one side of rank 0 every position is a seed."""
     for l, lp in [(2, 2), (3, 3), (4, 4), (2, 8), (8, 2)]:
         mod = ThetaModule(l, lp, mu)
-        labels = [[mod.label(p) for p in mod.seed_columns(side)] for side in (0, 1)]
+        labels = [[mod.label(p) for p in _seeds(mod, side)] for side in (0, 1)]
         every = [mod.label(p) for p in range(mod.dim)]
         assert labels[0] == [b for b in every if b[2] == identity(lp) and b[3] == identity(b[0])]
         assert labels[1] == [b for b in every if b[1] == identity(l) and b[3] == identity(b[0])]
+        assert mod.verify_relations()["seeds"] == [len(labels[0]), len(labels[1])]
     for shape in [(0, 3), (3, 0)]:
         mod = ThetaModule(*shape, mu)
-        assert mod.seed_columns(0) == mod.seed_columns(1) == list(range(mod.dim))
+        assert _seeds(mod, 0) == _seeds(mod, 1) == list(range(mod.dim))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (3, 3), (2, 8), (8, 2)])
