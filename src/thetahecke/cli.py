@@ -511,76 +511,92 @@ def _hecke_items(rank: int, terms):
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="thetahecke",
-        description="Exact computations in the graded Hecke bimodule and its combinatorial shadow.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = sub.add_parser("module-verify", help="check every defining relation of the bimodule")
+def _add_module_verify(p):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--lprime", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--case", choices=sorted(CASES))
     p.add_argument("--jobs", type=int, choices=[1], default=1,
                    help="always 1: the check runs in one process (kept so old command lines parse)")
-    add_common(p)
-    p.set_defaults(func=cmd_module_verify)
 
-    p = sub.add_parser("theta-lift", help="lift a labeled representation across ranks")
+
+def _add_theta_lift(p):
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--lprime", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_theta_lift)
 
-    def add_tower(p):
-        p.add_argument("--case", choices=sorted(CASES), required=True)
-        p.add_argument("--dimV0", type=int, required=True)
-        p.add_argument("--dimVp0", type=int, required=True)
-        p.add_argument("--chi-minus-one", type=int, choices=[1, -1], default=None)
 
-    p = sub.add_parser("first-occurrence", help="first-occurrence indices in both towers")
+def _add_tower(p):
+    p.add_argument("--case", choices=sorted(CASES), required=True)
+    p.add_argument("--dimV0", type=int, required=True)
+    p.add_argument("--dimVp0", type=int, required=True)
+    p.add_argument("--chi-minus-one", type=int, choices=[1, -1], default=None)
+
+
+def _add_first_occurrence(p):
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--l", type=int, required=True)
-    add_tower(p)
-    add_common(p)
-    p.set_defaults(func=cmd_first_occurrence)
+    _add_tower(p)
 
-    p = sub.add_parser("conservation-scan", help="conservation residuals over all labels up to a rank")
+
+def _add_conservation_scan(p):
     p.add_argument("--lmax", type=int, required=True)
-    add_tower(p)
-    add_common(p)
-    p.set_defaults(func=cmd_conservation_scan)
+    _add_tower(p)
 
-    p = sub.add_parser("specialize-decompose", help="decompose the specialized module at nu=1")
+
+def _add_specialize_decompose(p):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--lprime", type=int, required=True)
     p.add_argument("--mu", default="1/2")
-    add_common(p)
-    p.set_defaults(func=cmd_specialize_decompose)
 
-    p = sub.add_parser("coset", help="distinguished coset representative tables")
+
+def _add_coset(p):
     p.add_argument("--l", type=int, help="plain-block subgroup of the symmetric group")
     p.add_argument("--lprime", type=int, help="mixed-block subgroup of the signed group")
     p.add_argument("--k", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_coset)
 
-    p = sub.add_parser("hecke-mul", help="multiply two words in the signed Hecke algebra")
+
+def _add_hecke_mul(p):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_hecke_mul)
 
+
+# each subcommand's help line, the function it runs and its flags' adder, in
+# the order -h lists them
+SUBCOMMANDS = {
+    "module-verify": ("check every defining relation of the bimodule", cmd_module_verify, _add_module_verify),
+    "theta-lift": ("lift a labeled representation across ranks", cmd_theta_lift, _add_theta_lift),
+    "first-occurrence": ("first-occurrence indices in both towers", cmd_first_occurrence, _add_first_occurrence),
+    "conservation-scan": (
+        "conservation residuals over all labels up to a rank", cmd_conservation_scan, _add_conservation_scan
+    ),
+    "specialize-decompose": (
+        "decompose the specialized module at nu=1", cmd_specialize_decompose, _add_specialize_decompose
+    ),
+    "coset": ("distinguished coset representative tables", cmd_coset, _add_coset),
+    "hecke-mul": ("multiply two words in the signed Hecke algebra", cmd_hecke_mul, _add_hecke_mul),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand only alone: its
+    prog is "thetahecke <only>" either way, so its help, usage and errors are
+    the same."""
+    parser = argparse.ArgumentParser(
+        prog="thetahecke",
+        description="Exact computations in the graded Hecke bimodule and its combinatorial shadow.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, func, add_flags) in SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.add_argument("--format", choices=["json", "text"], default="json")
+            p.set_defaults(func=func)
     return parser
 
 
@@ -609,8 +625,13 @@ _RANK_FLAGS = ("l", "lprime", "lmax", "k")
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_merge_dash_values(argv))
+    argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
+    # only the named subcommand's parser is built; -h, a missing or an unknown
+    # subcommand, and the unrecognized-arguments error, whose usage lists every
+    # subcommand, get the full parser
+    args, extra = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
     try:
         for name in _RANK_FLAGS:
             value = getattr(args, name, None)

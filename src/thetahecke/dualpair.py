@@ -8,7 +8,7 @@ group computation happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import VerificationError
@@ -19,8 +19,7 @@ from .laurent import HalfInt, format_half
 # -- cases and towers ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualPairCase:
+class DualPairCase(namedtuple("DualPairCase", "tag delta delta_prime parity0 parity_p chi_is_xi")):
     """One of the five tower families.
 
     parity0 / parity_p constrain dimV0 / dimVp0 mod 2 (None = unconstrained).
@@ -28,12 +27,7 @@ class DualPairCase:
     quadratic character, so chi(-1) must be supplied rather than assumed.
     """
 
-    tag: str
-    delta: int
-    delta_prime: int
-    parity0: int | None
-    parity_p: int | None
-    chi_is_xi: bool
+    __slots__ = ()
 
 
 CASES = {

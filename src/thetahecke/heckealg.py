@@ -18,20 +18,18 @@ coefficient packed into one integer (Kronecker substitution).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .laurent import HalfInt, LaurentPoly, add_product, as_half
 from .weylbc import SignedPerm, gen_perm, identity, length, reduced_word
 
 
-@dataclass(frozen=True)
-class HeckeParams:
+class HeckeParams(namedtuple("HeckeParams", "rank flip_numer")):
     """Rank plus the flip parameter exponent; flip_numer is the numerator of
     the half-integer exponent."""
 
-    rank: int
-    flip_numer: int
+    __slots__ = ()
 
     @classmethod
     def signed(cls, l: int, mu) -> "HeckeParams":

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 HalfInt = Fraction  # values with denominator 1 or 2
 
@@ -26,7 +26,9 @@ def as_half(value) -> HalfInt:
     Fraction builds a decimal exponent's power of ten in full, seconds of work
     at '1e10000000', so a string whose exponent is past the digits Python
     converts from a string, or has that many digits itself, is refused first
-    with an OverflowError, as a literal with that many digits is.
+    with an OverflowError, as a literal with that many digits is.  A string
+    must be ASCII without "_": Fraction reads every script's digits, and "_"
+    between digits only from Python 3.11 on.
 
     >>> as_half("3/2")
     Fraction(3, 2)
@@ -34,7 +36,9 @@ def as_half(value) -> HalfInt:
     Fraction(-2, 1)
     """
     if isinstance(value, str):
-        exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"not a half-integer: {value!r}")
+        exp = re.search(r"e([-+]?\d+)\s*\Z", value, re.IGNORECASE)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
         if exp and limit and (len(exp[1]) > limit or abs(int(exp[1])) > limit):
             raise OverflowError(f"{value} has too many digits to print")

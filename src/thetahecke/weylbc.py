@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import VerificationError
@@ -173,8 +173,7 @@ def swap_range(i: int, j: int, l: int) -> SignedPerm:
 # -- parabolic cosets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetSpec:
+class CosetSpec(namedtuple("CosetSpec", "kind n k")):
     """A block parabolic subgroup, for distinguished-representative purposes.
 
     kind 'sym_block': the subgroup S_(n-k) x S_k of the unsigned group S_n,
@@ -184,13 +183,12 @@ class CosetSpec:
     S_k unsigned on {1..k}, full signed group on {k+1..n}.
     """
 
-    kind: str
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("sym_block", "mixed_block") or not 0 <= self.k <= self.n:
-            raise ValueError(f"no coset shape {self.kind} with n={self.n}, k={self.k}")
+    def __new__(cls, kind: str, n: int, k: int):
+        if kind not in ("sym_block", "mixed_block") or not 0 <= k <= n:
+            raise ValueError(f"no coset shape {kind} with n={n}, k={k}")
+        return super().__new__(cls, kind, n, k)
 
     def parabolic_gens(self) -> list[int]:
         n, k = self.n, self.k

@@ -305,6 +305,16 @@ def test_huge_mu_exponent_is_refused_before_it_is_read(capsys, monkeypatch, argv
         assert code == 0 and out and seen[-1] == mu
 
 
+@pytest.mark.parametrize("mu", ["1_000/2", "\u0661/\u0662"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("argv", MU_ARGV.values(), ids=list(MU_ARGV))
+def test_mu_spelling_means_the_same_on_every_python(capsys, argv, mu):
+    """Fraction takes "_" between digits from Python 3.11 on, and every
+    script's digits on all versions, so --mu takes neither: one line, exit 2."""
+    code, out, err = run(capsys, *argv, "--mu", mu)
+    assert code == 2 and out == ""
+    assert err == f"error: not a half-integer: {mu!r}\n"
+
+
 def test_module_verify_dimension_cap(capsys, monkeypatch):
     """(6,6) (dimension 291,793) is refused by the work cap before anything
     is built, with one line."""
@@ -1102,6 +1112,84 @@ def test_verify_and_specialize_load_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[0, 0] []"
+
+
+# -- parser ------------------------------------------------------------------------
+
+# per subcommand: one valid argv, and one with a required flag left out (coset
+# has none, so its --l lacks a value)
+PARSER_ARGV = {
+    "module-verify": (["--l", "1", "--lprime", "2", "--mu", "-1/2", "--case", "A"], ["--l", "1", "--mu", "1/2"]),
+    "theta-lift": (["--alpha", "[1]", "--beta", "[]", "--l", "1", "--lprime", "2"], ["--alpha", "[1]", "--l", "1"]),
+    "first-occurrence": (
+        ["--alpha", "[]", "--beta", "[1]", "--l", "1", "--case", "Ct", "--dimV0", "0", "--dimVp0", "1",
+         "--chi-minus-one", "-1"],
+        ["--alpha", "[]", "--beta", "[1]", "--l", "1", "--dimV0", "0", "--dimVp0", "1"],
+    ),
+    "conservation-scan": (
+        ["--lmax", "3", "--case", "B", "--dimV0", "1", "--dimVp0", "0", "--format", "text"],
+        ["--case", "B", "--dimV0", "1", "--dimVp0", "0"],
+    ),
+    "specialize-decompose": (["--l", "2", "--lprime", "1"], ["--lprime", "1"]),
+    "coset": (["--lprime", "3", "--k", "1"], ["--l"]),
+    "hecke-mul": (["--l", "2", "--mu", "3/2", "--a", "s1", "--b", "t"], ["--l", "2", "--a", "s1", "--b", "t"]),
+}
+
+
+def parse(capsys, parser, argv):
+    """The namespace parser gives argv, or its exit code and output."""
+    try:
+        return parser.parse_args(cli._merge_dash_values(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_parser_table_names_every_subcommand():
+    assert list(PARSER_ARGV) == list(cli.SUBCOMMANDS)
+    assert len(cli.SUBCOMMANDS) == 7
+
+
+@pytest.mark.parametrize("name", PARSER_ARGV)
+def test_one_subcommand_parser_parses_as_the_full_one(capsys, name):
+    """build_parser(name) gives the subcommand the help, namespaces and errors
+    of the full parser, byte for byte."""
+    valid, missing = PARSER_ARGV[name]
+    for argv in ([name, "-h"], [name, *valid], [name, *missing]):
+        assert parse(capsys, cli.build_parser(name), argv) == parse(capsys, cli.build_parser(), argv)
+    code, out, err = parse(capsys, cli.build_parser(name), [name, "-h"])
+    assert code == 0 and out.startswith(f"usage: thetahecke {name} [-h]") and err == ""
+    args = parse(capsys, cli.build_parser(name), [name, *valid])
+    assert args.subcommand == name and args.func is cli.SUBCOMMANDS[name][1]
+    code, out, err = parse(capsys, cli.build_parser(name), [name, *missing])
+    assert code == 2 and out == "" and err.startswith(f"usage: thetahecke {name} ")
+    assert err.endswith("\n") and f"thetahecke {name}: error: " in err
+
+
+@pytest.mark.parametrize("name", PARSER_ARGV)
+def test_main_builds_only_the_named_subcommands_parser(capsys, monkeypatch, name):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or real(only))
+    with pytest.raises(SystemExit) as exc:
+        main([name, *PARSER_ARGV[name][1]])
+    assert exc.value.code == 2 and built == [name]
+
+
+def test_main_lists_every_subcommand_without_one(capsys):
+    """-h, a missing or an unknown subcommand, and arguments no parser knows
+    are answered by the full parser, whose usage lists all seven."""
+    listing = "{" + ",".join(PARSER_ARGV) + "}"
+    for argv, want in ([["-h"], 0], [[], 2], [["bogus"], 2], [["coset", "--l", "2", "--bogus"], 2]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == want
+        text = captured.out if want == 0 else captured.err
+        assert listing in text.replace("\n", "").replace(" ", "")
+    assert "invalid choice: 'bogus'" in parse(capsys, cli.build_parser(), ["bogus"])[2]
+    assert parse(capsys, cli.build_parser(), ["coset", "--bogus"])[2].endswith(
+        "thetahecke: error: unrecognized arguments: --bogus\n"
+    )
 
 
 # -- determinism across processes ----------------------------------------------------

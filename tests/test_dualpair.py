@@ -52,6 +52,25 @@ def test_case_table():
         get_case("Z")
 
 
+def test_cases_are_read_only_values():
+    fields = {tag: (c.tag, c.delta, c.delta_prime, c.parity0, c.parity_p, c.chi_is_xi) for tag, c in CASES.items()}
+    assert fields == {
+        "A": ("A", 1, 1, None, None, False),
+        "B": ("B", 0, 2, 1, 0, False),
+        "C": ("C", 2, 0, 0, 0, False),
+        "Ct": ("Ct", 2, 0, 0, 1, True),
+        "D": ("D", 0, 2, 0, 0, False),
+    }
+    case = CASES["Ct"]
+    assert repr(case) == "DualPairCase(tag='Ct', delta=2, delta_prime=0, parity0=0, parity_p=1, chi_is_xi=True)"
+    for field in ("tag", "delta", "delta_prime", "parity0", "parity_p", "chi_is_xi", "other"):
+        with pytest.raises(AttributeError):
+            setattr(case, field, 0)
+    twin = type(case)("Ct", 2, 0, 0, 1, True)
+    assert twin == case and hash(twin) == hash(case) and twin != CASES["C"]
+    assert get_case(twin) is twin and get_case("Ct") is case
+
+
 def test_mu_ranges():
     assert mu_range_check("A", Fraction(1, 2)) and mu_range_check("A", Fraction(-7, 2))
     assert not mu_range_check("A", 1)

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from thetahecke import heckealg
 from thetahecke.heckealg import (
     HeckeElem,
     HeckeParams,
@@ -32,6 +33,22 @@ def _gen_quad_holds(params, g):
     par = nu(params.gen_exponent(g))
     rhs = scale_poly(t, par - LaurentPoly.one()) + scale_poly(HeckeElem.unit(params.rank), par)
     return lhs == rhs
+
+
+def test_hecke_params_is_a_read_only_cache_key():
+    params = HeckeParams.signed(3, "-3/2")
+    assert (params.rank, params.flip_numer) == (3, -3)
+    assert repr(params) == "HeckeParams(rank=3, flip_numer=-3)"
+    assert [params.gen_exponent(g) for g in (1, 2, 3)] == [1, 1, Fraction(-3, 2)]
+    assert HeckeParams.signed(2, Fraction(1, 2)).flip_numer == 1 and HeckeParams.signed(2, 2).flip_numer == 4
+    for field in ("rank", "flip_numer", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, field, 0)
+    twin = HeckeParams(3, -3)
+    assert twin == params and hash(twin) == hash(params)
+    assert twin != HeckeParams(3, -1) and twin != HeckeParams(2, -3)
+    # each generator's inverse is cached by its params, so equal params find the same element
+    assert heckealg._gen_inverse(twin, 3) is heckealg._gen_inverse(params, 3)
 
 
 @pytest.mark.parametrize("mu", MUS)

@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -131,3 +133,17 @@ def test_traced_names_resolve():
             missing.append(f"{module}.{attribute}")
     assert len(tracer.TARGETS) >= 30
     assert missing == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every invocation imports thetahecke.cli in a fresh interpreter, where
+    dataclasses (which imports inspect) and typing took about 7 and 6 ms of
+    it; -S keeps site, which may import typing itself, out of the count."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import thetahecke.cli; "
+        "print(thetahecke.cli.__file__); print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    path, loaded = proc.stdout.splitlines()
+    assert path == str(SRC / "cli.py")
+    assert loaded == "[]"

@@ -113,6 +113,30 @@ def test_coset_counts():
 
 
 @pytest.mark.parametrize(
+    "kind,n,k", [("cyclic", 3, 1), ("sym_block", 3, 4), ("mixed_block", 3, -1), ("mixed_block", 0, 1)]
+)
+def test_coset_spec_refuses_a_bad_shape(kind, n, k):
+    with pytest.raises(ValueError) as exc:
+        CosetSpec(kind, n, k)
+    assert str(exc.value) == f"no coset shape {kind} with n={n}, k={k}"
+
+
+def test_coset_spec_is_a_read_only_cache_key():
+    spec = CosetSpec("mixed_block", 3, 1)
+    assert (spec.kind, spec.n, spec.k) == ("mixed_block", 3, 1)
+    assert repr(spec) == "CosetSpec(kind='mixed_block', n=3, k=1)"
+    assert spec.parabolic_gens() == [2, 3] and CosetSpec("sym_block", 3, 1).parabolic_gens() == [1]
+    for field in ("kind", "n", "k", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 0)
+    twin = CosetSpec("mixed_block", 3, 1)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert twin != CosetSpec("sym_block", 3, 1) and twin != CosetSpec("mixed_block", 3, 2)
+    # distinguished_reps is cached by its spec, so an equal spec finds the same table
+    assert distinguished_reps(twin) is distinguished_reps(spec)
+
+
+@pytest.mark.parametrize(
     "kind,n,k",
     [("sym_block", 4, 2), ("sym_block", 3, 1), ("mixed_block", 3, 1), ("mixed_block", 3, 2)]
     + [(kind, n, k) for kind in ("sym_block", "mixed_block") for n in (5, 6) for k in range(n + 1)],
