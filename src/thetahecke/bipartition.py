@@ -211,13 +211,14 @@ def wl_char_table(m: int) -> dict[Bipartition, list[int]]:
 def theta_lift(alpha: Partition, beta: Partition, l: int, lp: int) -> dict[Bipartition, int]:
     """Lift of the (alpha, beta)-labeled representation from rank l to rank l'.
 
-    Sum over k of (remove an (l-k)-strip from beta) x (add an (l'-k)-strip
-    to alpha); checked to be multiplicity-free and of rank l'.
+    Sum over k <= min(l, l') of (remove an (l-k)-strip from beta) x (add an
+    (l'-k)-strip to alpha); checked to be multiplicity-free and of rank l'.
+    No strip of more than |beta| cells is removable, so k starts at |alpha|.
     """
     if sum(alpha) + sum(beta) != l or lp < 0:
         raise ValueError(f"cannot lift ({alpha}, {beta}) from rank {l} to rank {lp}")
     out: dict[Bipartition, int] = {}
-    for k in range(min(l, lp) + 1):
+    for k in range(sum(alpha), min(l, lp) + 1):
         for ap in pieri_remove(beta, l - k):
             for bp in pieri_add(alpha, lp - k):
                 vs_add(out, (ap, bp))

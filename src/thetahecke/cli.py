@@ -79,18 +79,20 @@ MAX_SPECIALIZE_DIM = 5000
 # at 93 MB peak RSS end to end, where --lprime 11 (177,147) took 4.8 s at 372 MB
 # in process
 MAX_COSET_WORK = 2**23
-# conservation-scan checks every bipartition of every rank up to --lmax; on 2
-# cores with Python 3.11.7, end to end, two runs each, --lmax 16 (17,345
-# labels) took 1.4-1.8 s at 29 MB peak RSS, --lmax 18 (38,045) 4.2-4.7 s at
-# 43 MB and --lmax 20 (80,377) 10.4-11.1 s at 74 MB, within the 15 s and
-# 142 MB of --lmax 18 when the report went through json.dumps and every
-# search ran twice; --lmax 22 (164,389) took 21 s at 134 MB
+# conservation-scan checks every bipartition of every rank up to --lmax, and
+# its time and memory about double every two ranks; on 2 cores with Python
+# 3.11.7, end to end, two runs each, --lmax 16 (17,345 labels) took
+# 0.48-0.50 s at 28 MB peak RSS, --lmax 18 (38,045) 1.05-1.32 s at 42 MB and
+# --lmax 20 (80,377) 2.29-2.41 s at 72 MB, where --lmax 22 (164,389) took
+# 4.67-4.97 s at 132 MB, so memory, not time, is what the cap bounds
 MAX_SCAN_LMAX = 20
-# first-occurrence searches the tower one rank at a time, and each rank's lift
-# looks up O(rank) strip removals keyed by the label; on 2 cores with Python
-# 3.11.7, --l 1000 took 0.29 s for the label ([1000], []), 2.4 s for
-# ([1^1000], []) and 3.1 s for ([1^500], [1^500]), the slowest label found;
-# --l 2000 took 0.90 s for ([2000], []) and 17 s for ([1^2000], [])
+# first-occurrence scans the strip removals of the label once and then lifts
+# once, so a label of rank l with r rows costs O(l) strip lookups of O(r)
+# each; on 2 cores with Python 3.11.7, end to end, two runs each, --l 1000
+# took 0.06 s for the label ([1000], []), 0.18 s for ([1^1000], []), 0.20 s
+# for ([], [1^1000]), the slowest label found, and 0.09-0.10 s for
+# ([1^500], [1^500]), at 17-18 MB; --l 2000 took 0.05-0.07 s for
+# ([2000], []) and 0.52-0.53 s for ([1^2000], [])
 MAX_OCCURRENCE_RANK = 1000
 # hecke-mul: words with n letters in all multiply out to at most min(|W_l|, 2^n)
 # terms, each costing O(l) per letter and O(l^2) for its printed length, so a

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import VerificationError
-from .bipartition import check_partition, r1, theta_lift
+from .bipartition import check_partition, pieri_remove, r1, theta_lift
 from .laurent import HalfInt, format_half
 
 
@@ -130,6 +130,16 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig, searches: dict | Non
     label with the two slots exchanged), each search run once per key
     (alpha, beta, l) of searches: a scan passes one dict to all its labels,
     so label (alpha, beta)'s companion search is label (beta, alpha)'s.
+
+    The search needs no lift below the least rank that can have one.  The
+    lift to rank l' sums, over k <= min(l, l'), the (l-k)-strip removals
+    from beta times the (l'-k)-strip additions to alpha.  An addition always
+    exists, and a strip of more than |beta| cells cannot be removed, so the
+    lift is nonzero exactly when some k in [|alpha|, min(l, l')] has a
+    removable (l-k)-strip.  With start the least such k (at most l, where
+    the strip is empty), every rank below start has a zero lift, and the
+    search lifts from start upward: one lift, at start, when theta_lift
+    agrees with this argument.
     """
     alpha = check_partition(alpha)
     beta = check_partition(beta)
@@ -138,10 +148,11 @@ def first_occurrence(alpha, beta, l: int, cfg: TowerConfig, searches: dict | Non
     steps = l - r1(beta)
     steps_t = l - r1(alpha)
     searches = {} if searches is None else searches
-    for key in ((alpha, beta, l), (beta, alpha, l)):
-        if key not in searches:
-            # the search ends by lp = l, where the k = l term lifts (alpha, beta) to (beta, alpha)
-            searches[key] = next(lp for lp in range(l + 1) if theta_lift(*key, lp))
+    for a, b in ((alpha, beta), (beta, alpha)):
+        if (a, b, l) not in searches:
+            start = next(k for k in range(sum(a), l + 1) if pieri_remove(b, l - k))
+            # the search ends by lp = l, where the k = l term lifts (a, b) to (b, a)
+            searches[a, b, l] = next(lp for lp in range(start, l + 1) if theta_lift(a, b, l, lp))
     least, least_t = searches[alpha, beta, l], searches[beta, alpha, l]
     if (least, least_t) != (steps, steps_t):
         raise VerificationError(

@@ -9,7 +9,8 @@ by element, the module's labels listed by a nested loop over
 each grade's factors, the transfer generators' columns built label by
 label, the relation suite checked on every column, letter by letter, a
 hecke-mul product as JSON objects, for json.dumps to write and to parse
-back, and a conservation-scan report built from each label's own check.
+back, a conservation-scan report built from each label's own check, and
+the first-occurrence search that lifts at every rank.
 Beside them sit the definitions that only the tests call: the nu = 1
 character induced grade by grade and the class-weighted inner product, a
 word's product as an element and an element scaled by a polynomial, and
@@ -32,6 +33,7 @@ from thetahecke.bipartition import (
     Partition,
     signed_class_types,
     sn_char,
+    theta_lift,
     vs_add,
     wl_char,
 )
@@ -658,6 +660,13 @@ def conservation_scan_report(cfg: TowerConfig, lmax: int) -> dict:
         "rows": rows,
         "all_double_c_residuals_zero": all(r["residual_double_c"] == 0 for r in rows),
     }
+
+
+def tower_search(alpha: Partition, beta: Partition, l: int) -> int:
+    """The least rank with a nonzero lift of (alpha, beta) from rank l,
+    found by lifting to every rank from 0 up; the search ends by l, where
+    the lift contains (beta, alpha)."""
+    return next(lp for lp in range(l + 1) if theta_lift(alpha, beta, l, lp))
 
 
 # -- tower bookkeeping ------------------------------------------------------------

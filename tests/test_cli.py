@@ -711,7 +711,9 @@ def test_conservation_scan_runs_each_search_once(capsys, monkeypatch):
     """A scan runs each (alpha, beta, l) first-occurrence search once, so
     theta_lift is asked for each lift once, and for the same lifts as when
     each label searches on its own; first_occurrence is still called once
-    per label, in scan order."""
+    per label, in scan order.  Each search lifts once, at its closed-form
+    first occurrence l - r1(beta): the ranks below it have no removable
+    strip left to lift."""
     lifts, labels = Counter(), []
     real_lift, real_occurrence = dualpair.theta_lift, dualpair.first_occurrence
 
@@ -729,6 +731,9 @@ def test_conservation_scan_runs_each_search_once(capsys, monkeypatch):
     scanned = [(alpha, beta, l) for l in range(7) for alpha, beta in weylbc.bipartitions(l)]
     assert code == 0 and labels == [label[:2] for label in scanned]
     assert set(lifts.values()) == {1}
+    keys = {key for alpha, beta, l in scanned for key in ((alpha, beta, l), (beta, alpha, l))}
+    assert sorted(args[:3] for args in lifts) == sorted(keys)
+    assert all(lp == l - bipartition.r1(beta) for _, beta, l, lp in lifts)
     shared = set(lifts)
     lifts.clear()
     cfg = dualpair.TowerConfig("A", 0, 1)

@@ -24,6 +24,7 @@ from oracles import (
     lusztig_unipotent,
     relevance_closure,
     swapped,
+    tower_search,
     unitary2_signed_fixed_space_sum,
 )
 
@@ -151,6 +152,29 @@ def test_first_occurrence_frozen_example():
     assert occ == {"n": 3, "n_tilde": 0, "c": 1}
     occ = first_occurrence((), (1,), 1, cfg)
     assert occ == {"n": 1, "n_tilde": 2, "c": 1}
+
+
+def _rows_and_columns(l):
+    """The labels of rank l whose two slots are each one row or one column."""
+    def shapes(n):
+        return {(n,), (1,) * n} if n else {()}
+
+    return {(a, b) for m in range(l + 1) for a in shapes(m) for b in shapes(l - m)}
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[(a, b, l) for l in range(9) for a, b in bipartitions(l)],
+     [(a, b, l) for l in range(41) for a, b in sorted(_rows_and_columns(l))]],
+    ids=["every-label-to-rank-8", "rows-and-columns-to-rank-40"],
+)
+def test_first_occurrence_search_matches_every_rank_search(labels):
+    """first_occurrence lifts only from the least rank whose lift can be
+    nonzero; its searches equal the oracle's, which lifts at every rank."""
+    cfg, searches = TowerConfig("A", 0, 1), {}
+    for alpha, beta, l in labels:
+        first_occurrence(alpha, beta, l, cfg, searches)
+    assert searches == {key: tower_search(*key) for key in searches}
 
 
 def test_first_occurrence_rejects_size_mismatch():
